@@ -6,9 +6,8 @@ from .geometry import (MacroGeometry, MeshError, TriMesh, UnitCellGeometry,
                        build_cell_mesh, build_macro_mesh)
 from .fem import ScalarField, SolverError, SparseSystem
 from .homogenization import (CellMaterialField, EffectiveTensor, diagonalize,
-                             effective_tensor, element_conductivity,
-                             homogenize, solve_cell_problem)
-from .levelset import LevelSetField, characteristic, initialize, update
+                             effective_tensor, element_conductivity, homogenize)
+from .levelset import LevelSetField, characteristic, initialize
 from .macro_solver import (BoundaryData, MacroMaterialMap, evaluate_objectives,
                            solve_adjoint, solve_state)
 from .optimizer import DesignState, Scenario, checkpoint, resume, run
@@ -21,8 +20,8 @@ __all__ = [
     "build_cell_mesh", "build_macro_mesh",
     "ScalarField", "SolverError", "SparseSystem",
     "CellMaterialField", "EffectiveTensor", "diagonalize", "effective_tensor",
-    "element_conductivity", "homogenize", "solve_cell_problem",
-    "LevelSetField", "characteristic", "initialize", "update",
+    "element_conductivity", "homogenize",
+    "LevelSetField", "characteristic", "initialize",
     "BoundaryData", "MacroMaterialMap", "evaluate_objectives",
     "solve_adjoint", "solve_state",
     "DesignState", "Scenario", "checkpoint", "resume", "run",

@@ -24,7 +24,7 @@ class ConfigError(ValueError):
 _SCHEMA = {
     "geometry": {
         "required": {"lx": float, "ly": float, "r_ring": float, "r_obstacle": float},
-        "optional": {"n_sectors": (int, 8), "allow_oversize": (bool, False)},
+        "optional": {"allow_oversize": (bool, False)},
     },
     "materials": {
         "required": {"cell_a": float, "cell_b": float,
@@ -77,7 +77,6 @@ class RunConfig:
             ("geometry.lx", sc.geometry.lx), ("geometry.ly", sc.geometry.ly),
             ("geometry.r_ring", sc.geometry.r_ring),
             ("geometry.r_obstacle", sc.geometry.r_obstacle),
-            ("geometry.n_sectors", sc.geometry.n_sectors),
             ("materials.cell_a", sc.k_cell_a), ("materials.cell_b", sc.k_cell_b),
             ("materials.exterior", sc.k_exterior), ("materials.obstacle", sc.k_obstacle),
             ("materials.normalization_fill", sc.normalization_fill),
@@ -188,7 +187,7 @@ def build_config(raw: dict) -> RunConfig:
 
     g = sections["geometry"]
     geometry = MacroGeometry(lx=g["lx"], ly=g["ly"], r_ring=g["r_ring"],
-                             r_obstacle=g["r_obstacle"], n_sectors=g["n_sectors"])
+                             r_obstacle=g["r_obstacle"])
     m = sections["materials"]
     b = sections["boundary"]
     o = sections["objective"]
@@ -198,10 +197,12 @@ def build_config(raw: dict) -> RunConfig:
     ex = sections["export"]
 
     schedule = []
-    for entry in ls["d_schedule"]:
+    for i, entry in enumerate(ls["d_schedule"]):
         if (not isinstance(entry, (list, tuple)) or len(entry) != 2):
             raise ConfigError("levelset.d_schedule entries must be [iteration, d]")
-        schedule.append((int(entry[0]), float(entry[1])))
+        path = f"levelset.d_schedule[{i}]"
+        schedule.append((_coerce(f"{path}[0]", entry[0], int),
+                         _coerce(f"{path}[1]", entry[1], float)))
 
     mode = {"standard": "standard", "normalized": "normalized"}.get(o["mode"])
     if mode is None:

@@ -237,10 +237,6 @@ def apply_periodic(system: SparseSystem, pairs: np.ndarray,
     return out
 
 
-def with_rhs(system: SparseSystem, rhs: np.ndarray) -> SparseSystem:
-    return replace(system, rhs=np.asarray(rhs, dtype=float))
-
-
 class Factorization:
     """Direct sparse factorization of a reduced system, reusable across loads."""
 

@@ -7,8 +7,8 @@ The microscale domain is the unit square, meshed structurally so that
 opposite edges carry matching node layouts for periodic constraints.
 
 Sector numbering convention: sector 1 starts at the positive x1 axis and
-the index increases counter-clockwise; each sector spans pi/n_sectors of
-the half annulus. This convention is fixed and documented in the config
+the index increases counter-clockwise; each of the 8 sectors spans pi/8
+of the half annulus. This convention is fixed and documented in the config
 reference (README).
 """
 
@@ -43,8 +43,8 @@ class MeshError(ValueError):
 class MacroGeometry:
     """Macroscale layout: rectangle size, design ring and obstacle radii.
 
-    Lengths in metres. ``n_sectors`` equal-angle design sectors partition
-    the half annulus ``r_obstacle < r < r_ring`` of the computational
+    Lengths in metres. Eight equal-angle design sectors partition the
+    half annulus ``r_obstacle < r < r_ring`` of the computational
     (top-half) domain.
     """
 
@@ -52,15 +52,12 @@ class MacroGeometry:
     ly: float
     r_ring: float
     r_obstacle: float
-    n_sectors: int = 8
 
     def validate(self, allow_oversize: bool = False) -> None:
         if self.lx <= 0 or self.ly <= 0:
             raise MeshError("domain side lengths must be positive")
         if not 0 <= self.r_obstacle < self.r_ring:
             raise MeshError("need 0 <= r_obstacle < r_ring")
-        if self.n_sectors < 1:
-            raise MeshError("n_sectors must be >= 1")
         if not allow_oversize:
             if self.r_ring > self.lx / 2 or self.r_ring > self.ly / 2:
                 raise MeshError(
@@ -69,15 +66,15 @@ class MacroGeometry:
                 )
 
     def sector_of(self, x1, x2):
-        """Sector index (1..n_sectors) for points inside the design ring.
+        """Sector index (1..8) for points inside the design ring.
 
         Vectorized; callers must mask to the annulus themselves. Angle 0
         (positive x1 axis) belongs to sector 1.
         """
         angle = np.arctan2(x2, x1)
-        width = np.pi / self.n_sectors
+        width = np.pi / SECTOR_LAST
         idx = np.floor(angle / width).astype(int) + 1
-        return np.clip(idx, 1, self.n_sectors)
+        return np.clip(idx, SECTOR_FIRST, SECTOR_LAST)
 
 
 @dataclass

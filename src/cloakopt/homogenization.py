@@ -100,17 +100,6 @@ def _corrector_rhs(mesh: TriMesh, k: np.ndarray, direction: int) -> np.ndarray:
     return rhs
 
 
-def solve_cell_problem(mesh: TriMesh, mat: CellMaterialField,
-                       direction: int) -> fem.ScalarField:
-    """Periodic corrector for a unit macroscopic gradient along e_direction."""
-    if direction not in (1, 2):
-        raise ValueError("direction must be 1 or 2")
-    system = _cell_system(mesh, mat)
-    fact = fem.Factorization(system)
-    values = fact.solve(_corrector_rhs(mesh, mat.conductivities(), direction))
-    return fem.ScalarField(values=values, mesh=mesh, bc_record="periodic+gauge")
-
-
 def corrector_pair(mesh: TriMesh, mat: CellMaterialField):
     """Both correctors, sharing one factorization of the cell operator."""
     system = _cell_system(mesh, mat)

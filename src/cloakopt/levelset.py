@@ -8,7 +8,7 @@ conductivity across the implicit interface.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -94,8 +94,8 @@ class ReactionDiffusionUpdater:
     stiffness, then clamps nodal values to [-1, 1]. The diffusion term is
     implicit (unconditionally stable), the reaction term explicit. The
     lumped mass keeps the pure-diffusion step max-norm non-expansive and
-    makes the tau=0 step exactly pointwise. Factorizations are cached per
-    time step, so varying dt between steps stays cheap.
+    makes the tau=0 step exactly pointwise. The factorization of the last
+    time step is kept, so consecutive steps at one dt share it.
     """
 
     def __init__(self, mesh: TriMesh, k_phi: float, tau: float):
@@ -110,46 +110,34 @@ class ReactionDiffusionUpdater:
         if tau > 0:
             self._laplacian = fem.stiffness_matrix(
                 mesh, fem.isotropic_tensors(np.ones(mesh.n_elements)))
-        self._factorizations: dict[float, fem.Factorization] = {}
+        # (dt, factorization) as one tuple, read once per step, so a step
+        # running in another thread never pairs a new dt with an old factor
+        self._last: tuple[float, fem.Factorization] | None = None
 
-    def _factorization(self, dt: float) -> fem.Factorization:
-        fact = self._factorizations.get(dt)
-        if fact is None:
-            lhs = self._mass_diag
-            if self._laplacian is not None:
-                lhs = lhs + dt * self.k_phi * self.tau * self._laplacian
-            system = fem.SparseSystem(
-                matrix=lhs.tocsr(),
-                rhs=np.zeros(self.mesh.n_nodes),
-                mesh=self.mesh,
-                dof_of_node=np.arange(self.mesh.n_nodes),
-                fixed_values=np.zeros(self.mesh.n_nodes),
-            )
-            if self.mesh.periodic_pairs is not None:
-                system = fem.apply_periodic(system, self.mesh.periodic_pairs)
-            fact = fem.Factorization(system)
-            if len(self._factorizations) > 8:
-                self._factorizations.clear()
-            self._factorizations[dt] = fact
-        return fact
+    def _factorize(self, dt: float) -> fem.Factorization:
+        lhs = self._mass_diag
+        if self._laplacian is not None:
+            lhs = lhs + dt * self.k_phi * self.tau * self._laplacian
+        system = fem.SparseSystem(
+            matrix=lhs.tocsr(),
+            rhs=np.zeros(self.mesh.n_nodes),
+            mesh=self.mesh,
+            dof_of_node=np.arange(self.mesh.n_nodes),
+            fixed_values=np.zeros(self.mesh.n_nodes),
+        )
+        if self.mesh.periodic_pairs is not None:
+            system = fem.apply_periodic(system, self.mesh.periodic_pairs)
+        return fem.Factorization(system)
 
     def step(self, phi: np.ndarray, jprime: np.ndarray, dt: float) -> np.ndarray:
         if dt <= 0:
             raise ValueError("need dt > 0")
+        last = self._last
+        if last is None or last[0] != dt:
+            last = self._last = (dt, self._factorize(dt))
         rhs = self.mass * (phi - dt * self.k_phi * jprime)
-        out = self._factorization(dt).solve(rhs)
+        out = last[1].solve(rhs)
         return np.clip(out, -1.0, 1.0)
-
-
-def update(field: LevelSetField, jprime: np.ndarray, k_phi: float,
-           tau: float, dt: float) -> LevelSetField:
-    """One reaction-diffusion step; see :class:`ReactionDiffusionUpdater`.
-
-    Builds the operator on the fly; the optimizer keeps a persistent
-    updater instead, since the operator depends only on (mesh, k, tau).
-    """
-    stepper = ReactionDiffusionUpdater(field.mesh, k_phi, tau)
-    return replace(field, phi=stepper.step(field.phi, jprime, dt))
 
 
 def write_phi_csv(field: LevelSetField, path) -> None:

@@ -3,11 +3,11 @@
 The state problem is steady conduction on the half domain with fixed
 temperatures on the left/right edges and adiabatic top/bottom, the
 conductivity being the per-region tensor map (homogenized tensors in the
-design sectors, isotropic elsewhere). The two adjoint problems share the
-operator but carry objective-derivative loads and homogeneous Dirichlet
-data; their loads are the exact derivatives of the discrete objective
-values, so adjoint-based gradients match finite differences of the
-discrete objectives to solver precision.
+design sectors, isotropic elsewhere). The two adjoint problems reuse the
+factored state operator but carry objective-derivative loads and
+homogeneous Dirichlet data; their loads are the exact derivatives of the
+discrete objective values, so adjoint-based gradients match finite
+differences of the discrete objectives to solver precision.
 """
 
 from __future__ import annotations
@@ -106,15 +106,14 @@ def adjoint_load(mesh: TriMesh, objective: str, state: fem.ScalarField,
     raise ValueError(f"unknown objective {objective!r}")
 
 
-def solve_adjoint(mesh: TriMesh, matmap: MacroMaterialMap, objective: str,
+def solve_adjoint(state_fact: fem.Factorization, objective: str,
                   state: fem.ScalarField,
                   reference: fem.ScalarField | None = None) -> fem.ScalarField:
-    """Adjoint field: same operator, objective-derivative load, zero edge values."""
-    system = fem.assemble_diffusion(mesh, matmap.element_tensors(mesh))
-    system = fem.with_rhs(system, adjoint_load(mesh, objective, state, reference))
-    system = fem.apply_dirichlet(system, _dirichlet_nodes(mesh, GAMMA_A), 0.0)
-    system = fem.apply_dirichlet(system, _dirichlet_nodes(mesh, GAMMA_B), 0.0)
-    return fem.solve(system)
+    """Adjoint field on the factored state operator: objective-derivative
+    load, zero values on the fixed edges."""
+    mesh = state_fact.system.mesh
+    load = adjoint_load(mesh, objective, state, reference)
+    return fem.ScalarField(state_fact.solve(load, homogeneous=True), mesh, "adjoint")
 
 
 def evaluate_objectives(state: fem.ScalarField, reference: fem.ScalarField,

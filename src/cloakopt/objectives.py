@@ -9,33 +9,10 @@ adjoint consistent with finite differences of these values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import fem
 from .geometry import REGION_EXTERIOR, REGION_OBSTACLE, TriMesh
-
-
-@dataclass
-class ObjectiveSpec:
-    """Which functional, where it is measured, and its reference field."""
-
-    kind: str                     # "j1" | "j2" | "combined" | "normalized"
-    measure_region: int
-    reference: str | None
-
-    def __post_init__(self):
-        if self.kind == "j1" and (self.measure_region != REGION_EXTERIOR
-                                  or self.reference != "steel"):
-            raise ValueError("j1 is measured on the exterior against the steel reference")
-        if self.kind == "j2" and (self.measure_region != REGION_OBSTACLE
-                                  or self.reference is not None):
-            raise ValueError("j2 is measured on the obstacle region without a reference")
-
-
-J1_SPEC = ObjectiveSpec(kind="j1", measure_region=REGION_EXTERIOR, reference="steel")
-J2_SPEC = ObjectiveSpec(kind="j2", measure_region=REGION_OBSTACLE, reference=None)
 
 
 def mismatch(values: np.ndarray, reference: np.ndarray, mesh: TriMesh,
@@ -60,15 +37,3 @@ def compose(j1: float, j2: float, w: float) -> float:
         raise ValueError("weight w must lie in [0, 1]")
     return w * j1 + (1.0 - w) * j2
 
-
-def normalized_mismatch(values: np.ndarray, reference: np.ndarray,
-                        worst_case: np.ndarray, mesh: TriMesh) -> float:
-    """Mismatch normalized by the mismatch of a worst-case field.
-
-    Used by the benchmark scenario where the design ring filled with the
-    insulating phase provides the scale. Rejects a vanishing denominator.
-    """
-    denom = mismatch(worst_case, reference, mesh)
-    if denom <= 0.0 or not np.isfinite(denom):
-        raise ValueError("normalization field coincides with the reference")
-    return mismatch(values, reference, mesh) / denom

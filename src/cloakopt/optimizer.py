@@ -1,11 +1,12 @@
 """Optimization loop tying the two scales together.
 
-Each iteration: solve both correctors on every cell, homogenize, solve
-the macro state, evaluate the objectives, then (unless stopping) solve
-the needed adjoints, contract the derivative of the recorded objective J
-(w*J1 + (1-w)*J2, or J1 over its denominator in normalized mode) with
-each cell's insertion derivatives, normalize it once per cell, and
-advance every level-set field one reaction-diffusion step. The
+Each iteration evaluates the design (:func:`evaluate`: both correctors
+and the tensor of every cell, the macro state, the objectives) and then,
+unless stopping, advances it (:func:`step`): the needed adjoints on the
+factored state operator, the derivative of the recorded objective J
+(w*J1 + (1-w)*J2, or J1 over its denominator in normalized mode)
+contracted with each cell's insertion derivatives and normalized once per
+cell, and one reaction-diffusion step of every level-set field. The
 transition width follows a fixed iteration schedule; the run stops at
 the iteration cap (an optional relative-change early stop is off by
 default).
@@ -19,6 +20,7 @@ import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +76,11 @@ class Scenario:
             raise ValueError("dt and move_limit must be positive")
         if not self.d_schedule or self.d_schedule[0][0] != 1:
             raise ValueError("d_schedule must start at iteration 1")
+        starts = [start for start, _ in self.d_schedule]
+        if not all(isinstance(s, Integral) and not isinstance(s, bool) for s in starts):
+            raise ValueError("d_schedule starts must be integer iterations")
+        if any(b <= a for a, b in zip(starts, starts[1:])):
+            raise ValueError("d_schedule starts must be strictly increasing")
         for _, d in self.d_schedule:
             if not 0 < d < 1:
                 raise ValueError("transition widths must lie in (0, 1)")
@@ -91,6 +98,17 @@ class Scenario:
 
     def last_d_switch(self) -> int:
         return max(start for start, _ in self.d_schedule)
+
+    def derivative_weights(self) -> dict[str, float]:
+        """Nonzero weights of dJ1/dK* and dJ2/dK* in dJ/dK* of the recorded J.
+
+        Normalized mode takes dJ1/dK* alone: the per-cell normalization of
+        the reaction term absorbs J1's constant denominator. Only the
+        objectives listed here get an adjoint solve.
+        """
+        if self.objective_mode == "normalized":
+            return {"j1": 1.0}
+        return {k: v for k, v in (("j1", self.w), ("j2", 1.0 - self.w)) if v > 0.0}
 
 
 @dataclass
@@ -159,15 +177,99 @@ def _map_cells(fn, items, threads: int):
         return list(pool.map(fn, items))
 
 
+@dataclass
+class Evaluation:
+    """One evaluated design: cell homogenizations, macro state, objectives."""
+
+    cells: list                       # (material, tensor, w1, w2) per cell
+    temp: fem.ScalarField
+    state_fact: fem.Factorization     # state operator, reused by the adjoints
+    j1: float
+    j2: float
+    j: float
+    d: float
+
+    @property
+    def tensors(self) -> list[EffectiveTensor]:
+        return [c[1] for c in self.cells]
+
+
+def evaluate(ws: Workspace, phis: list[LevelSetField], d: float,
+             threads: int = 1) -> Evaluation:
+    """Homogenize every cell at transition width d, solve the macro state
+    and evaluate the objectives."""
+    sc = ws.scenario
+
+    def cell_task(f):
+        mat = homogenization.material_from_levelset(f, sc.k_cell_a, sc.k_cell_b, d)
+        tensor, w1, w2 = homogenization.homogenize(ws.cell_mesh, mat)
+        return mat, tensor, w1, w2
+
+    cells = _map_cells(cell_task, phis, threads)
+    matmap = MacroMaterialMap(sector_tensors=[c[1] for c in cells],
+                              k_exterior=sc.k_exterior, k_obstacle=sc.k_obstacle)
+    state_system = macro_solver.state_system(ws.macro_mesh, matmap, sc.bc)
+    state_fact = fem.Factorization(state_system)
+    temp = fem.ScalarField(state_fact.solve(), ws.macro_mesh, state_system.bc_record)
+    j1, j2 = macro_solver.evaluate_objectives(temp, ws.t_steel, ws.macro_mesh)
+    if sc.objective_mode == "normalized":
+        j = j1 / ws.norm_denominator
+    else:
+        j = objectives.compose(j1, j2, sc.w)
+    return Evaluation(cells, temp, state_fact, j1, j2, j, d)
+
+
+def step(ws: Workspace, ev: Evaluation, phis: list[LevelSetField],
+         threads: int = 1) -> list[np.ndarray]:
+    """New nodal values of every cell's level set after one update.
+
+    Solves the adjoints on the evaluated state operator, contracts dJ/dK*
+    of the recorded J with each cell's insertion derivatives into a
+    normalized reaction term, and takes one reaction-diffusion step whose
+    size the move limiter caps.
+    """
+    sc = ws.scenario
+    weights = sc.derivative_weights()
+    adjoints = {k: macro_solver.solve_adjoint(ev.state_fact, k, ev.temp, ws.t_steel)
+                for k in weights}
+
+    def reaction_task(args):
+        l, f, (mat, _tensor, w1, w2) = args
+        dj_dk = sum(weight * sensitivity.tensor_sensitivity(
+                        ws.macro_mesh, ev.temp, adjoints[k], l)
+                    for k, weight in weights.items())
+        ins_a, ins_b = sensitivity.topological_tensor_fields(ws.cell_mesh, mat, w1, w2)
+        return sensitivity.combined_sensitivity(
+            ws.cell_mesh, dj_dk, ins_a, ins_b, f.chi_nodes(ev.d))
+
+    jprimes = _map_cells(
+        reaction_task,
+        list(zip(range(SECTOR_FIRST, SECTOR_LAST + 1), phis, ev.cells)),
+        threads)
+    # stability limiter: cap the largest nodal reaction move so the
+    # normalized sensitivity cannot flip nodes across the clamp range
+    peak = max(float(np.abs(jp).max()) for jp in jprimes)
+    dt_eff = sc.dt
+    if peak > 0:
+        dt_eff = min(sc.dt, sc.move_limit / (sc.k_phi * peak))
+    return _map_cells(
+        lambda pair: ws.updater.step(pair[0].phi, pair[1], dt_eff),
+        list(zip(phis, jprimes)), threads)
+
+
 def run(scenario: Scenario, out_dir=None, resume_from: DesignState | None = None,
         threads: int = 1, checkpoint_every: int = 10) -> DesignState:
     """Execute the optimization loop and return the final design state.
 
-    ``out_dir`` (optional) receives a progress CSV, periodic checkpoints
-    and a final checkpoint. ``resume_from`` continues a saved state;
-    resuming a finished run returns it unchanged. The run is
-    deterministic for a fixed scenario, independent of ``threads``.
+    Each iteration is :func:`evaluate` then, unless stopping,
+    :func:`step`. ``out_dir`` (optional) receives a progress CSV,
+    checkpoints every ``checkpoint_every`` iterations and a final
+    checkpoint. ``resume_from`` continues a saved state; resuming a
+    finished run returns it unchanged. The run is deterministic for a
+    fixed scenario, independent of ``threads``.
     """
+    if checkpoint_every < 1:
+        raise ValueError("checkpoint_every must be at least 1")
     ws = Workspace(scenario)
     sc = scenario
     out_dir = Path(out_dir) if out_dir is not None else None
@@ -197,10 +299,6 @@ def run(scenario: Scenario, out_dir=None, resume_from: DesignState | None = None
         j1_init = j2_init = None
         start = 1
 
-    need_j1 = sc.w > 0.0 or sc.objective_mode == "normalized"
-    need_j2 = sc.w < 1.0 and sc.objective_mode == "standard"
-    state = None
-
     csv_path = out_dir / "history.csv" if out_dir is not None else None
     if csv_path is not None and not (resume_from is not None and csv_path.exists()):
         with csv_path.open("w", newline="") as fh:
@@ -212,44 +310,22 @@ def run(scenario: Scenario, out_dir=None, resume_from: DesignState | None = None
 
     for it in range(start, sc.max_iter + 1):
         t0 = time.perf_counter()
-        d = sc.d_at(it)
-        for f in phis:
-            f.d = d
-
-        def cell_task(f):
-            mat = homogenization.material_from_levelset(f, sc.k_cell_a, sc.k_cell_b)
-            tensor, w1, w2 = homogenization.homogenize(ws.cell_mesh, mat)
-            return mat, tensor, w1, w2
-
-        cell_results = _map_cells(cell_task, phis, threads)
+        ev = evaluate(ws, phis, sc.d_at(it), threads)
         counters["cell_solves"] += 2 * N_CELLS
-        tensors = [r[1] for r in cell_results]
-
-        matmap = MacroMaterialMap(sector_tensors=tensors,
-                                  k_exterior=sc.k_exterior, k_obstacle=sc.k_obstacle)
-        state_system = macro_solver.state_system(ws.macro_mesh, matmap, sc.bc)
-        state_fact = fem.Factorization(state_system)
-        temp = fem.ScalarField(state_fact.solve(), ws.macro_mesh, state_system.bc_record)
         counters["state_solves"] += 1
-
-        j1, j2 = macro_solver.evaluate_objectives(temp, ws.t_steel, ws.macro_mesh)
-        if sc.objective_mode == "normalized":
-            j = j1 / ws.norm_denominator
-        else:
-            j = objectives.compose(j1, j2, sc.w)
         if j1_init is None:
-            j1_init, j2_init = j1, j2
+            j1_init, j2_init = ev.j1, ev.j2
 
-        overshoot = macro_solver.temperature_bounds_violation(temp, sc.bc)
+        overshoot = macro_solver.temperature_bounds_violation(ev.temp, sc.bc)
         if overshoot > 1e-6:
             log.warning("iteration %d: temperature overshoots edge range by %.3e",
                         it, overshoot)
 
         record = IterationRecord(
-            iteration=it, j1=j1, j2=j2, j=j,
-            j1_ratio=j1 / j1_init if j1_init > 0 else np.nan,
-            j2_ratio=j2 / j2_init if j2_init > 0 else np.nan,
-            d=d)
+            iteration=it, j1=ev.j1, j2=ev.j2, j=ev.j,
+            j1_ratio=ev.j1 / j1_init if j1_init > 0 else np.nan,
+            j2_ratio=ev.j2 / j2_init if j2_init > 0 else np.nan,
+            d=ev.d)
         fresh_row = len(history) < it
         if fresh_row:
             history.append(record)
@@ -258,8 +334,8 @@ def run(scenario: Scenario, out_dir=None, resume_from: DesignState | None = None
         state = DesignState(
             iteration=it,
             phis=[LevelSetField(phi=f.phi.copy(), mesh=ws.cell_mesh,
-                                cell_index=f.cell_index, d=f.d) for f in phis],
-            tensors=tensors, j1=j1, j2=j2, j=j,
+                                cell_index=f.cell_index, d=ev.d) for f in phis],
+            tensors=ev.tensors, j1=ev.j1, j2=ev.j2, j=ev.j,
             j1_init=j1_init, j2_init=j2_init,
             history=history, counters=counters)
 
@@ -270,49 +346,10 @@ def run(scenario: Scenario, out_dir=None, resume_from: DesignState | None = None
                 stop = True
 
         if not stop:
-            loads = {}
-            if need_j1:
-                loads["j1"] = macro_solver.adjoint_load(
-                    ws.macro_mesh, "j1", temp, ws.t_steel)
-                counters["adjoint_solves_j1"] += 1
-            if need_j2:
-                loads["j2"] = macro_solver.adjoint_load(ws.macro_mesh, "j2", temp)
-                counters["adjoint_solves_j2"] += 1
-            adjoints = {k: fem.ScalarField(state_fact.solve(v, homogeneous=True),
-                                           ws.macro_mesh, "adjoint")
-                        for k, v in loads.items()}
-
-            def reaction_task(args):
-                l, f, (mat, _tensor, w1, w2) = args
-                # dJ/dK* of the recorded J: w*S1 + (1-w)*S2 in standard
-                # mode, S1 alone (of J1/denominator) in normalized mode
-                s = {k: sensitivity.tensor_sensitivity(ws.macro_mesh, temp, v, l)
-                     for k, v in adjoints.items()}
-                if need_j1 and need_j2:
-                    s_j = sc.w * s["j1"] + (1.0 - sc.w) * s["j2"]
-                else:
-                    s_j = s["j1"] if need_j1 else s["j2"]
-                ins_a, ins_b = sensitivity.topological_tensor_fields(
-                    ws.cell_mesh, mat, w1, w2)
-                jprime, _, _ = sensitivity.combined_sensitivity(
-                    ws.cell_mesh, s_j, None, ins_a, ins_b, f.chi_nodes(d), 1.0)
-                return jprime
-
-            jprimes = _map_cells(
-                reaction_task,
-                list(zip(range(SECTOR_FIRST, SECTOR_LAST + 1), phis, cell_results)),
-                threads)
-            # stability limiter: cap the largest nodal reaction move so the
-            # normalized sensitivity cannot flip nodes across the clamp range
-            peak = max(float(np.abs(jp).max()) for jp in jprimes)
-            dt_eff = sc.dt
-            if peak > 0:
-                dt_eff = min(sc.dt, sc.move_limit / (sc.k_phi * peak))
-            new_phis = _map_cells(
-                lambda pair: ws.updater.step(pair[0].phi, pair[1], dt_eff),
-                list(zip(phis, jprimes)), threads)
-            for f, phi in zip(phis, new_phis):
+            for f, phi in zip(phis, step(ws, ev, phis, threads)):
                 f.phi = phi
+            for k in sc.derivative_weights():
+                counters[f"adjoint_solves_{k}"] += 1
 
         record.wall_ms = 1e3 * (time.perf_counter() - t0)
         if csv_path is not None and fresh_row:

@@ -104,37 +104,20 @@ def phase_blend(contraction_insert_a: np.ndarray, contraction_insert_b: np.ndarr
             - contraction_insert_b * chi_nodes)
 
 
-def combined_sensitivity(mesh: TriMesh, dj1_dk: np.ndarray | None,
-                         dj2_dk: np.ndarray | None,
+def combined_sensitivity(mesh: TriMesh, dj_dk: np.ndarray,
                          insert_a: np.ndarray, insert_b: np.ndarray,
-                         chi_nodes: np.ndarray, w: float):
+                         chi_nodes: np.ndarray) -> np.ndarray:
     """Normalized reaction term for one cell.
 
-    Each given tensor derivative's blended field is scaled so its L1
-    mass over the cell equals its weight (w for ``dj1_dk``, 1-w for
-    ``dj2_dk``). A degenerate L1 norm drops that term with a logged
-    warning. Returns (jprime, c1, c2).
-
-    The optimizer passes the derivative of its recorded objective as
-    ``dj1_dk`` with ``dj2_dk=None`` and ``w=1``. Two separately
-    normalized terms are not the derivative of w*J1 + (1-w)*J2: each
-    keeps its share of the step even after its objective has reached
-    zero.
+    The blended contraction of ``dj_dk`` (the derivative of the recorded
+    objective with respect to this cell's K*) is scaled to unit L1 mass
+    over the cell. A degenerate L1 norm gives a zero reaction with a
+    logged warning.
     """
-    jprime = np.zeros(mesh.n_nodes)
-    coeffs = []
-    for weight, s in ((w, dj1_dk), (1.0 - w, dj2_dk)):
-        if weight == 0.0 or s is None:
-            coeffs.append(0.0)
-            continue
-        g = phase_blend(np.einsum("ij,nij->n", s, insert_a),
-                        np.einsum("ij,nij->n", s, insert_b), chi_nodes)
-        norm = nodal_abs_integral(mesh, g)
-        if norm < DEGENERATE_NORM:
-            log.warning("degenerate sensitivity norm; dropping objective term")
-            coeffs.append(0.0)
-            continue
-        c = weight / norm
-        coeffs.append(c)
-        jprime += c * g
-    return jprime, coeffs[0], coeffs[1]
+    g = phase_blend(np.einsum("ij,nij->n", dj_dk, insert_a),
+                    np.einsum("ij,nij->n", dj_dk, insert_b), chi_nodes)
+    norm = nodal_abs_integral(mesh, g)
+    if norm < DEGENERATE_NORM:
+        log.warning("degenerate sensitivity norm; dropping the reaction term")
+        return np.zeros(mesh.n_nodes)
+    return (1.0 / norm) * g

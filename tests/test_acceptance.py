@@ -143,10 +143,12 @@ def test_criterion_03_adjoint_matches_finite_differences():
         temp = ms.solve_state(mesh, mm, bc)
         return ms.evaluate_objectives(temp, steel, mesh)
 
+    # the optimizer's adjoint path: both adjoints on the factored state operator
     matmap = MacroMaterialMap(list(tensors), k_exterior=STEEL, k_obstacle=COPPER)
-    temp = ms.solve_state(mesh, matmap, bc)
-    adjoints = {"j1": ms.solve_adjoint(mesh, matmap, "j1", temp, steel),
-                "j2": ms.solve_adjoint(mesh, matmap, "j2", temp)}
+    fact = fem.Factorization(ms.state_system(mesh, matmap, bc))
+    temp = fem.ScalarField(fact.solve(), mesh)
+    adjoints = {"j1": ms.solve_adjoint(fact, "j1", temp, steel),
+                "j2": ms.solve_adjoint(fact, "j2", temp)}
 
     worst = 0.0
     for kind, idx in (("j1", 0), ("j2", 1)):

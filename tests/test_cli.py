@@ -53,6 +53,33 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def optimize_exit_code(tmp_path, path, *flags):
+    return cli.main(["optimize", "--config", str(path), "--out", str(tmp_path / "o"),
+                     *flags])
+
+
+def test_n_sectors_key_rejected(tmp_path, capsys):
+    path = small_config(tmp_path, geometry={"n_sectors": 8})
+    assert optimize_exit_code(tmp_path, path) == 2
+    assert "geometry.n_sectors" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("schedule, message", [
+    ([[1, 0.2], [71, 0.01], [50, 0.1]], "strictly increasing"),
+    ([[1, 0.2], [70.7, 0.01]], "expected an integer"),
+])
+def test_bad_d_schedule_exit_code(tmp_path, capsys, schedule, message):
+    path = small_config(tmp_path, levelset={"d_schedule": schedule})
+    assert optimize_exit_code(tmp_path, path) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_checkpoint_every_below_one_exit_code(tmp_path, capsys):
+    path = small_config(tmp_path)
+    assert optimize_exit_code(tmp_path, path, "--checkpoint-every", "0") == 2
+    assert "checkpoint_every" in capsys.readouterr().err
+
+
 def test_malformed_json_reports_line(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"geometry": {,}}')

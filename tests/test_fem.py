@@ -132,9 +132,8 @@ def test_singular_solve_names_missing_gauge():
     folded = fem.apply_periodic(system, mesh.periodic_pairs)   # no gauge
     rhs = np.zeros(mesh.n_nodes)
     rhs[0] = 1.0
-    folded = fem.with_rhs(folded, rhs)
     with pytest.raises(fem.SolverError, match="gauge"):
-        fem.solve(folded)
+        fem.Factorization(folded).solve(rhs)
 
 
 def test_solve_residual_contract():

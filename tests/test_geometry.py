@@ -3,7 +3,7 @@ import pytest
 
 from cloakopt.geometry import (CELL_LEFT, CELL_RIGHT, GAMMA_A, GAMMA_B,
                                GAMMA_N, GAMMA_SYM, MacroGeometry, MeshError,
-                               REGION_EXTERIOR, REGION_OBSTACLE, TriMesh,
+                               REGION_EXTERIOR, REGION_OBSTACLE, SECTOR_LAST, TriMesh,
                                UnitCellGeometry, build_cell_mesh,
                                build_macro_mesh, interpolate_structured)
 
@@ -44,7 +44,7 @@ def test_region_areas_converge_to_exact(paper_geometry):
 
 def test_sector_rotational_consistency(paper_geometry):
     g = paper_geometry
-    width = np.pi / g.n_sectors
+    width = np.pi / SECTOR_LAST
     r = 0.8 * (g.r_ring + g.r_obstacle) / 2.0
     angles = np.linspace(0.01, np.pi - width - 0.01, 40)
     l0 = g.sector_of(r * np.cos(angles), r * np.sin(angles))

@@ -4,7 +4,7 @@ import pytest
 from cloakopt import fem
 from cloakopt.levelset import (LevelSetField, ReactionDiffusionUpdater,
                                characteristic, initialize, read_phi_csv,
-                               update, write_phi_csv)
+                               write_phi_csv)
 
 
 def test_characteristic_anchor_values():
@@ -95,11 +95,21 @@ def test_update_uniform_reaction_shifts_then_clamps(cell_mesh_32):
     np.testing.assert_allclose(out2, -1.0, atol=1e-14)   # clamped
 
 
-def test_update_wrapper_returns_new_field(cell_mesh_32):
+def test_updater_refactors_only_when_dt_changes(cell_mesh_32, monkeypatch):
+    built = []
+
+    class CountingFactorization(fem.Factorization):
+        def __init__(self, system):
+            super().__init__(system)
+            built.append(self)
+
+    monkeypatch.setattr(fem, "Factorization", CountingFactorization)
     f = initialize(cell_mesh_32, ("disk", 0.25))
-    g = update(f, np.zeros(cell_mesh_32.n_nodes), k_phi=1.5, tau=0.0, dt=0.1)
-    assert g is not f
-    np.testing.assert_allclose(g.phi, f.phi, atol=1e-14)
+    stepper = ReactionDiffusionUpdater(cell_mesh_32, k_phi=1.5, tau=2e-4)
+    zero = np.zeros(cell_mesh_32.n_nodes)
+    for dt in (0.1, 0.1, 0.05, 0.1):
+        stepper.step(f.phi, zero, dt)
+    assert len(built) == 3
 
 
 def test_update_preserves_periodicity(cell_mesh_32):

@@ -6,15 +6,6 @@ from cloakopt import objectives as obj
 from cloakopt.geometry import REGION_EXTERIOR, REGION_OBSTACLE
 
 
-def test_objective_spec_pairings():
-    obj.ObjectiveSpec(kind="j1", measure_region=REGION_EXTERIOR, reference="steel")
-    obj.ObjectiveSpec(kind="j2", measure_region=REGION_OBSTACLE, reference=None)
-    with pytest.raises(ValueError):
-        obj.ObjectiveSpec(kind="j1", measure_region=REGION_OBSTACLE, reference="steel")
-    with pytest.raises(ValueError):
-        obj.ObjectiveSpec(kind="j2", measure_region=REGION_OBSTACLE, reference="steel")
-
-
 def test_mismatch_zero_iff_equal(coarse_macro_mesh):
     mesh = coarse_macro_mesh
     ref = mesh.nodes[:, 0].copy()
@@ -45,16 +36,6 @@ def test_compose_weights():
     assert j == pytest.approx(2.11e-6 + 1.235e-9, rel=1e-3)
     with pytest.raises(ValueError):
         obj.compose(1.0, 1.0, 1.5)
-
-
-def test_normalized_mismatch_endpoints(coarse_macro_mesh):
-    mesh = coarse_macro_mesh
-    ref = mesh.nodes[:, 0].copy()
-    worst = ref + np.sin(mesh.nodes[:, 1])
-    assert obj.normalized_mismatch(ref, ref, worst, mesh) == pytest.approx(0.0)
-    assert obj.normalized_mismatch(worst, ref, worst, mesh) == pytest.approx(1.0)
-    with pytest.raises(ValueError, match="reference"):
-        obj.normalized_mismatch(worst, ref, ref, mesh)
 
 
 def test_mismatch_quadrature_matches_exact_quadratic(coarse_macro_mesh):

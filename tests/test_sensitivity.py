@@ -27,9 +27,10 @@ def fd_setup(coarse_macro_mesh):
     steel = ms.solve_state(mesh, ms.uniform_map(STEEL), BC)
     tensors = synthetic_sector_tensors()
     matmap = MacroMaterialMap(list(tensors), k_exterior=STEEL, k_obstacle=COPPER)
-    temp = ms.solve_state(mesh, matmap, BC)
-    v1 = ms.solve_adjoint(mesh, matmap, "j1", temp, steel)
-    v2 = ms.solve_adjoint(mesh, matmap, "j2", temp)
+    fact = fem.Factorization(ms.state_system(mesh, matmap, BC))
+    temp = fem.ScalarField(fact.solve(), mesh)
+    v1 = ms.solve_adjoint(fact, "j1", temp, steel)
+    v2 = ms.solve_adjoint(fact, "j2", temp)
     return mesh, steel, tensors, temp, {"j1": v1, "j2": v2}
 
 
@@ -128,18 +129,20 @@ def test_combined_sensitivity_normalization_identity(cell_mesh_32):
     ins_a, ins_b = sens.topological_tensor_fields(cell_mesh_32, mat, w1, w2)
     chi_nodes = np.clip(0.5 + 0.5 * np.sin(
         2 * np.pi * (cell_mesh_32.nodes[:, 0] + cell_mesh_32.nodes[:, 1])), 0, 1)
-    s1 = np.array([[1.0, 0.2], [0.2, 0.5]])
-    s2 = np.array([[-0.3, 0.1], [0.1, 0.8]])
+    # derivative of w*J1 + (1-w)*J2, as the optimizer contracts it
     w = 0.7
-    jprime, c1, c2 = sens.combined_sensitivity(
-        cell_mesh_32, s1, s2, ins_a, ins_b, chi_nodes, w)
-    g1 = sens.phase_blend(np.einsum("ij,nij->n", s1, ins_a),
-                          np.einsum("ij,nij->n", s1, ins_b), chi_nodes)
-    g2 = sens.phase_blend(np.einsum("ij,nij->n", s2, ins_a),
-                          np.einsum("ij,nij->n", s2, ins_b), chi_nodes)
-    assert sens.nodal_abs_integral(cell_mesh_32, c1 * g1) == pytest.approx(w, abs=1e-10)
-    assert sens.nodal_abs_integral(cell_mesh_32, c2 * g2) == pytest.approx(1 - w, abs=1e-10)
-    np.testing.assert_allclose(jprime, c1 * g1 + c2 * g2, rtol=1e-12)
+    s = (w * np.array([[1.0, 0.2], [0.2, 0.5]])
+         + (1 - w) * np.array([[-0.3, 0.1], [0.1, 0.8]]))
+    jprime = sens.combined_sensitivity(cell_mesh_32, s, ins_a, ins_b, chi_nodes)
+    g = sens.phase_blend(np.einsum("ij,nij->n", s, ins_a),
+                         np.einsum("ij,nij->n", s, ins_b), chi_nodes)
+    assert sens.nodal_abs_integral(cell_mesh_32, jprime) == pytest.approx(1.0, abs=1e-10)
+    np.testing.assert_allclose(jprime, g / sens.nodal_abs_integral(cell_mesh_32, g),
+                               rtol=1e-12)
+    # a positive rescaling of dJ/dK* leaves the reaction term unchanged
+    np.testing.assert_allclose(
+        sens.combined_sensitivity(cell_mesh_32, 3.0 * s, ins_a, ins_b, chi_nodes),
+        jprime, rtol=1e-12)
 
 
 def test_combined_sensitivity_single_objective_weights(cell_mesh_32):
@@ -148,11 +151,7 @@ def test_combined_sensitivity_single_objective_weights(cell_mesh_32):
     w1, w2 = corrector_pair(cell_mesh_32, mat)
     ins_a, ins_b = sens.topological_tensor_fields(cell_mesh_32, mat, w1, w2)
     chi_nodes = np.zeros(cell_mesh_32.n_nodes)
-    s1 = np.eye(2)
-    jprime, c1, c2 = sens.combined_sensitivity(
-        cell_mesh_32, s1, None, ins_a, ins_b, chi_nodes, 1.0)
-    assert c2 == 0.0
-    assert c1 > 0.0
+    jprime = sens.combined_sensitivity(cell_mesh_32, np.eye(2), ins_a, ins_b, chi_nodes)
     # uniform insulating cell with dJ/dK = +I: inserting the conducting
     # phase raises the objective, so the reaction is positive everywhere
     assert jprime.min() > 0.0
@@ -165,9 +164,8 @@ def test_degenerate_norm_drops_term(cell_mesh_32, caplog):
     w1, w2 = corrector_pair(cell_mesh_32, mat)
     ins_a, ins_b = sens.topological_tensor_fields(cell_mesh_32, mat, w1, w2)
     with caplog.at_level("WARNING"):
-        jprime, c1, c2 = sens.combined_sensitivity(
-            cell_mesh_32, np.zeros((2, 2)), None, ins_a, ins_b,
-            np.zeros(cell_mesh_32.n_nodes), 1.0)
-    assert c1 == 0.0
+        jprime = sens.combined_sensitivity(
+            cell_mesh_32, np.zeros((2, 2)), ins_a, ins_b,
+            np.zeros(cell_mesh_32.n_nodes))
     assert np.all(jprime == 0.0)
     assert any("degenerate" in r.message for r in caplog.records)
