@@ -140,24 +140,21 @@ def _parse_section(name: str, raw: dict, spec: dict, defaulted: list[str]) -> di
 
 def _parse_init(raw: dict) -> tuple:
     pattern = raw.get("pattern")
-    if pattern == "disk":
-        extra = set(raw) - {"pattern", "radius"}
-        if extra:
-            raise ConfigError(f"unknown key levelset.init.{extra.pop()}")
-        return ("disk", float(raw.get("radius", 0.25)))
-    if pattern == "uniform":
-        extra = set(raw) - {"pattern", "sign"}
-        if extra:
-            raise ConfigError(f"unknown key levelset.init.{extra.pop()}")
-        return ("uniform", float(raw.get("sign", 1.0)))
-    if pattern == "file":
-        if "path" not in raw:
-            raise ConfigError("levelset.init.path is required for pattern 'file'")
-        extra = set(raw) - {"pattern", "path"}
-        if extra:
-            raise ConfigError(f"unknown key levelset.init.{extra.pop()}")
-        return ("file", raw["path"])
-    raise ConfigError(f"levelset.init.pattern must be disk|uniform|file, got {pattern!r}")
+    fields = {"disk": ("radius", float, 0.25), "uniform": ("sign", float, 1.0),
+              "file": ("path", str, None)}
+    if pattern not in fields:
+        raise ConfigError(
+            f"levelset.init.pattern must be disk|uniform|file, got {pattern!r}")
+    key, typ, default = fields[pattern]
+    extra = set(raw) - {"pattern", key}
+    if extra:
+        raise ConfigError(f"unknown key levelset.init.{extra.pop()}")
+    if key not in raw and default is None:
+        raise ConfigError(f"levelset.init.{key} is required for pattern {pattern!r}")
+    value = _coerce(f"levelset.init.{key}", raw.get(key, default), typ)
+    if key == "sign" and value == 0.0:
+        raise ConfigError("levelset.init.sign must be nonzero")
+    return (pattern, value)
 
 
 def parse_config(path) -> RunConfig:

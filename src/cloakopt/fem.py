@@ -6,22 +6,38 @@ pinning) are represented by an affine reconstruction
 
     u_nodes = R @ u_free + g
 
-where R is a 0/1 matrix with at most one nonzero per row. Reducing the
-assembled system through R keeps it symmetric positive definite, which
-the direct factorization relies on.
+where R is a 0/1 matrix with at most one nonzero per row
+(:class:`Constraints`: R as ``dof_of_node``, g as ``fixed_values``).
+Reducing an assembled system through R keeps it symmetric positive
+definite, so every factorization uses SuperLU's symmetric minimum-degree
+ordering (MMD on A^T + A).
+
+The constraint map and the sparsity of the reduced operator depend only
+on the mesh and the constraint set. :func:`structure` builds them once
+per mesh and constraint set, at first use: the node-to-DOF map, the
+reduced CSC pattern, and the data slot of every element-local 3x3 entry
+with periodic slaves folded onto their masters. Assembling a system on such
+a :class:`Structure` is one ``np.bincount`` of its element matrices
+into the fixed slots.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from .geometry import TriMesh
 
 SOLVE_RTOL = 1e-10
+ORDERING = "MMD_AT_PLUS_A"       # symmetric fill-reducing ordering for SPD operators
+
+_LUMPED_MASS = np.eye(3) / 3.0
+_CONSISTENT_MASS = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
 
 
 class SolverError(RuntimeError):
@@ -32,51 +48,257 @@ class ConstraintError(ValueError):
     """Inconsistent Dirichlet values or periodic pairing."""
 
 
-@dataclass
+@dataclass(eq=False)
 class ScalarField:
-    """Nodal scalar field (temperature, corrector, adjoint, ...)."""
+    """Nodal scalar field (temperature, corrector, adjoint, ...).
+
+    ``values`` must not change after construction: the element gradient
+    is computed once and handed out read-only.
+    """
 
     values: np.ndarray
     mesh: TriMesh
     bc_record: str = ""
+    _gradient: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def gradient(self) -> np.ndarray:
-        return self.mesh.element_gradient(self.values)
+        if self._gradient is None:
+            g = self.mesh.element_gradient(self.values)
+            g.flags.writeable = False
+            self._gradient = g
+        return self._gradient
 
 
-@dataclass
-class SparseSystem:
-    """Assembled system plus the affine constraint reconstruction."""
+@dataclass(frozen=True, eq=False)
+class Constraints:
+    """The affine reconstruction u = R x + g of one mesh's nodal values."""
 
-    matrix: sp.csr_matrix          # full nodal stiffness
-    rhs: np.ndarray                # full nodal load
-    mesh: TriMesh
     dof_of_node: np.ndarray        # node -> free-DOF column, -1 if eliminated
     fixed_values: np.ndarray       # value for eliminated nodes, 0 elsewhere
-    bc_record: str = ""
+    record: str = ""
+
+    @classmethod
+    def none(cls, n_nodes: int) -> "Constraints":
+        return cls(np.arange(n_nodes), np.zeros(n_nodes))
 
     @property
     def n_free(self) -> int:
         return int(self.dof_of_node.max(initial=-1)) + 1
 
-    def reduction(self) -> sp.csr_matrix:
-        n = len(self.dof_of_node)
-        rows = np.flatnonzero(self.dof_of_node >= 0)
-        cols = self.dof_of_node[rows]
-        data = np.ones(len(rows))
-        return sp.csr_matrix((data, (rows, cols)), shape=(n, self.n_free))
-
-    def reduced(self) -> tuple[sp.csc_matrix, np.ndarray]:
-        r = self.reduction()
-        a = (r.T @ self.matrix @ r).tocsc()
-        b = r.T @ (self.rhs - self.matrix @ self.fixed_values)
-        return a, b
-
-    def expand(self, x_free: np.ndarray) -> np.ndarray:
-        u = self.fixed_values.copy()
+    def expand(self, x_free: np.ndarray, homogeneous: bool = False) -> np.ndarray:
+        """R x + g, or R x alone with ``homogeneous``."""
+        u = np.zeros(len(self.fixed_values)) if homogeneous else self.fixed_values.copy()
         free = self.dof_of_node >= 0
         u[free] = x_free[self.dof_of_node[free]]
         return u
+
+
+def apply_dirichlet(constraints: Constraints, nodes, values) -> Constraints:
+    """Eliminate the given nodes; idempotent for equal values.
+
+    A node already folded onto a master constrains the whole periodic
+    group. Conflicting values for one DOF are rejected.
+    """
+    nodes = np.atleast_1d(np.asarray(nodes, dtype=int))
+    values = np.broadcast_to(np.asarray(values, dtype=float), nodes.shape)
+    if nodes.size and (nodes.min() < 0 or nodes.max() >= len(constraints.dof_of_node)):
+        raise ConstraintError("Dirichlet node index outside the mesh")
+
+    cols = constraints.dof_of_node[nodes]
+    done = cols < 0
+    changed = np.abs(constraints.fixed_values[nodes[done]] - values[done]) > 1e-14
+    if changed.any():
+        raise ConstraintError(
+            f"node {nodes[done][changed][0]} already fixed to a different value")
+    cols, values, nodes = cols[~done], values[~done], nodes[~done]
+    fix_value = np.full(constraints.n_free, np.nan)
+    fix_value[cols] = values
+    clash = fix_value[cols] != values
+    if clash.any():
+        raise ConstraintError(f"conflicting Dirichlet values for node {nodes[clash][0]}")
+
+    fixed_cols = ~np.isnan(fix_value)
+    new_col = np.cumsum(~fixed_cols) - 1
+    dof = constraints.dof_of_node.copy()
+    fixed_values = constraints.fixed_values.copy()
+    had_dof = np.flatnonzero(dof >= 0)
+    col_of = dof[had_dof]
+    newly_fixed = fixed_cols[col_of]
+    fixed_values[had_dof[newly_fixed]] = fix_value[col_of[newly_fixed]]
+    dof[had_dof] = np.where(newly_fixed, -1, new_col[col_of])
+    return replace(constraints, dof_of_node=dof, fixed_values=fixed_values,
+                   record=constraints.record + f"|dirichlet[{done.size}]")
+
+
+def apply_periodic(constraints: Constraints, pairs: np.ndarray,
+                   gauge: int | None = None) -> Constraints:
+    """Fold slave DOFs onto masters; optionally pin one gauge node to 0.
+
+    ``pairs`` rows are (master, slave). Chained pairs fold transitively
+    (each connected group of DOFs becomes one), so corner nodes may
+    pair through an edge node. A slave listed twice is rejected.
+    """
+    pairs = np.asarray(pairs, dtype=int)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ConstraintError("periodic pairs must be an (P, 2) array")
+    uniq, counts = np.unique(pairs[:, 1], return_counts=True)
+    if np.any(counts > 1):
+        raise ConstraintError(
+            f"node {int(uniq[counts > 1][0])} appears as slave more than once"
+        )
+    cols = constraints.dof_of_node[pairs]
+    if np.any(cols < 0):
+        raise ConstraintError("periodic pairing touches an eliminated node")
+
+    n_free = constraints.n_free
+    links = sp.coo_matrix((np.ones(len(cols)), (cols[:, 0], cols[:, 1])),
+                          shape=(n_free, n_free))
+    _, group = csgraph.connected_components(links, directed=False)
+    dof = constraints.dof_of_node.copy()
+    free = dof >= 0
+    dof[free] = group[dof[free]]
+    out = replace(constraints, dof_of_node=dof,
+                  record=constraints.record + f"|periodic[{len(pairs)}]")
+    if gauge is not None:
+        out = apply_dirichlet(out, [gauge], [0.0])
+    return out
+
+
+class Structure:
+    """Reduced sparsity of one mesh under one constraint set.
+
+    Holds the CSC pattern of R^T K R for any element matrices K_e on the
+    mesh, and the data slot of each element-local entry (e, i, j); entries
+    in an eliminated row or column go to a discarded extra slot.
+    """
+
+    def __init__(self, mesh: TriMesh, constraints: Constraints):
+        self.mesh = mesh
+        self.constraints = constraints
+        n = self.n_free = constraints.n_free
+        local = constraints.dof_of_node[mesh.elements]
+
+        def keys(i, j):
+            """Column-major position of entry (i, j) of every element, -1 if dropped."""
+            r, c = local[:, i], local[:, j]
+            return np.where((r >= 0) & (c >= 0), c.astype(np.int64) * n + r, -1)
+
+        # one local pair at a time keeps the build's memory at a few
+        # element-length arrays, which matters on the tiled fine mesh
+        pairs = [(i, j) for i in range(3) for j in range(3)]
+        pattern = np.concatenate([keys(i, j) for i, j in pairs])
+        pattern.sort()
+        pattern = pattern[(pattern >= 0) & np.r_[True, pattern[1:] != pattern[:-1]]]
+        self.nnz = len(pattern)
+        self._slots = np.empty((len(local), 3, 3), dtype=np.int32)
+        for i, j in pairs:
+            k = keys(i, j)
+            self._slots[:, i, j] = np.where(k >= 0, np.searchsorted(pattern, k), self.nnz)
+        self._indices = (pattern % n).astype(np.int32)
+        self._indptr = np.searchsorted(pattern, np.arange(n + 1) * n).astype(np.int32)
+        self._free_nodes = np.flatnonzero(constraints.dof_of_node >= 0)
+        # elements that carry the lift of nonzero fixed values onto free rows
+        self._lift_elements = np.flatnonzero(
+            (constraints.fixed_values[mesh.elements] != 0.0).any(axis=1))
+
+    def matrix(self, element_matrices: np.ndarray) -> sp.csc_matrix:
+        """R^T K R for the element matrices (n_elements, 3, 3).
+
+        Entries that sum to exactly zero are dropped: under an isotropic
+        conductivity the two ends of a right triangle's hypotenuse do not
+        couple, and the fill-reducing ordering sees only true nonzeros.
+        """
+        data = np.bincount(self._slots.ravel(), weights=element_matrices.ravel(),
+                           minlength=self.nnz + 1)[:self.nnz]
+        a = sp.csc_matrix((data, self._indices.copy(), self._indptr.copy()),
+                          shape=(self.n_free, self.n_free))
+        a.eliminate_zeros()
+        return a
+
+    def restrict(self, nodal: np.ndarray) -> np.ndarray:
+        """R^T f for a nodal vector f."""
+        nodes = self._free_nodes
+        return np.bincount(self.constraints.dof_of_node[nodes], weights=nodal[nodes],
+                           minlength=self.n_free)
+
+    def lift(self, element_matrices: np.ndarray) -> np.ndarray:
+        """R^T K g: the fixed values' load on the free DOFs."""
+        e = self._lift_elements
+        elems = self.mesh.elements[e]
+        g = self.constraints.fixed_values
+        kg = np.einsum("eij,ej->ei", element_matrices[e], g[elems])
+        return self.restrict(np.bincount(elems.ravel(), weights=kg.ravel(),
+                                         minlength=len(g)))
+
+
+_CACHE_LOCK = threading.RLock()
+
+
+def cached(mesh: TriMesh, key, build):
+    """``build()`` once per mesh and key; later calls return the same object.
+
+    Kept on the mesh. The lock makes concurrent first uses (cells
+    homogenized in threads) build once; it is reentrant because a build
+    may need another cached object of the same mesh.
+    """
+    with _CACHE_LOCK:
+        if key not in mesh.cache:
+            mesh.cache[key] = build()
+        return mesh.cache[key]
+
+
+def structure(mesh: TriMesh, periodic: bool = False, gauge: int | None = None,
+              dirichlet: tuple = ()) -> Structure:
+    """The mesh's structure under a constraint set, built at first use.
+
+    ``periodic`` folds the mesh's periodic pairs and then pins node
+    ``gauge``, if given, to 0; ``dirichlet`` is a tuple of (boundary tag,
+    value) pairs fixing every node of the tagged edges.
+    """
+    def build():
+        c = Constraints.none(mesh.n_nodes)
+        if periodic:
+            c = apply_periodic(c, mesh.periodic_pairs, gauge=gauge)
+        for tag, value in dirichlet:
+            c = apply_dirichlet(c, np.unique(mesh.boundary_edges[tag]), value)
+        return Structure(mesh, c)
+    return cached(mesh, ("structure", periodic, gauge, tuple(dirichlet)), build)
+
+
+@dataclass
+class SparseSystem:
+    """A system reduced onto a constraint structure: R^T K R, the lift
+    R^T K g of the fixed values, and the full nodal load f."""
+
+    structure: Structure
+    matrix: sp.csc_matrix
+    lift: np.ndarray
+    rhs: np.ndarray
+
+    @property
+    def mesh(self) -> TriMesh:
+        return self.structure.mesh
+
+    @property
+    def constraints(self) -> Constraints:
+        return self.structure.constraints
+
+    @property
+    def n_free(self) -> int:
+        return self.structure.n_free
+
+    def reduced_load(self, rhs_full: np.ndarray | None = None,
+                     homogeneous: bool = False) -> np.ndarray:
+        """R^T (f - K g) for the load f (default: the system's own);
+        g is taken as zero with ``homogeneous``."""
+        b = self.structure.restrict(self.rhs if rhs_full is None else rhs_full)
+        return b if homogeneous else b - self.lift
+
+
+def assemble(on: Structure, element_matrices: np.ndarray, rhs: np.ndarray) -> SparseSystem:
+    """Reduce element matrices (n_elements, 3, 3) and a nodal load onto a
+    structure; the element matrices are not kept."""
+    return SparseSystem(on, on.matrix(element_matrices), on.lift(element_matrices), rhs)
 
 
 def isotropic_tensors(values) -> np.ndarray:
@@ -100,141 +322,57 @@ def _check_spd(tensors: np.ndarray) -> None:
         raise ValueError(f"element {bad}: conductivity tensor is not SPD")
 
 
-def stiffness_matrix(mesh: TriMesh, tensors: np.ndarray,
-                     element_mask: np.ndarray | None = None) -> sp.csr_matrix:
-    """Assemble the P1 diffusion stiffness sum_e a_e grad_i . K_e grad_j.
+def element_stiffness(mesh: TriMesh, tensors: np.ndarray) -> np.ndarray:
+    """Element matrices a_e grad_i . K_e grad_j, shape (n_elements, 3, 3)."""
+    grads = mesh.grads
+    ke = grads @ (tensors @ grads.transpose(0, 2, 1))
+    ke *= mesh.areas[:, None, None]
+    return ke
 
-    Exact for element-constant tensors. ``element_mask`` restricts the
-    assembly to a subset of elements (used for region-wise operators).
+
+def element_mass(mesh: TriMesh, lumped: bool = False) -> np.ndarray:
+    """Consistent (or row-sum lumped) P1 element mass matrices."""
+    local = _LUMPED_MASS if lumped else _CONSISTENT_MASS
+    return mesh.areas[:, None, None] * local
+
+
+def _region_matrix(mesh: TriMesh, element_matrices: np.ndarray,
+                   element_mask: np.ndarray | None) -> sp.csc_matrix:
+    """Unconstrained nodal operator of the elements ``element_mask`` selects
+    (default: all); the other elements' entries are zeroed and dropped.
+
+    The structure is not cached: callers keep the matrix (the objectives'
+    region operators, once per mesh), and nothing reuses the unconstrained
+    pattern, which would hold ~10 MB on a 100k-node mesh.
     """
-    if element_mask is None:
-        elems = mesh.elements
-        grads = mesh.grads
-        areas = mesh.areas
-        tens = tensors
-    else:
-        elems = mesh.elements[element_mask]
-        grads = mesh.grads[element_mask]
-        areas = mesh.areas[element_mask]
-        tens = tensors[element_mask] if len(tensors) == mesh.n_elements else tensors
-    ke = np.einsum("e,eik,ekl,ejl->eij", areas, grads, tens, grads, optimize=True)
-    rows = np.repeat(elems, 3, axis=1).ravel()
-    cols = np.tile(elems, (1, 3)).ravel()
-    mat = sp.coo_matrix((ke.ravel(), (rows, cols)),
-                        shape=(mesh.n_nodes, mesh.n_nodes))
-    return mat.tocsr()
+    if element_mask is not None:
+        element_matrices *= element_mask[:, None, None]
+    return Structure(mesh, Constraints.none(mesh.n_nodes)).matrix(element_matrices)
 
 
-def mass_matrix(mesh: TriMesh, element_mask: np.ndarray | None = None) -> sp.csr_matrix:
+def stiffness_matrix(mesh: TriMesh, tensors: np.ndarray,
+                     element_mask: np.ndarray | None = None) -> sp.csc_matrix:
+    """The P1 diffusion stiffness sum_e a_e grad_i . K_e grad_j."""
+    return _region_matrix(mesh, element_stiffness(mesh, tensors), element_mask)
+
+
+def mass_matrix(mesh: TriMesh, element_mask: np.ndarray | None = None) -> sp.csc_matrix:
     """Consistent P1 mass matrix, optionally restricted to a region."""
-    elems = mesh.elements if element_mask is None else mesh.elements[element_mask]
-    areas = mesh.areas if element_mask is None else mesh.areas[element_mask]
-    local = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-    me = areas[:, None, None] * local
-    rows = np.repeat(elems, 3, axis=1).ravel()
-    cols = np.tile(elems, (1, 3)).ravel()
-    return sp.coo_matrix((me.ravel(), (rows, cols)),
-                         shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
+    return _region_matrix(mesh, element_mass(mesh), element_mask)
 
 
-def assemble_diffusion(mesh: TriMesh, tensors: np.ndarray) -> SparseSystem:
-    """Unconstrained diffusion system with zero load."""
+def assemble_diffusion(mesh: TriMesh, tensors: np.ndarray,
+                       on: Structure | None = None) -> SparseSystem:
+    """Diffusion system with zero load on a structure (default: unconstrained)."""
     tensors = np.asarray(tensors, dtype=float)
     if tensors.shape != (mesh.n_elements, 2, 2):
         raise ValueError("tensors must have shape (n_elements, 2, 2)")
     _check_spd(tensors)
-    return SparseSystem(
-        matrix=stiffness_matrix(mesh, tensors),
-        rhs=np.zeros(mesh.n_nodes),
-        mesh=mesh,
-        dof_of_node=np.arange(mesh.n_nodes),
-        fixed_values=np.zeros(mesh.n_nodes),
-    )
-
-
-def apply_dirichlet(system: SparseSystem, nodes, values) -> SparseSystem:
-    """Eliminate the given nodes symmetrically; idempotent for equal values.
-
-    A node already folded onto a master constrains the whole periodic
-    group. Conflicting values for one DOF are rejected.
-    """
-    nodes = np.atleast_1d(np.asarray(nodes, dtype=int))
-    values = np.broadcast_to(np.asarray(values, dtype=float), nodes.shape)
-    if nodes.size and (nodes.min() < 0 or nodes.max() >= system.mesh.n_nodes):
-        raise ConstraintError("Dirichlet node index outside the mesh")
-
-    n_free = system.n_free
-    fix_value = np.full(n_free, np.nan)
-    for node, val in zip(nodes, values):
-        col = system.dof_of_node[node]
-        if col < 0:
-            if not np.isclose(system.fixed_values[node], val, rtol=0, atol=1e-14):
-                raise ConstraintError(f"node {node} already fixed to a different value")
-            continue
-        if not np.isnan(fix_value[col]) and fix_value[col] != val:
-            raise ConstraintError(f"conflicting Dirichlet values for node {node}")
-        fix_value[col] = val
-
-    fixed_cols = ~np.isnan(fix_value)
-    new_col = np.cumsum(~fixed_cols) - 1
-    dof = system.dof_of_node.copy()
-    fixed_values = system.fixed_values.copy()
-    had_dof = dof >= 0
-    col_of = dof[had_dof]
-    newly_fixed = fixed_cols[col_of]
-    fixed_values[np.flatnonzero(had_dof)[newly_fixed]] = fix_value[col_of[newly_fixed]]
-    dof[had_dof] = np.where(newly_fixed, -1, new_col[col_of])
-    return replace(system, dof_of_node=dof, fixed_values=fixed_values,
-                   bc_record=system.bc_record + f"|dirichlet[{nodes.size}]")
-
-
-def apply_periodic(system: SparseSystem, pairs: np.ndarray,
-                   gauge: int | None = None) -> SparseSystem:
-    """Fold slave DOFs onto masters; optionally pin one gauge node to 0.
-
-    ``pairs`` rows are (master, slave). Chained pairs are resolved by
-    union-find so corner nodes may fold transitively. A slave listed
-    twice with different masters is rejected.
-    """
-    pairs = np.asarray(pairs, dtype=int)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ConstraintError("periodic pairs must be an (P, 2) array")
-    slaves = pairs[:, 1]
-    uniq, counts = np.unique(slaves, return_counts=True)
-    if np.any(counts > 1):
-        raise ConstraintError(
-            f"node {int(uniq[counts > 1][0])} appears as slave more than once"
-        )
-
-    n_free = system.n_free
-    parent = np.arange(n_free)
-
-    def find(a):
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    for m, s in pairs:
-        cm, cs = system.dof_of_node[m], system.dof_of_node[s]
-        if cm < 0 or cs < 0:
-            raise ConstraintError("periodic pairing touches an eliminated node")
-        rm, rs = find(cm), find(cs)
-        if rm != rs:
-            parent[rs] = rm
-
-    roots = np.array([find(c) for c in range(n_free)])
-    uniq, new_col = np.unique(roots, return_inverse=True)
-    dof = system.dof_of_node.copy()
-    free = dof >= 0
-    dof[free] = new_col[dof[free]]
-    out = replace(system, dof_of_node=dof,
-                  bc_record=system.bc_record + f"|periodic[{len(pairs)}]")
-    if gauge is not None:
-        out = apply_dirichlet(out, [gauge], [0.0])
-    return out
+    if on is None:
+        on = structure(mesh)
+    elif on.mesh is not mesh:
+        raise ValueError("structure belongs to another mesh")
+    return assemble(on, element_stiffness(mesh, tensors), np.zeros(mesh.n_nodes))
 
 
 class Factorization:
@@ -242,19 +380,16 @@ class Factorization:
 
     def __init__(self, system: SparseSystem):
         self.system = system
-        a, self._rhs0 = system.reduced()
-        self._reduction = system.reduction()
-        if a.shape[0] == 0:
+        if system.n_free == 0:
             self._lu = None
             return
         try:
-            self._lu = spla.splu(a.tocsc())
+            self._lu = spla.splu(system.matrix, permc_spec=ORDERING)
         except RuntimeError as exc:
             raise SolverError(
                 "factorization failed (matrix singular); a Dirichlet or gauge "
                 f"constraint is likely missing: {exc}"
             ) from exc
-        self._a = a
 
     def solve(self, rhs_full: np.ndarray | None = None,
               homogeneous: bool = False) -> np.ndarray:
@@ -264,22 +399,16 @@ class Factorization:
         instead of the system's fixed values (adjoint solves reuse the
         state factorization this way).
         """
-        if rhs_full is None:
-            b = self._rhs0
-        elif homogeneous:
-            b = self._reduction.T @ rhs_full
-        else:
-            b = self._reduction.T @ (rhs_full - self.system.matrix
-                                     @ self.system.fixed_values)
+        constraints = self.system.constraints
         if self._lu is None:
-            return np.zeros(len(self.system.fixed_values)) if homogeneous \
-                else self.system.expand(np.zeros(0))
+            return constraints.expand(np.zeros(0), homogeneous)
+        b = self.system.reduced_load(rhs_full, homogeneous)
         x = self._lu.solve(b)
         if not np.all(np.isfinite(x)):
             raise SolverError(
                 "solve produced non-finite values; a gauge constraint is likely missing"
             )
-        res = np.linalg.norm(self._a @ x - b)
+        res = np.linalg.norm(self.system.matrix @ x - b)
         scale = np.linalg.norm(b)
         if res > SOLVE_RTOL * max(scale, 1e-300) and res > 1e-14:
             raise SolverError(
@@ -287,24 +416,24 @@ class Factorization:
                 "if the operator is singular, a Dirichlet or gauge constraint "
                 "is likely missing"
             )
-        if homogeneous:
-            return self._reduction @ x
-        return self.system.expand(x)
+        return constraints.expand(x, homogeneous)
 
 
 def solve(system: SparseSystem) -> ScalarField:
     """Direct solve honouring the relative-residual contract."""
     values = Factorization(system).solve()
-    return ScalarField(values=values, mesh=system.mesh, bc_record=system.bc_record)
+    return ScalarField(values=values, mesh=system.mesh, bc_record=system.constraints.record)
 
 
-def boundary_reaction(system: SparseSystem, values: np.ndarray, tag: str) -> float:
+def boundary_reaction(mesh: TriMesh, element_matrices: np.ndarray, values: np.ndarray,
+                      tag: str) -> float:
     """Discrete reaction (net flux) through a tagged boundary.
 
-    Sum of stiffness residual entries over the boundary's nodes; for a
-    zero-source conduction solve this is the heat inflow through the tag.
+    Sum of the entries of K u over the boundary's nodes, with K the full
+    nodal operator of the element matrices; for a zero-source conduction
+    solve this is the heat inflow through the tag.
     """
-    edges = system.mesh.boundary_edges[tag]
-    nodes = np.unique(edges)
-    r = system.matrix @ values - system.rhs
-    return float(r[nodes].sum())
+    elems = mesh.elements
+    ku = np.bincount(elems.ravel(), minlength=mesh.n_nodes,
+                     weights=(element_matrices @ values[elems][:, :, None]).ravel())
+    return float(ku[np.unique(mesh.boundary_edges[tag])].sum())

@@ -93,7 +93,9 @@ class TriMesh:
     ``periodic_pairs`` is an (P, 2) array of (master, slave) node indices
     (cell meshes only). ``structured_shape`` records (nx, ny) grid
     divisions when the mesh came from a structured generator; tiling
-    interpolation relies on it. Meshes are immutable after construction.
+    interpolation relies on it. Meshes are immutable after construction;
+    ``cache`` holds the solver structures and operators that ``fem``
+    builds for the mesh at their first use.
     """
 
     nodes: np.ndarray
@@ -103,6 +105,7 @@ class TriMesh:
     periodic_pairs: np.ndarray | None = None
     structured_shape: tuple[int, int] | None = None
     extent: tuple[float, float, float, float] | None = None  # (x0, x1, y0, y1)
+    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:

@@ -83,13 +83,14 @@ class EffectiveTensor:
         return self.kbar1 > 0 and self.kbar2 > 0
 
 
-def _cell_system(mesh: TriMesh, mat: CellMaterialField) -> fem.SparseSystem:
+def cell_system(mesh: TriMesh, mat: CellMaterialField) -> fem.SparseSystem:
+    """Cell operator, periodic with its first master node pinned to 0."""
     if mesh.periodic_pairs is None:
         raise ValueError("cell problems require a mesh with periodic pairs")
     tensors = fem.isotropic_tensors(mat.conductivities())
-    system = fem.assemble_diffusion(mesh, tensors)
     gauge = int(mesh.periodic_pairs[0, 0])
-    return fem.apply_periodic(system, mesh.periodic_pairs, gauge=gauge)
+    return fem.assemble_diffusion(
+        mesh, tensors, on=fem.structure(mesh, periodic=True, gauge=gauge))
 
 
 def _corrector_rhs(mesh: TriMesh, k: np.ndarray, direction: int) -> np.ndarray:
@@ -102,8 +103,7 @@ def _corrector_rhs(mesh: TriMesh, k: np.ndarray, direction: int) -> np.ndarray:
 
 def corrector_pair(mesh: TriMesh, mat: CellMaterialField):
     """Both correctors, sharing one factorization of the cell operator."""
-    system = _cell_system(mesh, mat)
-    fact = fem.Factorization(system)
+    fact = fem.Factorization(cell_system(mesh, mat))
     k = mat.conductivities()
     w1 = fact.solve(_corrector_rhs(mesh, k, 1))
     w2 = fact.solve(_corrector_rhs(mesh, k, 2))
@@ -114,10 +114,8 @@ def corrector_pair(mesh: TriMesh, mat: CellMaterialField):
 def effective_tensor(mesh: TriMesh, mat: CellMaterialField,
                      w1: fem.ScalarField, w2: fem.ScalarField) -> EffectiveTensor:
     """Homogenized tensor from the symmetric corrector formula."""
-    e1 = w1.gradient()
-    e2 = w2.gradient()
-    e1[:, 0] += 1.0
-    e2[:, 1] += 1.0
+    e1 = w1.gradient() + (1.0, 0.0)
+    e2 = w2.gradient() + (0.0, 1.0)
     ka = mat.conductivities() * mesh.areas
     k = np.array([
         [(ka * np.einsum("ei,ei->e", e1, e1)).sum(),

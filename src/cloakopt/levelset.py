@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import fem
 from .geometry import TriMesh
@@ -105,36 +104,27 @@ class ReactionDiffusionUpdater:
         self.k_phi = k_phi
         self.tau = tau
         self.mass = mesh.lumped_mass
-        self._mass_diag = sp.diags(self.mass).tocsr()
-        self._laplacian = None
-        if tau > 0:
-            self._laplacian = fem.stiffness_matrix(
-                mesh, fem.isotropic_tensors(np.ones(mesh.n_elements)))
+        self._element_mass = fem.element_mass(mesh, lumped=True)
+        self._element_laplacian = fem.element_stiffness(
+            mesh, fem.isotropic_tensors(np.ones(mesh.n_elements)))
         # (dt, factorization) as one tuple, read once per step, so a step
         # running in another thread never pairs a new dt with an old factor
         self._last: tuple[float, fem.Factorization] | None = None
 
-    def _factorize(self, dt: float) -> fem.Factorization:
-        lhs = self._mass_diag
-        if self._laplacian is not None:
-            lhs = lhs + dt * self.k_phi * self.tau * self._laplacian
-        system = fem.SparseSystem(
-            matrix=lhs.tocsr(),
-            rhs=np.zeros(self.mesh.n_nodes),
-            mesh=self.mesh,
-            dof_of_node=np.arange(self.mesh.n_nodes),
-            fixed_values=np.zeros(self.mesh.n_nodes),
-        )
-        if self.mesh.periodic_pairs is not None:
-            system = fem.apply_periodic(system, self.mesh.periodic_pairs)
-        return fem.Factorization(system)
+    def system(self, dt: float) -> fem.SparseSystem:
+        """The step operator M + dt*k*tau*A, periodic where the mesh is."""
+        periodic = self.mesh.periodic_pairs is not None
+        return fem.assemble(
+            fem.structure(self.mesh, periodic=periodic),
+            self._element_mass + dt * self.k_phi * self.tau * self._element_laplacian,
+            np.zeros(self.mesh.n_nodes))
 
     def step(self, phi: np.ndarray, jprime: np.ndarray, dt: float) -> np.ndarray:
         if dt <= 0:
             raise ValueError("need dt > 0")
         last = self._last
         if last is None or last[0] != dt:
-            last = self._last = (dt, self._factorize(dt))
+            last = self._last = (dt, fem.Factorization(self.system(dt)))
         rhs = self.mass * (phi - dt * self.k_phi * jprime)
         out = last[1].solve(rhs)
         return np.clip(out, -1.0, 1.0)

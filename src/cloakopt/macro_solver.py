@@ -66,17 +66,18 @@ def ring_filled_map(k_ring: float, k_exterior: float, k_obstacle: float) -> Macr
                             k_exterior=k_exterior, k_obstacle=k_obstacle)
 
 
-def _dirichlet_nodes(mesh: TriMesh, tag: str) -> np.ndarray:
-    return np.unique(mesh.boundary_edges[tag])
+def conduction_system(mesh: TriMesh, tensors: np.ndarray,
+                      bc: BoundaryData) -> fem.SparseSystem:
+    """Conduction with the given element tensors and fixed edge temperatures."""
+    bc.validate()
+    fixed_edges = fem.structure(mesh, dirichlet=((GAMMA_A, bc.t_low),
+                                                 (GAMMA_B, bc.t_high)))
+    return fem.assemble_diffusion(mesh, tensors, on=fixed_edges)
 
 
 def state_system(mesh: TriMesh, matmap: MacroMaterialMap,
                  bc: BoundaryData) -> fem.SparseSystem:
-    bc.validate()
-    system = fem.assemble_diffusion(mesh, matmap.element_tensors(mesh))
-    system = fem.apply_dirichlet(system, _dirichlet_nodes(mesh, GAMMA_A), bc.t_low)
-    system = fem.apply_dirichlet(system, _dirichlet_nodes(mesh, GAMMA_B), bc.t_high)
-    return system
+    return conduction_system(mesh, matmap.element_tensors(mesh), bc)
 
 
 def solve_state(mesh: TriMesh, matmap: MacroMaterialMap,
@@ -96,13 +97,10 @@ def adjoint_load(mesh: TriMesh, objective: str, state: fem.ScalarField,
     if objective == "j1":
         if reference is None:
             raise ValueError("j1 adjoint needs the reference field")
-        m = fem.mass_matrix(mesh, mesh.region_mask(REGION_EXTERIOR))
+        m = objectives.region_mass(mesh, REGION_EXTERIOR)
         return 2.0 * (m @ (state.values - reference.values))
     if objective == "j2":
-        a = fem.stiffness_matrix(
-            mesh, fem.isotropic_tensors(np.ones(mesh.n_elements)),
-            mesh.region_mask(REGION_OBSTACLE))
-        return 2.0 * (a @ state.values)
+        return 2.0 * (objectives.region_laplacian(mesh, REGION_OBSTACLE) @ state.values)
     raise ValueError(f"unknown objective {objective!r}")
 
 
@@ -127,9 +125,10 @@ def evaluate_objectives(state: fem.ScalarField, reference: fem.ScalarField,
 def flux_balance_error(mesh: TriMesh, matmap: MacroMaterialMap, bc: BoundaryData,
                        state: fem.ScalarField) -> float:
     """Relative mismatch between inflow and outflow through the fixed edges."""
-    system = state_system(mesh, matmap, bc)
-    fa = fem.boundary_reaction(system, state.values, GAMMA_A)
-    fb = fem.boundary_reaction(system, state.values, GAMMA_B)
+    bc.validate()
+    ke = fem.element_stiffness(mesh, matmap.element_tensors(mesh))
+    fa = fem.boundary_reaction(mesh, ke, state.values, GAMMA_A)
+    fb = fem.boundary_reaction(mesh, ke, state.values, GAMMA_B)
     scale = max(abs(fa), abs(fb), 1e-300)
     return abs(fa + fb) / scale
 

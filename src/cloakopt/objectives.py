@@ -15,20 +15,29 @@ from . import fem
 from .geometry import REGION_EXTERIOR, REGION_OBSTACLE, TriMesh
 
 
+def region_mass(mesh: TriMesh, region: int):
+    """Consistent mass matrix of one region, built once per mesh."""
+    return fem.cached(mesh, ("region_mass", region),
+                      lambda: fem.mass_matrix(mesh, mesh.region_mask(region)))
+
+
+def region_laplacian(mesh: TriMesh, region: int):
+    """Unit-conductivity stiffness of one region, built once per mesh."""
+    return fem.cached(mesh, ("region_laplacian", region), lambda: fem.stiffness_matrix(
+        mesh, fem.isotropic_tensors(np.ones(mesh.n_elements)), mesh.region_mask(region)))
+
+
 def mismatch(values: np.ndarray, reference: np.ndarray, mesh: TriMesh,
              region: int = REGION_EXTERIOR) -> float:
     """J1-type integral of (T - T_ref)^2 over a region (exact for P1 fields)."""
     d = values - reference
-    m = fem.mass_matrix(mesh, mesh.region_mask(region))
-    return float(d @ (m @ d))
+    return float(d @ (region_mass(mesh, region) @ d))
 
 
 def gradient_energy(values: np.ndarray, mesh: TriMesh,
                     region: int = REGION_OBSTACLE) -> float:
     """J2-type integral of grad T . grad T over a region."""
-    mask = mesh.region_mask(region)
-    a = fem.stiffness_matrix(mesh, fem.isotropic_tensors(np.ones(mesh.n_elements)), mask)
-    return float(values @ (a @ values))
+    return float(values @ (region_laplacian(mesh, region) @ values))
 
 
 def compose(j1: float, j2: float, w: float) -> float:

@@ -6,9 +6,13 @@ unless stopping, advances it (:func:`step`): the needed adjoints on the
 factored state operator, the derivative of the recorded objective J
 (w*J1 + (1-w)*J2, or J1 over its denominator in normalized mode)
 contracted with each cell's insertion derivatives and normalized once per
-cell, and one reaction-diffusion step of every level-set field. The
-transition width follows a fixed iteration schedule; the run stops at
-the iteration cap (an optional relative-change early stop is off by
+cell, and one reaction-diffusion step of every level-set field. Its
+time step is the move-limited step divided by sqrt(k) at the k-th
+iteration of the current transition width: the reaction term has unit
+L1 mass however close the design is to a stationary point, so a
+constant step keeps the design swinging around it instead of settling.
+The transition width follows a fixed iteration schedule; the run stops
+at the iteration cap (an optional relative-change early stop is off by
 default).
 """
 
@@ -95,6 +99,11 @@ class Scenario:
             if iteration >= start:
                 d = value
         return d
+
+    def width_age(self, iteration: int) -> int:
+        """1 + the number of earlier iterations at this iteration's width."""
+        return iteration - max(start for start, _ in self.d_schedule
+                               if start <= iteration) + 1
 
     def last_d_switch(self) -> int:
         return max(start for start, _ in self.d_schedule)
@@ -210,7 +219,8 @@ def evaluate(ws: Workspace, phis: list[LevelSetField], d: float,
                               k_exterior=sc.k_exterior, k_obstacle=sc.k_obstacle)
     state_system = macro_solver.state_system(ws.macro_mesh, matmap, sc.bc)
     state_fact = fem.Factorization(state_system)
-    temp = fem.ScalarField(state_fact.solve(), ws.macro_mesh, state_system.bc_record)
+    temp = fem.ScalarField(state_fact.solve(), ws.macro_mesh,
+                           state_system.constraints.record)
     j1, j2 = macro_solver.evaluate_objectives(temp, ws.t_steel, ws.macro_mesh)
     if sc.objective_mode == "normalized":
         j = j1 / ws.norm_denominator
@@ -220,13 +230,15 @@ def evaluate(ws: Workspace, phis: list[LevelSetField], d: float,
 
 
 def step(ws: Workspace, ev: Evaluation, phis: list[LevelSetField],
-         threads: int = 1) -> list[np.ndarray]:
+         iteration: int, threads: int = 1) -> list[np.ndarray]:
     """New nodal values of every cell's level set after one update.
 
     Solves the adjoints on the evaluated state operator, contracts dJ/dK*
     of the recorded J with each cell's insertion derivatives into a
     normalized reaction term, and takes one reaction-diffusion step whose
-    size the move limiter caps.
+    size the move limiter caps, divided by sqrt(k) at the k-th iteration
+    of the current transition width (a diminishing step that restarts
+    with each new width, which poses a new smoothed problem).
     """
     sc = ws.scenario
     weights = sc.derivative_weights()
@@ -252,6 +264,7 @@ def step(ws: Workspace, ev: Evaluation, phis: list[LevelSetField],
     dt_eff = sc.dt
     if peak > 0:
         dt_eff = min(sc.dt, sc.move_limit / (sc.k_phi * peak))
+    dt_eff *= sc.width_age(iteration) ** -0.5
     return _map_cells(
         lambda pair: ws.updater.step(pair[0].phi, pair[1], dt_eff),
         list(zip(phis, jprimes)), threads)
@@ -346,10 +359,13 @@ def run(scenario: Scenario, out_dir=None, resume_from: DesignState | None = None
                 stop = True
 
         if not stop:
-            for f, phi in zip(phis, step(ws, ev, phis, threads)):
+            for f, phi in zip(phis, step(ws, ev, phis, it, threads)):
                 f.phi = phi
             for k in sc.derivative_weights():
                 counters[f"adjoint_solves_{k}"] += 1
+        # release this iteration's fields, gradients and state factor
+        # before the next evaluation builds its own
+        del ev
 
         record.wall_ms = 1e3 * (time.perf_counter() - t0)
         if csv_path is not None and fresh_row:

@@ -57,10 +57,8 @@ def topological_tensor_fields(mesh: TriMesh, mat: CellMaterialField,
     nodes by area-weighted averaging, accumulated on periodic masters so
     paired boundary nodes agree exactly.
     """
-    e1 = w1.gradient()
-    e2 = w2.gradient()
-    e1[:, 0] += 1.0
-    e2[:, 1] += 1.0
+    e1 = w1.gradient() + (1.0, 0.0)
+    e2 = w2.gradient() + (0.0, 1.0)
     outer = np.empty((mesh.n_elements, 2, 2))
     outer[:, 0, 0] = np.einsum("ei,ei->e", e1, e1)
     outer[:, 0, 1] = np.einsum("ei,ei->e", e1, e2)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem, macro_solver, objectives
-from .geometry import (GAMMA_A, GAMMA_B, MacroGeometry, REGION_OBSTACLE,
+from .geometry import (MacroGeometry, REGION_OBSTACLE,
                        SECTOR_FIRST, SECTOR_LAST, TriMesh, build_macro_mesh,
                        interpolate_structured)
 from .levelset import LevelSetField, characteristic
@@ -123,12 +123,8 @@ def evaluate_tiled(spec: TilingSpec, mesh: TriMesh | None = None,
     if mesh is None:
         mesh = fine_mesh(spec)
     k = tile_conductivity(spec, mesh, obstacle)
-    system = fem.assemble_diffusion(mesh, fem.isotropic_tensors(k))
-    system = fem.apply_dirichlet(
-        system, np.unique(mesh.boundary_edges[GAMMA_A]), spec.bc.t_low)
-    system = fem.apply_dirichlet(
-        system, np.unique(mesh.boundary_edges[GAMMA_B]), spec.bc.t_high)
-    temp = fem.solve(system)
+    temp = fem.solve(macro_solver.conduction_system(mesh, fem.isotropic_tensors(k),
+                                                    spec.bc))
     if reference is None:
         reference = macro_solver.solve_state(
             mesh, macro_solver.uniform_map(spec.k_exterior), spec.bc)

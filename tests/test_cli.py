@@ -74,6 +74,20 @@ def test_bad_d_schedule_exit_code(tmp_path, capsys, schedule, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("init, message", [
+    ({"pattern": "disk", "radius": True}, "levelset.init.radius: expected a number"),
+    ({"pattern": "disk", "radius": "0.3"}, "levelset.init.radius: expected a number"),
+    ({"pattern": "uniform", "sign": "-1"}, "levelset.init.sign: expected a number"),
+    ({"pattern": "uniform", "sign": False}, "levelset.init.sign: expected a number"),
+    ({"pattern": "uniform", "sign": 0}, "levelset.init.sign must be nonzero"),
+    ({"pattern": "file", "path": 5}, "levelset.init.path: expected a string"),
+], ids=["radius-bool", "radius-str", "sign-str", "sign-bool", "sign-zero", "path-int"])
+def test_bad_init_value_exit_code(tmp_path, capsys, init, message):
+    path = small_config(tmp_path, levelset={"init": init})
+    assert optimize_exit_code(tmp_path, path) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_checkpoint_every_below_one_exit_code(tmp_path, capsys):
     path = small_config(tmp_path)
     assert optimize_exit_code(tmp_path, path, "--checkpoint-every", "0") == 2

@@ -1,7 +1,11 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from cloakopt import fem
+from cloakopt import fem, homogenization, levelset, macro_solver
 from cloakopt.geometry import (GAMMA_A, GAMMA_B, MacroGeometry, TriMesh,
                                UnitCellGeometry, build_cell_mesh,
                                build_macro_mesh)
@@ -10,6 +14,17 @@ from cloakopt.geometry import (GAMMA_A, GAMMA_B, MacroGeometry, TriMesh,
 def unit_square_mesh(n=8):
     g = MacroGeometry(lx=1.0, ly=2.0, r_ring=0.45, r_obstacle=0.05)
     return build_macro_mesh(g, 1.0 / n, allow_oversize=True)
+
+
+def unit_system(mesh, constraints, k=None):
+    """Diffusion system with conductivity k (default 1) under the given constraints."""
+    k = np.ones(mesh.n_elements) if k is None else k
+    return fem.assemble_diffusion(mesh, fem.isotropic_tensors(k),
+                                  on=fem.Structure(mesh, constraints))
+
+
+def free(mesh):
+    return fem.Constraints.none(mesh.n_nodes)
 
 
 def test_stiffness_row_sums_vanish():
@@ -46,12 +61,10 @@ def test_non_spd_tensor_rejected():
 
 
 def patch_solution(mesh):
-    system = fem.assemble_diffusion(
-        mesh, fem.isotropic_tensors(np.ones(mesh.n_elements)))
     boundary = np.unique(np.concatenate([e.ravel() for e in
                                          mesh.boundary_edges.values()]))
-    system = fem.apply_dirichlet(system, boundary, mesh.nodes[boundary, 0])
-    return fem.solve(system)
+    c = fem.apply_dirichlet(free(mesh), boundary, mesh.nodes[boundary, 0])
+    return fem.solve(unit_system(mesh, c))
 
 
 def test_patch_test_reproduces_linear_field():
@@ -62,23 +75,19 @@ def test_patch_test_reproduces_linear_field():
 
 def test_dirichlet_strip_profile():
     mesh = unit_square_mesh(8)
-    system = fem.assemble_diffusion(
-        mesh, fem.isotropic_tensors(np.ones(mesh.n_elements)))
     left = np.unique(mesh.boundary_edges[GAMMA_A])
     right = np.unique(mesh.boundary_edges[GAMMA_B])
-    system = fem.apply_dirichlet(system, left, 0.0)
-    system = fem.apply_dirichlet(system, right, 1.0)
-    field = fem.solve(system)
+    c = fem.apply_dirichlet(free(mesh), left, 0.0)
+    c = fem.apply_dirichlet(c, right, 1.0)
+    field = fem.solve(unit_system(mesh, c))
     want = mesh.nodes[:, 0] + 0.5
     assert np.abs(field.values - want).max() < 1e-10
 
 
 def test_dirichlet_idempotent():
     mesh = unit_square_mesh(8)
-    system = fem.assemble_diffusion(
-        mesh, fem.isotropic_tensors(np.ones(mesh.n_elements)))
     left = np.unique(mesh.boundary_edges[GAMMA_A])
-    once = fem.apply_dirichlet(system, left, 2.0)
+    once = fem.apply_dirichlet(free(mesh), left, 2.0)
     twice = fem.apply_dirichlet(once, left, 2.0)
     assert twice.n_free == once.n_free
     np.testing.assert_array_equal(twice.dof_of_node, once.dof_of_node)
@@ -88,18 +97,15 @@ def test_dirichlet_idempotent():
 
 def test_dirichlet_node_outside_mesh():
     mesh = unit_square_mesh(8)
-    system = fem.assemble_diffusion(
-        mesh, fem.isotropic_tensors(np.ones(mesh.n_elements)))
     with pytest.raises(fem.ConstraintError):
-        fem.apply_dirichlet(system, [mesh.n_nodes + 5], 0.0)
+        fem.apply_dirichlet(free(mesh), [mesh.n_nodes + 5], 0.0)
 
 
 def test_constrain_all_nodes_returns_data():
     mesh = unit_square_mesh(8)
-    system = fem.assemble_diffusion(
-        mesh, fem.isotropic_tensors(np.ones(mesh.n_elements)))
     values = mesh.nodes[:, 0] * 2.5
-    system = fem.apply_dirichlet(system, np.arange(mesh.n_nodes), values)
+    system = unit_system(mesh, fem.apply_dirichlet(free(mesh), np.arange(mesh.n_nodes),
+                                                   values))
     assert system.n_free == 0
     field = fem.solve(system)
     np.testing.assert_array_equal(field.values, values)
@@ -107,10 +113,7 @@ def test_constrain_all_nodes_returns_data():
 
 def test_periodic_fold_keeps_symmetry_and_constants():
     mesh = build_cell_mesh(UnitCellGeometry(16))
-    system = fem.assemble_diffusion(
-        mesh, fem.isotropic_tensors(np.ones(mesh.n_elements)))
-    folded = fem.apply_periodic(system, mesh.periodic_pairs)
-    a, _ = folded.reduced()
+    a = unit_system(mesh, fem.apply_periodic(free(mesh), mesh.periodic_pairs)).matrix
     assert abs(a - a.T).max() < 1e-12
     # constants lie in the kernel after folding too
     assert np.abs(a @ np.ones(a.shape[0])).max() < 1e-12
@@ -119,17 +122,13 @@ def test_periodic_fold_keeps_symmetry_and_constants():
 def test_periodic_duplicate_slave_rejected():
     mesh = build_cell_mesh(UnitCellGeometry(16))
     pairs = np.vstack([mesh.periodic_pairs, mesh.periodic_pairs[-1]])
-    system = fem.assemble_diffusion(
-        mesh, fem.isotropic_tensors(np.ones(mesh.n_elements)))
     with pytest.raises(fem.ConstraintError, match="slave"):
-        fem.apply_periodic(system, pairs)
+        fem.apply_periodic(free(mesh), pairs)
 
 
 def test_singular_solve_names_missing_gauge():
     mesh = build_cell_mesh(UnitCellGeometry(16))
-    system = fem.assemble_diffusion(
-        mesh, fem.isotropic_tensors(np.ones(mesh.n_elements)))
-    folded = fem.apply_periodic(system, mesh.periodic_pairs)   # no gauge
+    folded = unit_system(mesh, fem.apply_periodic(free(mesh), mesh.periodic_pairs))
     rhs = np.zeros(mesh.n_nodes)
     rhs[0] = 1.0
     with pytest.raises(fem.SolverError, match="gauge"):
@@ -139,16 +138,14 @@ def test_singular_solve_names_missing_gauge():
 def test_solve_residual_contract():
     mesh = unit_square_mesh(12)
     rng = np.random.default_rng(3)
-    k = fem.isotropic_tensors(rng.uniform(0.5, 5.0, mesh.n_elements))
-    system = fem.assemble_diffusion(mesh, k)
     left = np.unique(mesh.boundary_edges[GAMMA_A])
     right = np.unique(mesh.boundary_edges[GAMMA_B])
-    system = fem.apply_dirichlet(system, left, 0.0)
-    system = fem.apply_dirichlet(system, right, 1.0)
+    c = fem.apply_dirichlet(free(mesh), left, 0.0)
+    c = fem.apply_dirichlet(c, right, 1.0)
+    system = unit_system(mesh, c, rng.uniform(0.5, 5.0, mesh.n_elements))
     field = fem.solve(system)
-    a, b = system.reduced()
-    free = system.dof_of_node >= 0
-    x = field.values[free]
+    a, b = system.matrix, system.reduced_load()
+    x = field.values[c.dof_of_node >= 0]
     res = np.linalg.norm(a @ x - b) / np.linalg.norm(b)
     assert res < 1e-10
 
@@ -158,15 +155,134 @@ def test_series_resistance_flux():
     g = MacroGeometry(lx=2.0, ly=2.0, r_ring=0.45, r_obstacle=0.05)
     mesh = build_macro_mesh(g, 0.1, allow_oversize=True)
     k = np.where(mesh.centroids[:, 0] < 0.0, 2.0, 1.0)
-    system = fem.assemble_diffusion(mesh, fem.isotropic_tensors(k))
-    left = np.unique(mesh.boundary_edges[GAMMA_A])
-    right = np.unique(mesh.boundary_edges[GAMMA_B])
-    system = fem.apply_dirichlet(system, left, 0.0)
-    system = fem.apply_dirichlet(system, right, 1.0)
+    tensors = fem.isotropic_tensors(k)
+    system = fem.assemble_diffusion(
+        mesh, tensors, on=fem.structure(mesh, dirichlet=((GAMMA_A, 0.0), (GAMMA_B, 1.0))))
     field = fem.solve(system)
-    flux_in = fem.boundary_reaction(system, field.values, GAMMA_B)
+    ke = fem.element_stiffness(mesh, tensors)
+    flux_in = fem.boundary_reaction(mesh, ke, field.values, GAMMA_B)
     # series resistance per unit height: 1/2 + 1/1, height 1, dT = 1
     expected = 1.0 / (1.0 / 2.0 + 1.0 / 1.0) * 1.0
     assert flux_in == pytest.approx(expected, rel=1e-10)
-    flux_out = fem.boundary_reaction(system, field.values, GAMMA_A)
+    flux_out = fem.boundary_reaction(mesh, ke, field.values, GAMMA_A)
     assert flux_in + flux_out == pytest.approx(0.0, abs=1e-10 * abs(flux_in))
+
+
+def galerkin_reduction(system, element_matrices):
+    """R^T A R and R^T (f - A g), with A assembled by COO from the element
+    matrices and R from the DOF map: the definition the slots must meet."""
+    mesh, c = system.mesh, system.constraints
+    rows = np.repeat(mesh.elements, 3, axis=1).ravel()
+    cols = np.tile(mesh.elements, (1, 3)).ravel()
+    a = sp.coo_matrix((element_matrices.ravel(), (rows, cols)),
+                      shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
+    kept = np.flatnonzero(c.dof_of_node >= 0)
+    r = sp.csr_matrix((np.ones(len(kept)), (kept, c.dof_of_node[kept])),
+                      shape=(mesh.n_nodes, c.n_free))
+    return r.T @ a @ r, r.T @ (system.rhs - a @ c.fixed_values)
+
+
+def cell_operator(mesh):
+    """The cell system and its element matrices."""
+    rng = np.random.default_rng(11)
+    mat = homogenization.CellMaterialField(rng.uniform(0, 1, mesh.n_elements), 386.0, 0.15)
+    ke = fem.element_stiffness(mesh, fem.isotropic_tensors(mat.conductivities()))
+    return homogenization.cell_system(mesh, mat), ke
+
+
+def macro_operator(mesh):
+    rng = np.random.default_rng(12)
+    k = rng.uniform(0.5, 5.0, (mesh.n_elements, 1, 1)) * np.eye(2)
+    k[:, 0, 1] = k[:, 1, 0] = 0.3     # anisotropic: every element entry couples
+    system = macro_solver.conduction_system(mesh, k, macro_solver.BoundaryData(0.5, 2.0))
+    system.rhs = rng.normal(size=mesh.n_nodes)
+    return system, fem.element_stiffness(mesh, k)
+
+
+def levelset_operator(mesh):
+    k_phi, tau, dt = 1.5, 0.05, 0.1
+    ke = (fem.element_mass(mesh, lumped=True) + dt * k_phi * tau
+          * fem.element_stiffness(mesh, fem.isotropic_tensors(np.ones(mesh.n_elements))))
+    return levelset.ReactionDiffusionUpdater(mesh, k_phi, tau).system(dt), ke
+
+
+@pytest.mark.parametrize("build, mesh_of", [
+    (cell_operator, lambda: build_cell_mesh(UnitCellGeometry(16))),
+    (macro_operator, lambda: unit_square_mesh(8)),
+    (levelset_operator, lambda: build_cell_mesh(UnitCellGeometry(16))),
+], ids=["cell", "macro", "levelset"])
+def test_reduced_operator_matches_galerkin_reduction(build, mesh_of):
+    system, ke = build(mesh_of())
+    want_a, want_b = galerkin_reduction(system, ke)
+    assert abs(system.matrix - want_a).max() <= 1e-13 * abs(want_a).max()
+    got_b = system.reduced_load()
+    assert np.abs(got_b - want_b).max() <= 1e-13 * max(np.abs(want_b).max(), 1.0)
+
+
+def test_constraint_sets_of_the_three_operators():
+    cell = build_cell_mesh(UnitCellGeometry(16))
+    m, s = cell.periodic_pairs.T
+    c = cell_operator(cell)[0].constraints
+    gauge = cell.periodic_pairs[0, 0]
+    assert c.dof_of_node[gauge] == -1 and c.fixed_values[gauge] == 0.0
+    np.testing.assert_array_equal(c.dof_of_node[m], c.dof_of_node[s])
+    assert c.n_free == cell.n_nodes - len(np.unique(s)) - 1
+
+    c = levelset_operator(cell)[0].constraints
+    np.testing.assert_array_equal(c.dof_of_node[m], c.dof_of_node[s])
+    assert c.n_free == cell.n_nodes - len(np.unique(s))
+
+    mesh = unit_square_mesh(8)
+    c = macro_operator(mesh)[0].constraints
+    left = np.unique(mesh.boundary_edges[GAMMA_A])
+    right = np.unique(mesh.boundary_edges[GAMMA_B])
+    np.testing.assert_array_equal(np.flatnonzero(c.dof_of_node < 0),
+                                  np.union1d(left, right))
+    assert (c.fixed_values[left] == 0.5).all() and (c.fixed_values[right] == 2.0).all()
+
+
+def counting_periodic_fold(monkeypatch):
+    calls = []
+    original = fem.apply_periodic
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "apply_periodic", counted)
+    return calls
+
+
+def test_homogenize_folds_periodic_pairs_once_per_mesh(monkeypatch):
+    calls = counting_periodic_fold(monkeypatch)
+    mesh = build_cell_mesh(UnitCellGeometry(16))
+    mat = homogenization.CellMaterialField(np.linspace(0, 1, mesh.n_elements), 386.0, 0.15)
+    first = homogenization.homogenize(mesh, mat)[0]
+    second = homogenization.homogenize(mesh, mat)[0]
+    assert len(calls) == 1
+    assert first == second
+
+
+def test_concurrent_first_use_builds_structure_once(monkeypatch):
+    calls = counting_periodic_fold(monkeypatch)
+    mesh = build_cell_mesh(UnitCellGeometry(16))
+    rng = np.random.default_rng(4)
+    mats = [homogenization.CellMaterialField(rng.uniform(0, 1, mesh.n_elements), 386.0, 0.15)
+            for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(lambda m: homogenization.homogenize(mesh, m)[0],
+                                     mats, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(calls) == 1
+    assert threaded == [homogenization.homogenize(mesh, m)[0] for m in mats]
+
+
+def test_cell_factor_fill_at_resolution_64(cell_mesh_64):
+    """The symmetric minimum-degree ordering keeps the L+U fill of the
+    resolution-64 cell operator near 2e5 entries (COLAMD: ~4.2e5)."""
+    fact = fem.Factorization(cell_operator(cell_mesh_64)[0])
+    assert fact._lu.nnz <= 2.0e5

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from cloakopt import levelset
 from cloakopt.geometry import MacroGeometry
 from cloakopt.macro_solver import BoundaryData
 from cloakopt.optimizer import DesignState, Scenario, Workspace, checkpoint, resume, run
@@ -49,6 +50,23 @@ def test_d_schedule_lookup():
     assert sc.d_at(71) == 0.01
     assert sc.d_at(150) == 0.01
     assert sc.last_d_switch() == 71
+    assert [sc.width_age(i) for i in (1, 2, 70, 71, 72, 150)] == [1, 2, 70, 1, 2, 80]
+
+
+def test_step_diminishes_within_each_width(monkeypatch):
+    """With the move limiter slack, the k-th step at a width is dt / sqrt(k)."""
+    dts = []
+    update = levelset.ReactionDiffusionUpdater.step
+
+    def record_dt(self, phi, jprime, dt):
+        dts.append(dt)
+        return update(self, phi, jprime, dt)
+
+    monkeypatch.setattr(levelset.ReactionDiffusionUpdater, "step", record_dt)
+    run(tiny_scenario(max_iter=5, move_limit=1e9))    # widths start at 1 and 3
+    steps = dts[::8]
+    assert dts == [dt for dt in steps for _ in range(8)]
+    assert steps == [0.1, 0.1 * 2 ** -0.5, 0.1, 0.1 * 2 ** -0.5]
 
 
 @pytest.mark.parametrize("schedule", [((1, 0.2), (71, 0.01), (50, 0.1)),
