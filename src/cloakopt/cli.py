@@ -17,7 +17,8 @@ import numpy as np
 from . import (fem, homogenization, levelset, macro_solver, optimizer,
                validation, vtkio)
 from .config import ConfigError, RunConfig, parse_config
-from .geometry import MeshError, SECTOR_FIRST, SECTOR_LAST, UnitCellGeometry, build_cell_mesh
+from .geometry import (MeshError, SECTOR_FIRST, SECTOR_LAST, UnitCellGeometry,
+                       build_cell_mesh, build_macro_mesh)
 from .levelset import LevelSetField
 from .macro_solver import MacroMaterialMap
 from .validation import TilingSpec
@@ -36,13 +37,14 @@ def _write_tensor_csv(path, tensors) -> None:
 
 
 def _export_run_fields(cfg: RunConfig, state, out: Path) -> None:
-    ws = optimizer.Workspace(cfg.scenario)
+    sc = cfg.scenario
+    mesh = build_macro_mesh(sc.geometry, sc.macro_h, allow_oversize=sc.allow_oversize)
     matmap = MacroMaterialMap(sector_tensors=state.tensors,
-                              k_exterior=cfg.scenario.k_exterior,
-                              k_obstacle=cfg.scenario.k_obstacle)
-    temp = macro_solver.solve_state(ws.macro_mesh, matmap, cfg.scenario.bc)
-    macro_solver.export_fields(out / "macro_fields.vtk", ws.macro_mesh,
-                               temp, ws.t_steel, matmap)
+                              k_exterior=sc.k_exterior, k_obstacle=sc.k_obstacle)
+    temp = macro_solver.solve_state(mesh, matmap, sc.bc)
+    macro_solver.export_fields(out / "macro_fields.vtk", mesh, temp,
+                               macro_solver.reference_field(mesh, sc.k_exterior, sc.bc),
+                               matmap)
     for f in state.phis:
         vtkio.write_vtk(out / f"cell_{f.cell_index}.vtk", f.mesh,
                         point_data={"phi": f.phi, "chi": f.chi_nodes()})
@@ -123,13 +125,12 @@ def cmd_validate(args) -> int:
 
     spec = _tiling_from(cfg, state.phis, args.epsilon0)
     mesh = validation.fine_mesh(spec)
-    reference = macro_solver.solve_state(
-        mesh, macro_solver.uniform_map(spec.k_exterior), spec.bc)
     init_spec = _tiling_from(cfg, _initial_phis(cfg), args.epsilon0)
-    j1_init, j2_init, _ = validation.evaluate_tiled(init_spec, mesh, reference=reference)
-    j1, j2, temp = validation.evaluate_tiled(spec, mesh, reference=reference)
+    j1_init, j2_init, _ = validation.evaluate_tiled(init_spec, mesh)
+    j1, j2, temp = validation.evaluate_tiled(spec, mesh)
 
     k = validation.tile_conductivity(spec, mesh)
+    reference = macro_solver.reference_field(mesh, spec.k_exterior, spec.bc)
     vtkio.write_vtk(out / "tiled.vtk", mesh,
                     point_data={"T": temp.values,
                                 "T_sub": temp.values - reference.values},
@@ -175,7 +176,9 @@ def cmd_sweep(args) -> int:
 
     psi = [float(p) for p in args.psi.split(",")] if args.psi else []
     init_spec = _tiling_from(cfg0, _initial_phis(cfg0), args.epsilon0)
-    j1_init, _, _ = validation.evaluate_tiled(init_spec)
+    # held through the sweep, so designs on the same layout reuse it
+    mesh = validation.fine_mesh(init_spec)
+    j1_init, _, _ = validation.evaluate_tiled(init_spec, mesh)
     table = validation.robustness_sweep(designs, psi, j1_init,
                                         k_obstacle_insert=args.obstacle_k)
     out = Path(args.out)

@@ -56,8 +56,7 @@ _SCHEMA = {
     },
     "export": {
         "required": {},
-        "optional": {"vtk": (bool, True), "tensor_csv": (bool, True),
-                     "sensitivity_vtk": (bool, False)},
+        "optional": {"vtk": (bool, True), "tensor_csv": (bool, True)},
     },
 }
 
@@ -67,7 +66,6 @@ class RunConfig:
     scenario: Scenario
     export_vtk: bool = True
     export_tensor_csv: bool = True
-    export_sensitivity_vtk: bool = False
     defaulted: list[str] = field(default_factory=list)
 
     def describe(self) -> str:
@@ -88,7 +86,6 @@ class RunConfig:
             ("optimizer.max_iter", sc.max_iter), ("optimizer.early_stop", sc.early_stop),
             ("mesh.macro_h", sc.macro_h), ("mesh.cell_resolution", sc.cell_resolution),
             ("export.vtk", self.export_vtk), ("export.tensor_csv", self.export_tensor_csv),
-            ("export.sensitivity_vtk", self.export_sensitivity_vtk),
         ]
         for key, value in items:
             mark = "  (default)" if key in self.defaulted else ""
@@ -225,5 +222,4 @@ def build_config(raw: dict) -> RunConfig:
         raise ConfigError(str(exc))
     return RunConfig(scenario=scenario, export_vtk=ex["vtk"],
                      export_tensor_csv=ex["tensor_csv"],
-                     export_sensitivity_vtk=ex["sensitivity_vtk"],
                      defaulted=defaulted)

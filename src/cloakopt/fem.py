@@ -336,31 +336,6 @@ def element_mass(mesh: TriMesh, lumped: bool = False) -> np.ndarray:
     return mesh.areas[:, None, None] * local
 
 
-def _region_matrix(mesh: TriMesh, element_matrices: np.ndarray,
-                   element_mask: np.ndarray | None) -> sp.csc_matrix:
-    """Unconstrained nodal operator of the elements ``element_mask`` selects
-    (default: all); the other elements' entries are zeroed and dropped.
-
-    The structure is not cached: callers keep the matrix (the objectives'
-    region operators, once per mesh), and nothing reuses the unconstrained
-    pattern, which would hold ~10 MB on a 100k-node mesh.
-    """
-    if element_mask is not None:
-        element_matrices *= element_mask[:, None, None]
-    return Structure(mesh, Constraints.none(mesh.n_nodes)).matrix(element_matrices)
-
-
-def stiffness_matrix(mesh: TriMesh, tensors: np.ndarray,
-                     element_mask: np.ndarray | None = None) -> sp.csc_matrix:
-    """The P1 diffusion stiffness sum_e a_e grad_i . K_e grad_j."""
-    return _region_matrix(mesh, element_stiffness(mesh, tensors), element_mask)
-
-
-def mass_matrix(mesh: TriMesh, element_mask: np.ndarray | None = None) -> sp.csc_matrix:
-    """Consistent P1 mass matrix, optionally restricted to a region."""
-    return _region_matrix(mesh, element_mass(mesh), element_mask)
-
-
 def assemble_diffusion(mesh: TriMesh, tensors: np.ndarray,
                        on: Structure | None = None) -> SparseSystem:
     """Diffusion system with zero load on a structure (default: unconstrained)."""

@@ -86,6 +86,15 @@ def solve_state(mesh: TriMesh, matmap: MacroMaterialMap,
     return fem.solve(state_system(mesh, matmap, bc))
 
 
+def reference_field(mesh: TriMesh, k_exterior: float,
+                    bc: BoundaryData) -> fem.ScalarField:
+    """The uniform-material temperature J1 compares against, solved at
+    first use and kept on the mesh for its conductivity and edge
+    temperatures."""
+    return fem.cached(mesh, ("reference", k_exterior, bc.t_low, bc.t_high),
+                      lambda: solve_state(mesh, uniform_map(k_exterior), bc))
+
+
 def adjoint_load(mesh: TriMesh, objective: str, state: fem.ScalarField,
                  reference: fem.ScalarField | None = None) -> np.ndarray:
     """Derivative of the discrete objective w.r.t. nodal temperatures.
@@ -94,13 +103,13 @@ def adjoint_load(mesh: TriMesh, objective: str, state: fem.ScalarField,
     A_C the unit-conductivity stiffness of the obstacle region (the
     divergence-form load of the gradient-energy objective).
     """
+    m_e, a_c = objectives.region_operators(mesh)
     if objective == "j1":
         if reference is None:
             raise ValueError("j1 adjoint needs the reference field")
-        m = objectives.region_mass(mesh, REGION_EXTERIOR)
-        return 2.0 * (m @ (state.values - reference.values))
+        return 2.0 * (m_e @ (state.values - reference.values))
     if objective == "j2":
-        return 2.0 * (objectives.region_laplacian(mesh, REGION_OBSTACLE) @ state.values)
+        return 2.0 * (a_c @ state.values)
     raise ValueError(f"unknown objective {objective!r}")
 
 

@@ -157,8 +157,8 @@ class Workspace:
         self.macro_mesh = build_macro_mesh(scenario.geometry, scenario.macro_h,
                                            allow_oversize=scenario.allow_oversize)
         self.cell_mesh = build_cell_mesh(UnitCellGeometry(scenario.cell_resolution))
-        self.t_steel = macro_solver.solve_state(
-            self.macro_mesh, macro_solver.uniform_map(scenario.k_exterior), scenario.bc)
+        self.t_steel = macro_solver.reference_field(self.macro_mesh, scenario.k_exterior,
+                                                    scenario.bc)
         self.norm_denominator = None
         if scenario.objective_mode == "normalized":
             worst = macro_solver.solve_state(

@@ -8,10 +8,14 @@ sectors are sampled as-is (cells from neighbouring sectors may clash),
 matching how the finite structure would actually be assembled. A
 robustness sweep re-solves with an asymmetric insulating obstacle at a
 set of rotation angles.
+
+Tilings of one layout share one fine mesh while it is held, and with it
+the mesh's solver structure, objective operators and reference field.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +27,9 @@ from .geometry import (MacroGeometry, REGION_OBSTACLE,
 from .levelset import LevelSetField, characteristic
 from .homogenization import element_conductivity
 from .macro_solver import BoundaryData
+
+ELEMENTS_PER_CELL = 8                          # fine-mesh elements across one tiled cell
+_FINE_MESHES = weakref.WeakValueDictionary()   # layout key -> fine mesh still held
 
 
 @dataclass
@@ -51,23 +58,28 @@ class TilingSpec:
 class ObstacleSpec:
     """Insulating half-disk inside the shielded region, rotated by psi.
 
-    The flat side passes through the domain centre; ``radius`` defaults
-    to 0.3 of the obstacle-region radius. The asymmetric shape makes the
-    angle sweep meaningful.
+    The flat side passes through the domain centre and the radius is 0.3
+    of the obstacle-region radius. The asymmetric shape makes the angle
+    sweep meaningful.
     """
 
     psi_deg: float
     k: float
-    radius: float | None = None
 
     def resolved_radius(self, geometry: MacroGeometry) -> float:
-        return self.radius if self.radius is not None else 0.3 * geometry.r_obstacle
+        return 0.3 * geometry.r_obstacle
 
 
-def fine_mesh(spec: TilingSpec, elements_per_cell: int = 8) -> TriMesh:
-    """Macro mesh fine enough to resolve the tiled cells."""
-    h = spec.epsilon0 / elements_per_cell
-    return build_macro_mesh(spec.geometry, h, allow_oversize=True)
+def fine_mesh(spec: TilingSpec) -> TriMesh:
+    """Macro mesh resolving the tiled cells; layouts with equal geometry
+    values and cell size share one (immutable) mesh while a caller holds it."""
+    g = spec.geometry
+    h = spec.epsilon0 / ELEMENTS_PER_CELL
+    key = (g.lx, g.ly, g.r_ring, g.r_obstacle, h)
+    mesh = _FINE_MESHES.get(key)
+    if mesh is None:
+        mesh = _FINE_MESHES[key] = build_macro_mesh(g, h, allow_oversize=True)
+    return mesh
 
 
 def tile_conductivity(spec: TilingSpec, mesh: TriMesh,
@@ -80,9 +92,8 @@ def tile_conductivity(spec: TilingSpec, mesh: TriMesh,
     (optionally overridden inside a rotated obstacle shape).
     """
     spec.validate()
-    # require the fine mesh to resolve each tiled cell with >= 8 elements
     h = np.sqrt(2.0 * np.median(mesh.areas))
-    if spec.epsilon0 / h < 8 - 1e-9:
+    if spec.epsilon0 / h < ELEMENTS_PER_CELL - 1e-9:
         raise ValueError(
             f"fine mesh ({h:.4g} m elements) under-resolves cells of {spec.epsilon0:.4g} m"
         )
@@ -112,31 +123,25 @@ def tile_conductivity(spec: TilingSpec, mesh: TriMesh,
 
 
 def evaluate_tiled(spec: TilingSpec, mesh: TriMesh | None = None,
-                   obstacle: ObstacleSpec | None = None,
-                   reference: fem.ScalarField | None = None):
+                   obstacle: ObstacleSpec | None = None):
     """Solve raw conduction on the tiled structure; returns (J1, J2, T).
 
-    ``reference`` (the uniform exterior-material field) is recomputed on
-    the fine mesh when not supplied; pass it in when evaluating several
-    layouts on one mesh.
+    ``mesh`` defaults to :func:`fine_mesh`; J1 compares against the
+    mesh's reference field, solved at its first use.
     """
     if mesh is None:
         mesh = fine_mesh(spec)
     k = tile_conductivity(spec, mesh, obstacle)
     temp = fem.solve(macro_solver.conduction_system(mesh, fem.isotropic_tensors(k),
                                                     spec.bc))
-    if reference is None:
-        reference = macro_solver.solve_state(
-            mesh, macro_solver.uniform_map(spec.k_exterior), spec.bc)
+    reference = macro_solver.reference_field(mesh, spec.k_exterior, spec.bc)
     j1 = objectives.mismatch(temp.values, reference.values, mesh)
     j2 = objectives.gradient_energy(temp.values, mesh)
     return j1, j2, temp
 
 
 def robustness_sweep(designs: dict[str, TilingSpec], psi_values,
-                     j1_init: float, k_obstacle_insert: float,
-                     obstacle_radius: float | None = None,
-                     elements_per_cell: int = 8) -> list[dict]:
+                     j1_init: float, k_obstacle_insert: float) -> list[dict]:
     """J1 ratio versus obstacle angle for each design.
 
     Returns rows {design, psi, j1, j1_ratio}; ``j1_init`` is the tiled
@@ -147,13 +152,10 @@ def robustness_sweep(designs: dict[str, TilingSpec], psi_values,
     if not psi_values:
         return rows
     for name, spec in designs.items():
-        mesh = fine_mesh(spec, elements_per_cell)
-        reference = macro_solver.solve_state(
-            mesh, macro_solver.uniform_map(spec.k_exterior), spec.bc)
+        mesh = fine_mesh(spec)
         for psi in psi_values:
-            obstacle = ObstacleSpec(psi_deg=float(psi), k=k_obstacle_insert,
-                                    radius=obstacle_radius)
-            j1, _, _ = evaluate_tiled(spec, mesh, obstacle, reference)
+            obstacle = ObstacleSpec(psi_deg=float(psi), k=k_obstacle_insert)
+            j1, _, _ = evaluate_tiled(spec, mesh, obstacle)
             rows.append({"design": name, "psi": float(psi),
                          "j1": j1, "j1_ratio": j1 / j1_init})
     return rows

@@ -203,21 +203,20 @@ def test_criterion_05_scenario_whalf(whalf_state):
 def tiled_initials():
     spec = tiling_spec(initial_phis(), d=0.2)
     mesh = val.fine_mesh(spec)
-    reference = ms.solve_state(mesh, ms.uniform_map(STEEL), spec.bc)
-    j1, j2, _ = val.evaluate_tiled(spec, mesh, reference=reference)
-    return j1, j2, mesh, reference
+    j1, j2, _ = val.evaluate_tiled(spec, mesh)
+    return j1, j2, mesh
 
 
 def test_criterion_06_tiling_validation(w1_state, whalf_state, tiled_initials):
-    j1_init, j2_init, mesh, reference = tiled_initials
+    j1_init, j2_init, mesh = tiled_initials
     init_ok = (2.0e-2 / 2 <= j1_init <= 2.0e-2 * 2
                and 1.5e-3 / 2 <= j2_init <= 1.5e-3 * 2)
 
     d_final = 0.01
     w1_spec = tiling_spec(w1_state.phis, d=d_final)
-    j1_w1, _, _ = val.evaluate_tiled(w1_spec, mesh, reference=reference)
+    j1_w1, _, _ = val.evaluate_tiled(w1_spec, mesh)
     whalf_spec = tiling_spec(whalf_state.phis, d=d_final)
-    j1_wh, j2_wh, _ = val.evaluate_tiled(whalf_spec, mesh, reference=reference)
+    j1_wh, j2_wh, _ = val.evaluate_tiled(whalf_spec, mesh)
 
     w1_ok = j1_w1 / j1_init <= 1e-2
     wh_ok = j2_wh / j2_init <= 1e-3
@@ -233,7 +232,7 @@ def test_criterion_06_tiling_validation(w1_state, whalf_state, tiled_initials):
 # --- criterion 7: robustness sweep over the obstacle angle ------------------
 
 def test_criterion_07_robustness_sweep(w1_state, whalf_state, tiled_initials):
-    j1_init, _, _, _ = tiled_initials
+    j1_init, _, _ = tiled_initials
     psi = [0.0, 45.0, 90.0, 135.0, 180.0, 225.0, 270.0, 315.0]
     designs = {
         "w1": tiling_spec(w1_state.phis, d=0.01),

@@ -64,6 +64,12 @@ def test_n_sectors_key_rejected(tmp_path, capsys):
     assert "geometry.n_sectors" in capsys.readouterr().err
 
 
+def test_sensitivity_vtk_key_rejected(tmp_path, capsys):
+    path = small_config(tmp_path, export={"sensitivity_vtk": True})
+    assert optimize_exit_code(tmp_path, path) == 2
+    assert "export.sensitivity_vtk" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("schedule, message", [
     ([[1, 0.2], [71, 0.01], [50, 0.1]], "strictly increasing"),
     ([[1, 0.2], [70.7, 0.01]], "expected an integer"),

@@ -29,15 +29,15 @@ def free(mesh):
 
 def test_stiffness_row_sums_vanish():
     mesh = unit_square_mesh()
-    k = fem.stiffness_matrix(mesh, fem.isotropic_tensors(np.full(mesh.n_elements, 3.0)))
+    k = fem.assemble_diffusion(mesh, fem.isotropic_tensors(np.full(mesh.n_elements, 3.0))).matrix
     rows = np.asarray(abs(k @ np.ones(mesh.n_nodes))).ravel()
     assert rows.max() < 1e-12
 
 
 def test_uniform_scaling_linearity():
     mesh = unit_square_mesh()
-    k1 = fem.stiffness_matrix(mesh, fem.isotropic_tensors(np.ones(mesh.n_elements)))
-    k5 = fem.stiffness_matrix(mesh, fem.isotropic_tensors(np.full(mesh.n_elements, 5.0)))
+    k1 = fem.assemble_diffusion(mesh, fem.isotropic_tensors(np.ones(mesh.n_elements))).matrix
+    k5 = fem.assemble_diffusion(mesh, fem.isotropic_tensors(np.full(mesh.n_elements, 5.0))).matrix
     assert abs(k5 - 5.0 * k1).max() < 1e-12
 
 
@@ -45,7 +45,7 @@ def test_single_right_triangle_identity_tensor():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     mesh = TriMesh(nodes=nodes, elements=np.array([[0, 1, 2]], dtype=np.int32),
                    element_region=np.zeros(1, dtype=np.int16), boundary_edges={})
-    k = fem.stiffness_matrix(mesh, fem.isotropic_tensors([1.0])).toarray()
+    k = fem.assemble_diffusion(mesh, fem.isotropic_tensors([1.0])).matrix.toarray()
     assert np.abs(k.sum(axis=0)).max() < 1e-14
     assert np.abs(k.sum(axis=1)).max() < 1e-14
     expected = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])

@@ -73,8 +73,8 @@ def test_update_pure_diffusion_contracts(cell_mesh_32):
     f = initialize(cell_mesh_32, ("disk", 0.25))
     stepper = ReactionDiffusionUpdater(cell_mesh_32, k_phi=1.5, tau=0.05)
     phi = f.phi.copy()
-    a = fem.stiffness_matrix(
-        cell_mesh_32, fem.isotropic_tensors(np.ones(cell_mesh_32.n_elements)))
+    a = fem.assemble_diffusion(
+        cell_mesh_32, fem.isotropic_tensors(np.ones(cell_mesh_32.n_elements))).matrix
     prev_max = np.abs(phi).max()
     prev_energy = phi @ (a @ phi)
     for _ in range(5):

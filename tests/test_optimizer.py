@@ -69,6 +69,16 @@ def test_step_diminishes_within_each_width(monkeypatch):
     assert steps == [0.1, 0.1 * 2 ** -0.5, 0.1, 0.1 * 2 ** -0.5]
 
 
+def test_early_stop_on_flat_objective():
+    """Equal cell phases make J exactly constant, so the run stops once ten
+    flat iterations follow the last width switch."""
+    flat = dict(k_cell_b=COPPER, d_schedule=((1, 0.2),), max_iter=30)
+    stopped = run(tiny_scenario(early_stop=True, **flat))
+    assert stopped.iteration == 11
+    assert len(stopped.history) == 11
+    assert len(run(tiny_scenario(**flat)).history) == 30
+
+
 @pytest.mark.parametrize("schedule", [((1, 0.2), (71, 0.01), (50, 0.1)),
                                       ((1, 0.2), (70.7, 0.01))])
 def test_d_schedule_starts_must_be_increasing_integers(schedule):

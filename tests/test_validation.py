@@ -1,3 +1,7 @@
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -48,10 +52,19 @@ def test_tiling_periodic_in_cell_size(paper_geometry, cell_mesh):
     spec = make_spec(paper_geometry, cell_mesh)
     mesh = val.fine_mesh(spec)
     k = val.tile_conductivity(spec, mesh)
-    # wrapped coordinates shifted by exactly one cell give the same field
-    shifted = np.mod(mesh.centroids / spec.epsilon0 + 1.0, 1.0)
-    base = np.mod(mesh.centroids / spec.epsilon0, 1.0)
-    np.testing.assert_allclose(shifted, np.mod(base + 1.0, 1.0), atol=1e-12)
+    # pair every element with the one whose centroid lies one cell further in x
+    h = spec.epsilon0 / val.ELEMENTS_PER_CELL
+    grid = [tuple(p) for p in np.rint(3.0 * mesh.centroids / h).astype(int)]
+    index = {p: e for e, p in enumerate(grid)}
+    shift = round(3.0 * spec.epsilon0 / h)
+    pairs = np.array([(e, index[(x + shift, y)]) for e, (x, y) in enumerate(grid)
+                      if (x + shift, y) in index])
+    region = mesh.element_region
+    pairs = pairs[(region[pairs[:, 0]] == region[pairs[:, 1]])
+                  & np.isin(region[pairs[:, 0]], range(1, 9))]
+    assert len(pairs) > 1000
+    assert np.ptp(k[pairs[:, 0]]) > 0.5 * (COPPER - PDMS)
+    np.testing.assert_allclose(k[pairs[:, 1]], k[pairs[:, 0]], rtol=1e-12)
 
 
 def test_under_resolved_mesh_rejected(paper_geometry, cell_mesh):
@@ -81,10 +94,9 @@ def test_obstacle_spec_default_radius(paper_geometry):
 def test_obstacle_changes_objective(paper_geometry, cell_mesh):
     spec = make_spec(paper_geometry, cell_mesh)
     mesh = val.fine_mesh(spec)
-    reference = ms.solve_state(mesh, ms.uniform_map(STEEL), spec.bc)
-    j1_plain, _, _ = val.evaluate_tiled(spec, mesh, reference=reference)
+    j1_plain, _, _ = val.evaluate_tiled(spec, mesh)
     obstacle = val.ObstacleSpec(psi_deg=0.0, k=PDMS)
-    j1_blocked, _, _ = val.evaluate_tiled(spec, mesh, obstacle, reference)
+    j1_blocked, _, _ = val.evaluate_tiled(spec, mesh, obstacle)
     assert j1_blocked != pytest.approx(j1_plain, rel=1e-6)
 
 
@@ -101,3 +113,36 @@ def test_sweep_rows_complete(paper_geometry, cell_mesh):
     assert {r["psi"] for r in rows} == {0.0, 180.0}
     for r in rows:
         assert r["j1_ratio"] == pytest.approx(r["j1"] / 2e-2)
+
+
+def test_sweep_reuses_the_evaluated_mesh_and_reference(paper_geometry, cell_mesh,
+                                                       monkeypatch):
+    """A sweep of a design on the layout just evaluated builds no second
+    fine mesh and solves no second reference field."""
+    monkeypatch.setattr(val, "_FINE_MESHES", weakref.WeakValueDictionary(),
+                        raising=False)
+    builds, solves = [], []
+    build_mesh, solve_state = val.build_macro_mesh, ms.solve_state
+    monkeypatch.setattr(val, "build_macro_mesh",
+                        lambda *a, **kw: builds.append(a) or build_mesh(*a, **kw))
+    monkeypatch.setattr(ms, "solve_state",
+                        lambda *a, **kw: solves.append(a) or solve_state(*a, **kw))
+    init = make_spec(paper_geometry, cell_mesh)
+    # an equal geometry in a new object, as every caller builds its own
+    design = make_spec(dataclasses.replace(paper_geometry), cell_mesh,
+                       pattern=("disk", 0.35))
+    mesh = val.fine_mesh(init)
+    j1_init, _, _ = val.evaluate_tiled(init, mesh)
+    rows = val.robustness_sweep({"design": design}, [0.0, 90.0], j1_init, PDMS)
+    assert len(rows) == 2
+    assert (len(builds), len(solves)) == (1, 1)
+
+
+def test_fine_mesh_shared_only_while_held(paper_geometry, cell_mesh):
+    mesh = val.fine_mesh(make_spec(paper_geometry, cell_mesh))
+    other = make_spec(dataclasses.replace(paper_geometry), cell_mesh, pattern=("uniform", 1.0))
+    assert val.fine_mesh(other) is mesh
+    released = weakref.ref(mesh)
+    del mesh
+    gc.collect()
+    assert released() is None
