@@ -18,12 +18,25 @@ per mesh and constraint set, at first use: the node-to-DOF map, the
 reduced CSC pattern, and the data slot of every element-local 3x3 entry
 with periodic slaves folded onto their masters. Assembling a system on such
 a :class:`Structure` is one ``np.bincount`` of its element matrices
-into the fixed slots.
+into the fixed slots. Objects cached on a mesh never hold the mesh
+strongly, so a mesh is freed as soon as its last outside reference goes.
+
+Most solves factor the whole reduced operator (:class:`Factorization`).
+The one exception is an operator refactored many times with only a fixed
+subset of its elements changing, as the macro state operator is across
+optimizer iterations (only the design ring's tensors change):
+:class:`Condensation` factors the fixed part once and condenses it onto
+the DOFs it shares with the varying part, and each refactorization
+(:class:`CondensedFactorization`) factors only the varying part plus
+that interface. One-off solves (reference fields, tiled validation,
+exports) stay direct: they factor each operator once, so condensing it
+would only add the fixed block's factorization.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -165,18 +178,24 @@ def apply_periodic(constraints: Constraints, pairs: np.ndarray,
 
 
 class Structure:
-    """Reduced sparsity of one mesh under one constraint set.
+    """Reduced sparsity of one mesh, or of a subset of its elements, under
+    one constraint set.
 
-    Holds the CSC pattern of R^T K R for any element matrices K_e on the
-    mesh, and the data slot of each element-local entry (e, i, j); entries
-    in an eliminated row or column go to a discarded extra slot.
+    Holds the CSC pattern of R^T K R for any element matrices K_e of the
+    covered elements (all by default, else the indices ``elements``), and
+    the data slot of each element-local entry (e, i, j); entries in an
+    eliminated row or column go to a discarded extra slot. The mesh is
+    held by weak reference: structures are cached on their mesh.
     """
 
-    def __init__(self, mesh: TriMesh, constraints: Constraints):
-        self.mesh = mesh
+    def __init__(self, mesh: TriMesh, constraints: Constraints,
+                 elements: np.ndarray | None = None):
+        self._mesh = weakref.ref(mesh)
         self.constraints = constraints
+        self.element_ids = slice(None) if elements is None else np.asarray(elements)
+        self._elements = mesh.elements[self.element_ids]
         n = self.n_free = constraints.n_free
-        local = constraints.dof_of_node[mesh.elements]
+        local = constraints.dof_of_node[self._elements]
 
         def keys(i, j):
             """Column-major position of entry (i, j) of every element, -1 if dropped."""
@@ -199,10 +218,21 @@ class Structure:
         self._free_nodes = np.flatnonzero(constraints.dof_of_node >= 0)
         # elements that carry the lift of nonzero fixed values onto free rows
         self._lift_elements = np.flatnonzero(
-            (constraints.fixed_values[mesh.elements] != 0.0).any(axis=1))
+            (constraints.fixed_values[self._elements] != 0.0).any(axis=1))
+
+    @property
+    def mesh(self) -> TriMesh:
+        mesh = self._mesh()
+        if mesh is None:
+            raise ReferenceError("the structure's mesh has been freed")
+        return mesh
+
+    @property
+    def n_elements(self) -> int:
+        return len(self._elements)
 
     def matrix(self, element_matrices: np.ndarray) -> sp.csc_matrix:
-        """R^T K R for the element matrices (n_elements, 3, 3).
+        """R^T K R for the covered elements' matrices (n_elements, 3, 3).
 
         Entries that sum to exactly zero are dropped: under an isotropic
         conductivity the two ends of a right triangle's hypotenuse do not
@@ -224,7 +254,7 @@ class Structure:
     def lift(self, element_matrices: np.ndarray) -> np.ndarray:
         """R^T K g: the fixed values' load on the free DOFs."""
         e = self._lift_elements
-        elems = self.mesh.elements[e]
+        elems = self._elements[e]
         g = self.constraints.fixed_values
         kg = np.einsum("eij,ej->ei", element_matrices[e], g[elems])
         return self.restrict(np.bincount(elems.ravel(), weights=kg.ravel(),
@@ -268,16 +298,14 @@ def structure(mesh: TriMesh, periodic: bool = False, gauge: int | None = None,
 @dataclass
 class SparseSystem:
     """A system reduced onto a constraint structure: R^T K R, the lift
-    R^T K g of the fixed values, and the full nodal load f."""
+    R^T K g of the fixed values, the full nodal load f, and the mesh
+    (held here, as a system is never cached on its mesh)."""
 
     structure: Structure
     matrix: sp.csc_matrix
     lift: np.ndarray
     rhs: np.ndarray
-
-    @property
-    def mesh(self) -> TriMesh:
-        return self.structure.mesh
+    mesh: TriMesh
 
     @property
     def constraints(self) -> Constraints:
@@ -296,9 +324,10 @@ class SparseSystem:
 
 
 def assemble(on: Structure, element_matrices: np.ndarray, rhs: np.ndarray) -> SparseSystem:
-    """Reduce element matrices (n_elements, 3, 3) and a nodal load onto a
-    structure; the element matrices are not kept."""
-    return SparseSystem(on, on.matrix(element_matrices), on.lift(element_matrices), rhs)
+    """Reduce the covered elements' matrices (n_elements, 3, 3) and a nodal
+    load onto a structure; the element matrices are not kept."""
+    return SparseSystem(on, on.matrix(element_matrices), on.lift(element_matrices), rhs,
+                        on.mesh)
 
 
 def isotropic_tensors(values) -> np.ndarray:
@@ -322,32 +351,64 @@ def _check_spd(tensors: np.ndarray) -> None:
         raise ValueError(f"element {bad}: conductivity tensor is not SPD")
 
 
-def element_stiffness(mesh: TriMesh, tensors: np.ndarray) -> np.ndarray:
-    """Element matrices a_e grad_i . K_e grad_j, shape (n_elements, 3, 3)."""
-    grads = mesh.grads
+def element_stiffness(mesh: TriMesh, tensors: np.ndarray,
+                      elements=slice(None)) -> np.ndarray:
+    """Element matrices a_e grad_i . K_e grad_j of the selected elements
+    (default all), one tensor each; shape (n_selected, 3, 3)."""
+    grads = mesh.grads[elements]
     ke = grads @ (tensors @ grads.transpose(0, 2, 1))
-    ke *= mesh.areas[:, None, None]
+    ke *= mesh.areas[elements][:, None, None]
     return ke
 
 
-def element_mass(mesh: TriMesh, lumped: bool = False) -> np.ndarray:
-    """Consistent (or row-sum lumped) P1 element mass matrices."""
+def element_mass(mesh: TriMesh, lumped: bool = False,
+                 elements=slice(None)) -> np.ndarray:
+    """Consistent (or row-sum lumped) P1 element mass matrices of the
+    selected elements (default all)."""
     local = _LUMPED_MASS if lumped else _CONSISTENT_MASS
-    return mesh.areas[:, None, None] * local
+    return mesh.areas[elements][:, None, None] * local
 
 
 def assemble_diffusion(mesh: TriMesh, tensors: np.ndarray,
                        on: Structure | None = None) -> SparseSystem:
-    """Diffusion system with zero load on a structure (default: unconstrained)."""
-    tensors = np.asarray(tensors, dtype=float)
-    if tensors.shape != (mesh.n_elements, 2, 2):
-        raise ValueError("tensors must have shape (n_elements, 2, 2)")
-    _check_spd(tensors)
+    """Diffusion system with zero load on a structure (default: unconstrained),
+    one tensor per element the structure covers."""
     if on is None:
         on = structure(mesh)
     elif on.mesh is not mesh:
         raise ValueError("structure belongs to another mesh")
-    return assemble(on, element_stiffness(mesh, tensors), np.zeros(mesh.n_nodes))
+    tensors = np.asarray(tensors, dtype=float)
+    if tensors.shape != (on.n_elements, 2, 2):
+        raise ValueError("tensors must have shape (n_elements, 2, 2)")
+    _check_spd(tensors)
+    return assemble(on, element_stiffness(mesh, tensors, on.element_ids),
+                    np.zeros(mesh.n_nodes))
+
+
+def _factor(matrix: sp.csc_matrix, **options):
+    try:
+        return spla.splu(matrix, **options)
+    except RuntimeError as exc:
+        raise SolverError(
+            "factorization failed (matrix singular); a Dirichlet or gauge "
+            f"constraint is likely missing: {exc}"
+        ) from exc
+
+
+def _check_solution(x: np.ndarray, residual: np.ndarray, b: np.ndarray) -> None:
+    """Enforce the relative-residual contract on a solve of A x = b."""
+    if not np.all(np.isfinite(x)):
+        raise SolverError(
+            "solve produced non-finite values; a gauge constraint is likely missing"
+        )
+    res = np.linalg.norm(residual)
+    scale = np.linalg.norm(b)
+    if res > SOLVE_RTOL * max(scale, 1e-300) and res > 1e-14:
+        raise SolverError(
+            f"residual {res:.3e} exceeds contract {SOLVE_RTOL} * {scale:.3e}; "
+            "if the operator is singular, a Dirichlet or gauge constraint "
+            "is likely missing"
+        )
 
 
 class Factorization:
@@ -355,16 +416,7 @@ class Factorization:
 
     def __init__(self, system: SparseSystem):
         self.system = system
-        if system.n_free == 0:
-            self._lu = None
-            return
-        try:
-            self._lu = spla.splu(system.matrix, permc_spec=ORDERING)
-        except RuntimeError as exc:
-            raise SolverError(
-                "factorization failed (matrix singular); a Dirichlet or gauge "
-                f"constraint is likely missing: {exc}"
-            ) from exc
+        self._lu = _factor(system.matrix, permc_spec=ORDERING) if system.n_free else None
 
     def solve(self, rhs_full: np.ndarray | None = None,
               homogeneous: bool = False) -> np.ndarray:
@@ -377,21 +429,163 @@ class Factorization:
         constraints = self.system.constraints
         if self._lu is None:
             return constraints.expand(np.zeros(0), homogeneous)
-        b = self.system.reduced_load(rhs_full, homogeneous)
-        x = self._lu.solve(b)
-        if not np.all(np.isfinite(x)):
-            raise SolverError(
-                "solve produced non-finite values; a gauge constraint is likely missing"
-            )
-        res = np.linalg.norm(self.system.matrix @ x - b)
-        scale = np.linalg.norm(b)
-        if res > SOLVE_RTOL * max(scale, 1e-300) and res > 1e-14:
-            raise SolverError(
-                f"residual {res:.3e} exceeds contract {SOLVE_RTOL} * {scale:.3e}; "
-                "if the operator is singular, a Dirichlet or gauge constraint "
-                "is likely missing"
-            )
+        x = self.solve_free(self.system.reduced_load(rhs_full, homogeneous))
         return constraints.expand(x, homogeneous)
+
+    def solve_free(self, b: np.ndarray) -> np.ndarray:
+        """The free-DOF solution of A x = b, under the residual contract."""
+        x = self._lu.solve(b)
+        _check_solution(x, self.system.matrix @ x - b, b)
+        return x
+
+
+_SYMMETRIC_PIVOTS = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0,
+                     "options": {"SymmetricMode": True}}   # keep a given order
+
+
+class Condensation:
+    """The fixed part of a system condensed onto the DOFs it shares with a
+    varying part, for operators refactored with new varying elements and
+    the same fixed ones.
+
+    ``fixed`` is assembled from the fixed elements alone;
+    ``varying_elements`` indexes the others. The free DOFs split into R
+    (on a varying element), I (off them but coupled to R by the fixed
+    operator) and G (the rest of the fixed region). The fixed block K_GG
+    is factored once, in minimum-degree order, and the interface Schur
+    complement S_I = K_II - K_IG K_GG^-1 K_GI is formed once. A varying
+    operator then needs only the SPD factorization of
+    [[S_I, K_IR], [K_RI, K_RR]], assembled on :attr:`varying` in that
+    [I, R] numbering (:meth:`factor`).
+
+    Holds the fixed operator, its lift and load, and the K_GG factor,
+    but not the mesh.
+    """
+
+    def __init__(self, fixed: SparseSystem, varying_elements: np.ndarray):
+        self.structure = on = fixed.structure
+        self.fixed_matrix = k = fixed.matrix
+        self.fixed_lift = fixed.lift
+        self.rhs = fixed.rhs
+        mesh = fixed.mesh
+        dof = on.constraints.dof_of_node
+        n = on.n_free
+
+        local = dof[mesh.elements[varying_elements]]
+        self.r = r = np.unique(local[local >= 0])
+        in_r = np.zeros(n, dtype=bool)
+        in_r[r] = True
+        coupled = np.zeros(n, dtype=bool)
+        coupled[k[:, r].indices] = True
+        self.i = i = np.flatnonzero(coupled & ~in_r)
+        g = np.flatnonzero(~coupled & ~in_r)
+
+        if len(g):
+            # SuperLU exposes its minimum-degree ordering only through a
+            # factorization; an incomplete one that drops every off-diagonal
+            # entry is the cheapest (perm_c[j] is column j's position)
+            ilu = spla.spilu(k[g][:, g], drop_tol=1.0, fill_factor=1, permc_spec=ORDERING)
+            g = g[np.argsort(ilu.perm_c)]
+            del ilu
+        self.g = g
+        self.schur = _interface_schur(k, g, i)
+        # factored after the K_FF factor behind S_I is freed: they never coexist
+        self._lu = _factor(k[g][:, g], **_SYMMETRIC_PIVOTS) if len(g) else None
+        self.k_ig = k[i][:, g]
+
+        n_i, n_ir = len(i), len(i) + len(r)
+        reduced_of = np.full(n, -1)
+        reduced_of[i] = np.arange(n_i)
+        reduced_of[r] = np.arange(n_i, n_ir)
+        self.varying = Structure(
+            mesh, Constraints(np.where(dof >= 0, reduced_of[dof], -1),
+                              on.constraints.fixed_values, on.constraints.record),
+            varying_elements)
+        ir = np.concatenate([i, r])
+
+        def leading(block):
+            block = block.tocoo()
+            return sp.csc_matrix((block.data, (block.row, block.col)), shape=(n_ir, n_ir))
+
+        # K_II is cancelled exactly before S_I replaces it
+        self.reduced_fixed = (k[ir][:, ir] - leading(k[i][:, i])) + leading(self.schur)
+
+    def factor(self, varying: SparseSystem) -> "CondensedFactorization":
+        """Factor the condensed system for varying elements assembled on
+        :attr:`varying`."""
+        if varying.structure is not self.varying:
+            raise ValueError("the varying system must be assembled on Condensation.varying")
+        return CondensedFactorization(self, varying)
+
+    def solve_g(self, b_g: np.ndarray) -> np.ndarray:
+        """K_GG^-1 b_G, both in the order of :attr:`g`."""
+        return b_g if self._lu is None else self._lu.solve(b_g)
+
+
+def _interface_schur(k: sp.csc_matrix, g: np.ndarray, i: np.ndarray) -> sp.csc_matrix:
+    """S_I = K_II - K_IG K_GG^-1 K_GI, read off the trailing block of a
+    factorization of K_FF (F = G + I) with I ordered last.
+
+    Diagonal pivots on an SPD matrix give U = D L^T, so the trailing
+    block L_II U_II is U_II^T D_I^-1 U_II and only U is copied out.
+    SuperLU postorders the elimination tree, which may move the I columns
+    but keeps the factor values, so the block is read at their positions.
+    The factor, with the U copy scipy caches on it, is dropped on return.
+    """
+    if not len(i):
+        return sp.csc_matrix((0, 0))
+    f = np.concatenate([g, i])
+    lu = _factor(k[f][:, f], **_SYMMETRIC_PIVOTS)
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise SolverError("the fixed block pivoted off its diagonal; it is not SPD")
+    pos = lu.perm_c[len(g):]
+    u_ii = lu.U[pos][:, pos]
+    return (u_ii.T @ sp.diags(1.0 / u_ii.diagonal()) @ u_ii).tocsc()
+
+
+class CondensedFactorization:
+    """A condensed system factored for one varying part.
+
+    Same contract as :class:`Factorization`: ``solve(rhs_full,
+    homogeneous)`` takes two K_GG solves and one reduced solve, and checks
+    the relative residual on the full system (K_fixed + K_varying) x = b.
+    """
+
+    def __init__(self, condensation: Condensation, varying: SparseSystem):
+        self.condensation = condensation
+        self.varying = varying
+        self.reduced = Factorization(
+            replace(varying, matrix=condensation.reduced_fixed + varying.matrix))
+
+    @property
+    def constraints(self) -> Constraints:
+        return self.condensation.structure.constraints
+
+    def solve(self, rhs_full: np.ndarray | None = None,
+              homogeneous: bool = False) -> np.ndarray:
+        """Solve for the given full-size load (default: the system's own);
+        ``homogeneous`` as in :meth:`Factorization.solve`."""
+        c = self.condensation
+        n_i = len(c.i)
+        if rhs_full is None:
+            rhs_full = c.rhs + self.varying.rhs
+        b = c.structure.restrict(rhs_full)
+        if not homogeneous:
+            b -= c.fixed_lift
+            b[c.r] -= self.varying.lift[n_i:]
+        # eliminate G from the load, solve the reduced system for x_I and
+        # x_R, then recover x_G
+        b_g = b[c.g]
+        z = self.reduced.solve_free(
+            np.concatenate([b[c.i] - c.k_ig @ c.solve_g(b_g), b[c.r]]))
+        x = np.empty_like(b)
+        x[c.i], x[c.r] = z[:n_i], z[n_i:]
+        x[c.g] = c.solve_g(b_g - c.k_ig.T @ x[c.i])
+
+        ax = c.fixed_matrix @ x
+        ax[c.r] += (self.varying.matrix @ z)[n_i:]
+        _check_solution(x, ax - b, b)
+        return self.constraints.expand(x, homogeneous)
 
 
 def solve(system: SparseSystem) -> ScalarField:

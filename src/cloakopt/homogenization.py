@@ -96,9 +96,8 @@ def cell_system(mesh: TriMesh, mat: CellMaterialField) -> fem.SparseSystem:
 def _corrector_rhs(mesh: TriMesh, k: np.ndarray, direction: int) -> np.ndarray:
     """Load for the unit-gradient cell problem: -sum_e k_e a_e e_i . grad N."""
     contrib = -(k * mesh.areas)[:, None] * mesh.grads[:, :, direction - 1]
-    rhs = np.zeros(mesh.n_nodes)
-    np.add.at(rhs, mesh.elements.ravel(), contrib.ravel())
-    return rhs
+    return np.bincount(mesh.elements.ravel(), weights=contrib.ravel(),
+                       minlength=mesh.n_nodes)
 
 
 def corrector_pair(mesh: TriMesh, mat: CellMaterialField):

@@ -8,6 +8,12 @@ factored state operator but carry objective-derivative loads and
 homogeneous Dirichlet data; their loads are the exact derivatives of the
 discrete objective values, so adjoint-based gradients match finite
 differences of the discrete objectives to solver precision.
+
+Across optimizer iterations only the sector tensors change, so
+:func:`state_factorization` condenses the exterior and obstacle blocks
+once per mesh, fills and edge temperatures, and then assembles and
+factors only the design ring with that interface. One-off solves
+(:func:`solve_state`, the reference field) factor the whole operator.
 """
 
 from __future__ import annotations
@@ -43,15 +49,18 @@ class MacroMaterialMap:
     k_exterior: float
     k_obstacle: float
 
+    def sector_matrices(self) -> np.ndarray:
+        """The sector tensors as an (8, 2, 2) array."""
+        return np.array([t.matrix if hasattr(t, "matrix") else np.asarray(t)
+                         for t in self.sector_tensors])
+
     def element_tensors(self, mesh: TriMesh) -> np.ndarray:
         t = np.zeros((mesh.n_elements, 2, 2))
         ext = mesh.region_mask(REGION_EXTERIOR)
         t[ext] = self.k_exterior * np.eye(2)
         obs = mesh.region_mask(REGION_OBSTACLE)
         t[obs] = self.k_obstacle * np.eye(2)
-        for l in range(SECTOR_FIRST, SECTOR_LAST + 1):
-            tensor = self.sector_tensors[l - 1]
-            mat = tensor.matrix if hasattr(tensor, "matrix") else np.asarray(tensor)
+        for l, mat in enumerate(self.sector_matrices(), start=SECTOR_FIRST):
             t[mesh.region_mask(l)] = mat
         return t
 
@@ -66,18 +75,41 @@ def ring_filled_map(k_ring: float, k_exterior: float, k_obstacle: float) -> Macr
                             k_exterior=k_exterior, k_obstacle=k_obstacle)
 
 
+def _fixed_edges(mesh: TriMesh, bc: BoundaryData) -> fem.Structure:
+    bc.validate()
+    return fem.structure(mesh, dirichlet=((GAMMA_A, bc.t_low), (GAMMA_B, bc.t_high)))
+
+
 def conduction_system(mesh: TriMesh, tensors: np.ndarray,
                       bc: BoundaryData) -> fem.SparseSystem:
     """Conduction with the given element tensors and fixed edge temperatures."""
-    bc.validate()
-    fixed_edges = fem.structure(mesh, dirichlet=((GAMMA_A, bc.t_low),
-                                                 (GAMMA_B, bc.t_high)))
-    return fem.assemble_diffusion(mesh, tensors, on=fixed_edges)
+    return fem.assemble_diffusion(mesh, tensors, on=_fixed_edges(mesh, bc))
 
 
 def state_system(mesh: TriMesh, matmap: MacroMaterialMap,
                  bc: BoundaryData) -> fem.SparseSystem:
     return conduction_system(mesh, matmap.element_tensors(mesh), bc)
+
+
+def state_factorization(mesh: TriMesh, matmap: MacroMaterialMap,
+                        bc: BoundaryData) -> fem.CondensedFactorization:
+    """The factored state operator, its exterior and obstacle blocks
+    condensed at first use for this mesh, fills and edge temperatures."""
+    def condense():
+        region = mesh.element_region
+        ring = (region >= SECTOR_FIRST) & (region <= SECTOR_LAST)
+        ke = fem.element_stiffness(mesh, matmap.element_tensors(mesh))
+        ke[ring] = 0.0
+        fixed = fem.assemble(_fixed_edges(mesh, bc), ke, np.zeros(mesh.n_nodes))
+        del ke      # freed before the condensation's factorizations peak memory
+        return fem.Condensation(fixed, np.flatnonzero(ring))
+
+    condensed = fem.cached(mesh, ("condensed state", matmap.k_exterior, matmap.k_obstacle,
+                                  bc.t_low, bc.t_high), condense)
+    ring = condensed.varying
+    sectors = mesh.element_region[ring.element_ids] - SECTOR_FIRST
+    return condensed.factor(
+        fem.assemble_diffusion(mesh, matmap.sector_matrices()[sectors], on=ring))
 
 
 def solve_state(mesh: TriMesh, matmap: MacroMaterialMap,
@@ -89,10 +121,11 @@ def solve_state(mesh: TriMesh, matmap: MacroMaterialMap,
 def reference_field(mesh: TriMesh, k_exterior: float,
                     bc: BoundaryData) -> fem.ScalarField:
     """The uniform-material temperature J1 compares against, solved at
-    first use and kept on the mesh for its conductivity and edge
-    temperatures."""
-    return fem.cached(mesh, ("reference", k_exterior, bc.t_low, bc.t_high),
-                      lambda: solve_state(mesh, uniform_map(k_exterior), bc))
+    first use; its values are kept on the mesh for its conductivity and
+    edge temperatures."""
+    values = fem.cached(mesh, ("reference", k_exterior, bc.t_low, bc.t_high),
+                        lambda: solve_state(mesh, uniform_map(k_exterior), bc).values)
+    return fem.ScalarField(values, mesh, "reference")
 
 
 def adjoint_load(mesh: TriMesh, objective: str, state: fem.ScalarField,
@@ -113,14 +146,13 @@ def adjoint_load(mesh: TriMesh, objective: str, state: fem.ScalarField,
     raise ValueError(f"unknown objective {objective!r}")
 
 
-def solve_adjoint(state_fact: fem.Factorization, objective: str,
-                  state: fem.ScalarField,
+def solve_adjoint(state_fact: fem.Factorization | fem.CondensedFactorization,
+                  objective: str, state: fem.ScalarField,
                   reference: fem.ScalarField | None = None) -> fem.ScalarField:
     """Adjoint field on the factored state operator: objective-derivative
     load, zero values on the fixed edges."""
-    mesh = state_fact.system.mesh
-    load = adjoint_load(mesh, objective, state, reference)
-    return fem.ScalarField(state_fact.solve(load, homogeneous=True), mesh, "adjoint")
+    load = adjoint_load(state.mesh, objective, state, reference)
+    return fem.ScalarField(state_fact.solve(load, homogeneous=True), state.mesh, "adjoint")
 
 
 def evaluate_objectives(state: fem.ScalarField, reference: fem.ScalarField,

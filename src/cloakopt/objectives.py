@@ -17,21 +17,18 @@ from .geometry import REGION_EXTERIOR, REGION_OBSTACLE, TriMesh
 
 def region_operators(mesh: TriMesh):
     """(M_E, A_C): the evaluation region's consistent mass matrix and the
-    obstacle region's unit-conductivity stiffness, built once per mesh on
-    one unconstrained structure that is then dropped (its pattern would
-    hold ~10 MB on a 100k-node mesh, and nothing else uses it)."""
+    obstacle region's unit-conductivity stiffness, built once per mesh,
+    each from its region's elements alone on an unconstrained structure
+    that is then dropped (nothing else uses it)."""
+    def region_matrix(region, element_matrices):
+        elements = np.flatnonzero(mesh.region_mask(region))
+        on = fem.Structure(mesh, fem.Constraints.none(mesh.n_nodes), elements)
+        return on.matrix(element_matrices(elements))
+
     def build():
-        on = fem.Structure(mesh, fem.Constraints.none(mesh.n_nodes))
-
-        def region_matrix(element_matrices, region):
-            element_matrices *= mesh.region_mask(region)[:, None, None]
-            return on.matrix(element_matrices)
-
-        # peak RSS depends on this allocation order through heap placement;
-        # BENCH_validation.json compares the orders tried
-        unit = fem.isotropic_tensors(np.ones(mesh.n_elements))
-        return (region_matrix(fem.element_mass(mesh), REGION_EXTERIOR),
-                region_matrix(fem.element_stiffness(mesh, unit), REGION_OBSTACLE))
+        return (region_matrix(REGION_EXTERIOR, lambda e: fem.element_mass(mesh, elements=e)),
+                region_matrix(REGION_OBSTACLE, lambda e: fem.element_stiffness(
+                    mesh, fem.isotropic_tensors(np.ones(len(e))), e)))
     return fem.cached(mesh, "region_operators", build)
 
 

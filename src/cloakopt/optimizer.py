@@ -192,7 +192,7 @@ class Evaluation:
 
     cells: list                       # (material, tensor, w1, w2) per cell
     temp: fem.ScalarField
-    state_fact: fem.Factorization     # state operator, reused by the adjoints
+    state_fact: fem.CondensedFactorization   # state operator, reused by the adjoints
     j1: float
     j2: float
     j: float
@@ -217,10 +217,8 @@ def evaluate(ws: Workspace, phis: list[LevelSetField], d: float,
     cells = _map_cells(cell_task, phis, threads)
     matmap = MacroMaterialMap(sector_tensors=[c[1] for c in cells],
                               k_exterior=sc.k_exterior, k_obstacle=sc.k_obstacle)
-    state_system = macro_solver.state_system(ws.macro_mesh, matmap, sc.bc)
-    state_fact = fem.Factorization(state_system)
-    temp = fem.ScalarField(state_fact.solve(), ws.macro_mesh,
-                           state_system.constraints.record)
+    state_fact = macro_solver.state_factorization(ws.macro_mesh, matmap, sc.bc)
+    temp = fem.ScalarField(state_fact.solve(), ws.macro_mesh, state_fact.constraints.record)
     j1, j2 = macro_solver.evaluate_objectives(temp, ws.t_steel, ws.macro_mesh)
     if sc.objective_mode == "normalized":
         j = j1 / ws.norm_denominator

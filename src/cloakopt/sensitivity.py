@@ -16,6 +16,7 @@ from __future__ import annotations
 import logging
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import fem
 from .geometry import TriMesh
@@ -74,20 +75,24 @@ def topological_tensor_fields(mesh: TriMesh, mat: CellMaterialField,
 def _average_to_nodes(mesh: TriMesh, element_values: np.ndarray) -> np.ndarray:
     """Area-weighted element-to-node transfer honouring periodic pairing."""
     flat = element_values.reshape(mesh.n_elements, -1)
-    acc = np.zeros((mesh.n_nodes, flat.shape[1]))
-    wsum = np.zeros(mesh.n_nodes)
-    w = np.repeat(mesh.areas, 3)
-    idx = mesh.elements.ravel()
+    nodal = fem.cached(mesh, "element_to_node", lambda: _element_to_node(mesh)) @ flat
+    return nodal.reshape((mesh.n_nodes,) + element_values.shape[1:])
+
+
+def _element_to_node(mesh: TriMesh):
+    """Sparse (n_nodes, n_elements) operator of the area-weighted average
+    over each node's elements; periodic slaves are averaged with their
+    masters, and a slave's row repeats its master's."""
+    nodes = np.arange(mesh.n_nodes)
     if mesh.periodic_pairs is not None:
-        remap = np.arange(mesh.n_nodes)
-        remap[mesh.periodic_pairs[:, 1]] = mesh.periodic_pairs[:, 0]
-        idx = remap[idx]
-    np.add.at(acc, idx, w[:, None] * np.repeat(flat, 3, axis=0))
-    np.add.at(wsum, idx, w)
-    acc /= wsum[:, None].clip(min=1e-300)
-    if mesh.periodic_pairs is not None:
-        acc[mesh.periodic_pairs[:, 1]] = acc[mesh.periodic_pairs[:, 0]]
-    return acc.reshape((mesh.n_nodes,) + element_values.shape[1:])
+        nodes[mesh.periodic_pairs[:, 1]] = mesh.periodic_pairs[:, 0]
+    rows = nodes[mesh.elements.ravel()]
+    cols = np.repeat(np.arange(mesh.n_elements), 3)
+    weights = np.repeat(mesh.areas, 3)
+    wsum = np.bincount(rows, weights=weights, minlength=mesh.n_nodes)
+    op = sp.csr_matrix((weights / wsum[rows], (rows, cols)),
+                       shape=(mesh.n_nodes, mesh.n_elements))
+    return op[nodes]
 
 
 def nodal_abs_integral(mesh: TriMesh, field: np.ndarray) -> float:

@@ -5,7 +5,8 @@ from cloakopt import fem
 from cloakopt import homogenization as hom
 from cloakopt import levelset as ls
 from cloakopt import macro_solver as ms
-from cloakopt.geometry import REGION_OBSTACLE, UnitCellGeometry, build_cell_mesh
+from cloakopt.geometry import (REGION_OBSTACLE, MacroGeometry, UnitCellGeometry,
+                               build_cell_mesh, build_macro_mesh)
 from cloakopt.macro_solver import BoundaryData, MacroMaterialMap
 
 from conftest import COPPER, PDMS, STEEL
@@ -111,3 +112,69 @@ def test_export_fields_writes_vtk(tmp_path, macro_mesh, bc, steel_field):
     assert "UNSTRUCTURED_GRID" in text
     assert "SCALARS T_sub" in text
     assert "VECTORS flux" in text
+
+
+def anisotropic_map():
+    tensors = []
+    for l in range(1, 9):
+        th = np.radians(20.0 * l)
+        r = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+        tensors.append(r @ np.diag([300.0 / l, 0.2 * l]) @ r.T)
+    return MacroMaterialMap(tensors, k_exterior=STEEL, k_obstacle=COPPER)
+
+
+def relative_difference(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("mesh_name", ["coarse_macro_mesh", "macro_mesh"])
+def test_condensed_solves_match_the_direct_factorization(mesh_name, request):
+    """State (with its Dirichlet lift) and both homogeneous adjoint loads."""
+    mesh = request.getfixturevalue(mesh_name)
+    bc = BoundaryData(0.5, 2.0)
+    matmap = anisotropic_map()
+    condensed = ms.state_factorization(mesh, matmap, bc)
+    direct = state_factorization(mesh, matmap, bc)
+    state = direct.solve()
+    assert relative_difference(condensed.solve(), state) <= 1e-12
+
+    temp = fem.ScalarField(state, mesh)
+    reference = ms.reference_field(mesh, STEEL, bc)
+    for objective in ("j1", "j2"):
+        load = ms.adjoint_load(mesh, objective, temp, reference)
+        want = direct.solve(load, homogeneous=True)
+        assert relative_difference(condensed.solve(load, homogeneous=True), want) <= 1e-12
+        v = ms.solve_adjoint(condensed, objective, temp, reference)
+        assert relative_difference(v.values, want) <= 1e-12
+
+
+def test_interface_schur_complement_matches_explicit(coarse_macro_mesh):
+    c = ms.state_factorization(coarse_macro_mesh, anisotropic_map(), BoundaryData()).condensation
+    k = c.fixed_matrix.toarray()
+    g, i = c.g, c.i
+    want = k[np.ix_(i, i)] - k[np.ix_(i, g)] @ np.linalg.solve(k[np.ix_(g, g)], k[np.ix_(g, i)])
+    assert len(i) > 0
+    assert relative_difference(c.schur.toarray(), want) <= 1e-12
+
+
+def test_corrupted_reduced_system_fails_the_full_residual(paper_geometry):
+    mesh = build_macro_mesh(paper_geometry, 0.25)     # its own cache, corrupted below
+    matmap, bc = anisotropic_map(), BoundaryData()
+    c = ms.state_factorization(mesh, matmap, bc).condensation
+    c.reduced_fixed = c.reduced_fixed * 1.01
+    fact = ms.state_factorization(mesh, matmap, bc)
+    fact.reduced.solve_free(np.ones(c.varying.n_free))   # the reduced solve itself holds
+    with pytest.raises(fem.SolverError, match="residual"):
+        fact.solve()
+
+
+@pytest.mark.parametrize("r_obstacle", [0.0, 0.3])
+def test_condensation_of_a_ring_covering_the_domain(r_obstacle):
+    """An oversize ring leaves no fixed DOF (r_obstacle 0) or only a few."""
+    mesh = build_macro_mesh(MacroGeometry(lx=2.0, ly=2.0, r_ring=5.0, r_obstacle=r_obstacle),
+                            0.1, allow_oversize=True)
+    matmap, bc = anisotropic_map(), BoundaryData()
+    condensed = ms.state_factorization(mesh, matmap, bc)
+    assert (len(condensed.condensation.g) == 0) == (r_obstacle == 0.0)
+    want = state_factorization(mesh, matmap, bc).solve()
+    assert relative_difference(condensed.solve(), want) <= 1e-12

@@ -1,12 +1,15 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
-from cloakopt import levelset
+from cloakopt import fem, levelset
 from cloakopt.geometry import MacroGeometry
 from cloakopt.macro_solver import BoundaryData
-from cloakopt.optimizer import DesignState, Scenario, Workspace, checkpoint, resume, run
+from cloakopt.optimizer import (DesignState, Scenario, Workspace, checkpoint, evaluate,
+                                resume, run, step)
 
 from conftest import COPPER, PDMS, STEEL
 
@@ -200,3 +203,59 @@ def test_mixed_weight_contracts_derivative_of_recorded_objective(monkeypatch):
     assert len(contracted) == 8 and len(derivatives) == 16
     for s_j, s1, s2 in zip(contracted, derivatives[0::2], derivatives[1::2]):
         np.testing.assert_array_equal(s_j, w * s1 + (1.0 - w) * s2)
+
+
+def test_evaluate_condenses_once_and_factors_only_the_ring(monkeypatch):
+    """The fixed blocks are factored once per mesh (K_FF to read S_I, then
+    K_GG for the solves); each evaluate factors one reduced ring system,
+    which the adjoints reuse; the full macro operator is never factored
+    after set-up."""
+    ws = Workspace(tiny_scenario())
+    condensations, building, fixed_factors, factored = [], [], [], []
+    factor = fem._factor
+
+    def counting_factor(matrix, **options):
+        if building:
+            fixed_factors.append(matrix.shape[0])
+        return factor(matrix, **options)
+
+    class CountingCondensation(fem.Condensation):
+        def __init__(self, *args):
+            building.append(self)
+            super().__init__(*args)
+            building.pop()
+            condensations.append(self)
+
+    class CountingFactorization(fem.Factorization):
+        def __init__(self, system):
+            super().__init__(system)
+            factored.append(system)
+
+    monkeypatch.setattr(fem, "_factor", counting_factor)
+    monkeypatch.setattr(fem, "Condensation", CountingCondensation)
+    monkeypatch.setattr(fem, "Factorization", CountingFactorization)
+    phis = ws.initial_phis()
+    for it, d in enumerate((0.2, 0.2, 0.1), start=1):
+        step(ws, evaluate(ws, phis, d), phis, it)
+    assert len(condensations) == 1
+    c = condensations[0]
+    assert fixed_factors == [len(c.g) + len(c.i), len(c.g)]
+    macro = [s for s in factored if s.mesh is ws.macro_mesh]
+    assert len(macro) == 3
+    assert all(s.structure is c.varying for s in macro)
+
+
+def test_evaluated_meshes_freed_without_the_cycle_collector():
+    """Nothing an evaluation caches on the macro or cell mesh holds the
+    mesh, so dropping the workspace frees both at once."""
+    gc.disable()
+    try:
+        ws = Workspace(tiny_scenario(w=0.5))
+        phis = ws.initial_phis()
+        step(ws, evaluate(ws, phis, 0.2), phis, 1)
+        meshes = [weakref.ref(ws.macro_mesh), weakref.ref(ws.cell_mesh)]
+        assert all(len(m().cache) > 1 for m in meshes)
+        del ws, phis
+        assert [m() for m in meshes] == [None, None]
+    finally:
+        gc.enable()

@@ -4,7 +4,7 @@ import pytest
 from cloakopt import fem
 from cloakopt import macro_solver as ms
 from cloakopt import sensitivity as sens
-from cloakopt.geometry import UnitCellGeometry, build_cell_mesh
+from cloakopt.geometry import TriMesh, UnitCellGeometry, build_cell_mesh
 from cloakopt.homogenization import CellMaterialField, corrector_pair
 from cloakopt.macro_solver import BoundaryData, MacroMaterialMap
 
@@ -169,3 +169,33 @@ def test_degenerate_norm_drops_term(cell_mesh_32, caplog):
             np.zeros(cell_mesh_32.n_nodes))
     assert np.all(jprime == 0.0)
     assert any("degenerate" in r.message for r in caplog.records)
+
+
+def jittered_cell_mesh(seed=5):
+    """A 16x16 periodic cell mesh with interior nodes moved, so element
+    areas differ."""
+    base = build_cell_mesh(UnitCellGeometry(16))
+    nodes = base.nodes.copy()
+    inner = np.all((nodes > 0.0) & (nodes < 1.0), axis=1)
+    nodes[inner] += np.random.default_rng(seed).uniform(-0.01, 0.01, (inner.sum(), 2))
+    return TriMesh(nodes=nodes, elements=base.elements, element_region=base.element_region,
+                   boundary_edges=base.boundary_edges, periodic_pairs=base.periodic_pairs)
+
+
+def test_average_to_nodes_matches_the_accumulating_loop():
+    """The cached sparse transfer against a per-element loop; the
+    summation order differs, so they agree to a few ulps."""
+    mesh = jittered_cell_mesh()
+    values = np.random.default_rng(6).normal(size=(mesh.n_elements, 2, 2))
+    master = np.arange(mesh.n_nodes)
+    master[mesh.periodic_pairs[:, 1]] = mesh.periodic_pairs[:, 0]
+    acc, wsum = np.zeros((mesh.n_nodes, 2, 2)), np.zeros(mesh.n_nodes)
+    for e, tri in enumerate(mesh.elements):
+        for node in master[tri]:
+            acc[node] += mesh.areas[e] * values[e]
+            wsum[node] += mesh.areas[e]
+    want = acc[master] / wsum[master][:, None, None]
+    got = sens._average_to_nodes(mesh, values)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    np.testing.assert_array_equal(got[mesh.periodic_pairs[:, 1]],
+                                  got[mesh.periodic_pairs[:, 0]])

@@ -138,6 +138,23 @@ def test_sweep_reuses_the_evaluated_mesh_and_reference(paper_geometry, cell_mesh
     assert (len(builds), len(solves)) == (1, 1)
 
 
+def test_solved_fine_mesh_freed_without_the_cycle_collector(paper_geometry, cell_mesh):
+    """Nothing a tiled solve caches on its mesh holds the mesh, so the
+    mesh goes with its last outside reference."""
+    spec = make_spec(paper_geometry, cell_mesh)
+    gc.collect()        # so no earlier test's mesh of this layout is still around
+    mesh = val.fine_mesh(spec)
+    gc.disable()
+    try:
+        val.evaluate_tiled(spec, mesh)
+        assert len(mesh.cache) >= 3    # structure, reference, region operators
+        released = weakref.ref(mesh)
+        del mesh
+        assert released() is None
+    finally:
+        gc.enable()
+
+
 def test_fine_mesh_shared_only_while_held(paper_geometry, cell_mesh):
     mesh = val.fine_mesh(make_spec(paper_geometry, cell_mesh))
     other = make_spec(dataclasses.replace(paper_geometry), cell_mesh, pattern=("uniform", 1.0))
