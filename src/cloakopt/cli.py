@@ -43,7 +43,7 @@ def _export_run_fields(cfg: RunConfig, state, out: Path) -> None:
                               k_exterior=sc.k_exterior, k_obstacle=sc.k_obstacle)
     temp = macro_solver.solve_state(mesh, matmap, sc.bc)
     macro_solver.export_fields(out / "macro_fields.vtk", mesh, temp,
-                               macro_solver.reference_field(mesh, sc.k_exterior, sc.bc),
+                               macro_solver.reference_field(mesh, sc.bc),
                                matmap)
     for f in state.phis:
         vtkio.write_vtk(out / f"cell_{f.cell_index}.vtk", f.mesh,
@@ -130,7 +130,7 @@ def cmd_validate(args) -> int:
     j1, j2, temp = validation.evaluate_tiled(spec, mesh)
 
     k = validation.tile_conductivity(spec, mesh)
-    reference = macro_solver.reference_field(mesh, spec.k_exterior, spec.bc)
+    reference = macro_solver.reference_field(mesh, spec.bc)
     vtkio.write_vtk(out / "tiled.vtk", mesh,
                     point_data={"T": temp.values,
                                 "T_sub": temp.values - reference.values},

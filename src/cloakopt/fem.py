@@ -28,9 +28,9 @@ optimizer iterations (only the design ring's tensors change):
 :class:`Condensation` factors the fixed part once and condenses it onto
 the DOFs it shares with the varying part, and each refactorization
 (:class:`CondensedFactorization`) factors only the varying part plus
-that interface. One-off solves (reference fields, tiled validation,
-exports) stay direct: they factor each operator once, so condensing it
-would only add the fixed block's factorization.
+that interface. One-off solves (tiled validation, the normalized-mode
+fill, exports) stay direct: they factor each operator once, so
+condensing it would only add the fixed block's factorization.
 """
 
 from __future__ import annotations

@@ -41,9 +41,6 @@ class LevelSetField:
     cell_index: int = 0
     d: float = 0.2
 
-    def clamp(self) -> None:
-        np.clip(self.phi, -1.0, 1.0, out=self.phi)
-
     def chi_nodes(self, d: float | None = None) -> np.ndarray:
         return characteristic(self.phi, self.d if d is None else d)
 

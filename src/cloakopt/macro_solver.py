@@ -13,7 +13,8 @@ Across optimizer iterations only the sector tensors change, so
 :func:`state_factorization` condenses the exterior and obstacle blocks
 once per mesh, fills and edge temperatures, and then assembles and
 factors only the design ring with that interface. One-off solves
-(:func:`solve_state`, the reference field) factor the whole operator.
+(:func:`solve_state`) factor the whole operator; the reference field is
+a closed form (:func:`reference_field`).
 """
 
 from __future__ import annotations
@@ -65,11 +66,6 @@ class MacroMaterialMap:
         return t
 
 
-def uniform_map(k: float) -> MacroMaterialMap:
-    return MacroMaterialMap(sector_tensors=[k * np.eye(2)] * 8,
-                            k_exterior=k, k_obstacle=k)
-
-
 def ring_filled_map(k_ring: float, k_exterior: float, k_obstacle: float) -> MacroMaterialMap:
     return MacroMaterialMap(sector_tensors=[k_ring * np.eye(2)] * 8,
                             k_exterior=k_exterior, k_obstacle=k_obstacle)
@@ -118,14 +114,18 @@ def solve_state(mesh: TriMesh, matmap: MacroMaterialMap,
     return fem.solve(state_system(mesh, matmap, bc))
 
 
-def reference_field(mesh: TriMesh, k_exterior: float,
-                    bc: BoundaryData) -> fem.ScalarField:
-    """The uniform-material temperature J1 compares against, solved at
-    first use; its values are kept on the mesh for its conductivity and
-    edge temperatures."""
-    values = fem.cached(mesh, ("reference", k_exterior, bc.t_low, bc.t_high),
-                        lambda: solve_state(mesh, uniform_map(k_exterior), bc).values)
-    return fem.ScalarField(values, mesh, "reference")
+def reference_field(mesh: TriMesh, bc: BoundaryData) -> fem.ScalarField:
+    """The uniform-plate temperature J1 compares against: the linear ramp
+    from t_low at x0 to t_high at x1, taking both edge values exactly.
+
+    It is the discrete P1 solution for any uniform conductivity k: for
+    grad u = (c, 0), the row of free node i is k c times the boundary
+    integral of N_i n_x, zero at interior nodes and on the adiabatic edges.
+    """
+    bc.validate()
+    x0, x1 = mesh.extent[:2]
+    s = (mesh.nodes[:, 0] - x0) / (x1 - x0)
+    return fem.ScalarField(bc.t_low * (1.0 - s) + bc.t_high * s, mesh, "reference")
 
 
 def adjoint_load(mesh: TriMesh, objective: str, state: fem.ScalarField,

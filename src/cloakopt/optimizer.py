@@ -92,6 +92,9 @@ class Scenario:
             raise ValueError(f"unknown objective_mode {self.objective_mode!r}")
         if self.objective_mode == "normalized" and self.normalization_fill is None:
             raise ValueError("normalized mode needs normalization_fill")
+        if (self.objective_mode == "normalized"
+                and self.normalization_fill == self.k_exterior == self.k_obstacle):
+            raise ValueError("normalization field coincides with the reference")
 
     def d_at(self, iteration: int) -> float:
         d = self.d_schedule[0][1]
@@ -157,8 +160,7 @@ class Workspace:
         self.macro_mesh = build_macro_mesh(scenario.geometry, scenario.macro_h,
                                            allow_oversize=scenario.allow_oversize)
         self.cell_mesh = build_cell_mesh(UnitCellGeometry(scenario.cell_resolution))
-        self.t_steel = macro_solver.reference_field(self.macro_mesh, scenario.k_exterior,
-                                                    scenario.bc)
+        self.t_steel = macro_solver.reference_field(self.macro_mesh, scenario.bc)
         self.norm_denominator = None
         if scenario.objective_mode == "normalized":
             worst = macro_solver.solve_state(
@@ -168,8 +170,6 @@ class Workspace:
                 scenario.bc)
             self.norm_denominator = objectives.mismatch(
                 worst.values, self.t_steel.values, self.macro_mesh)
-            if self.norm_denominator <= 0:
-                raise ValueError("normalization field coincides with the reference")
         self.updater = levelset.ReactionDiffusionUpdater(
             self.cell_mesh, scenario.k_phi, scenario.tau)
 
@@ -281,6 +281,8 @@ def run(scenario: Scenario, out_dir=None, resume_from: DesignState | None = None
     """
     if checkpoint_every < 1:
         raise ValueError("checkpoint_every must be at least 1")
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     ws = Workspace(scenario)
     sc = scenario
     out_dir = Path(out_dir) if out_dir is not None else None

@@ -10,7 +10,7 @@ robustness sweep re-solves with an asymmetric insulating obstacle at a
 set of rotation angles.
 
 Tilings of one layout share one fine mesh while it is held, and with it
-the mesh's solver structure, objective operators and reference field.
+the mesh's solver structure and objective operators.
 """
 
 from __future__ import annotations
@@ -127,14 +127,14 @@ def evaluate_tiled(spec: TilingSpec, mesh: TriMesh | None = None,
     """Solve raw conduction on the tiled structure; returns (J1, J2, T).
 
     ``mesh`` defaults to :func:`fine_mesh`; J1 compares against the
-    mesh's reference field, solved at its first use.
+    reference ramp on that mesh (:func:`macro_solver.reference_field`).
     """
     if mesh is None:
         mesh = fine_mesh(spec)
     k = tile_conductivity(spec, mesh, obstacle)
     temp = fem.solve(macro_solver.conduction_system(mesh, fem.isotropic_tensors(k),
                                                     spec.bc))
-    reference = macro_solver.reference_field(mesh, spec.k_exterior, spec.bc)
+    reference = macro_solver.reference_field(mesh, spec.bc)
     j1 = objectives.mismatch(temp.values, reference.values, mesh)
     j2 = objectives.gradient_energy(temp.values, mesh)
     return j1, j2, temp

@@ -130,7 +130,7 @@ def test_criterion_03_adjoint_matches_finite_differences():
     geom = MacroGeometry(lx=5.0, ly=8.0, r_ring=1.35, r_obstacle=0.4)
     mesh = build_macro_mesh(geom, 0.25)          # ~600 elements
     bc = BoundaryData(0.0, 1.0)
-    steel = ms.solve_state(mesh, ms.uniform_map(STEEL), bc)
+    steel = ms.reference_field(mesh, bc)
 
     tensors = []
     for l in range(1, 9):
@@ -269,7 +269,7 @@ def test_criterion_09_epsilon_convergence():
     geom = MacroGeometry(lx=5.0, ly=8.0, r_ring=1.35, r_obstacle=0.4)
     macro = build_macro_mesh(geom, 0.0625)
     bc = BoundaryData(0.0, 1.0)
-    steel = ms.solve_state(macro, ms.uniform_map(STEEL), bc)
+    steel = ms.reference_field(macro, bc)
     cell = build_cell_mesh(UnitCellGeometry(64))
     f = ls.initialize(cell, ("disk", 0.25), d=0.2)
     mat = hom.material_from_levelset(f, COPPER, PDMS)

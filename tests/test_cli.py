@@ -100,6 +100,22 @@ def test_checkpoint_every_below_one_exit_code(tmp_path, capsys):
     assert "checkpoint_every" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exit_code(tmp_path, capsys, threads):
+    path = small_config(tmp_path)
+    assert optimize_exit_code(tmp_path, path, "--threads", threads) == 2
+    assert "threads must be at least 1" in capsys.readouterr().err
+
+
+def test_normalization_fill_equal_to_both_fills_exit_code(tmp_path, capsys):
+    path = small_config(tmp_path, objective={"mode": "normalized"},
+                        materials={"obstacle": 67.0, "normalization_fill": 67.0})
+    with pytest.raises(ConfigError, match="coincides with the reference"):
+        parse_config(path)
+    assert optimize_exit_code(tmp_path, path) == 2
+    assert "coincides with the reference" in capsys.readouterr().err
+
+
 def test_malformed_json_reports_line(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"geometry": {,}}')

@@ -19,12 +19,28 @@ def bc():
 
 @pytest.fixture(scope="module")
 def steel_field(macro_mesh, bc):
-    return ms.solve_state(macro_mesh, ms.uniform_map(STEEL), bc)
+    return ms.reference_field(macro_mesh, bc)
 
 
-def test_uniform_steel_is_linear_profile(macro_mesh, bc, steel_field):
-    exact = (macro_mesh.nodes[:, 0] + 2.5) / 5.0
-    assert np.abs(steel_field.values - exact).max() < 1e-10
+@pytest.fixture(scope="module")
+def oversize_mesh():
+    """A tiling layout whose ring covers the whole domain."""
+    return build_macro_mesh(MacroGeometry(lx=2.0, ly=2.0, r_ring=5.0, r_obstacle=0.3),
+                            0.05, allow_oversize=True)
+
+
+@pytest.mark.parametrize("k", [STEEL, 1.0])
+@pytest.mark.parametrize("t_low, t_high", [(0.0, 1.0), (0.5, 2.0)])
+@pytest.mark.parametrize("mesh_name", ["macro_mesh", "oversize_mesh"])
+def test_uniform_steel_is_linear_profile(mesh_name, t_low, t_high, k, request):
+    """The closed-form reference is the direct solve of any uniform plate."""
+    mesh = request.getfixturevalue(mesh_name)
+    bc = BoundaryData(t_low, t_high)
+    ramp = ms.reference_field(mesh, bc).values
+    direct = ms.solve_state(mesh, ms.ring_filled_map(k, k, k), bc).values
+    assert np.abs(ramp - direct).max() <= 1e-10
+    assert np.all(ramp[np.unique(mesh.boundary_edges["gamma_a"])] == t_low)
+    assert np.all(ramp[np.unique(mesh.boundary_edges["gamma_b"])] == t_high)
 
 
 def test_sector_tensors_equal_steel_reproduces_reference(macro_mesh, bc, steel_field):
@@ -60,25 +76,25 @@ def test_state_flux_balance_and_bounds(macro_mesh, bc):
     assert ms.temperature_bounds_violation(temp, bc) <= 1e-6
 
 
-def state_factorization(mesh, matmap, bc):
+def direct_factorization(mesh, matmap, bc):
     return fem.Factorization(ms.state_system(mesh, matmap, bc))
 
 
 def test_adjoint_zero_when_state_matches_reference(macro_mesh, bc, steel_field):
-    fact = state_factorization(macro_mesh, ms.uniform_map(STEEL), bc)
+    fact = direct_factorization(macro_mesh, ms.ring_filled_map(STEEL, STEEL, STEEL), bc)
     v = ms.solve_adjoint(fact, "j1", steel_field, steel_field)
     assert np.abs(v.values).max() < 1e-12
 
 
 def test_adjoint_j2_zero_for_flat_interior(macro_mesh, bc):
-    fact = state_factorization(macro_mesh, ms.uniform_map(STEEL), bc)
+    fact = direct_factorization(macro_mesh, ms.ring_filled_map(STEEL, STEEL, STEEL), bc)
     flat = fem.ScalarField(np.full(macro_mesh.n_nodes, 0.25), macro_mesh)
     v = ms.solve_adjoint(fact, "j2", flat)
     assert np.abs(v.values).max() < 1e-12
 
 
 def test_adjoint_vanishes_on_fixed_edges(macro_mesh, bc, steel_field):
-    fact = state_factorization(macro_mesh, ms.ring_filled_map(COPPER, STEEL, COPPER), bc)
+    fact = direct_factorization(macro_mesh, ms.ring_filled_map(COPPER, STEEL, COPPER), bc)
     temp = fem.ScalarField(fact.solve(), macro_mesh)
     v = ms.solve_adjoint(fact, "j1", temp, steel_field)
     for tag in ("gamma_a", "gamma_b"):
@@ -134,12 +150,12 @@ def test_condensed_solves_match_the_direct_factorization(mesh_name, request):
     bc = BoundaryData(0.5, 2.0)
     matmap = anisotropic_map()
     condensed = ms.state_factorization(mesh, matmap, bc)
-    direct = state_factorization(mesh, matmap, bc)
+    direct = direct_factorization(mesh, matmap, bc)
     state = direct.solve()
     assert relative_difference(condensed.solve(), state) <= 1e-12
 
     temp = fem.ScalarField(state, mesh)
-    reference = ms.reference_field(mesh, STEEL, bc)
+    reference = ms.reference_field(mesh, bc)
     for objective in ("j1", "j2"):
         load = ms.adjoint_load(mesh, objective, temp, reference)
         want = direct.solve(load, homogeneous=True)
@@ -176,5 +192,5 @@ def test_condensation_of_a_ring_covering_the_domain(r_obstacle):
     matmap, bc = anisotropic_map(), BoundaryData()
     condensed = ms.state_factorization(mesh, matmap, bc)
     assert (len(condensed.condensation.g) == 0) == (r_obstacle == 0.0)
-    want = state_factorization(mesh, matmap, bc).solve()
+    want = direct_factorization(mesh, matmap, bc).solve()
     assert relative_difference(condensed.solve(), want) <= 1e-12

@@ -24,7 +24,7 @@ def synthetic_sector_tensors():
 @pytest.fixture(scope="module")
 def fd_setup(coarse_macro_mesh):
     mesh = coarse_macro_mesh
-    steel = ms.solve_state(mesh, ms.uniform_map(STEEL), BC)
+    steel = ms.reference_field(mesh, BC)
     tensors = synthetic_sector_tensors()
     matmap = MacroMaterialMap(list(tensors), k_exterior=STEEL, k_obstacle=COPPER)
     fact = fem.Factorization(ms.state_system(mesh, matmap, BC))
