@@ -117,7 +117,17 @@ def _initial_phis(cfg: RunConfig):
             for l in range(SECTOR_FIRST, SECTOR_LAST + 1)]
 
 
+def _sweep_angles(text: str | None, k_obstacle: float) -> list[float]:
+    """The comma-separated angles of ``--psi``, each checked with
+    ``--obstacle-k`` before anything is solved."""
+    psi = [float(p) for p in text.split(",")] if text else []
+    for p in psi:
+        validation.ObstacleSpec(p, k_obstacle)
+    return psi
+
+
 def cmd_validate(args) -> int:
+    psi = _sweep_angles(args.psi, args.obstacle_k)
     run_dir = Path(args.run)
     cfg, state = _load_run(run_dir, args.config)
     out = Path(args.out) if args.out else run_dir / "validation"
@@ -143,8 +153,7 @@ def cmd_validate(args) -> int:
     for row in rows:
         print(" ".join(str(c) for c in row))
 
-    if args.psi:
-        psi = [float(p) for p in args.psi.split(",")]
+    if psi:
         table = validation.robustness_sweep(
             {"design": spec}, psi, j1_init,
             k_obstacle_insert=args.obstacle_k)
@@ -162,6 +171,7 @@ def _write_sweep(path, table) -> None:
 
 
 def cmd_sweep(args) -> int:
+    psi = _sweep_angles(args.psi, args.obstacle_k)
     designs = {}
     cfg0 = None
     for item in args.run:
@@ -174,7 +184,6 @@ def cmd_sweep(args) -> int:
     if cfg0 is None:
         raise ConfigError("at least one --run NAME=DIR is required")
 
-    psi = [float(p) for p in args.psi.split(",")] if args.psi else []
     init_spec = _tiling_from(cfg0, _initial_phis(cfg0), args.epsilon0)
     # held through the sweep, so designs on the same layout reuse it
     mesh = validation.fine_mesh(init_spec)

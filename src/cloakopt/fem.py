@@ -22,15 +22,25 @@ into the fixed slots. Objects cached on a mesh never hold the mesh
 strongly, so a mesh is freed as soon as its last outside reference goes.
 
 Most solves factor the whole reduced operator (:class:`Factorization`).
-The one exception is an operator refactored many times with only a fixed
-subset of its elements changing, as the macro state operator is across
-optimizer iterations (only the design ring's tensors change):
-:class:`Condensation` factors the fixed part once and condenses it onto
-the DOFs it shares with the varying part, and each refactorization
-(:class:`CondensedFactorization`) factors only the varying part plus
-that interface. One-off solves (tiled validation, the normalized-mode
-fill, exports) stay direct: they factor each operator once, so
-condensing it would only add the fixed block's factorization.
+The exception is an operator refactored many times with only a fixed
+subset of its elements changing: the macro state operator across
+optimizer iterations (only the design ring's tensors change) and the
+tiled operator across the obstacle angles of a robustness sweep (only
+the insert's disk changes). :class:`Condensation` factors the fixed part
+once and condenses it onto the DOFs it shares with the varying part, and
+each refactorization (:class:`CondensedFactorization`) factors only the
+varying part plus that interface. One-off solves (a single tiled
+evaluation, the normalized-mode fill, exports) stay direct: they factor
+each operator once, so condensing it would only add the fixed block's
+factorization.
+
+The interface Schur complement S_I comes by one of two routes, chosen by
+size. Where the interface is small against the fixed block
+(4 |I| <= sqrt(|G|), as for the sweep's insert), it is formed from |I|
+solves on the fixed block's factor, which the condensation keeps anyway.
+Otherwise (the macro design ring, whose interface is 1.2-1.4 sqrt(|G|)),
+those solves would cost more than a second factorization, so S_I is read
+off a throwaway factor of the whole fixed part with the interface last.
 """
 
 from __future__ import annotations
@@ -340,11 +350,16 @@ def isotropic_tensors(values) -> np.ndarray:
 
 
 def _check_spd(tensors: np.ndarray) -> None:
-    tr = tensors[:, 0, 0] + tensors[:, 1, 1]
-    det = tensors[:, 0, 0] * tensors[:, 1, 1] - tensors[:, 0, 1] * tensors[:, 1, 0]
-    asym = np.abs(tensors[:, 0, 1] - tensors[:, 1, 0])
-    scale = np.abs(tensors).max(axis=(1, 2)) + 1e-300
-    if np.any(asym > 1e-10 * scale):
+    if not np.isfinite(tensors).all():
+        bad = int(np.flatnonzero(~np.isfinite(tensors).all(axis=(1, 2)))[0])
+        raise ValueError(f"element {bad}: conductivity tensor is not finite")
+    # entry-wise on the (M,) columns: reductions over the 2x2 axes cost ~5x more
+    k11, k12, k21, k22 = tensors[:, 0, 0], tensors[:, 0, 1], tensors[:, 1, 0], tensors[:, 1, 1]
+    tr = k11 + k22
+    det = k11 * k22 - k12 * k21
+    scale = np.maximum(np.maximum(np.abs(k11), np.abs(k12)),
+                       np.maximum(np.abs(k21), np.abs(k22))) + 1e-300
+    if np.any(np.abs(k12 - k21) > 1e-10 * scale):
         raise ValueError("element conductivity tensors must be symmetric")
     if np.any(tr <= 0) or np.any(det <= 0):
         bad = int(np.flatnonzero((tr <= 0) | (det <= 0))[0])
@@ -453,13 +468,13 @@ class Condensation:
     (on a varying element), I (off them but coupled to R by the fixed
     operator) and G (the rest of the fixed region). The fixed block K_GG
     is factored once, in minimum-degree order, and the interface Schur
-    complement S_I = K_II - K_IG K_GG^-1 K_GI is formed once. A varying
-    operator then needs only the SPD factorization of
-    [[S_I, K_IR], [K_RI, K_RR]], assembled on :attr:`varying` in that
-    [I, R] numbering (:meth:`factor`).
+    complement S_I = K_II - K_IG K_GG^-1 K_GI is formed once, by the
+    route :func:`_solves_form_schur` picks. A varying operator then needs
+    only the SPD factorization of [[S_I, K_IR], [K_RI, K_RR]], assembled
+    on :attr:`varying` in that [I, R] numbering (:meth:`factor`).
 
-    Holds the fixed operator, its lift and load, and the K_GG factor,
-    but not the mesh.
+    Holds the fixed operator, its lift and load, the K_GG factor and
+    K_GG^-1 b_G of the last system load, but not the mesh.
     """
 
     def __init__(self, fixed: SparseSystem, varying_elements: np.ndarray):
@@ -488,10 +503,15 @@ class Condensation:
             g = g[np.argsort(ilu.perm_c)]
             del ilu
         self.g = g
-        self.schur = _interface_schur(k, g, i)
-        # factored after the K_FF factor behind S_I is freed: they never coexist
-        self._lu = _factor(k[g][:, g], **_SYMMETRIC_PIVOTS) if len(g) else None
         self.k_ig = k[i][:, g]
+        self._load: tuple[np.ndarray, np.ndarray] | None = None
+        solves = _solves_form_schur(len(i), len(g))
+        if not solves:
+            self.schur = _interface_schur(k, g, i)
+        # factored after the K_FF factor behind a read S_I is freed: they never coexist
+        self._lu = _factor(k[g][:, g], **_SYMMETRIC_PIVOTS) if len(g) else None
+        if solves:
+            self.schur = self._solved_schur(k[i][:, i])
 
         n_i, n_ir = len(i), len(i) + len(r)
         reduced_of = np.full(n, -1)
@@ -510,6 +530,16 @@ class Condensation:
         # K_II is cancelled exactly before S_I replaces it
         self.reduced_fixed = (k[ir][:, ir] - leading(k[i][:, i])) + leading(self.schur)
 
+    def _solved_schur(self, k_ii: sp.csc_matrix) -> sp.csc_matrix:
+        """S_I from one K_GG solve per interface DOF, symmetrized. Column
+        by column: solving the dense |G| x |I| block at once raised the
+        tiled sweep's peak RSS by ~40 MB."""
+        k_ig = self.k_ig.tocsr()
+        s = k_ii.toarray()
+        for j in range(len(self.i)):
+            s[:, j] -= k_ig @ self.solve_g(k_ig[j].toarray().ravel())
+        return sp.csc_matrix(0.5 * (s + s.T))
+
     def factor(self, varying: SparseSystem) -> "CondensedFactorization":
         """Factor the condensed system for varying elements assembled on
         :attr:`varying`."""
@@ -520,6 +550,31 @@ class Condensation:
     def solve_g(self, b_g: np.ndarray) -> np.ndarray:
         """K_GG^-1 b_G, both in the order of :attr:`g`."""
         return b_g if self._lu is None else self._lu.solve(b_g)
+
+    def solve_load_g(self, b_g: np.ndarray) -> np.ndarray:
+        """:meth:`solve_g` for the G part of a system load (its own load less
+        the lift), reused while b_G is unchanged: the varying elements' lift
+        touches only R, so every varying part of one condensation has the
+        same b_G."""
+        if self._load is None or not np.array_equal(self._load[0], b_g):
+            self._load = (b_g.copy(), self.solve_g(b_g))
+        return self._load[1]
+
+
+def _solves_form_schur(n_i: int, n_g: int) -> bool:
+    """Whether S_I is formed from |I| solves on the K_GG factor rather than
+    read off a throwaway factor of K_FF (:func:`_interface_schur`).
+
+    The solves cost |I| K_GG solves, the throwaway route one more
+    factorization; on a 2D mesh a factorization costs some sqrt(|G|)
+    solves. Measured, they break even near |I| = 0.10 sqrt(|G|) for the
+    tiled insert at eps0 = 1/9 and 0.17 sqrt(|G|) for the macro ring at
+    h = 1/64. The threshold 1/4 leans to the solves because they also
+    peak lower in memory (the throwaway factor coexists with the copy of
+    its U that scipy makes); the insert (0.08) and the rings (1.2-1.4 from
+    h = 1/4 to 1/64) lie well to either side.
+    """
+    return 4 * n_i <= np.sqrt(n_g)
 
 
 def _interface_schur(k: sp.csc_matrix, g: np.ndarray, i: np.ndarray) -> sp.csc_matrix:
@@ -547,8 +602,10 @@ class CondensedFactorization:
     """A condensed system factored for one varying part.
 
     Same contract as :class:`Factorization`: ``solve(rhs_full,
-    homogeneous)`` takes two K_GG solves and one reduced solve, and checks
-    the relative residual on the full system (K_fixed + K_varying) x = b.
+    homogeneous)`` takes two K_GG solves (one for an inhomogeneous load
+    whose b_G the condensation has solved before) and one reduced solve,
+    and checks the relative residual on the full system
+    (K_fixed + K_varying) x = b.
     """
 
     def __init__(self, condensation: Condensation, varying: SparseSystem):
@@ -576,8 +633,8 @@ class CondensedFactorization:
         # eliminate G from the load, solve the reduced system for x_I and
         # x_R, then recover x_G
         b_g = b[c.g]
-        z = self.reduced.solve_free(
-            np.concatenate([b[c.i] - c.k_ig @ c.solve_g(b_g), b[c.r]]))
+        y_g = c.solve_g(b_g) if homogeneous else c.solve_load_g(b_g)
+        z = self.reduced.solve_free(np.concatenate([b[c.i] - c.k_ig @ y_g, b[c.r]]))
         x = np.empty_like(b)
         x[c.i], x[c.r] = z[:n_i], z[n_i:]
         x[c.g] = c.solve_g(b_g - c.k_ig.T @ x[c.i])

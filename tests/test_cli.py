@@ -207,3 +207,26 @@ def test_resume_flag_continues(tmp_path, capsys):
     assert rc == 0
     rows = (out / "history.csv").read_text().splitlines()
     assert len(rows) == 1 + 5
+
+
+@pytest.fixture(scope="module")
+def short_run(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("short")
+    out = tmp / "run"
+    assert cli.main(["optimize", "--config", str(small_config(tmp)), "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("flags", [["--psi", "nan"], ["--psi", "0,inf"],
+                                   ["--psi", "0", "--obstacle-k", "nan"],
+                                   ["--psi", "0", "--obstacle-k", "0"]])
+@pytest.mark.parametrize("command", ["validate", "sweep"])
+def test_bad_obstacle_exit_code(short_run, tmp_path, capsys, command, flags):
+    """A non-finite angle or a non-positive or non-finite insert
+    conductivity is a configuration error, for both sweeping commands."""
+    run = str(short_run) if command == "validate" else f"short={short_run}"
+    out = tmp_path / ("validation" if command == "validate" else "sweep.csv")
+    rc = cli.main([command, "--run", run, "--epsilon0", "0.25", "--out", str(out), *flags])
+    assert rc == 2
+    assert "obstacle" in capsys.readouterr().err
+    assert not out.exists()

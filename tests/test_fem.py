@@ -60,6 +60,15 @@ def test_non_spd_tensor_rejected():
         fem.assemble_diffusion(mesh, tensors)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_tensor_rejected(value):
+    mesh = unit_square_mesh(8)
+    tensors = fem.isotropic_tensors(np.ones(mesh.n_elements))
+    tensors[5, 0, 0] = value
+    with pytest.raises(ValueError, match="element 5: conductivity tensor is not finite"):
+        fem.assemble_diffusion(mesh, tensors)
+
+
 def patch_solution(mesh):
     boundary = np.unique(np.concatenate([e.ravel() for e in
                                          mesh.boundary_edges.values()]))

@@ -173,6 +173,48 @@ def test_interface_schur_complement_matches_explicit(coarse_macro_mesh):
     assert relative_difference(c.schur.toarray(), want) <= 1e-12
 
 
+@pytest.mark.parametrize("mesh_name", ["coarse_macro_mesh", "macro_mesh"])
+def test_macro_ring_reads_the_schur_complement_off_a_throwaway_factor(mesh_name, request,
+                                                                     monkeypatch):
+    """The ring's interface is too large for |I| solves on the K_GG factor."""
+    mesh = request.getfixturevalue(mesh_name)
+    read = []
+    schur = fem._interface_schur
+    monkeypatch.setattr(fem, "_interface_schur", lambda *a: read.append(a) or schur(*a))
+    region = mesh.element_region
+    ring = (region >= 1) & (region <= 8)
+    c = ms.condensed_conduction(mesh, anisotropic_map().element_tensors(mesh), ring,
+                                BoundaryData())
+    assert len(read) == 1
+    assert 4 * len(c.i) > np.sqrt(len(c.g))
+
+
+def test_system_load_reuses_its_fixed_block_solve(macro_mesh, monkeypatch):
+    """A second varying part with the same system load makes one K_GG solve
+    instead of two and gets the bit-identical answer; homogeneous loads
+    always solve."""
+    matmap, bc = anisotropic_map(), BoundaryData(0.5, 2.0)
+    first = ms.state_factorization(macro_mesh, matmap, bc)
+    first.solve()
+    c = first.condensation
+    calls = []
+    solve_g = fem.Condensation.solve_g
+    monkeypatch.setattr(fem.Condensation, "solve_g",
+                        lambda self, b: calls.append(len(b)) or solve_g(self, b))
+    matmap.sector_tensors = [1.5 * t for t in matmap.sector_tensors]
+    second = ms.state_factorization(macro_mesh, matmap, bc)
+    assert second.condensation is c
+    reused = second.solve()
+    assert len(calls) == 1
+    c._load = None
+    assert np.array_equal(reused, second.solve())
+    assert len(calls) == 3
+    load = np.ones(macro_mesh.n_nodes)
+    second.solve(load, homogeneous=True)
+    second.solve(load, homogeneous=True)
+    assert len(calls) == 7
+
+
 def test_corrupted_reduced_system_fails_the_full_residual(paper_geometry):
     mesh = build_macro_mesh(paper_geometry, 0.25)     # its own cache, corrupted below
     matmap, bc = anisotropic_map(), BoundaryData()

@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+from cloakopt import fem
 from cloakopt import levelset as ls
 from cloakopt import macro_solver as ms
 from cloakopt import validation as val
@@ -163,3 +164,80 @@ def test_fine_mesh_shared_only_while_held(paper_geometry, cell_mesh):
     del mesh
     gc.collect()
     assert released() is None
+
+
+def test_condensed_sweep_matches_direct_evaluations(paper_geometry, cell_mesh):
+    spec = make_spec(paper_geometry, cell_mesh)
+    mesh = val.fine_mesh(spec)
+    psi = [0.0, 90.0, 180.0, 270.0]
+    rows = val.robustness_sweep({"design": spec}, psi, 1.0, PDMS)
+    assert [r["psi"] for r in rows] == psi
+    for r in rows:
+        want, _, _ = val.evaluate_tiled(spec, mesh, val.ObstacleSpec(r["psi"], PDMS))
+        assert r["j1"] == pytest.approx(want, rel=1e-10)
+
+
+def test_sweep_condenses_each_design_once(paper_geometry, cell_mesh, monkeypatch):
+    """Two designs at three angles: one condensation per design, freed
+    before the next design's is built, and no factorization of the whole
+    fine operator."""
+    specs = {"a": make_spec(paper_geometry, cell_mesh),
+             "b": make_spec(paper_geometry, cell_mesh, pattern=("disk", 0.35))}
+    mesh = val.fine_mesh(specs["a"])
+    n_free = ms.conduction_system(mesh, fem.isotropic_tensors(np.ones(mesh.n_elements)),
+                                  specs["a"].bc).n_free
+    built, factored = [], []
+    factor = fem._factor
+
+    class CountingCondensation(fem.Condensation):
+        def __init__(self, *args):
+            assert all(ref() is None for ref in built)
+            super().__init__(*args)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(fem, "Condensation", CountingCondensation)
+    monkeypatch.setattr(fem, "_factor",
+                        lambda matrix, **kw: factored.append(matrix.shape[0])
+                        or factor(matrix, **kw))
+    gc.collect()
+    gc.disable()
+    try:
+        rows = val.robustness_sweep(specs, [0.0, 120.0, 240.0], 1.0, PDMS)
+    finally:
+        gc.enable()
+    assert len(rows) == 6 and len(built) == 2
+    assert len(factored) == 2 + 6          # one K_GG per design, one reduced per angle
+    assert max(factored) < n_free
+
+
+def test_insert_schur_complement_matches_explicit(paper_geometry, cell_mesh, monkeypatch):
+    """On a layout small enough for dense algebra, the insert still takes
+    the solve route, and its S_I is the explicit Schur complement."""
+    spec = make_spec(paper_geometry, cell_mesh, epsilon0=1.0)
+    mesh = val.fine_mesh(spec)
+    read = []
+    monkeypatch.setattr(fem, "_interface_schur", lambda *a: read.append(a))
+    c = val.sweep_condensation(spec, mesh, val.ObstacleSpec(0.0, PDMS))
+    assert read == [] and len(c.i) > 0
+    k = c.fixed_matrix.toarray()
+    g, i = c.g, c.i
+    want = k[np.ix_(i, i)] - k[np.ix_(i, g)] @ np.linalg.solve(k[np.ix_(g, g)], k[np.ix_(g, i)])
+    got = c.schur.toarray()
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_evaluate_tiled_rejects_a_condensation_of_another_mesh(paper_geometry, cell_mesh):
+    coarse = make_spec(paper_geometry, cell_mesh, epsilon0=1.0)
+    other = val.fine_mesh(coarse)
+    c = val.sweep_condensation(coarse, other, val.ObstacleSpec(0.0, PDMS))
+    spec = make_spec(paper_geometry, cell_mesh, epsilon0=0.5)
+    with pytest.raises(ValueError, match="another mesh"):
+        val.evaluate_tiled(spec, val.fine_mesh(spec), val.ObstacleSpec(0.0, PDMS),
+                           condensation=c)
+
+
+@pytest.mark.parametrize("psi, k", [(np.nan, PDMS), (np.inf, PDMS), (0.0, np.nan),
+                                    (0.0, np.inf), (0.0, 0.0), (0.0, -1.0)])
+def test_obstacle_spec_rejects_bad_values(psi, k):
+    with pytest.raises(ValueError, match="obstacle"):
+        val.ObstacleSpec(psi_deg=psi, k=k)
