@@ -32,7 +32,10 @@ each refactorization (:class:`CondensedFactorization`) factors only the
 varying part plus that interface. One-off solves (a single tiled
 evaluation, the normalized-mode fill, exports) stay direct: they factor
 each operator once, so condensing it would only add the fixed block's
-factorization.
+factorization. The level-set step is no client: its operator is solved
+exactly by FFT on the periodic cell grid (:mod:`cloakopt.levelset`), so
+nothing here is factored for it; only the residual contract
+(:func:`_check_solution`) is shared.
 
 The interface Schur complement S_I comes by one of two routes, chosen by
 size. Where the interface is small against the fixed block

@@ -257,11 +257,14 @@ def build_cell_mesh(cell: UnitCellGeometry) -> TriMesh:
     """Structured triangulation of the unit square with periodic pairing.
 
     Left/bottom boundary nodes are masters; right/top are slaves. All
-    four corners fold onto the origin node.
+    four corners fold onto the origin node. The resolution must be even:
+    only then does the checkerboard of diagonals wrap periodically.
     """
     n = cell.resolution
     if n < 16:
         raise MeshError("cell resolution must be at least 16 elements per side")
+    if n % 2:
+        raise MeshError(f"cell resolution must be even, got {n}")
     xs = np.linspace(0.0, cell.side_length, n + 1)
     nodes, elements, shape = _grid_triangulation(xs, xs)
 

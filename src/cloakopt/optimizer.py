@@ -21,9 +21,11 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import shutil
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
+from functools import cached_property
 from numbers import Integral
 from pathlib import Path
 
@@ -76,6 +78,8 @@ class Scenario:
         if min(k for k in (self.k_cell_a, self.k_cell_b,
                            self.k_exterior, self.k_obstacle)) <= 0:
             raise ValueError("conductivities must be positive")
+        if self.cell_resolution % 2:
+            raise ValueError(f"mesh.cell_resolution must be even, got {self.cell_resolution}")
         if self.dt <= 0 or self.move_limit <= 0:
             raise ValueError("dt and move_limit must be positive")
         if not self.d_schedule or self.d_schedule[0][0] != 1:
@@ -170,8 +174,13 @@ class Workspace:
                 scenario.bc)
             self.norm_denominator = objectives.mismatch(
                 worst.values, self.t_steel.values, self.macro_mesh)
-        self.updater = levelset.ReactionDiffusionUpdater(
-            self.cell_mesh, scenario.k_phi, scenario.tau)
+
+    @cached_property
+    def updater(self) -> levelset.ReactionDiffusionUpdater:
+        """The level-set stepper, built at the first step (by :func:`step`,
+        before the cells' steps fan out to threads)."""
+        return levelset.ReactionDiffusionUpdater(
+            self.cell_mesh, self.scenario.k_phi, self.scenario.tau)
 
     def initial_phis(self) -> list[LevelSetField]:
         return [levelset.initialize(self.cell_mesh, self.scenario.init, cell_index=l)
@@ -263,8 +272,9 @@ def step(ws: Workspace, ev: Evaluation, phis: list[LevelSetField],
     if peak > 0:
         dt_eff = min(sc.dt, sc.move_limit / (sc.k_phi * peak))
     dt_eff *= sc.width_age(iteration) ** -0.5
+    updater = ws.updater
     return _map_cells(
-        lambda pair: ws.updater.step(pair[0].phi, pair[1], dt_eff),
+        lambda pair: updater.step(pair[0].phi, pair[1], dt_eff),
         list(zip(phis, jprimes)), threads)
 
 
@@ -274,9 +284,9 @@ def run(scenario: Scenario, out_dir=None, resume_from: DesignState | None = None
 
     Each iteration is :func:`evaluate` then, unless stopping,
     :func:`step`. ``out_dir`` (optional) receives a progress CSV,
-    checkpoints every ``checkpoint_every`` iterations and a final
-    checkpoint. ``resume_from`` continues a saved state; resuming a
-    finished run returns it unchanged. The run is deterministic for a
+    checkpoints every ``checkpoint_every`` iterations and at the stopping
+    one, and a copy of that last checkpoint as ``final``. ``resume_from``
+    continues a saved state; resuming a finished run returns it unchanged. The run is deterministic for a
     fixed scenario, independent of ``threads``.
     """
     if checkpoint_every < 1:
@@ -377,7 +387,9 @@ def run(scenario: Scenario, out_dir=None, resume_from: DesignState | None = None
             break
 
     if out_dir is not None:
-        checkpoint(state, out_dir / "final")
+        # the stopping iteration has just been checkpointed: copy, not re-format
+        shutil.copytree(out_dir / "checkpoints" / f"iter_{state.iteration:04d}",
+                        out_dir / "final", dirs_exist_ok=True)
     return state
 
 

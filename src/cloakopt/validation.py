@@ -11,11 +11,14 @@ set of rotation angles.
 
 Tilings of one layout share one fine mesh while it is held, and with it
 the mesh's solver structure and objective operators. A single tiled
-evaluation factors the whole fine operator. A sweep changes only the
-insert's disk from one angle to the next, so it condenses each design's
-tiled operator onto that disk once (:func:`macro_solver.condensed_conduction`)
-and each angle factors only the disk and its interface; the first
-design's condensation is freed before the next one is built.
+evaluation tiles and factors the whole fine operator. A sweep changes
+only the insert's disk from one angle to the next, so it condenses each
+design's tiled operator onto that disk once (:func:`sweep_condensation`,
+through :func:`macro_solver.condensed_conduction`), and each angle
+assigns conductivities to the disk's elements alone (the disk lies in
+the obstacle region, where no level set is read) and factors only the
+disk and its interface. A condensation is bound to the spec it was built
+for; the first design's is freed before the next one is built.
 """
 
 from __future__ import annotations
@@ -88,6 +91,11 @@ class ObstacleSpec:
         return ((np.hypot(c[:, 0], c[:, 1]) <= self.resolved_radius(geometry))
                 & mesh.region_mask(REGION_OBSTACLE))
 
+    def on_insert_side(self, points: np.ndarray) -> np.ndarray:
+        """Whether each point lies on the insert's side of its flat edge."""
+        psi = np.radians(self.psi_deg)
+        return points[:, 0] * (-np.sin(psi)) + points[:, 1] * np.cos(psi) >= 0.0
+
 
 def fine_mesh(spec: TilingSpec) -> TriMesh:
     """Macro mesh resolving the tiled cells; layouts with equal geometry
@@ -132,35 +140,49 @@ def tile_conductivity(spec: TilingSpec, mesh: TriMesh,
         k[mask] = element_conductivity(chi, spec.k_cell_a, spec.k_cell_b)
 
     if obstacle is not None:
-        psi = np.radians(obstacle.psi_deg)
-        side = c[:, 0] * (-np.sin(psi)) + c[:, 1] * np.cos(psi)
-        k[obstacle.disk(mesh, spec.geometry) & (side >= 0.0)] = obstacle.k
+        k[obstacle.disk(mesh, spec.geometry) & obstacle.on_insert_side(c)] = obstacle.k
     return k
+
+
+@dataclass(frozen=True, eq=False)
+class SweepCondensation:
+    """One design's tiled operator condensed onto the insert's disk, bound
+    to the spec it was built for."""
+
+    spec: TilingSpec
+    condensation: fem.Condensation
 
 
 def evaluate_tiled(spec: TilingSpec, mesh: TriMesh | None = None,
                    obstacle: ObstacleSpec | None = None, *,
-                   condensation: fem.Condensation | None = None):
+                   condensation: SweepCondensation | None = None):
     """Solve raw conduction on the tiled structure; returns (J1, J2, T).
 
     ``mesh`` defaults to :func:`fine_mesh`; J1 compares against the
     reference ramp on that mesh (:func:`macro_solver.reference_field`).
-    Without ``condensation`` the whole operator is factored; with one
-    (built by :func:`sweep_condensation` for this spec and mesh) only the
-    elements it left varying are assembled and factored.
+    Without ``condensation`` the whole structure is tiled and its
+    operator factored; with one (built by :func:`sweep_condensation` for
+    this very spec and mesh, else ``ValueError``) only the disk's
+    elements get conductivities and only they are assembled and factored.
     """
     if mesh is None:
         mesh = fine_mesh(spec)
-    if condensation is not None and condensation.varying.mesh is not mesh:
-        raise ValueError("the condensation belongs to another mesh")
-    k = tile_conductivity(spec, mesh, obstacle)
     if condensation is None:
+        k = tile_conductivity(spec, mesh, obstacle)
         temp = fem.solve(macro_solver.conduction_system(mesh, fem.isotropic_tensors(k),
                                                         spec.bc))
     else:
-        insert = condensation.varying
-        fact = condensation.factor(fem.assemble_diffusion(
-            mesh, fem.isotropic_tensors(k[insert.element_ids]), on=insert))
+        insert = condensation.condensation.varying
+        if insert.mesh is not mesh:
+            raise ValueError("the condensation belongs to another mesh")
+        if condensation.spec is not spec:
+            raise ValueError("the condensation was built for another design")
+        # the disk lies in the obstacle region: obstacle fill, or the insert
+        k = np.full(insert.n_elements, spec.k_obstacle)
+        if obstacle is not None:
+            k[obstacle.on_insert_side(mesh.centroids[insert.element_ids])] = obstacle.k
+        fact = condensation.condensation.factor(
+            fem.assemble_diffusion(mesh, fem.isotropic_tensors(k), on=insert))
         temp = fem.ScalarField(fact.solve(), mesh, fact.constraints.record)
     reference = macro_solver.reference_field(mesh, spec.bc)
     j1 = objectives.mismatch(temp.values, reference.values, mesh)
@@ -169,12 +191,12 @@ def evaluate_tiled(spec: TilingSpec, mesh: TriMesh | None = None,
 
 
 def sweep_condensation(spec: TilingSpec, mesh: TriMesh,
-                       obstacle: ObstacleSpec) -> fem.Condensation:
+                       obstacle: ObstacleSpec) -> SweepCondensation:
     """The tiled operator of ``spec`` condensed onto the obstacle's disk,
     the elements that differ between the angles of a sweep."""
-    return macro_solver.condensed_conduction(
+    return SweepCondensation(spec, macro_solver.condensed_conduction(
         mesh, fem.isotropic_tensors(tile_conductivity(spec, mesh)),
-        obstacle.disk(mesh, spec.geometry), spec.bc)
+        obstacle.disk(mesh, spec.geometry), spec.bc))
 
 
 def robustness_sweep(designs: dict[str, TilingSpec], psi_values,

@@ -94,6 +94,12 @@ def test_bad_init_value_exit_code(tmp_path, capsys, init, message):
     assert message in capsys.readouterr().err
 
 
+def test_odd_cell_resolution_exit_code(tmp_path, capsys):
+    path = small_config(tmp_path, mesh={"cell_resolution": 17})
+    assert optimize_exit_code(tmp_path, path) == 2
+    assert "cell_resolution must be even" in capsys.readouterr().err
+
+
 def test_checkpoint_every_below_one_exit_code(tmp_path, capsys):
     path = small_config(tmp_path)
     assert optimize_exit_code(tmp_path, path, "--checkpoint-every", "0") == 2

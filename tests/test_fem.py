@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cloakopt import fem, homogenization, levelset, macro_solver
+from cloakopt import fem, homogenization, macro_solver
 from cloakopt.geometry import (GAMMA_A, GAMMA_B, MacroGeometry, TriMesh,
                                UnitCellGeometry, build_cell_mesh,
                                build_macro_mesh)
@@ -212,7 +212,7 @@ def levelset_operator(mesh):
     k_phi, tau, dt = 1.5, 0.05, 0.1
     ke = (fem.element_mass(mesh, lumped=True) + dt * k_phi * tau
           * fem.element_stiffness(mesh, fem.isotropic_tensors(np.ones(mesh.n_elements))))
-    return levelset.ReactionDiffusionUpdater(mesh, k_phi, tau).system(dt), ke
+    return fem.assemble(fem.structure(mesh, periodic=True), ke, np.zeros(mesh.n_nodes)), ke
 
 
 @pytest.mark.parametrize("build, mesh_of", [

@@ -123,6 +123,12 @@ def test_cell_resolution_floor():
         build_cell_mesh(UnitCellGeometry(8))
 
 
+def test_odd_cell_resolution_rejected():
+    # the checkerboard of diagonals wraps periodically only for even n
+    with pytest.raises(MeshError, match="even"):
+        build_cell_mesh(UnitCellGeometry(17))
+
+
 def test_structured_interpolation_exact_for_linear(cell_mesh_32):
     mesh = cell_mesh_32
     values = 2.0 * mesh.nodes[:, 0] - 3.0 * mesh.nodes[:, 1] + 0.25

@@ -1,7 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from cloakopt import fem
+from cloakopt.geometry import (MacroGeometry, UnitCellGeometry, build_cell_mesh,
+                               build_macro_mesh)
 from cloakopt.levelset import (LevelSetField, ReactionDiffusionUpdater,
                                characteristic, initialize, read_phi_csv,
                                write_phi_csv)
@@ -95,21 +100,74 @@ def test_update_uniform_reaction_shifts_then_clamps(cell_mesh_32):
     np.testing.assert_allclose(out2, -1.0, atol=1e-14)   # clamped
 
 
-def test_updater_refactors_only_when_dt_changes(cell_mesh_32, monkeypatch):
-    built = []
+def superlu_step(mesh, phi, jprime, k_phi, tau, dt):
+    """Oracle: the step assembled on the periodic structure and factored by SuperLU."""
+    on = fem.structure(mesh, periodic=True)
+    ke = (fem.element_mass(mesh, lumped=True) + dt * k_phi * tau
+          * fem.element_stiffness(mesh, fem.isotropic_tensors(np.ones(mesh.n_elements))))
+    b = on.restrict(mesh.lumped_mass * (phi - dt * k_phi * jprime))
+    x = spla.splu(on.matrix(ke).tocsc()).solve(b)
+    return np.clip(on.constraints.expand(x), -1.0, 1.0)
 
-    class CountingFactorization(fem.Factorization):
-        def __init__(self, system):
-            super().__init__(system)
-            built.append(self)
 
-    monkeypatch.setattr(fem, "Factorization", CountingFactorization)
+@pytest.mark.parametrize("resolution", [16, 32, 64])
+@pytest.mark.parametrize("tau", [0.0, 2e-4, 0.05])
+def test_fft_step_matches_superlu(resolution, tau):
+    mesh = build_cell_mesh(UnitCellGeometry(resolution))
+    rng = np.random.default_rng(resolution)
+    phi = np.clip(0.5 * rng.normal(size=mesh.n_nodes), -1.0, 1.0)
+    jprime = rng.normal(size=mesh.n_nodes)
+    stepper = ReactionDiffusionUpdater(mesh, k_phi=1.5, tau=tau)
+    for dt in (1e-3, 0.1, 2.0):
+        want = superlu_step(mesh, phi, jprime, 1.5, tau, dt)
+        assert np.abs(stepper.step(phi, jprime, dt) - want).max() <= 1e-13
+
+
+def test_step_factors_nothing(cell_mesh_32, monkeypatch):
+    calls = []
+    monkeypatch.setattr(fem, "Factorization", lambda *a, **kw: calls.append(a))
+    monkeypatch.setattr(spla, "splu", lambda *a, **kw: calls.append(a))
     f = initialize(cell_mesh_32, ("disk", 0.25))
     stepper = ReactionDiffusionUpdater(cell_mesh_32, k_phi=1.5, tau=2e-4)
     zero = np.zeros(cell_mesh_32.n_nodes)
     for dt in (0.1, 0.1, 0.05, 0.1):
         stepper.step(f.phi, zero, dt)
-    assert len(built) == 3
+    assert calls == []
+
+
+def test_non_finite_reaction_fails_the_residual_contract(cell_mesh_32):
+    f = initialize(cell_mesh_32, ("disk", 0.25))
+    jprime = np.zeros(cell_mesh_32.n_nodes)
+    jprime[7] = np.nan
+    stepper = ReactionDiffusionUpdater(cell_mesh_32, k_phi=1.5, tau=2e-4)
+    with pytest.raises(fem.SolverError):
+        stepper.step(f.phi, jprime, 0.1)
+
+
+def test_step_on_a_mesh_off_its_symbol_fails_the_residual_contract(cell_mesh_32):
+    """One quad's diagonal flipped: the mesh passes the grid checks, but its
+    mass and Laplacian leave the FFT's symbol, and the residual against the
+    assembled operators catches it."""
+    n = 32
+    elements = cell_mesh_32.elements.copy()
+    q = 5 * n + 8                                      # quad (5, 8): an odd one
+    n00, n01, n10, n11 = (q // n) * (n + 1) + q % n + np.array([0, 1, n + 1, n + 2])
+    elements[2 * q], elements[2 * q + 1] = [n00, n10, n11], [n00, n11, n01]
+    mesh = dataclasses.replace(cell_mesh_32, elements=elements)
+    stepper = ReactionDiffusionUpdater(mesh, k_phi=1.5, tau=2e-4)
+    phi = initialize(mesh, ("disk", 0.25)).phi
+    with pytest.raises(fem.SolverError, match="residual"):
+        stepper.step(phi, np.zeros(mesh.n_nodes), 0.1)
+
+
+def test_updater_rejects_meshes_off_the_periodic_grid(cell_mesh_32):
+    g = MacroGeometry(lx=1.0, ly=2.0, r_ring=0.45, r_obstacle=0.05)
+    with pytest.raises(ValueError, match="periodic cell mesh"):
+        ReactionDiffusionUpdater(build_macro_mesh(g, 0.125, allow_oversize=True), 1.5, 2e-4)
+    nodes = cell_mesh_32.nodes.copy()
+    nodes[40] += 1e-3
+    with pytest.raises(ValueError, match="structured grid"):
+        ReactionDiffusionUpdater(dataclasses.replace(cell_mesh_32, nodes=nodes), 1.5, 2e-4)
 
 
 def test_update_preserves_periodicity(cell_mesh_32):

@@ -173,6 +173,16 @@ def test_run_writes_progress_artifacts(tmp_path):
     assert (out / "checkpoints" / "iter_0002" / "cell_1.csv").exists()
 
 
+def test_final_checkpoint_is_a_copy_of_the_last(tmp_path):
+    out = tmp_path / "run"
+    run(tiny_scenario(max_iter=3), out_dir=out, checkpoint_every=2)
+    last, final = out / "checkpoints" / "iter_0003", out / "final"
+    names = sorted(p.name for p in last.iterdir())
+    assert names == sorted(p.name for p in final.iterdir()) and "state.json" in names
+    for name in names:
+        assert (final / name).read_bytes() == (last / name).read_bytes()
+
+
 def test_objectives_decrease_even_in_short_run():
     state = run(tiny_scenario(max_iter=4, w=1.0))
     assert state.history[-1].j1 < state.history[0].j1

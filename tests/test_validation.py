@@ -217,7 +217,7 @@ def test_insert_schur_complement_matches_explicit(paper_geometry, cell_mesh, mon
     mesh = val.fine_mesh(spec)
     read = []
     monkeypatch.setattr(fem, "_interface_schur", lambda *a: read.append(a))
-    c = val.sweep_condensation(spec, mesh, val.ObstacleSpec(0.0, PDMS))
+    c = val.sweep_condensation(spec, mesh, val.ObstacleSpec(0.0, PDMS)).condensation
     assert read == [] and len(c.i) > 0
     k = c.fixed_matrix.toarray()
     g, i = c.g, c.i
@@ -234,6 +234,36 @@ def test_evaluate_tiled_rejects_a_condensation_of_another_mesh(paper_geometry, c
     with pytest.raises(ValueError, match="another mesh"):
         val.evaluate_tiled(spec, val.fine_mesh(spec), val.ObstacleSpec(0.0, PDMS),
                            condensation=c)
+
+
+def test_evaluate_tiled_rejects_a_condensation_of_another_design(paper_geometry, cell_mesh):
+    a = make_spec(paper_geometry, cell_mesh)
+    b = make_spec(paper_geometry, cell_mesh, pattern=("disk", 0.35))
+    mesh = val.fine_mesh(a)
+    c = val.sweep_condensation(a, mesh, val.ObstacleSpec(0.0, PDMS))
+    with pytest.raises(ValueError, match="another design"):
+        val.evaluate_tiled(b, mesh, val.ObstacleSpec(0.0, PDMS), condensation=c)
+
+
+def test_condensed_angles_tile_only_the_insert(paper_geometry, cell_mesh, monkeypatch):
+    """The whole structure is tiled once per design, for its condensation;
+    each angle assembles the disk with exactly the conductivities that
+    tiling the whole structure gives it."""
+    spec = make_spec(paper_geometry, cell_mesh)
+    psi = [0.0, 45.0, 200.0]
+    tiled, assembled = [], []
+    tile, assemble = val.tile_conductivity, fem.assemble_diffusion
+    monkeypatch.setattr(val, "tile_conductivity",
+                        lambda *a, **kw: tiled.append(1) or tile(*a, **kw))
+    monkeypatch.setattr(fem, "assemble_diffusion",
+                        lambda mesh, tensors, on=None: assembled.append((tensors, on))
+                        or assemble(mesh, tensors, on))
+    val.robustness_sweep({"design": spec}, psi, 1.0, PDMS)
+    assert len(tiled) == 1 and len(assembled) == len(psi)
+    mesh = val.fine_mesh(spec)
+    for p, (tensors, on) in zip(psi, assembled):
+        want = tile(spec, mesh, val.ObstacleSpec(p, PDMS))[on.element_ids]
+        np.testing.assert_array_equal(tensors[:, 0, 0], want)
 
 
 @pytest.mark.parametrize("psi, k", [(np.nan, PDMS), (np.inf, PDMS), (0.0, np.nan),
