@@ -1,6 +1,7 @@
 """Command-line front end: optimize, homogenize, validate, sweep.
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure.
+Exit codes: 0 success, 2 configuration error or missing input file,
+3 solver failure.
 """
 
 from __future__ import annotations
@@ -59,8 +60,9 @@ def cmd_optimize(args) -> int:
 
     resume_state = None
     if args.resume:
-        candidates = sorted((out / "checkpoints").glob("iter_*"))
-        source = candidates[-1] if candidates else out / "final"
+        saved = {int(p.name[len("iter_"):]): p for p in (out / "checkpoints").glob("iter_*")
+                 if p.name[len("iter_"):].isdigit()}
+        source = saved[max(saved)] if saved else out / "final"
         resume_state = optimizer.resume(source)
         print(f"resuming from {source} (iteration {resume_state.iteration})")
 
@@ -251,6 +253,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ConfigError, MeshError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except FileNotFoundError as exc:
+        print(f"missing input: {exc}", file=sys.stderr)
         return 2
     except fem.SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

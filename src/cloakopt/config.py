@@ -48,7 +48,7 @@ _SCHEMA = {
     },
     "optimizer": {
         "required": {},
-        "optional": {"max_iter": (int, 150), "early_stop": (bool, False)},
+        "optional": {"max_iter": (int, 150)},
     },
     "mesh": {
         "required": {},
@@ -83,7 +83,7 @@ class RunConfig:
             ("levelset.k_phi", sc.k_phi), ("levelset.tau", sc.tau),
             ("levelset.dt", sc.dt), ("levelset.d_schedule", list(map(list, sc.d_schedule))),
             ("levelset.init", sc.init),
-            ("optimizer.max_iter", sc.max_iter), ("optimizer.early_stop", sc.early_stop),
+            ("optimizer.max_iter", sc.max_iter),
             ("mesh.macro_h", sc.macro_h), ("mesh.cell_resolution", sc.cell_resolution),
             ("export.vtk", self.export_vtk), ("export.tensor_csv", self.export_tensor_csv),
         ]
@@ -212,7 +212,7 @@ def build_config(raw: dict) -> RunConfig:
         normalization_fill=float(nf) if nf is not None else None,
         k_phi=ls["k_phi"], tau=ls["tau"], dt=ls["dt"],
         d_schedule=tuple(schedule), init=_parse_init(ls["init"]),
-        max_iter=opt["max_iter"], early_stop=opt["early_stop"],
+        max_iter=opt["max_iter"],
         macro_h=mesh["macro_h"], cell_resolution=mesh["cell_resolution"],
         allow_oversize=g["allow_oversize"],
     )

@@ -20,6 +20,8 @@ with periodic slaves folded onto their masters. Assembling a system on such
 a :class:`Structure` is one ``np.bincount`` of its element matrices
 into the fixed slots. Objects cached on a mesh never hold the mesh
 strongly, so a mesh is freed as soon as its last outside reference goes.
+A :class:`SparseSystem` is an operator and nothing else: each solve is
+given its nodal load, ``None`` standing for the zero load.
 
 Most solves factor the whole reduced operator (:class:`Factorization`).
 The exception is an operator refactored many times with only a fixed
@@ -84,7 +86,6 @@ class ScalarField:
 
     values: np.ndarray
     mesh: TriMesh
-    bc_record: str = ""
     _gradient: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def gradient(self) -> np.ndarray:
@@ -101,7 +102,6 @@ class Constraints:
 
     dof_of_node: np.ndarray        # node -> free-DOF column, -1 if eliminated
     fixed_values: np.ndarray       # value for eliminated nodes, 0 elsewhere
-    record: str = ""
 
     @classmethod
     def none(cls, n_nodes: int) -> "Constraints":
@@ -152,8 +152,7 @@ def apply_dirichlet(constraints: Constraints, nodes, values) -> Constraints:
     newly_fixed = fixed_cols[col_of]
     fixed_values[had_dof[newly_fixed]] = fix_value[col_of[newly_fixed]]
     dof[had_dof] = np.where(newly_fixed, -1, new_col[col_of])
-    return replace(constraints, dof_of_node=dof, fixed_values=fixed_values,
-                   record=constraints.record + f"|dirichlet[{done.size}]")
+    return replace(constraints, dof_of_node=dof, fixed_values=fixed_values)
 
 
 def apply_periodic(constraints: Constraints, pairs: np.ndarray,
@@ -183,8 +182,7 @@ def apply_periodic(constraints: Constraints, pairs: np.ndarray,
     dof = constraints.dof_of_node.copy()
     free = dof >= 0
     dof[free] = group[dof[free]]
-    out = replace(constraints, dof_of_node=dof,
-                  record=constraints.record + f"|periodic[{len(pairs)}]")
+    out = replace(constraints, dof_of_node=dof)
     if gauge is not None:
         out = apply_dirichlet(out, [gauge], [0.0])
     return out
@@ -310,14 +308,14 @@ def structure(mesh: TriMesh, periodic: bool = False, gauge: int | None = None,
 
 @dataclass
 class SparseSystem:
-    """A system reduced onto a constraint structure: R^T K R, the lift
-    R^T K g of the fixed values, the full nodal load f, and the mesh
-    (held here, as a system is never cached on its mesh)."""
+    """An operator reduced onto a constraint structure: R^T K R, the lift
+    R^T K g of the fixed values, and the mesh (held here, as a system is
+    never cached on its mesh). The load is no part of it: each solve is
+    given its own."""
 
     structure: Structure
     matrix: sp.csc_matrix
     lift: np.ndarray
-    rhs: np.ndarray
     mesh: TriMesh
 
     @property
@@ -330,17 +328,16 @@ class SparseSystem:
 
     def reduced_load(self, rhs_full: np.ndarray | None = None,
                      homogeneous: bool = False) -> np.ndarray:
-        """R^T (f - K g) for the load f (default: the system's own);
-        g is taken as zero with ``homogeneous``."""
-        b = self.structure.restrict(self.rhs if rhs_full is None else rhs_full)
+        """R^T (f - K g) for the nodal load f (``None``: zero); g is taken
+        as zero with ``homogeneous``."""
+        b = np.zeros(self.n_free) if rhs_full is None else self.structure.restrict(rhs_full)
         return b if homogeneous else b - self.lift
 
 
-def assemble(on: Structure, element_matrices: np.ndarray, rhs: np.ndarray) -> SparseSystem:
-    """Reduce the covered elements' matrices (n_elements, 3, 3) and a nodal
-    load onto a structure; the element matrices are not kept."""
-    return SparseSystem(on, on.matrix(element_matrices), on.lift(element_matrices), rhs,
-                        on.mesh)
+def assemble(on: Structure, element_matrices: np.ndarray) -> SparseSystem:
+    """Reduce the covered elements' matrices (n_elements, 3, 3) onto a
+    structure; the element matrices are not kept."""
+    return SparseSystem(on, on.matrix(element_matrices), on.lift(element_matrices), on.mesh)
 
 
 def isotropic_tensors(values) -> np.ndarray:
@@ -389,8 +386,8 @@ def element_mass(mesh: TriMesh, lumped: bool = False,
 
 def assemble_diffusion(mesh: TriMesh, tensors: np.ndarray,
                        on: Structure | None = None) -> SparseSystem:
-    """Diffusion system with zero load on a structure (default: unconstrained),
-    one tensor per element the structure covers."""
+    """Diffusion operator on a structure (default: unconstrained), one
+    tensor per element the structure covers."""
     if on is None:
         on = structure(mesh)
     elif on.mesh is not mesh:
@@ -399,8 +396,7 @@ def assemble_diffusion(mesh: TriMesh, tensors: np.ndarray,
     if tensors.shape != (on.n_elements, 2, 2):
         raise ValueError("tensors must have shape (n_elements, 2, 2)")
     _check_spd(tensors)
-    return assemble(on, element_stiffness(mesh, tensors, on.element_ids),
-                    np.zeros(mesh.n_nodes))
+    return assemble(on, element_stiffness(mesh, tensors, on.element_ids))
 
 
 def _factor(matrix: sp.csc_matrix, **options):
@@ -438,7 +434,7 @@ class Factorization:
 
     def solve(self, rhs_full: np.ndarray | None = None,
               homogeneous: bool = False) -> np.ndarray:
-        """Solve for the given full-size load (default: the system's own).
+        """Solve for the given full-size nodal load (``None``: zero).
 
         With ``homogeneous=True`` the eliminated DOFs are taken as zero
         instead of the system's fixed values (adjoint solves reuse the
@@ -476,15 +472,16 @@ class Condensation:
     only the SPD factorization of [[S_I, K_IR], [K_RI, K_RR]], assembled
     on :attr:`varying` in that [I, R] numbering (:meth:`factor`).
 
-    Holds the fixed operator, its lift and load, the K_GG factor and
-    K_GG^-1 b_G of the last system load, but not the mesh.
+    Every inhomogeneous solve of the zero load has the same b_G (the
+    varying elements' lift touches only R), so K_GG^-1 b_G of that load is
+    solved once, at the build. Holds the fixed operator, its lift, the
+    K_GG factor and that solve, but not the mesh.
     """
 
     def __init__(self, fixed: SparseSystem, varying_elements: np.ndarray):
         self.structure = on = fixed.structure
         self.fixed_matrix = k = fixed.matrix
         self.fixed_lift = fixed.lift
-        self.rhs = fixed.rhs
         mesh = fixed.mesh
         dof = on.constraints.dof_of_node
         n = on.n_free
@@ -507,7 +504,6 @@ class Condensation:
             del ilu
         self.g = g
         self.k_ig = k[i][:, g]
-        self._load: tuple[np.ndarray, np.ndarray] | None = None
         solves = _solves_form_schur(len(i), len(g))
         if not solves:
             self.schur = _interface_schur(k, g, i)
@@ -515,6 +511,8 @@ class Condensation:
         self._lu = _factor(k[g][:, g], **_SYMMETRIC_PIVOTS) if len(g) else None
         if solves:
             self.schur = self._solved_schur(k[i][:, i])
+        # formed as CondensedFactorization.solve forms b, so even signed zeros match
+        self.zero_load_g = self.solve_g((np.zeros(n) - self.fixed_lift)[g])
 
         n_i, n_ir = len(i), len(i) + len(r)
         reduced_of = np.full(n, -1)
@@ -522,7 +520,7 @@ class Condensation:
         reduced_of[r] = np.arange(n_i, n_ir)
         self.varying = Structure(
             mesh, Constraints(np.where(dof >= 0, reduced_of[dof], -1),
-                              on.constraints.fixed_values, on.constraints.record),
+                              on.constraints.fixed_values),
             varying_elements)
         ir = np.concatenate([i, r])
 
@@ -553,15 +551,6 @@ class Condensation:
     def solve_g(self, b_g: np.ndarray) -> np.ndarray:
         """K_GG^-1 b_G, both in the order of :attr:`g`."""
         return b_g if self._lu is None else self._lu.solve(b_g)
-
-    def solve_load_g(self, b_g: np.ndarray) -> np.ndarray:
-        """:meth:`solve_g` for the G part of a system load (its own load less
-        the lift), reused while b_G is unchanged: the varying elements' lift
-        touches only R, so every varying part of one condensation has the
-        same b_G."""
-        if self._load is None or not np.array_equal(self._load[0], b_g):
-            self._load = (b_g.copy(), self.solve_g(b_g))
-        return self._load[1]
 
 
 def _solves_form_schur(n_i: int, n_g: int) -> bool:
@@ -605,9 +594,9 @@ class CondensedFactorization:
     """A condensed system factored for one varying part.
 
     Same contract as :class:`Factorization`: ``solve(rhs_full,
-    homogeneous)`` takes two K_GG solves (one for an inhomogeneous load
-    whose b_G the condensation has solved before) and one reduced solve,
-    and checks the relative residual on the full system
+    homogeneous)`` takes two K_GG solves (one for the zero load with the
+    fixed values, whose b_G the condensation has solved at its build) and
+    one reduced solve, and checks the relative residual on the full system
     (K_fixed + K_varying) x = b.
     """
 
@@ -623,20 +612,18 @@ class CondensedFactorization:
 
     def solve(self, rhs_full: np.ndarray | None = None,
               homogeneous: bool = False) -> np.ndarray:
-        """Solve for the given full-size load (default: the system's own);
+        """Solve for the given full-size nodal load (``None``: zero);
         ``homogeneous`` as in :meth:`Factorization.solve`."""
         c = self.condensation
         n_i = len(c.i)
-        if rhs_full is None:
-            rhs_full = c.rhs + self.varying.rhs
-        b = c.structure.restrict(rhs_full)
+        b = np.zeros(c.structure.n_free) if rhs_full is None else c.structure.restrict(rhs_full)
         if not homogeneous:
             b -= c.fixed_lift
             b[c.r] -= self.varying.lift[n_i:]
         # eliminate G from the load, solve the reduced system for x_I and
         # x_R, then recover x_G
         b_g = b[c.g]
-        y_g = c.solve_g(b_g) if homogeneous else c.solve_load_g(b_g)
+        y_g = c.zero_load_g if rhs_full is None and not homogeneous else c.solve_g(b_g)
         z = self.reduced.solve_free(np.concatenate([b[c.i] - c.k_ig @ y_g, b[c.r]]))
         x = np.empty_like(b)
         x[c.i], x[c.r] = z[:n_i], z[n_i:]
@@ -650,8 +637,7 @@ class CondensedFactorization:
 
 def solve(system: SparseSystem) -> ScalarField:
     """Direct solve honouring the relative-residual contract."""
-    values = Factorization(system).solve()
-    return ScalarField(values=values, mesh=system.mesh, bc_record=system.constraints.record)
+    return ScalarField(Factorization(system).solve(), system.mesh)
 
 
 def boundary_reaction(mesh: TriMesh, element_matrices: np.ndarray, values: np.ndarray,

@@ -79,10 +79,10 @@ class MacroGeometry:
 
 @dataclass
 class UnitCellGeometry:
-    """Unit periodic cell: the square (0,1)^2 with a structured mesh hint."""
+    """Unit periodic cell: the square (0,1)^2, whose unit area homogenization
+    assumes, with a structured mesh hint."""
 
     resolution: int = 64
-    side_length: float = 1.0
 
 
 @dataclass
@@ -265,7 +265,7 @@ def build_cell_mesh(cell: UnitCellGeometry) -> TriMesh:
         raise MeshError("cell resolution must be at least 16 elements per side")
     if n % 2:
         raise MeshError(f"cell resolution must be even, got {n}")
-    xs = np.linspace(0.0, cell.side_length, n + 1)
+    xs = np.linspace(0.0, 1.0, n + 1)
     nodes, elements, shape = _grid_triangulation(xs, xs)
 
     def nid(i, j):
@@ -289,7 +289,7 @@ def build_cell_mesh(cell: UnitCellGeometry) -> TriMesh:
         boundary_edges=edges,
         periodic_pairs=periodic,
         structured_shape=shape,
-        extent=(0.0, cell.side_length, 0.0, cell.side_length),
+        extent=(0.0, 1.0, 0.0, 1.0),
     )
 
 

@@ -106,8 +106,7 @@ def corrector_pair(mesh: TriMesh, mat: CellMaterialField):
     k = mat.conductivities()
     w1 = fact.solve(_corrector_rhs(mesh, k, 1))
     w2 = fact.solve(_corrector_rhs(mesh, k, 2))
-    return (fem.ScalarField(w1, mesh, "periodic+gauge"),
-            fem.ScalarField(w2, mesh, "periodic+gauge"))
+    return fem.ScalarField(w1, mesh), fem.ScalarField(w2, mesh)
 
 
 def effective_tensor(mesh: TriMesh, mat: CellMaterialField,

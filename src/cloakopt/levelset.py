@@ -13,7 +13,6 @@ factors nothing (:class:`ReactionDiffusionUpdater`).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -175,20 +174,15 @@ def _periodic_grid(mesh: TriMesh) -> tuple[int, np.ndarray]:
 
 
 def write_phi_csv(field: LevelSetField, path) -> None:
-    """Checkpoint one cell: node_index, y1, y2, phi with round-trip precision."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node_index", "y1", "y2", "phi"])
-        for i, ((y1, y2), p) in enumerate(zip(field.mesh.nodes, field.phi)):
-            writer.writerow([i, f"{y1:.17g}", f"{y2:.17g}", f"{p:.17g}"])
+    """Checkpoint one cell: node_index, y1, y2, phi with round-trip precision,
+    CRLF-terminated as the csv module writes; the rows are one %-format
+    over the flat list (a format per row costs ~4x more)."""
+    table = np.column_stack([np.arange(field.mesh.n_nodes), field.mesh.nodes, field.phi])
+    rows = ("%d,%.17g,%.17g,%.17g\r\n" * len(table)) % tuple(table.ravel().tolist())
+    Path(path).write_bytes(("node_index,y1,y2,phi\r\n" + rows).encode())
 
 
 def read_phi_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    path = Path(path)
-    data = np.genfromtxt(path, delimiter=",", skip_header=1)
-    if data.ndim == 1:
-        data = data[None, :]
-    order = np.argsort(data[:, 0])
-    data = data[order]
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    data = data[np.argsort(data[:, 0])]
     return data[:, 1:3], data[:, 3]

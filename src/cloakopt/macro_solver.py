@@ -95,7 +95,7 @@ def condensed_conduction(mesh: TriMesh, tensors: np.ndarray, varying: np.ndarray
     whose own tensors are left out (see :class:`fem.Condensation`)."""
     ke = fem.element_stiffness(mesh, tensors)
     ke[varying] = 0.0
-    fixed = fem.assemble(_fixed_edges(mesh, bc), ke, np.zeros(mesh.n_nodes))
+    fixed = fem.assemble(_fixed_edges(mesh, bc), ke)
     # freed before the condensation's factorizations peak memory (a
     # temporary passed as ``tensors`` has no other reference); freeing
     # ``tensors`` before the assembly measured a 3 MB lower peak on the
@@ -138,7 +138,7 @@ def reference_field(mesh: TriMesh, bc: BoundaryData) -> fem.ScalarField:
     bc.validate()
     x0, x1 = mesh.extent[:2]
     s = (mesh.nodes[:, 0] - x0) / (x1 - x0)
-    return fem.ScalarField(bc.t_low * (1.0 - s) + bc.t_high * s, mesh, "reference")
+    return fem.ScalarField(bc.t_low * (1.0 - s) + bc.t_high * s, mesh)
 
 
 def adjoint_load(mesh: TriMesh, objective: str, state: fem.ScalarField,
@@ -165,7 +165,7 @@ def solve_adjoint(state_fact: fem.Factorization | fem.CondensedFactorization,
     """Adjoint field on the factored state operator: objective-derivative
     load, zero values on the fixed edges."""
     load = adjoint_load(state.mesh, objective, state, reference)
-    return fem.ScalarField(state_fact.solve(load, homogeneous=True), state.mesh, "adjoint")
+    return fem.ScalarField(state_fact.solve(load, homogeneous=True), state.mesh)
 
 
 def evaluate_objectives(state: fem.ScalarField, reference: fem.ScalarField,

@@ -2,18 +2,18 @@
 
 Each iteration evaluates the design (:func:`evaluate`: both correctors
 and the tensor of every cell, the macro state, the objectives) and then,
-unless stopping, advances it (:func:`step`): the needed adjoints on the
+unless it is the last, advances it (:func:`step`): the needed adjoints on the
 factored state operator, the derivative of the recorded objective J
 (w*J1 + (1-w)*J2, or J1 over its denominator in normalized mode)
 contracted with each cell's insertion derivatives and normalized once per
 cell, and one reaction-diffusion step of every level-set field. Its
-time step is the move-limited step divided by sqrt(k) at the k-th
+time step is dt, capped so that no node moves by more than
+:data:`MOVE_LIMIT`, divided by sqrt(k) at the k-th
 iteration of the current transition width: the reaction term has unit
 L1 mass however close the design is to a stationary point, so a
 constant step keeps the design swinging around it instead of settling.
-The transition width follows a fixed iteration schedule; the run stops
-at the iteration cap (an optional relative-change early stop is off by
-default).
+The transition width follows a fixed iteration schedule, and the run
+ends at the iteration cap.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .macro_solver import BoundaryData, MacroMaterialMap
 log = logging.getLogger(__name__)
 
 N_CELLS = SECTOR_LAST - SECTOR_FIRST + 1
+MOVE_LIMIT = 0.5      # largest nodal reaction move k_phi * dt * |J'| of one step
 
 
 @dataclass
@@ -62,8 +63,6 @@ class Scenario:
     init: tuple = ("disk", 0.25)
     objective_mode: str = "standard"      # "standard" | "normalized"
     normalization_fill: float | None = None
-    early_stop: bool = False
-    move_limit: float = 0.5
     macro_h: float = 0.0625
     cell_resolution: int = 64
     allow_oversize: bool = False
@@ -80,8 +79,8 @@ class Scenario:
             raise ValueError("conductivities must be positive")
         if self.cell_resolution % 2:
             raise ValueError(f"mesh.cell_resolution must be even, got {self.cell_resolution}")
-        if self.dt <= 0 or self.move_limit <= 0:
-            raise ValueError("dt and move_limit must be positive")
+        if self.dt <= 0:
+            raise ValueError("dt must be positive")
         if not self.d_schedule or self.d_schedule[0][0] != 1:
             raise ValueError("d_schedule must start at iteration 1")
         starts = [start for start, _ in self.d_schedule]
@@ -111,9 +110,6 @@ class Scenario:
         """1 + the number of earlier iterations at this iteration's width."""
         return iteration - max(start for start, _ in self.d_schedule
                                if start <= iteration) + 1
-
-    def last_d_switch(self) -> int:
-        return max(start for start, _ in self.d_schedule)
 
     def derivative_weights(self) -> dict[str, float]:
         """Nonzero weights of dJ1/dK* and dJ2/dK* in dJ/dK* of the recorded J.
@@ -227,7 +223,7 @@ def evaluate(ws: Workspace, phis: list[LevelSetField], d: float,
     matmap = MacroMaterialMap(sector_tensors=[c[1] for c in cells],
                               k_exterior=sc.k_exterior, k_obstacle=sc.k_obstacle)
     state_fact = macro_solver.state_factorization(ws.macro_mesh, matmap, sc.bc)
-    temp = fem.ScalarField(state_fact.solve(), ws.macro_mesh, state_fact.constraints.record)
+    temp = fem.ScalarField(state_fact.solve(), ws.macro_mesh)
     j1, j2 = macro_solver.evaluate_objectives(temp, ws.t_steel, ws.macro_mesh)
     if sc.objective_mode == "normalized":
         j = j1 / ws.norm_denominator
@@ -270,7 +266,7 @@ def step(ws: Workspace, ev: Evaluation, phis: list[LevelSetField],
     peak = max(float(np.abs(jp).max()) for jp in jprimes)
     dt_eff = sc.dt
     if peak > 0:
-        dt_eff = min(sc.dt, sc.move_limit / (sc.k_phi * peak))
+        dt_eff = min(sc.dt, MOVE_LIMIT / (sc.k_phi * peak))
     dt_eff *= sc.width_age(iteration) ** -0.5
     updater = ws.updater
     return _map_cells(
@@ -282,12 +278,13 @@ def run(scenario: Scenario, out_dir=None, resume_from: DesignState | None = None
         threads: int = 1, checkpoint_every: int = 10) -> DesignState:
     """Execute the optimization loop and return the final design state.
 
-    Each iteration is :func:`evaluate` then, unless stopping,
+    Each iteration is :func:`evaluate` then, unless it is the last,
     :func:`step`. ``out_dir`` (optional) receives a progress CSV,
-    checkpoints every ``checkpoint_every`` iterations and at the stopping
+    checkpoints every ``checkpoint_every`` iterations and at the last
     one, and a copy of that last checkpoint as ``final``. ``resume_from``
-    continues a saved state; resuming a finished run returns it unchanged. The run is deterministic for a
-    fixed scenario, independent of ``threads``.
+    continues a saved state; resuming a finished run returns it unchanged.
+    The run is deterministic for a fixed scenario, independent of
+    ``threads``.
     """
     if checkpoint_every < 1:
         raise ValueError("checkpoint_every must be at least 1")
@@ -362,13 +359,8 @@ def run(scenario: Scenario, out_dir=None, resume_from: DesignState | None = None
             j1_init=j1_init, j2_init=j2_init,
             history=history, counters=counters)
 
-        stop = it >= sc.max_iter
-        if sc.early_stop and not stop and it > sc.last_d_switch():
-            if _trailing_flat_count(history) >= 10:
-                log.info("early stop at iteration %d (flat objective)", it)
-                stop = True
-
-        if not stop:
+        last = it == sc.max_iter
+        if not last:
             for f, phi in zip(phis, step(ws, ev, phis, it, threads)):
                 f.phi = phi
             for k in sc.derivative_weights():
@@ -381,13 +373,11 @@ def run(scenario: Scenario, out_dir=None, resume_from: DesignState | None = None
         if csv_path is not None and fresh_row:
             with csv_path.open("a", newline="") as fh:
                 csv.writer(fh).writerow(_csv_row(record))
-        if out_dir is not None and (it % checkpoint_every == 0 or stop):
+        if out_dir is not None and (it % checkpoint_every == 0 or last):
             checkpoint(state, out_dir / "checkpoints" / f"iter_{it:04d}")
-        if stop:
-            break
 
     if out_dir is not None:
-        # the stopping iteration has just been checkpointed: copy, not re-format
+        # the last iteration has just been checkpointed: copy, not re-format
         shutil.copytree(out_dir / "checkpoints" / f"iter_{state.iteration:04d}",
                         out_dir / "final", dirs_exist_ok=True)
     return state
@@ -396,16 +386,6 @@ def run(scenario: Scenario, out_dir=None, resume_from: DesignState | None = None
 def _csv_row(r: IterationRecord) -> list:
     return [r.iteration, f"{r.j1:.17g}", f"{r.j2:.17g}", f"{r.j:.17g}",
             f"{r.j1_ratio:.17g}", f"{r.j2_ratio:.17g}", r.d, f"{r.wall_ms:.1f}"]
-
-
-def _trailing_flat_count(history: list[IterationRecord]) -> int:
-    count = 0
-    for cur, prev in zip(reversed(history), reversed(history[:-1])):
-        if abs(cur.j - prev.j) <= 1e-6 * max(abs(cur.j), 1e-300):
-            count += 1
-        else:
-            break
-    return count
 
 
 def checkpoint(state: DesignState, path) -> None:

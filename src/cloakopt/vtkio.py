@@ -1,4 +1,8 @@
-"""Legacy-VTK (ASCII unstructured grid) export of meshes and fields."""
+"""Legacy-VTK (ASCII unstructured grid) export of meshes and fields.
+
+Every file carries the title ``cloakopt``; each table (points, cells,
+one field) is formatted as one block.
+"""
 
 from __future__ import annotations
 
@@ -11,8 +15,15 @@ from .geometry import TriMesh
 _VTK_TRIANGLE = 5
 
 
+def _rows(fmt: str, values) -> str:
+    """One ``fmt`` line per row of ``values``, from one %-format over the
+    flat list (a format per row costs ~4x more)."""
+    values = np.asarray(values)
+    return (fmt * len(values)) % tuple(values.ravel().tolist())
+
+
 def write_vtk(path, mesh: TriMesh, point_data: dict | None = None,
-              cell_data: dict | None = None, title: str = "cloakopt") -> None:
+              cell_data: dict | None = None) -> None:
     """Write the mesh with optional nodal and element fields.
 
     Scalar fields are (N,) arrays; vector fields are (N, 2) and padded
@@ -20,32 +31,24 @@ def write_vtk(path, mesh: TriMesh, point_data: dict | None = None,
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [
-        "# vtk DataFile Version 3.0",
-        title,
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {mesh.n_nodes} double",
+    parts = [
+        "# vtk DataFile Version 3.0\ncloakopt\nASCII\nDATASET UNSTRUCTURED_GRID\n",
+        f"POINTS {mesh.n_nodes} double\n", _rows("%.12g %.12g 0\n", mesh.nodes),
+        f"CELLS {mesh.n_elements} {4 * mesh.n_elements}\n",
+        _rows("3 %d %d %d\n", mesh.elements),
+        f"CELL_TYPES {mesh.n_elements}\n", f"{_VTK_TRIANGLE}\n" * mesh.n_elements,
     ]
-    for x, y in mesh.nodes:
-        lines.append(f"{x:.12g} {y:.12g} 0")
-    lines.append(f"CELLS {mesh.n_elements} {4 * mesh.n_elements}")
-    for a, b, c in mesh.elements:
-        lines.append(f"3 {a} {b} {c}")
-    lines.append(f"CELL_TYPES {mesh.n_elements}")
-    lines.extend([str(_VTK_TRIANGLE)] * mesh.n_elements)
 
     def emit(section: str, count: int, data: dict):
-        lines.append(f"{section} {count}")
+        parts.append(f"{section} {count}\n")
         for name, values in data.items():
             values = np.asarray(values)
             if values.ndim == 1:
-                lines.append(f"SCALARS {name} double 1")
-                lines.append("LOOKUP_TABLE default")
-                lines.extend(f"{v:.12g}" for v in values)
+                parts.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+                parts.append(_rows("%.12g\n", values))
             else:
-                lines.append(f"VECTORS {name} double")
-                lines.extend(f"{v[0]:.12g} {v[1]:.12g} 0" for v in values)
+                parts.append(f"VECTORS {name} double\n")
+                parts.append(_rows("%.12g %.12g 0\n", values))
 
     if cell_data is None:
         cell_data = {}
@@ -53,7 +56,7 @@ def write_vtk(path, mesh: TriMesh, point_data: dict | None = None,
     emit("CELL_DATA", mesh.n_elements, cell_data)
     if point_data:
         emit("POINT_DATA", mesh.n_nodes, point_data)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("".join(parts))
 
 
 def flux_vectors(mesh: TriMesh, tensors: np.ndarray, values: np.ndarray) -> np.ndarray:

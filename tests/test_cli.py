@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +123,12 @@ def test_normalization_fill_equal_to_both_fills_exit_code(tmp_path, capsys):
     assert "coincides with the reference" in capsys.readouterr().err
 
 
+def test_early_stop_key_exit_code(tmp_path, capsys):
+    path = small_config(tmp_path, optimizer={"early_stop": True})
+    assert optimize_exit_code(tmp_path, path) == 2
+    assert "unknown key optimizer.early_stop" in capsys.readouterr().err
+
+
 def test_malformed_json_reports_line(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"geometry": {,}}')
@@ -132,7 +139,7 @@ def test_malformed_json_reports_line(tmp_path):
 def test_defaults_are_reported(tmp_path):
     cfg = parse_config(small_config(tmp_path))
     text = cfg.describe()
-    assert "optimizer.early_stop = False  (default)" in text
+    assert "objective.mode = standard  (default)" in text
     assert "objective.w = 1.0" in text
 
 
@@ -236,3 +243,44 @@ def test_bad_obstacle_exit_code(short_run, tmp_path, capsys, command, flags):
     assert rc == 2
     assert "obstacle" in capsys.readouterr().err
     assert not out.exists()
+
+
+def missing_path_reported(capsys, path) -> bool:
+    err = capsys.readouterr().err.strip().splitlines()
+    return err[-1].startswith("missing input") and str(path) in err[-1]
+
+
+def test_resume_without_checkpoint_exit_code(tmp_path, capsys):
+    path = small_config(tmp_path)
+    assert optimize_exit_code(tmp_path, path, "--resume") == 2
+    assert missing_path_reported(capsys, tmp_path / "o" / "final")
+
+
+def test_homogenize_missing_phi_exit_code(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    rc = cli.main(["homogenize", "--phi", str(missing), "--k-a", "386", "--k-b", "0.15"])
+    assert rc == 2
+    assert missing_path_reported(capsys, missing)
+
+
+@pytest.mark.parametrize("command", ["validate", "sweep"])
+def test_run_without_final_exit_code(short_run, tmp_path, capsys, command):
+    run = tmp_path / "run"
+    run.mkdir()
+    shutil.copyfile(short_run / "config.json", run / "config.json")
+    flags = (["--run", str(run)] if command == "validate"
+             else ["--run", f"short={run}", "--out", str(tmp_path / "sweep.csv")])
+    assert cli.main([command, *flags, "--epsilon0", "0.25"]) == 2
+    assert missing_path_reported(capsys, run / "final")
+
+
+def test_resume_picks_the_latest_checkpoint_by_iteration(short_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(short_run, run)
+    saved = run / "checkpoints"
+    (saved / "iter_0003").rename(saved / "iter_10000")
+    (saved / "iter_9999").mkdir()          # after iter_10000 as a string; holds no state
+    rc = cli.main(["optimize", "--config", str(small_config(tmp_path)), "--out", str(run),
+                   "--resume"])
+    assert rc == 0
+    assert f"resuming from {saved / 'iter_10000'} (iteration 3)" in capsys.readouterr().out

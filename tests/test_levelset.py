@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 
 import numpy as np
 import pytest
@@ -189,6 +191,12 @@ def test_checkpoint_round_trip(tmp_path, cell_mesh_32):
     f.phi = np.clip(f.phi + 1e-3 * rng.normal(size=f.phi.shape), -1, 1)
     path = tmp_path / "cell.csv"
     write_phi_csv(f, path)
+    per_row = io.StringIO(newline="")     # the csv module's rows are the file format
+    writer = csv.writer(per_row)
+    writer.writerow(["node_index", "y1", "y2", "phi"])
+    for i, ((y1, y2), p) in enumerate(zip(f.mesh.nodes, f.phi)):
+        writer.writerow([i, f"{y1:.17g}", f"{y2:.17g}", f"{p:.17g}"])
+    assert path.read_bytes() == per_row.getvalue().encode()
     coords, phi = read_phi_csv(path)
     np.testing.assert_array_equal(phi, f.phi)          # bit round-trip
     np.testing.assert_array_equal(coords, cell_mesh_32.nodes)

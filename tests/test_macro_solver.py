@@ -189,30 +189,31 @@ def test_macro_ring_reads_the_schur_complement_off_a_throwaway_factor(mesh_name,
     assert 4 * len(c.i) > np.sqrt(len(c.g))
 
 
-def test_system_load_reuses_its_fixed_block_solve(macro_mesh, monkeypatch):
-    """A second varying part with the same system load makes one K_GG solve
-    instead of two and gets the bit-identical answer; homogeneous loads
-    always solve."""
-    matmap, bc = anisotropic_map(), BoundaryData(0.5, 2.0)
-    first = ms.state_factorization(macro_mesh, matmap, bc)
-    first.solve()
-    c = first.condensation
+def test_system_load_reuses_its_fixed_block_solve(paper_geometry, monkeypatch):
+    """The condensation solves K_GG for the zero load once, at its build.
+    Each state solve then makes 1 K_GG solve and each adjoint solve 2,
+    and the state solve of every varying part is bit-identical to one
+    that solves that b_G afresh (an explicit zero load)."""
+    mesh = build_macro_mesh(paper_geometry, 0.25)     # its own cache: the build is seen
     calls = []
     solve_g = fem.Condensation.solve_g
     monkeypatch.setattr(fem.Condensation, "solve_g",
                         lambda self, b: calls.append(len(b)) or solve_g(self, b))
-    matmap.sector_tensors = [1.5 * t for t in matmap.sector_tensors]
-    second = ms.state_factorization(macro_mesh, matmap, bc)
-    assert second.condensation is c
-    reused = second.solve()
-    assert len(calls) == 1
-    c._load = None
-    assert np.array_equal(reused, second.solve())
-    assert len(calls) == 3
-    load = np.ones(macro_mesh.n_nodes)
-    second.solve(load, homogeneous=True)
-    second.solve(load, homogeneous=True)
-    assert len(calls) == 7
+    matmap, bc = anisotropic_map(), BoundaryData(0.5, 2.0)
+    condensation = ms.state_factorization(mesh, matmap, bc).condensation
+    assert len(calls) == 1          # the ring reads S_I off a throwaway factor
+    zero, load = np.zeros(mesh.n_nodes), np.ones(mesh.n_nodes)
+    for scale in (1.0, 1.5):
+        matmap.sector_tensors = [scale * t for t in anisotropic_map().sector_tensors]
+        fact = ms.state_factorization(mesh, matmap, bc)
+        assert fact.condensation is condensation
+        calls.clear()
+        state = fact.solve()
+        assert len(calls) == 1
+        assert np.array_equal(state, fact.solve(zero))
+        assert len(calls) == 3
+        fact.solve(load, homogeneous=True)
+        assert len(calls) == 5
 
 
 def test_corrupted_reduced_system_fails_the_full_residual(paper_geometry):
