@@ -7,34 +7,23 @@ Exit codes: 0 success, 2 configuration error or missing input file,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import logging
 import shutil
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import (fem, homogenization, levelset, macro_solver, optimizer,
                validation, vtkio)
 from .config import ConfigError, RunConfig, parse_config
-from .geometry import (MeshError, SECTOR_FIRST, SECTOR_LAST, UnitCellGeometry,
-                       build_cell_mesh, build_macro_mesh)
-from .levelset import LevelSetField
+from .geometry import MeshError, build_macro_mesh
 from .macro_solver import MacroMaterialMap
 from .validation import TilingSpec
 
 log = logging.getLogger("cloakopt")
 
 DEFAULT_EPSILON0 = 1.0 / 9.0
-
-
-def _write_tensor_csv(path, tensors) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["l", "K11", "K12", "K22", "Kbar1", "Kbar2", "theta"])
-        for row in homogenization.tensor_csv_rows(tensors):
-            writer.writerow(row)
 
 
 def _export_run_fields(cfg: RunConfig, state, out: Path) -> None:
@@ -56,7 +45,8 @@ def cmd_optimize(args) -> int:
     print(cfg.describe())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    shutil.copyfile(args.config, out / "config.json")
+    with contextlib.suppress(shutil.SameFileError):     # resuming with the run's own config
+        shutil.copyfile(args.config, out / "config.json")
 
     resume_state = None
     if args.resume:
@@ -69,7 +59,7 @@ def cmd_optimize(args) -> int:
     state = optimizer.run(cfg.scenario, out_dir=out, resume_from=resume_state,
                           threads=args.threads, checkpoint_every=args.checkpoint_every)
     if cfg.export_tensor_csv:
-        _write_tensor_csv(out / "tensors.csv", state.tensors)
+        homogenization.write_tensor_csv(out / "tensors.csv", state.tensors)
     if cfg.export_vtk:
         _export_run_fields(cfg, state, out)
     last = state.history[-1]
@@ -80,14 +70,9 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_homogenize(args) -> int:
-    coords, phi = levelset.read_phi_csv(args.phi)
-    resolution = int(round(np.sqrt(len(phi)))) - 1
-    mesh = build_cell_mesh(UnitCellGeometry(resolution))
-    if not np.allclose(mesh.nodes, coords, atol=1e-9):
-        raise ConfigError("phi file does not match a structured cell mesh")
-    field = LevelSetField(phi=phi, mesh=mesh, d=args.d)
+    field = levelset.read_phi_field(args.phi, d=args.d)
     mat = homogenization.material_from_levelset(field, args.k_a, args.k_b)
-    tensor, _, _ = homogenization.homogenize(mesh, mat)
+    tensor, _, _ = homogenization.homogenize(field.mesh, mat)
     print(f"K* = [[{tensor.k11:.8g}, {tensor.k12:.8g}], "
           f"[{tensor.k12:.8g}, {tensor.k22:.8g}]]")
     print(f"Kbar1 = {tensor.kbar1:.8g}")
@@ -113,12 +98,6 @@ def _tiling_from(cfg: RunConfig, phis, epsilon0: float) -> TilingSpec:
                       k_obstacle=sc.k_obstacle, bc=sc.bc)
 
 
-def _initial_phis(cfg: RunConfig):
-    mesh = build_cell_mesh(UnitCellGeometry(cfg.scenario.cell_resolution))
-    return [levelset.initialize(mesh, cfg.scenario.init, cell_index=l)
-            for l in range(SECTOR_FIRST, SECTOR_LAST + 1)]
-
-
 def _sweep_angles(text: str | None, k_obstacle: float) -> list[float]:
     """The comma-separated angles of ``--psi``, each checked with
     ``--obstacle-k`` before anything is solved."""
@@ -137,7 +116,7 @@ def cmd_validate(args) -> int:
 
     spec = _tiling_from(cfg, state.phis, args.epsilon0)
     mesh = validation.fine_mesh(spec)
-    init_spec = _tiling_from(cfg, _initial_phis(cfg), args.epsilon0)
+    init_spec = _tiling_from(cfg, cfg.scenario.initial_phis(), args.epsilon0)
     j1_init, j2_init, _ = validation.evaluate_tiled(init_spec, mesh)
     j1, j2, temp = validation.evaluate_tiled(spec, mesh)
 
@@ -186,7 +165,7 @@ def cmd_sweep(args) -> int:
     if cfg0 is None:
         raise ConfigError("at least one --run NAME=DIR is required")
 
-    init_spec = _tiling_from(cfg0, _initial_phis(cfg0), args.epsilon0)
+    init_spec = _tiling_from(cfg0, cfg0.scenario.initial_phis(), args.epsilon0)
     # held through the sweep, so designs on the same layout reuse it
     mesh = validation.fine_mesh(init_spec)
     j1_init, _, _ = validation.evaluate_tiled(init_spec, mesh)

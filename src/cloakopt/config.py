@@ -66,28 +66,12 @@ class RunConfig:
     scenario: Scenario
     export_vtk: bool = True
     export_tensor_csv: bool = True
+    settings: dict = field(default_factory=dict)    # "section.key" -> resolved value
     defaulted: list[str] = field(default_factory=list)
 
     def describe(self) -> str:
-        sc = self.scenario
         lines = ["resolved configuration:"]
-        items = [
-            ("geometry.lx", sc.geometry.lx), ("geometry.ly", sc.geometry.ly),
-            ("geometry.r_ring", sc.geometry.r_ring),
-            ("geometry.r_obstacle", sc.geometry.r_obstacle),
-            ("materials.cell_a", sc.k_cell_a), ("materials.cell_b", sc.k_cell_b),
-            ("materials.exterior", sc.k_exterior), ("materials.obstacle", sc.k_obstacle),
-            ("materials.normalization_fill", sc.normalization_fill),
-            ("boundary.t_low", sc.bc.t_low), ("boundary.t_high", sc.bc.t_high),
-            ("objective.w", sc.w), ("objective.mode", sc.objective_mode),
-            ("levelset.k_phi", sc.k_phi), ("levelset.tau", sc.tau),
-            ("levelset.dt", sc.dt), ("levelset.d_schedule", list(map(list, sc.d_schedule))),
-            ("levelset.init", sc.init),
-            ("optimizer.max_iter", sc.max_iter),
-            ("mesh.macro_h", sc.macro_h), ("mesh.cell_resolution", sc.cell_resolution),
-            ("export.vtk", self.export_vtk), ("export.tensor_csv", self.export_tensor_csv),
-        ]
-        for key, value in items:
+        for key, value in self.settings.items():
             mark = "  (default)" if key in self.defaulted else ""
             lines.append(f"  {key} = {value}{mark}")
         return "\n".join(lines)
@@ -190,6 +174,7 @@ def build_config(raw: dict) -> RunConfig:
     mesh = sections["mesh"]
     ex = sections["export"]
 
+    init = _parse_init(ls["init"])
     schedule = []
     for i, entry in enumerate(ls["d_schedule"]):
         if (not isinstance(entry, (list, tuple)) or len(entry) != 2):
@@ -211,7 +196,7 @@ def build_config(raw: dict) -> RunConfig:
         w=o["w"], objective_mode=mode,
         normalization_fill=float(nf) if nf is not None else None,
         k_phi=ls["k_phi"], tau=ls["tau"], dt=ls["dt"],
-        d_schedule=tuple(schedule), init=_parse_init(ls["init"]),
+        d_schedule=tuple(schedule), init=init,
         max_iter=opt["max_iter"],
         macro_h=mesh["macro_h"], cell_resolution=mesh["cell_resolution"],
         allow_oversize=g["allow_oversize"],
@@ -220,6 +205,10 @@ def build_config(raw: dict) -> RunConfig:
         scenario.validate()
     except ValueError as exc:
         raise ConfigError(str(exc))
+    # every schema key, in schema order, with the value the scenario holds
+    ls.update(d_schedule=[list(entry) for entry in schedule], init=init)
+    settings = {f"{name}.{key}": value
+                for name, section in sections.items() for key, value in section.items()}
     return RunConfig(scenario=scenario, export_vtk=ex["vtk"],
                      export_tensor_csv=ex["tensor_csv"],
-                     defaulted=defaulted)
+                     settings=settings, defaulted=defaulted)

@@ -11,8 +11,10 @@ normalization is needed.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -168,9 +170,10 @@ def voigt_reuss_bounds(volume_fraction_a: float, k_a: float, k_b: float):
     return lower, upper
 
 
-def tensor_csv_rows(tensors) -> list[list]:
-    """Rows for the per-iteration tensor dump: l, K11, K12, K22, Kbar1, Kbar2, theta."""
-    rows = []
-    for l, t in enumerate(tensors, start=1):
-        rows.append([l, t.k11, t.k12, t.k22, t.kbar1, t.kbar2, t.theta_deg])
-    return rows
+def write_tensor_csv(path, tensors) -> None:
+    """One row per sector tensor: l, K11, K12, K22, Kbar1, Kbar2, theta."""
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["l", "K11", "K12", "K22", "Kbar1", "Kbar2", "theta"])
+        writer.writerows([l, t.k11, t.k12, t.k22, t.kbar1, t.kbar2, t.theta_deg]
+                         for l, t in enumerate(tensors, start=1))

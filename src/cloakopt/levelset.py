@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fem
-from .geometry import TriMesh
+from .geometry import TriMesh, UnitCellGeometry, build_cell_mesh
 
 
 def characteristic(phi, d: float):
@@ -65,7 +65,8 @@ def initialize(mesh: TriMesh, pattern, cell_index: int = 0, d: float = 0.2) -> L
 
     ``pattern`` is one of ``("disk", radius)`` for a centred minority-phase
     disk (negative inside), ``("uniform", sign)``, or ``("file", path)``
-    to reload a checkpoint written by :func:`write_phi_csv`.
+    to reload a checkpoint written by :func:`write_phi_csv` (see
+    :func:`read_phi_field`).
     """
     kind = pattern[0]
     if kind == "disk":
@@ -75,13 +76,7 @@ def initialize(mesh: TriMesh, pattern, cell_index: int = 0, d: float = 0.2) -> L
     elif kind == "uniform":
         phi = np.full(mesh.n_nodes, float(np.sign(pattern[1]) or 1.0))
     elif kind == "file":
-        coords, phi = read_phi_csv(pattern[1])
-        if len(phi) != mesh.n_nodes:
-            raise ValueError(
-                f"checkpoint has {len(phi)} nodes, mesh has {mesh.n_nodes}"
-            )
-        if not np.allclose(coords, mesh.nodes, atol=1e-9):
-            raise ValueError("checkpoint node coordinates do not match the mesh")
+        return read_phi_field(pattern[1], mesh, cell_index=cell_index, d=d)
     else:
         raise ValueError(f"unknown init pattern {kind!r}")
     return LevelSetField(phi=phi, mesh=mesh, cell_index=cell_index, d=d)
@@ -186,3 +181,17 @@ def read_phi_csv(path) -> tuple[np.ndarray, np.ndarray]:
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     data = data[np.argsort(data[:, 0])]
     return data[:, 1:3], data[:, 3]
+
+
+def read_phi_field(path, mesh: TriMesh | None = None, cell_index: int = 0,
+                   d: float = 0.2) -> LevelSetField:
+    """Reload one cell written by :func:`write_phi_csv` onto ``mesh``, or,
+    without one, onto the structured cell mesh its node count implies;
+    ``ValueError`` when the file's nodes are not those of the mesh."""
+    coords, phi = read_phi_csv(path)
+    if mesh is None:
+        mesh = build_cell_mesh(UnitCellGeometry(int(round(np.sqrt(len(phi)))) - 1))
+    if len(phi) != mesh.n_nodes or not np.allclose(coords, mesh.nodes, atol=1e-9):
+        raise ValueError(f"{path}: node coordinates do not match the "
+                         f"{mesh.n_nodes}-node cell mesh")
+    return LevelSetField(phi=phi, mesh=mesh, cell_index=cell_index, d=d)

@@ -3,11 +3,12 @@
 The state problem is steady conduction on the half domain with fixed
 temperatures on the left/right edges and adiabatic top/bottom, the
 conductivity being the per-region tensor map (homogenized tensors in the
-design sectors, isotropic elsewhere). The two adjoint problems reuse the
-factored state operator but carry objective-derivative loads and
-homogeneous Dirichlet data; their loads are the exact derivatives of the
-discrete objective values, so adjoint-based gradients match finite
-differences of the discrete objectives to solver precision.
+design sectors, isotropic elsewhere). The adjoint problem reuses the
+factored state operator but carries homogeneous Dirichlet data and, as
+its load, the exact derivative of a weighted sum of the discrete
+objectives, so one adjoint solve differentiates the recorded objective
+and adjoint-based gradients match finite differences of the discrete
+objectives to solver precision.
 
 Across optimizer iterations only the sector tensors change, so
 :func:`state_factorization` condenses the exterior and obstacle blocks
@@ -141,30 +142,36 @@ def reference_field(mesh: TriMesh, bc: BoundaryData) -> fem.ScalarField:
     return fem.ScalarField(bc.t_low * (1.0 - s) + bc.t_high * s, mesh)
 
 
-def adjoint_load(mesh: TriMesh, objective: str, state: fem.ScalarField,
+def adjoint_load(mesh: TriMesh, weights: dict[str, float], state: fem.ScalarField,
                  reference: fem.ScalarField | None = None) -> np.ndarray:
-    """Derivative of the discrete objective w.r.t. nodal temperatures.
+    """Derivative of sum_k weights[k] * J_k w.r.t. nodal temperatures.
 
-    j1: 2 * M_E (T - T_ref) on the evaluation region; j2: 2 * A_C T with
-    A_C the unit-conductivity stiffness of the obstacle region (the
-    divergence-form load of the gradient-energy objective).
+    ``weights`` maps "j1" and "j2" to their weights, as
+    ``Scenario.derivative_weights`` gives them; ``{"j1": 1.0}`` asks for J1
+    alone. dJ1/dT = 2 M_E (T - T_ref) on the evaluation region; dJ2/dT =
+    2 A_C T with A_C the unit-conductivity stiffness of the obstacle region
+    (the divergence-form load of the gradient-energy objective).
     """
+    if not weights or set(weights) - {"j1", "j2"}:
+        raise ValueError(f"adjoint weights must name j1 and/or j2, got {sorted(weights)}")
     m_e, a_c = objectives.region_operators(mesh)
-    if objective == "j1":
+    load = np.zeros(mesh.n_nodes)
+    if "j1" in weights:
         if reference is None:
             raise ValueError("j1 adjoint needs the reference field")
-        return 2.0 * (m_e @ (state.values - reference.values))
-    if objective == "j2":
-        return 2.0 * (a_c @ state.values)
-    raise ValueError(f"unknown objective {objective!r}")
+        load += weights["j1"] * 2.0 * (m_e @ (state.values - reference.values))
+    if "j2" in weights:
+        load += weights["j2"] * 2.0 * (a_c @ state.values)
+    return load
 
 
 def solve_adjoint(state_fact: fem.Factorization | fem.CondensedFactorization,
-                  objective: str, state: fem.ScalarField,
+                  weights: dict[str, float], state: fem.ScalarField,
                   reference: fem.ScalarField | None = None) -> fem.ScalarField:
-    """Adjoint field on the factored state operator: objective-derivative
-    load, zero values on the fixed edges."""
-    load = adjoint_load(state.mesh, objective, state, reference)
+    """Adjoint of sum_k weights[k] * J_k on the factored state operator:
+    its derivative as the load, zero values on the fixed edges. dJ/dK*
+    is linear in the load, so one solve differentiates the weighted sum."""
+    load = adjoint_load(state.mesh, weights, state, reference)
     return fem.ScalarField(state_fact.solve(load, homogeneous=True), state.mesh)
 
 

@@ -2,15 +2,15 @@
 
 Each iteration evaluates the design (:func:`evaluate`: both correctors
 and the tensor of every cell, the macro state, the objectives) and then,
-unless it is the last, advances it (:func:`step`): the needed adjoints on the
-factored state operator, the derivative of the recorded objective J
-(w*J1 + (1-w)*J2, or J1 over its denominator in normalized mode)
-contracted with each cell's insertion derivatives and normalized once per
-cell, and one reaction-diffusion step of every level-set field. Its
-time step is dt, capped so that no node moves by more than
-:data:`MOVE_LIMIT`, divided by sqrt(k) at the k-th
-iteration of the current transition width: the reaction term has unit
-L1 mass however close the design is to a stationary point, so a
+unless it is the last, advances it (:func:`step`): one adjoint solve on
+the factored state operator, whose load is the derivative of the recorded
+objective J (w*J1 + (1-w)*J2, or J1 over its denominator in normalized
+mode), each sector's dJ/dK* contracted with its cell's insertion
+derivatives and normalized once per cell, and one reaction-diffusion
+step of every level-set field. Its time step is dt, capped so that no
+node moves by more than :data:`MOVE_LIMIT`, divided by sqrt(k) at the
+k-th iteration of the current transition width: the reaction term has
+unit L1 mass however close the design is to a stationary point, so a
 constant step keeps the design swinging around it instead of settling.
 The transition width follows a fixed iteration schedule, and the run
 ends at the iteration cap.
@@ -40,7 +40,6 @@ from .macro_solver import BoundaryData, MacroMaterialMap
 
 log = logging.getLogger(__name__)
 
-N_CELLS = SECTOR_LAST - SECTOR_FIRST + 1
 MOVE_LIMIT = 0.5      # largest nodal reaction move k_phi * dt * |J'| of one step
 
 
@@ -112,15 +111,24 @@ class Scenario:
                                if start <= iteration) + 1
 
     def derivative_weights(self) -> dict[str, float]:
-        """Nonzero weights of dJ1/dK* and dJ2/dK* in dJ/dK* of the recorded J.
+        """Nonzero weights of dJ1/dT and dJ2/dT in the adjoint load of the
+        recorded J, which :func:`macro_solver.solve_adjoint` sums into one
+        load; objectives of weight 0 are left out of it.
 
-        Normalized mode takes dJ1/dK* alone: the per-cell normalization of
-        the reaction term absorbs J1's constant denominator. Only the
-        objectives listed here get an adjoint solve.
+        Normalized mode takes dJ1/dT alone: the per-cell normalization of
+        the reaction term absorbs J1's constant denominator.
         """
         if self.objective_mode == "normalized":
             return {"j1": 1.0}
         return {k: v for k, v in (("j1", self.w), ("j2", 1.0 - self.w)) if v > 0.0}
+
+    def initial_phis(self, mesh: TriMesh | None = None) -> list[LevelSetField]:
+        """The initial design, one level set per sector, on ``mesh`` or on a
+        new cell mesh of this scenario's resolution."""
+        if mesh is None:
+            mesh = build_cell_mesh(UnitCellGeometry(self.cell_resolution))
+        return [levelset.initialize(mesh, self.init, cell_index=l)
+                for l in range(SECTOR_FIRST, SECTOR_LAST + 1)]
 
 
 @dataclass
@@ -148,7 +156,6 @@ class DesignState:
     j1_init: float
     j2_init: float
     history: list[IterationRecord]
-    counters: dict
 
 
 class Workspace:
@@ -177,10 +184,6 @@ class Workspace:
         before the cells' steps fan out to threads)."""
         return levelset.ReactionDiffusionUpdater(
             self.cell_mesh, self.scenario.k_phi, self.scenario.tau)
-
-    def initial_phis(self) -> list[LevelSetField]:
-        return [levelset.initialize(self.cell_mesh, self.scenario.init, cell_index=l)
-                for l in range(SECTOR_FIRST, SECTOR_LAST + 1)]
 
 
 def _map_cells(fn, items, threads: int):
@@ -236,23 +239,20 @@ def step(ws: Workspace, ev: Evaluation, phis: list[LevelSetField],
          iteration: int, threads: int = 1) -> list[np.ndarray]:
     """New nodal values of every cell's level set after one update.
 
-    Solves the adjoints on the evaluated state operator, contracts dJ/dK*
-    of the recorded J with each cell's insertion derivatives into a
-    normalized reaction term, and takes one reaction-diffusion step whose
-    size the move limiter caps, divided by sqrt(k) at the k-th iteration
-    of the current transition width (a diminishing step that restarts
-    with each new width, which poses a new smoothed problem).
+    Solves the adjoint of the recorded J on the evaluated state operator,
+    contracts each sector's dJ/dK* with its cell's insertion derivatives
+    into a normalized reaction term, and takes one reaction-diffusion step
+    whose size the move limiter caps, divided by sqrt(k) at the k-th
+    iteration of the current transition width (a diminishing step that
+    restarts with each new width, which poses a new smoothed problem).
     """
     sc = ws.scenario
-    weights = sc.derivative_weights()
-    adjoints = {k: macro_solver.solve_adjoint(ev.state_fact, k, ev.temp, ws.t_steel)
-                for k in weights}
+    adjoint = macro_solver.solve_adjoint(ev.state_fact, sc.derivative_weights(),
+                                         ev.temp, ws.t_steel)
 
     def reaction_task(args):
         l, f, (mat, _tensor, w1, w2) = args
-        dj_dk = sum(weight * sensitivity.tensor_sensitivity(
-                        ws.macro_mesh, ev.temp, adjoints[k], l)
-                    for k, weight in weights.items())
+        dj_dk = sensitivity.tensor_sensitivity(ws.macro_mesh, ev.temp, adjoint, l)
         ins_a, ins_b = sensitivity.topological_tensor_fields(ws.cell_mesh, mat, w1, w2)
         return sensitivity.combined_sensitivity(
             ws.cell_mesh, dj_dk, ins_a, ins_b, f.chi_nodes(ev.d))
@@ -305,17 +305,14 @@ def run(scenario: Scenario, out_dir=None, resume_from: DesignState | None = None
         if len(phis[0].phi) != ws.cell_mesh.n_nodes:
             raise ValueError("resumed state does not match the scenario cell mesh")
         history = list(resume_from.history)
-        counters = dict(resume_from.counters)
         j1_init, j2_init = resume_from.j1_init, resume_from.j2_init
         # the saved design was evaluated but not yet advanced: replay its
         # iteration (evaluation recomputes deterministically, the recorded
         # history row is kept) so the update half runs again
         start = resume_from.iteration
     else:
-        phis = ws.initial_phis()
+        phis = sc.initial_phis(ws.cell_mesh)
         history = []
-        counters = {"cell_solves": 0, "state_solves": 0,
-                    "adjoint_solves_j1": 0, "adjoint_solves_j2": 0}
         j1_init = j2_init = None
         start = 1
 
@@ -331,8 +328,6 @@ def run(scenario: Scenario, out_dir=None, resume_from: DesignState | None = None
     for it in range(start, sc.max_iter + 1):
         t0 = time.perf_counter()
         ev = evaluate(ws, phis, sc.d_at(it), threads)
-        counters["cell_solves"] += 2 * N_CELLS
-        counters["state_solves"] += 1
         if j1_init is None:
             j1_init, j2_init = ev.j1, ev.j2
 
@@ -357,14 +352,12 @@ def run(scenario: Scenario, out_dir=None, resume_from: DesignState | None = None
                                 cell_index=f.cell_index, d=ev.d) for f in phis],
             tensors=ev.tensors, j1=ev.j1, j2=ev.j2, j=ev.j,
             j1_init=j1_init, j2_init=j2_init,
-            history=history, counters=counters)
+            history=history)
 
         last = it == sc.max_iter
         if not last:
             for f, phi in zip(phis, step(ws, ev, phis, it, threads)):
                 f.phi = phi
-            for k in sc.derivative_weights():
-                counters[f"adjoint_solves_{k}"] += 1
         # release this iteration's fields, gradients and state factor
         # before the next evaluation builds its own
         del ev
@@ -398,7 +391,6 @@ def checkpoint(state: DesignState, path) -> None:
         "iteration": state.iteration,
         "j1": state.j1, "j2": state.j2, "j": state.j,
         "j1_init": state.j1_init, "j2_init": state.j2_init,
-        "counters": state.counters,
         "d": [f.d for f in state.phis],
         "tensors": [asdict(t) for t in state.tensors],
         "history": [asdict(r) for r in state.history],
@@ -408,7 +400,8 @@ def checkpoint(state: DesignState, path) -> None:
 
 
 def resume(path) -> DesignState:
-    """Reload a checkpoint; the cell mesh is rebuilt from the node count."""
+    """Reload a checkpoint; the cell mesh is rebuilt from the node count.
+    A ``"counters"`` entry, written by earlier versions, is ignored."""
     path = Path(path)
     state_file = path / "state.json"
     if not state_file.exists():
@@ -416,16 +409,11 @@ def resume(path) -> DesignState:
     with state_file.open() as fh:
         payload = json.load(fh)
 
-    coords, phi0 = levelset.read_phi_csv(path / f"cell_{SECTOR_FIRST}.csv")
-    resolution = int(round(np.sqrt(len(phi0)))) - 1
-    mesh = build_cell_mesh(UnitCellGeometry(resolution))
-    if not np.allclose(mesh.nodes, coords, atol=1e-9):
-        raise ValueError("checkpoint coordinates do not match a structured cell mesh")
-
     phis = []
     for l, d in zip(range(SECTOR_FIRST, SECTOR_LAST + 1), payload["d"]):
-        _, phi = levelset.read_phi_csv(path / f"cell_{l}.csv")
-        phis.append(LevelSetField(phi=phi, mesh=mesh, cell_index=l, d=d))
+        mesh = phis[0].mesh if phis else None       # all cells share the first's mesh
+        phis.append(levelset.read_phi_field(path / f"cell_{l}.csv", mesh,
+                                            cell_index=l, d=d))
 
     tensors = [EffectiveTensor(**t) for t in payload["tensors"]]
     history = [IterationRecord(**r) for r in payload["history"]]
@@ -433,4 +421,4 @@ def resume(path) -> DesignState:
         iteration=payload["iteration"], phis=phis, tensors=tensors,
         j1=payload["j1"], j2=payload["j2"], j=payload["j"],
         j1_init=payload["j1_init"], j2_init=payload["j2_init"],
-        history=history, counters=payload["counters"])
+        history=history)

@@ -6,9 +6,10 @@ and adjoint gradients). The cell half carries the pointwise derivative
 of K* when a small inclusion of the other phase appears, built from the
 corrector gradients. Their contraction, split by insertion direction and
 blended by the smoothed indicator, is L1-normalized per cell. The
-optimizer contracts the derivative of the objective it records, w*dJ1/dK*
-+ (1-w)*dJ2/dK* for two objectives, so each cell's reaction term is
-normalized once and follows the derivative of that weighted sum.
+optimizer contracts the derivative of the objective it records,
+w*dJ1/dK* + (1-w)*dJ2/dK*, which is linear in the adjoint load and so
+comes from one adjoint of the weighted load; each cell's reaction term
+is normalized once and follows the derivative of that weighted sum.
 """
 
 from __future__ import annotations

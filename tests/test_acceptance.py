@@ -147,8 +147,8 @@ def test_criterion_03_adjoint_matches_finite_differences():
     matmap = MacroMaterialMap(list(tensors), k_exterior=STEEL, k_obstacle=COPPER)
     fact = fem.Factorization(ms.state_system(mesh, matmap, bc))
     temp = fem.ScalarField(fact.solve(), mesh)
-    adjoints = {"j1": ms.solve_adjoint(fact, "j1", temp, steel),
-                "j2": ms.solve_adjoint(fact, "j2", temp)}
+    adjoints = {"j1": ms.solve_adjoint(fact, {"j1": 1.0}, temp, steel),
+                "j2": ms.solve_adjoint(fact, {"j2": 1.0}, temp)}
 
     worst = 0.0
     for kind, idx in (("j1", 0), ("j2", 1)):

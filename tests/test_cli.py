@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cloakopt import cli
-from cloakopt.config import ConfigError, parse_config
+from cloakopt.config import _SCHEMA, ConfigError, parse_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -141,6 +141,10 @@ def test_defaults_are_reported(tmp_path):
     text = cfg.describe()
     assert "objective.mode = standard  (default)" in text
     assert "objective.w = 1.0" in text
+    assert "geometry.allow_oversize = False  (default)" in text
+    keys = [line.split(" = ")[0].strip() for line in text.splitlines()[1:]]
+    assert sorted(keys) == sorted(f"{name}.{key}" for name, spec in _SCHEMA.items()
+                                  for key in (*spec["required"], *spec["optional"]))
 
 
 def test_optimize_command_end_to_end(tmp_path, capsys):
@@ -220,6 +224,19 @@ def test_resume_flag_continues(tmp_path, capsys):
     assert rc == 0
     rows = (out / "history.csv").read_text().splitlines()
     assert len(rows) == 1 + 5
+
+
+def test_resume_with_the_runs_own_config(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert cli.main(["optimize", "--config", str(small_config(tmp_path)), "--out", str(out)]) == 0
+    own = out / "config.json"
+    raw = json.loads(own.read_text())
+    raw["optimizer"]["max_iter"] = 5
+    own.write_text(json.dumps(raw))
+    assert cli.main(["optimize", "--config", str(own), "--out", str(out), "--resume"]) == 0
+    assert "(iteration 3)" in capsys.readouterr().out
+    assert len((out / "history.csv").read_text().splitlines()) == 1 + 5
+    assert json.loads(own.read_text()) == raw
 
 
 @pytest.fixture(scope="module")

@@ -11,7 +11,7 @@ from cloakopt.geometry import (MacroGeometry, UnitCellGeometry, build_cell_mesh,
                                build_macro_mesh)
 from cloakopt.levelset import (LevelSetField, ReactionDiffusionUpdater,
                                characteristic, initialize, read_phi_csv,
-                               write_phi_csv)
+                               read_phi_field, write_phi_csv)
 
 
 def test_characteristic_anchor_values():
@@ -202,3 +202,21 @@ def test_checkpoint_round_trip(tmp_path, cell_mesh_32):
     np.testing.assert_array_equal(coords, cell_mesh_32.nodes)
     g = initialize(cell_mesh_32, ("file", path))
     np.testing.assert_array_equal(g.phi, f.phi)
+
+
+def test_read_phi_field_rebuilds_or_checks_the_cell_mesh(tmp_path, cell_mesh_32):
+    f = initialize(cell_mesh_32, ("disk", 0.3), cell_index=4)
+    path = tmp_path / "cell.csv"
+    write_phi_csv(f, path)
+    rebuilt = read_phi_field(path, cell_index=4, d=0.05)
+    np.testing.assert_array_equal(rebuilt.mesh.nodes, cell_mesh_32.nodes)
+    np.testing.assert_array_equal(rebuilt.phi, f.phi)
+    assert (rebuilt.cell_index, rebuilt.d) == (4, 0.05)
+    assert read_phi_field(path, cell_mesh_32).mesh is cell_mesh_32
+    with pytest.raises(ValueError, match="do not match"):
+        read_phi_field(path, build_cell_mesh(UnitCellGeometry(16)))
+    shifted = dataclasses.replace(f, mesh=dataclasses.replace(
+        cell_mesh_32, nodes=cell_mesh_32.nodes + 1e-3))
+    write_phi_csv(shifted, path)
+    with pytest.raises(ValueError, match="do not match"):
+        read_phi_field(path)

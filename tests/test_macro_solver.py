@@ -82,21 +82,21 @@ def direct_factorization(mesh, matmap, bc):
 
 def test_adjoint_zero_when_state_matches_reference(macro_mesh, bc, steel_field):
     fact = direct_factorization(macro_mesh, ms.ring_filled_map(STEEL, STEEL, STEEL), bc)
-    v = ms.solve_adjoint(fact, "j1", steel_field, steel_field)
+    v = ms.solve_adjoint(fact, {"j1": 1.0}, steel_field, steel_field)
     assert np.abs(v.values).max() < 1e-12
 
 
 def test_adjoint_j2_zero_for_flat_interior(macro_mesh, bc):
     fact = direct_factorization(macro_mesh, ms.ring_filled_map(STEEL, STEEL, STEEL), bc)
     flat = fem.ScalarField(np.full(macro_mesh.n_nodes, 0.25), macro_mesh)
-    v = ms.solve_adjoint(fact, "j2", flat)
+    v = ms.solve_adjoint(fact, {"j2": 1.0}, flat)
     assert np.abs(v.values).max() < 1e-12
 
 
 def test_adjoint_vanishes_on_fixed_edges(macro_mesh, bc, steel_field):
     fact = direct_factorization(macro_mesh, ms.ring_filled_map(COPPER, STEEL, COPPER), bc)
     temp = fem.ScalarField(fact.solve(), macro_mesh)
-    v = ms.solve_adjoint(fact, "j1", temp, steel_field)
+    v = ms.solve_adjoint(fact, {"j1": 1.0}, temp, steel_field)
     for tag in ("gamma_a", "gamma_b"):
         nodes = np.unique(macro_mesh.boundary_edges[tag])
         assert np.abs(v.values[nodes]).max() == 0.0
@@ -105,11 +105,22 @@ def test_adjoint_vanishes_on_fixed_edges(macro_mesh, bc, steel_field):
 def test_adjoint_load_scaling_linearity(macro_mesh, steel_field, bc):
     matmap = ms.ring_filled_map(COPPER, STEEL, COPPER)
     temp = ms.solve_state(macro_mesh, matmap, bc)
-    base = ms.adjoint_load(macro_mesh, "j2", temp)
+    base = ms.adjoint_load(macro_mesh, {"j2": 1.0}, temp)
     scaled_state = fem.ScalarField(3.0 * temp.values, macro_mesh)
-    np.testing.assert_allclose(ms.adjoint_load(macro_mesh, "j2", scaled_state),
+    np.testing.assert_allclose(ms.adjoint_load(macro_mesh, {"j2": 1.0}, scaled_state),
                                3.0 * base, rtol=1e-9,
                                atol=1e-12 * np.abs(base).max())
+
+
+def test_adjoint_load_is_the_weighted_sum(macro_mesh, steel_field, bc):
+    temp = ms.solve_state(macro_mesh, ms.ring_filled_map(COPPER, STEEL, COPPER), bc)
+    l1, l2 = (ms.adjoint_load(macro_mesh, {k: 1.0}, temp, steel_field) for k in ("j1", "j2"))
+    np.testing.assert_allclose(
+        ms.adjoint_load(macro_mesh, {"j1": 0.3, "j2": 0.7}, temp, steel_field),
+        0.3 * l1 + 0.7 * l2, rtol=1e-15, atol=0.0)
+    for bad in ({}, {"j3": 1.0}):
+        with pytest.raises(ValueError, match="j1 and/or j2"):
+            ms.adjoint_load(macro_mesh, bad, temp, steel_field)
 
 
 def test_boundary_data_validation():
@@ -145,7 +156,8 @@ def relative_difference(got, want):
 
 @pytest.mark.parametrize("mesh_name", ["coarse_macro_mesh", "macro_mesh"])
 def test_condensed_solves_match_the_direct_factorization(mesh_name, request):
-    """State (with its Dirichlet lift) and both homogeneous adjoint loads."""
+    """State (with its Dirichlet lift) and homogeneous adjoint loads of
+    each objective and of a weighted sum."""
     mesh = request.getfixturevalue(mesh_name)
     bc = BoundaryData(0.5, 2.0)
     matmap = anisotropic_map()
@@ -156,11 +168,11 @@ def test_condensed_solves_match_the_direct_factorization(mesh_name, request):
 
     temp = fem.ScalarField(state, mesh)
     reference = ms.reference_field(mesh, bc)
-    for objective in ("j1", "j2"):
-        load = ms.adjoint_load(mesh, objective, temp, reference)
+    for weights in ({"j1": 1.0}, {"j2": 1.0}, {"j1": 0.3, "j2": 0.7}):
+        load = ms.adjoint_load(mesh, weights, temp, reference)
         want = direct.solve(load, homogeneous=True)
         assert relative_difference(condensed.solve(load, homogeneous=True), want) <= 1e-12
-        v = ms.solve_adjoint(condensed, objective, temp, reference)
+        v = ms.solve_adjoint(condensed, weights, temp, reference)
         assert relative_difference(v.values, want) <= 1e-12
 
 

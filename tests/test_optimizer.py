@@ -1,11 +1,12 @@
 import dataclasses
 import gc
+import json
 import weakref
 
 import numpy as np
 import pytest
 
-from cloakopt import fem, levelset, optimizer
+from cloakopt import fem, levelset, macro_solver, optimizer, sensitivity
 from cloakopt.geometry import MacroGeometry
 from cloakopt.macro_solver import BoundaryData
 from cloakopt.optimizer import (DesignState, Scenario, Workspace, checkpoint, evaluate,
@@ -31,19 +32,32 @@ def history_signature(state: DesignState):
             for r in state.history]
 
 
+def adjoint_weights(monkeypatch, scenario):
+    """The run's final state and the weights of each adjoint it solved."""
+    weights = []
+    solve_adjoint = macro_solver.solve_adjoint
+
+    def record(state_fact, w, *args):
+        weights.append(dict(w))
+        return solve_adjoint(state_fact, w, *args)
+
+    monkeypatch.setattr(macro_solver, "solve_adjoint", record)
+    return run(scenario), weights
+
+
 def test_max_iter_validation():
     with pytest.raises(ValueError):
         tiny_scenario(max_iter=0).validate()
 
 
-def test_single_iteration_reports_initial_objectives():
-    state = run(tiny_scenario(max_iter=1))
+def test_single_iteration_reports_initial_objectives(monkeypatch):
+    state, weights = adjoint_weights(monkeypatch, tiny_scenario(max_iter=1))
     assert state.iteration == 1
     assert len(state.history) == 1
     assert state.j1 == state.j1_init
     assert state.history[0].j1_ratio == 1.0
     # no update happened, so no adjoint was needed
-    assert state.counters["adjoint_solves_j1"] == 0
+    assert weights == []
 
 
 def test_d_schedule_lookup():
@@ -95,16 +109,42 @@ def test_d_schedule_recorded_in_history():
     assert [r.d for r in state.history] == [0.2, 0.2, 0.1, 0.1]
 
 
-def test_w1_skips_flux_adjoint():
-    state = run(tiny_scenario(w=1.0))
-    assert state.counters["adjoint_solves_j1"] > 0
-    assert state.counters["adjoint_solves_j2"] == 0
+def test_w1_skips_flux_adjoint(monkeypatch):
+    _, weights = adjoint_weights(monkeypatch, tiny_scenario(w=1.0))
+    assert weights == [{"j1": 1.0}] * 3
 
 
-def test_w0_skips_mismatch_adjoint():
-    state = run(tiny_scenario(w=0.0))
-    assert state.counters["adjoint_solves_j1"] == 0
-    assert state.counters["adjoint_solves_j2"] > 0
+def test_w0_skips_mismatch_adjoint(monkeypatch):
+    _, weights = adjoint_weights(monkeypatch, tiny_scenario(w=0.0))
+    assert weights == [{"j2": 1.0}] * 3
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(w=0.0), dict(w=0.3), dict(w=1.0),
+    dict(w=0.3, objective_mode="normalized", normalization_fill=PDMS),
+], ids=["w0", "w0.3", "w1", "normalized"])
+def test_each_step_solves_one_adjoint(monkeypatch, overrides):
+    """One homogeneous solve on the state operator and one dJ/dK* per
+    sector, whatever the weights."""
+    homogeneous_flags, sectors = [], []
+    tensor_sensitivity = sensitivity.tensor_sensitivity
+
+    def recording_solve(solve):
+        def wrapped(self, rhs_full=None, homogeneous=False):
+            homogeneous_flags.append(homogeneous)
+            return solve(self, rhs_full, homogeneous)
+        return wrapped
+
+    def record_tensor(*args):
+        sectors.append(args[-1])
+        return tensor_sensitivity(*args)
+
+    for cls in (fem.Factorization, fem.CondensedFactorization):
+        monkeypatch.setattr(cls, "solve", recording_solve(cls.solve))
+    monkeypatch.setattr(sensitivity, "tensor_sensitivity", record_tensor)
+    run(tiny_scenario(max_iter=3, **overrides))
+    assert homogeneous_flags.count(True) == 2
+    assert sectors == list(range(1, 9)) * 2
 
 
 def test_determinism_bit_identical_histories():
@@ -136,6 +176,19 @@ def test_checkpoint_resume_bit_identical(tmp_path):
     assert history_signature(resumed) == history_signature(full)
     for fa, fb in zip(full.phis, resumed.phis):
         np.testing.assert_array_equal(fa.phi, fb.phi)
+
+
+def test_resume_ignores_counters_of_older_checkpoints(tmp_path):
+    sc = tiny_scenario(max_iter=3)
+    checkpoint(run(dataclasses.replace(sc, max_iter=2)), tmp_path / "ck")
+    state_file = tmp_path / "ck" / "state.json"
+    payload = json.loads(state_file.read_text())
+    assert "counters" not in payload
+    payload["counters"] = {"cell_solves": 32, "state_solves": 2,
+                           "adjoint_solves_j1": 1, "adjoint_solves_j2": 0}
+    state_file.write_text(json.dumps(payload))
+    resumed = run(sc, resume_from=resume(tmp_path / "ck"))
+    assert history_signature(resumed) == history_signature(run(sc))
 
 
 def test_resume_finished_run_is_noop(tmp_path):
@@ -181,28 +234,40 @@ def test_objectives_decrease_even_in_short_run():
 def test_mixed_weight_contracts_derivative_of_recorded_objective(monkeypatch):
     # for 0 < w < 1 each cell's reaction term must come from the derivative
     # of the recorded J = w*J1 + (1-w)*J2, normalized once, not from two
-    # separately normalized objective terms
-    from cloakopt import sensitivity
+    # separately normalized objective terms; the one adjoint of the
+    # weighted load gives w*s1 + (1-w)*s2 of the single-objective adjoints
+    solve_adjoint = macro_solver.solve_adjoint
     tensor_sensitivity = sensitivity.tensor_sensitivity
     combined_sensitivity = sensitivity.combined_sensitivity
-    derivatives, contracted = [], []
+    adjoints, derivatives, contracted = [], [], []
+
+    def record_adjoint(state_fact, weights, state, reference):
+        adjoints.append((state_fact, weights, state, reference))
+        return solve_adjoint(state_fact, weights, state, reference)
 
     def record_tensor(*args):
         s = tensor_sensitivity(*args)
-        derivatives.append(s)
+        derivatives.append((args[-1], s))
         return s
 
     def record_combined(mesh, dj_dk, *args):
         contracted.append(dj_dk)
         return combined_sensitivity(mesh, dj_dk, *args)
 
+    monkeypatch.setattr(macro_solver, "solve_adjoint", record_adjoint)
     monkeypatch.setattr(sensitivity, "tensor_sensitivity", record_tensor)
     monkeypatch.setattr(sensitivity, "combined_sensitivity", record_combined)
     w = 0.3
     run(tiny_scenario(w=w, max_iter=2))
-    assert len(contracted) == 8 and len(derivatives) == 16
-    for s_j, s1, s2 in zip(contracted, derivatives[0::2], derivatives[1::2]):
-        np.testing.assert_array_equal(s_j, w * s1 + (1.0 - w) * s2)
+    assert len(adjoints) == 1 and len(derivatives) == 8 and len(contracted) == 8
+    state_fact, weights, temp, reference = adjoints[0]
+    assert weights == {"j1": w, "j2": 1.0 - w}
+    single = [solve_adjoint(state_fact, {k: 1.0}, temp, reference) for k in ("j1", "j2")]
+    for s_j, (l, s) in zip(contracted, derivatives):
+        assert s_j is s
+        s1, s2 = (tensor_sensitivity(temp.mesh, temp, v, l) for v in single)
+        want = w * s1 + (1.0 - w) * s2
+        assert np.abs(s - want).max() <= 1e-10 * np.abs(want).max()
 
 
 def test_evaluate_condenses_once_and_factors_only_the_ring(monkeypatch):
@@ -234,7 +299,7 @@ def test_evaluate_condenses_once_and_factors_only_the_ring(monkeypatch):
     monkeypatch.setattr(fem, "_factor", counting_factor)
     monkeypatch.setattr(fem, "Condensation", CountingCondensation)
     monkeypatch.setattr(fem, "Factorization", CountingFactorization)
-    phis = ws.initial_phis()
+    phis = ws.scenario.initial_phis(ws.cell_mesh)
     for it, d in enumerate((0.2, 0.2, 0.1), start=1):
         step(ws, evaluate(ws, phis, d), phis, it)
     assert len(condensations) == 1
@@ -251,7 +316,7 @@ def test_evaluated_meshes_freed_without_the_cycle_collector():
     gc.disable()
     try:
         ws = Workspace(tiny_scenario(w=0.5))
-        phis = ws.initial_phis()
+        phis = ws.scenario.initial_phis(ws.cell_mesh)
         step(ws, evaluate(ws, phis, 0.2), phis, 1)
         meshes = [weakref.ref(ws.macro_mesh), weakref.ref(ws.cell_mesh)]
         assert all(len(m().cache) > 1 for m in meshes)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cloakopt import fem
+from cloakopt import fem, objectives
 from cloakopt import macro_solver as ms
 from cloakopt import sensitivity as sens
 from cloakopt.geometry import TriMesh, UnitCellGeometry, build_cell_mesh
@@ -11,6 +11,7 @@ from cloakopt.macro_solver import BoundaryData, MacroMaterialMap
 from conftest import COPPER, PDMS, STEEL, rotation
 
 BC = BoundaryData(0.0, 1.0)
+W = 0.3           # weight of J1 in the recorded J = W*J1 + (1-W)*J2
 
 
 def synthetic_sector_tensors():
@@ -29,9 +30,9 @@ def fd_setup(coarse_macro_mesh):
     matmap = MacroMaterialMap(list(tensors), k_exterior=STEEL, k_obstacle=COPPER)
     fact = fem.Factorization(ms.state_system(mesh, matmap, BC))
     temp = fem.ScalarField(fact.solve(), mesh)
-    v1 = ms.solve_adjoint(fact, "j1", temp, steel)
-    v2 = ms.solve_adjoint(fact, "j2", temp)
-    return mesh, steel, tensors, temp, {"j1": v1, "j2": v2}
+    weights = {"j1": {"j1": 1.0}, "j2": {"j2": 1.0}, "recorded": {"j1": W, "j2": 1.0 - W}}
+    adjoints = {k: ms.solve_adjoint(fact, w, temp, steel) for k, w in weights.items()}
+    return mesh, steel, tensors, temp, adjoints
 
 
 def objective_pair(mesh, steel, tensors):
@@ -40,25 +41,45 @@ def objective_pair(mesh, steel, tensors):
     return ms.evaluate_objectives(temp, steel, mesh)
 
 
+def assert_matches_centred_differences(mesh, steel, tensors, s, l, objective):
+    """Criterion 3's recipe: each independent entry of dJ/dK* of sector l
+    against a centred difference of ``objective(J1, J2)`` to 1e-3."""
+    h = 1e-4 * np.linalg.norm(tensors[l - 1])
+    for (i, j) in ((0, 0), (0, 1), (1, 1)):
+        dk = np.zeros((2, 2))
+        dk[i, j] += h
+        if i != j:
+            dk[j, i] += h
+        plus = [t.copy() for t in tensors]
+        plus[l - 1] = tensors[l - 1] + dk
+        minus = [t.copy() for t in tensors]
+        minus[l - 1] = tensors[l - 1] - dk
+        fd = (objective(*objective_pair(mesh, steel, plus))
+              - objective(*objective_pair(mesh, steel, minus))) / (2 * h)
+        predicted = s[i, j] if i == j else 2.0 * s[i, j]
+        assert fd == pytest.approx(predicted, rel=1e-3), (l, i, j)
+
+
 def test_tensor_sensitivity_matches_finite_differences(fd_setup):
     mesh, steel, tensors, temp, adjoints = fd_setup
     for kind, idx in (("j1", 0), ("j2", 1)):
         for l in (1, 4, 7):
             s = sens.tensor_sensitivity(mesh, temp, adjoints[kind], l)
-            h = 1e-4 * np.linalg.norm(tensors[l - 1])
-            for (i, j) in ((0, 0), (0, 1), (1, 1)):
-                dk = np.zeros((2, 2))
-                dk[i, j] += h
-                if i != j:
-                    dk[j, i] += h
-                plus = [t.copy() for t in tensors]
-                plus[l - 1] = tensors[l - 1] + dk
-                minus = [t.copy() for t in tensors]
-                minus[l - 1] = tensors[l - 1] - dk
-                fd = (objective_pair(mesh, steel, plus)[idx]
-                      - objective_pair(mesh, steel, minus)[idx]) / (2 * h)
-                predicted = s[i, j] if i == j else 2.0 * s[i, j]
-                assert fd == pytest.approx(predicted, rel=1e-3), (kind, l, i, j)
+            assert_matches_centred_differences(mesh, steel, tensors, s, l,
+                                               lambda *j: j[idx])
+
+
+def test_weighted_adjoint_differentiates_the_recorded_objective(fd_setup):
+    """The one adjoint of the weighted load gives W*s1 + (1-W)*s2 of the
+    single-objective adjoints, and the derivative of the recorded J."""
+    mesh, steel, tensors, temp, adjoints = fd_setup
+    for l in range(1, 9):
+        s = sens.tensor_sensitivity(mesh, temp, adjoints["recorded"], l)
+        s1, s2 = (sens.tensor_sensitivity(mesh, temp, adjoints[k], l) for k in ("j1", "j2"))
+        want = W * s1 + (1.0 - W) * s2
+        assert np.abs(s - want).max() <= 1e-10 * np.abs(want).max()
+        assert_matches_centred_differences(mesh, steel, tensors, s, l,
+                                           lambda j1, j2: objectives.compose(j1, j2, W))
 
 
 def test_first_order_prediction_of_objective_change(fd_setup):
