@@ -3,12 +3,14 @@
 Physical constants must be spelled out; only algorithmic knobs carry
 defaults, and the fully resolved configuration (defaults marked) is
 printed at startup so nothing is silently assumed. Unknown keys anywhere
-are rejected with the offending path.
+are rejected with the offending path, and so are non-finite numbers,
+which Python's json reads from ``NaN``, ``Infinity`` and ``1e400``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -81,7 +83,13 @@ def _coerce(path: str, value, expected):
     if expected is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number, got {value!r}")
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:       # an integer literal beyond the float range
+            number = math.inf
+        if not math.isfinite(number):
+            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+        return number
     if expected is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{path}: expected an integer, got {value!r}")

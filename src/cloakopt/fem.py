@@ -10,7 +10,16 @@ where R is a 0/1 matrix with at most one nonzero per row
 (:class:`Constraints`: R as ``dof_of_node``, g as ``fixed_values``).
 Reducing an assembled system through R keeps it symmetric positive
 definite, so every factorization uses SuperLU's symmetric minimum-degree
-ordering (MMD on A^T + A).
+ordering (MMD on A^T + A). Every factorization also uses one supernode
+setting, :data:`SUPERNODE_RELAX` and :data:`PANEL_SIZE`. The
+elimination trees of these 2D P1 operators have short supernodes, which
+scipy's defaults (relax 10, panel 20) pad with explicit zeros, and the
+padding costs more than its dense kernels save. Relax 1 and panel 4, a
+point of the flat optimum that interleaved timings of the cell, ring and
+fine operators found for relax 1-2 and panels of 2-5, factor the
+resolution-64 cell (with 6% less fill) and the macro ring ~20% faster,
+the eps0 = 1/9 fine operator 12-20% and the fixed blocks of a
+condensation 15-35%.
 
 The constraint map and the sparsity of the reduced operator depend only
 on the mesh and the constraint set. :func:`structure` builds them once
@@ -63,6 +72,8 @@ from .geometry import TriMesh
 
 SOLVE_RTOL = 1e-10
 ORDERING = "MMD_AT_PLUS_A"       # symmetric fill-reducing ordering for SPD operators
+SUPERNODE_RELAX = 1              # columns of a relaxed supernode at the tree's leaves
+PANEL_SIZE = 4                   # columns factored together as one panel
 
 _LUMPED_MASS = np.eye(3) / 3.0
 _CONSISTENT_MASS = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
@@ -400,8 +411,9 @@ def assemble_diffusion(mesh: TriMesh, tensors: np.ndarray,
 
 
 def _factor(matrix: sp.csc_matrix, **options):
+    """SuperLU factorization with the module's supernode constants."""
     try:
-        return spla.splu(matrix, **options)
+        return spla.splu(matrix, relax=SUPERNODE_RELAX, panel_size=PANEL_SIZE, **options)
     except RuntimeError as exc:
         raise SolverError(
             "factorization failed (matrix singular); a Dirichlet or gauge "
@@ -559,12 +571,12 @@ def _solves_form_schur(n_i: int, n_g: int) -> bool:
 
     The solves cost |I| K_GG solves, the throwaway route one more
     factorization; on a 2D mesh a factorization costs some sqrt(|G|)
-    solves. Measured, they break even near |I| = 0.10 sqrt(|G|) for the
-    tiled insert at eps0 = 1/9 and 0.17 sqrt(|G|) for the macro ring at
+    solves. Measured, they break even near |I| = 0.08 sqrt(|G|) for the
+    tiled insert at eps0 = 1/9 and 0.12 sqrt(|G|) for the macro ring at
     h = 1/64. The threshold 1/4 leans to the solves because they also
     peak lower in memory (the throwaway factor coexists with the copy of
     its U that scipy makes); the insert (0.08) and the rings (1.2-1.4 from
-    h = 1/4 to 1/64) lie well to either side.
+    h = 1/4 to 1/64) lie to either side of it.
     """
     return 4 * n_i <= np.sqrt(n_g)
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import shutil
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -78,8 +79,12 @@ class Scenario:
             raise ValueError("conductivities must be positive")
         if self.cell_resolution % 2:
             raise ValueError(f"mesh.cell_resolution must be even, got {self.cell_resolution}")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.k_phi < math.inf:
+            raise ValueError("k_phi must be positive and finite")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
+        if not 0 <= self.tau < math.inf:
+            raise ValueError("tau must be non-negative and finite")
         if not self.d_schedule or self.d_schedule[0][0] != 1:
             raise ValueError("d_schedule must start at iteration 1")
         starts = [start for start, _ in self.d_schedule]
@@ -317,7 +322,10 @@ def run(scenario: Scenario, out_dir=None, resume_from: DesignState | None = None
         start = 1
 
     csv_path = out_dir / "history.csv" if out_dir is not None else None
-    if csv_path is not None and not (resume_from is not None and csv_path.exists()):
+    if csv_path is not None:
+        # rewritten from the resumed history: the file may hold rows past
+        # the checkpoint (a run stopped between checkpoints), which the
+        # replay appends again
         with csv_path.open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(

@@ -1,3 +1,4 @@
+import csv
 import json
 import shutil
 from pathlib import Path
@@ -93,6 +94,26 @@ def test_bad_init_value_exit_code(tmp_path, capsys, init, message):
     path = small_config(tmp_path, levelset={"init": init})
     assert optimize_exit_code(tmp_path, path) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("levelset", "tau", float("nan")),
+    ("levelset", "tau", float("inf")),
+    ("levelset", "k_phi", float("nan")),
+    ("levelset", "k_phi", float("inf")),
+    ("levelset", "dt", float("nan")),
+    ("mesh", "macro_h", float("nan")),
+    ("levelset", "dt", 10 ** 400),
+], ids=["tau-nan", "tau-inf", "k_phi-nan", "k_phi-inf", "dt-nan", "macro_h-nan",
+        "dt-int-beyond-float"])
+def test_non_finite_number_exit_code(tmp_path, capsys, section, key, value):
+    """json reads NaN, Infinity and integers beyond the float range; they
+    are rejected by key before any solve."""
+    path = small_config(tmp_path, **{section: {key: value}})
+    assert optimize_exit_code(tmp_path, path) == 2
+    err = capsys.readouterr().err
+    assert f"{section}.{key}: expected a finite number" in err
+    assert not (tmp_path / "o" / "history.csv").exists()
 
 
 def test_odd_cell_resolution_exit_code(tmp_path, capsys):
@@ -237,6 +258,29 @@ def test_resume_with_the_runs_own_config(tmp_path, capsys):
     assert "(iteration 3)" in capsys.readouterr().out
     assert len((out / "history.csv").read_text().splitlines()) == 1 + 5
     assert json.loads(own.read_text()) == raw
+
+
+def test_resume_between_checkpoints_writes_each_row_once(tmp_path, capsys):
+    """A run stopped after the row of an iteration past its last checkpoint
+    resumes to the history of the uninterrupted run."""
+    path = small_config(tmp_path)
+    whole, cut = tmp_path / "whole", tmp_path / "cut"
+    flags = ["--config", str(path), "--checkpoint-every", "2"]
+    assert cli.main(["optimize", *flags, "--out", str(whole)]) == 0
+    shutil.copytree(whole, cut)
+    shutil.rmtree(cut / "checkpoints" / "iter_0003")
+    shutil.rmtree(cut / "final")
+    assert cli.main(["optimize", *flags, "--out", str(cut), "--resume"]) == 0
+    assert "(iteration 2)" in capsys.readouterr().out
+
+    def table(run):
+        with (run / "history.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0][-1] == "wall_ms"
+        return [row[:-1] for row in rows]
+
+    assert [row[0] for row in table(cut)] == ["iter", "1", "2", "3"]
+    assert table(cut) == table(whole)
 
 
 @pytest.fixture(scope="module")

@@ -50,6 +50,16 @@ def test_max_iter_validation():
         tiny_scenario(max_iter=0).validate()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("k_phi", 0.0), ("k_phi", float("nan")), ("k_phi", float("inf")),
+    ("dt", -0.1), ("dt", float("nan")), ("dt", float("inf")),
+    ("tau", -1e-4), ("tau", float("nan")), ("tau", float("inf")),
+])
+def test_level_set_constants_validation(key, value):
+    with pytest.raises(ValueError, match=f"{key} must be"):
+        tiny_scenario(**{key: value}).validate()
+
+
 def test_single_iteration_reports_initial_objectives(monkeypatch):
     state, weights = adjoint_weights(monkeypatch, tiny_scenario(max_iter=1))
     assert state.iteration == 1

@@ -4,8 +4,9 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from cloakopt import fem
+from cloakopt import fem, optimizer
 from cloakopt import levelset as ls
 from cloakopt import macro_solver as ms
 from cloakopt import validation as val
@@ -271,3 +272,34 @@ def test_condensed_angles_tile_only_the_insert(paper_geometry, cell_mesh, monkey
 def test_obstacle_spec_rejects_bad_values(psi, k):
     with pytest.raises(ValueError, match="obstacle"):
         val.ObstacleSpec(psi_deg=psi, k=k)
+
+
+def test_every_factorization_uses_the_supernode_constants(paper_geometry, cell_mesh,
+                                                          monkeypatch):
+    """Cell, ring, fixed-block, throwaway, one-off tiled and sweep
+    factorizations all reach SuperLU through ``fem._factor``, with its
+    relaxation and panel size."""
+    calls = []
+    splu = spla.splu
+
+    def recording_splu(matrix, **kw):
+        calls.append((matrix.shape[0], kw))
+        return splu(matrix, **kw)
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    scenario = optimizer.Scenario(geometry=paper_geometry, k_cell_a=COPPER, k_cell_b=PDMS,
+                                  k_exterior=STEEL, k_obstacle=COPPER, max_iter=2,
+                                  macro_h=0.25, cell_resolution=16)
+    optimizer.run(scenario)
+    optimize = len(calls)
+    spec = make_spec(paper_geometry, cell_mesh)
+    val.evaluate_tiled(spec)
+    tiled = len(calls)
+    val.robustness_sweep({"design": spec}, [0.0], 1.0, PDMS)
+    # 16 cells, the throwaway K_FF, K_GG and 2 rings; one fine operator;
+    # the sweep's K_GG and one reduced system
+    assert (optimize, tiled - optimize, len(calls) - tiled) == (16 + 4, 1, 2)
+    assert fem.SUPERNODE_RELAX <= fem.PANEL_SIZE
+    for n, kw in calls:
+        assert (kw.get("relax"), kw.get("panel_size")) == (
+            fem.SUPERNODE_RELAX, fem.PANEL_SIZE), n
