@@ -9,9 +9,16 @@ pinning) are represented by an affine reconstruction
 where R is a 0/1 matrix with at most one nonzero per row
 (:class:`Constraints`: R as ``dof_of_node``, g as ``fixed_values``).
 Reducing an assembled system through R keeps it symmetric positive
-definite, so every factorization uses SuperLU's symmetric minimum-degree
-ordering (MMD on A^T + A). Every factorization also uses one supernode
-setting, :data:`SUPERNODE_RELAX` and :data:`PANEL_SIZE`. The
+definite, so every factorization runs in SuperLU's symmetric
+minimum-degree order (MMD on A^T + A). Most compute that order at
+factor time. Two kinds keep an order given to them, with diagonal
+pivots: a condensation's fixed block, and a system on an ``ordered``
+:class:`Structure`, whose DOFs are numbered in that order once per
+mesh. The periodic cell operator is one: its pattern is the same for
+every conductivity, so ordering it again per cell would only repeat the
+work (:func:`cloakopt.homogenization.cell_operator`). Both orders come
+from :func:`minimum_degree_order`. Every factorization also uses one
+supernode setting, :data:`SUPERNODE_RELAX` and :data:`PANEL_SIZE`. The
 elimination trees of these 2D P1 operators have short supernodes, which
 scipy's defaults (relax 10, panel 20) pad with explicit zeros, and the
 padding costs more than its dense kernels save. Relax 1 and panel 4, a
@@ -27,7 +34,9 @@ per mesh and constraint set, at first use: the node-to-DOF map, the
 reduced CSC pattern, and the data slot of every element-local 3x3 entry
 with periodic slaves folded onto their masters. Assembling a system on such
 a :class:`Structure` is one ``np.bincount`` of its element matrices
-into the fixed slots. Objects cached on a mesh never hold the mesh
+into the fixed slots; where only a positive scale of each element
+matrix changes (the cell's conductivities), :class:`ScaledAssembly`
+makes it one sparse mat-vec. Objects cached on a mesh never hold the mesh
 strongly, so a mesh is freed as soon as its last outside reference goes.
 A :class:`SparseSystem` is an operator and nothing else: each solve is
 given its nodal load, ``None`` standing for the zero load.
@@ -206,14 +215,17 @@ class Structure:
     Holds the CSC pattern of R^T K R for any element matrices K_e of the
     covered elements (all by default, else the indices ``elements``), and
     the data slot of each element-local entry (e, i, j); entries in an
-    eliminated row or column go to a discarded extra slot. The mesh is
-    held by weak reference: structures are cached on their mesh.
+    eliminated row or column go to a discarded extra slot. With
+    ``ordered`` the constraints number the free DOFs in a fill-reducing
+    order, which :class:`Factorization` keeps. The mesh is held by weak
+    reference: structures are cached on their mesh.
     """
 
     def __init__(self, mesh: TriMesh, constraints: Constraints,
-                 elements: np.ndarray | None = None):
+                 elements: np.ndarray | None = None, ordered: bool = False):
         self._mesh = weakref.ref(mesh)
         self.constraints = constraints
+        self.ordered = ordered
         self.element_ids = slice(None) if elements is None else np.asarray(elements)
         self._elements = mesh.elements[self.element_ids]
         n = self.n_free = constraints.n_free
@@ -259,6 +271,8 @@ class Structure:
         Entries that sum to exactly zero are dropped: under an isotropic
         conductivity the two ends of a right triangle's hypotenuse do not
         couple, and the fill-reducing ordering sees only true nonzeros.
+        An operator assembled many times on one pattern is cheaper through
+        :class:`ScaledAssembly`, whose pattern holds no such slots.
         """
         data = np.bincount(self._slots.ravel(), weights=element_matrices.ravel(),
                            minlength=self.nnz + 1)[:self.nnz]
@@ -283,6 +297,39 @@ class Structure:
                                          minlength=len(g)))
 
 
+class ScaledAssembly:
+    """R^T K R for element matrices s_e K_e: fixed K_e of a structure's
+    covered elements, scaled by positive element values s_e.
+
+    The reduced matrix is linear in s, so its CSC data is one sparse
+    mat-vec of s, through a map built once. The pattern holds only the
+    slots that some K_e reaches with a nonzero entry: the zero couplings
+    of a right triangle's hypotenuse under an isotropic K_e take no slot.
+    Where the other off-diagonal entries of every K_e are <= 0 (no obtuse
+    angle), no positive s cancels an entry, so the pattern is that of
+    :meth:`Structure.matrix` for every s.
+    """
+
+    def __init__(self, on: Structure, element_matrices: np.ndarray):
+        self.structure = on
+        slots = on._slots.ravel()
+        values = element_matrices.ravel()
+        keep = (slots < on.nnz) & (values != 0.0)
+        elements = np.repeat(np.arange(on.n_elements), 9)[keep]
+        to_data = sp.csr_matrix((values[keep], (slots[keep], elements)),
+                                shape=(on.nnz, on.n_elements))
+        used = np.diff(to_data.indptr) > 0
+        self._map = to_data[used]
+        self._indices = on._indices[used]
+        self._indptr = np.r_[0, np.cumsum(used)][on._indptr].astype(np.int32)
+
+    def matrix(self, scales: np.ndarray) -> sp.csc_matrix:
+        """R^T K R for the element scales s (n_elements,)."""
+        n = self.structure.n_free
+        return sp.csc_matrix((self._map @ scales, self._indices.copy(), self._indptr.copy()),
+                             shape=(n, n))
+
+
 _CACHE_LOCK = threading.RLock()
 
 
@@ -299,22 +346,22 @@ def cached(mesh: TriMesh, key, build):
         return mesh.cache[key]
 
 
-def structure(mesh: TriMesh, periodic: bool = False, gauge: int | None = None,
-              dirichlet: tuple = ()) -> Structure:
+def structure(mesh: TriMesh, periodic: bool = False, dirichlet: tuple = ()) -> Structure:
     """The mesh's structure under a constraint set, built at first use.
 
-    ``periodic`` folds the mesh's periodic pairs and then pins node
-    ``gauge``, if given, to 0; ``dirichlet`` is a tuple of (boundary tag,
-    value) pairs fixing every node of the tagged edges.
+    ``periodic`` folds the mesh's periodic pairs; ``dirichlet`` is a
+    tuple of (boundary tag, value) pairs fixing every node of the tagged
+    edges. (The gauge-pinned cell structure is built by
+    :func:`cloakopt.homogenization.cell_operator`.)
     """
     def build():
         c = Constraints.none(mesh.n_nodes)
         if periodic:
-            c = apply_periodic(c, mesh.periodic_pairs, gauge=gauge)
+            c = apply_periodic(c, mesh.periodic_pairs)
         for tag, value in dirichlet:
             c = apply_dirichlet(c, np.unique(mesh.boundary_edges[tag]), value)
         return Structure(mesh, c)
-    return cached(mesh, ("structure", periodic, gauge, tuple(dirichlet)), build)
+    return cached(mesh, ("structure", periodic, tuple(dirichlet)), build)
 
 
 @dataclass
@@ -421,6 +468,18 @@ def _factor(matrix: sp.csc_matrix, **options):
         ) from exc
 
 
+def minimum_degree_order(matrix: sp.csc_matrix) -> np.ndarray:
+    """The columns of an SPD matrix in SuperLU's symmetric minimum-degree
+    order: entry k is the column eliminated k-th.
+
+    SuperLU exposes the ordering only through a factorization; an
+    incomplete one that drops every off-diagonal entry is the cheapest,
+    and its ``perm_c`` (column j's position) is that of a complete one.
+    """
+    return np.argsort(spla.spilu(matrix, drop_tol=1.0, fill_factor=1,
+                                 permc_spec=ORDERING).perm_c)
+
+
 def _check_solution(x: np.ndarray, residual: np.ndarray, b: np.ndarray) -> None:
     """Enforce the relative-residual contract on a solve of A x = b."""
     if not np.all(np.isfinite(x)):
@@ -437,12 +496,19 @@ def _check_solution(x: np.ndarray, residual: np.ndarray, b: np.ndarray) -> None:
         )
 
 
+_SYMMETRIC_PIVOTS = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0,
+                     "options": {"SymmetricMode": True}}   # keep a given order
+
+
 class Factorization:
-    """Direct sparse factorization of a reduced system, reusable across loads."""
+    """Direct sparse factorization of a reduced system, reusable across
+    loads; in minimum-degree order, computed here unless the system's
+    structure is ``ordered``."""
 
     def __init__(self, system: SparseSystem):
         self.system = system
-        self._lu = _factor(system.matrix, permc_spec=ORDERING) if system.n_free else None
+        options = _SYMMETRIC_PIVOTS if system.structure.ordered else {"permc_spec": ORDERING}
+        self._lu = _factor(system.matrix, **options) if system.n_free else None
 
     def solve(self, rhs_full: np.ndarray | None = None,
               homogeneous: bool = False) -> np.ndarray:
@@ -463,10 +529,6 @@ class Factorization:
         x = self._lu.solve(b)
         _check_solution(x, self.system.matrix @ x - b, b)
         return x
-
-
-_SYMMETRIC_PIVOTS = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0,
-                     "options": {"SymmetricMode": True}}   # keep a given order
 
 
 class Condensation:
@@ -508,12 +570,7 @@ class Condensation:
         g = np.flatnonzero(~coupled & ~in_r)
 
         if len(g):
-            # SuperLU exposes its minimum-degree ordering only through a
-            # factorization; an incomplete one that drops every off-diagonal
-            # entry is the cheapest (perm_c[j] is column j's position)
-            ilu = spla.spilu(k[g][:, g], drop_tol=1.0, fill_factor=1, permc_spec=ORDERING)
-            g = g[np.argsort(ilu.perm_c)]
-            del ilu
+            g = g[minimum_degree_order(k[g][:, g])]
         self.g = g
         self.k_ig = k[i][:, g]
         solves = _solves_form_schur(len(i), len(g))

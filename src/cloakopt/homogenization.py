@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +37,9 @@ class CellMaterialField:
 
     def __post_init__(self):
         self.chi = np.asarray(self.chi, dtype=float)
-        if self.k_a <= 0 or self.k_b <= 0:
-            raise ValueError("phase conductivities must be positive")
-        if np.any(self.chi < -1e-12) or np.any(self.chi > 1 + 1e-12):
+        if not (0 < self.k_a < math.inf and 0 < self.k_b < math.inf):
+            raise ValueError("phase conductivities must be positive and finite")
+        if not np.all((self.chi >= -1e-12) & (self.chi <= 1 + 1e-12)):
             raise ValueError("chi must lie in [0, 1] element-wise")
 
     def conductivities(self) -> np.ndarray:
@@ -85,14 +85,41 @@ class EffectiveTensor:
         return self.kbar1 > 0 and self.kbar2 > 0
 
 
-def cell_system(mesh: TriMesh, mat: CellMaterialField) -> fem.SparseSystem:
-    """Cell operator, periodic with its first master node pinned to 0."""
+def cell_operator(mesh: TriMesh) -> fem.ScaledAssembly:
+    """The cell operator of a mesh as a function of the element
+    conductivities, built once per mesh.
+
+    Periodic with the first master node pinned to 0, so no fixed value
+    is nonzero and the operator has no lift. The free DOFs are numbered
+    in the minimum-degree order of the unit-conductivity operator. That
+    order holds for every positive isotropic conductivity, whose operator
+    has the same pattern (see :class:`fem.ScaledAssembly`), so the
+    structure is ``ordered`` and no cell factorization orders again.
+    """
     if mesh.periodic_pairs is None:
         raise ValueError("cell problems require a mesh with periodic pairs")
-    tensors = fem.isotropic_tensors(mat.conductivities())
-    gauge = int(mesh.periodic_pairs[0, 0])
-    return fem.assemble_diffusion(
-        mesh, tensors, on=fem.structure(mesh, periodic=True, gauge=gauge))
+
+    def build():
+        gauge = int(mesh.periodic_pairs[0, 0])
+        c = fem.apply_periodic(fem.Constraints.none(mesh.n_nodes), mesh.periodic_pairs,
+                               gauge=gauge)
+        unit = fem.element_stiffness(mesh, fem.isotropic_tensors(np.ones(mesh.n_elements)))
+        order = fem.minimum_degree_order(fem.Structure(mesh, c).matrix(unit))
+        position = np.empty_like(order)
+        position[order] = np.arange(len(order))
+        dof = np.where(c.dof_of_node >= 0, position[c.dof_of_node], -1)
+        on = fem.Structure(mesh, replace(c, dof_of_node=dof), ordered=True)
+        return fem.ScaledAssembly(on, unit)
+    return fem.cached(mesh, "cell_operator", build)
+
+
+def cell_system(mesh: TriMesh, mat: CellMaterialField) -> fem.SparseSystem:
+    """Cell operator for a material, on the structure of :func:`cell_operator`."""
+    if mat.chi.shape != (mesh.n_elements,):
+        raise ValueError(f"chi must have shape ({mesh.n_elements},), got {mat.chi.shape}")
+    op = cell_operator(mesh)
+    return fem.SparseSystem(op.structure, op.matrix(mat.conductivities()),
+                            np.zeros(op.structure.n_free), mesh)
 
 
 def _corrector_rhs(mesh: TriMesh, k: np.ndarray, direction: int) -> np.ndarray:

@@ -253,20 +253,21 @@ def test_constraint_sets_of_the_three_operators():
     assert (c.fixed_values[left] == 0.5).all() and (c.fixed_values[right] == 2.0).all()
 
 
-def counting_periodic_fold(monkeypatch):
+def counting(monkeypatch, name):
+    """A list that grows by one at every call of ``fem.<name>``."""
     calls = []
-    original = fem.apply_periodic
+    original = getattr(fem, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(fem, "apply_periodic", counted)
+    monkeypatch.setattr(fem, name, counted)
     return calls
 
 
 def test_homogenize_folds_periodic_pairs_once_per_mesh(monkeypatch):
-    calls = counting_periodic_fold(monkeypatch)
+    calls = counting(monkeypatch, "apply_periodic")
     mesh = build_cell_mesh(UnitCellGeometry(16))
     mat = homogenization.CellMaterialField(np.linspace(0, 1, mesh.n_elements), 386.0, 0.15)
     first = homogenization.homogenize(mesh, mat)[0]
@@ -276,7 +277,8 @@ def test_homogenize_folds_periodic_pairs_once_per_mesh(monkeypatch):
 
 
 def test_concurrent_first_use_builds_structure_once(monkeypatch):
-    calls = counting_periodic_fold(monkeypatch)
+    calls = counting(monkeypatch, "apply_periodic")
+    orders = counting(monkeypatch, "minimum_degree_order")
     mesh = build_cell_mesh(UnitCellGeometry(16))
     rng = np.random.default_rng(4)
     mats = [homogenization.CellMaterialField(rng.uniform(0, 1, mesh.n_elements), 386.0, 0.15)
@@ -289,8 +291,8 @@ def test_concurrent_first_use_builds_structure_once(monkeypatch):
                                      mats, timeout=120))
     finally:
         sys.setswitchinterval(interval)
-    assert len(calls) == 1
     assert threaded == [homogenization.homogenize(mesh, m)[0] for m in mats]
+    assert len(calls) == 1 and len(orders) == 1
 
 
 def test_cell_factor_fill_at_resolution_64(cell_mesh_64):
@@ -298,3 +300,26 @@ def test_cell_factor_fill_at_resolution_64(cell_mesh_64):
     resolution-64 cell operator near 2e5 entries (COLAMD: ~4.2e5)."""
     fact = fem.Factorization(cell_operator(cell_mesh_64)[0])
     assert fact._lu.nnz <= 2.0e5
+
+
+@pytest.mark.parametrize("resolution", [16, 32])
+def test_cell_operator_is_the_slot_assembly_in_minimum_degree_order(resolution):
+    """The conductivity-to-data map of the cell template against
+    element_stiffness assembled on a plain Structure in the template's
+    numbering. That numbering is SuperLU's own minimum-degree order: the
+    template's factor, kept in it, has the fill of an MMD factor of the
+    operator in mesh numbering."""
+    mesh = build_cell_mesh(UnitCellGeometry(resolution))
+    system, ke = cell_operator(mesh)
+    assert system.structure.ordered
+    want = fem.Structure(mesh, system.constraints).matrix(ke)
+    got = system.matrix
+    assert abs(got - want).max() <= 1e-13 * abs(want).max()
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+
+    folded = fem.apply_periodic(free(mesh), mesh.periodic_pairs, gauge=mesh.periodic_pairs[0, 0])
+    plain = fem.Structure(mesh, folded).matrix(ke)
+    mmd = fem._factor(plain, permc_spec=fem.ORDERING)
+    np.testing.assert_array_equal(fem.minimum_degree_order(plain), np.argsort(mmd.perm_c))
+    assert fem.Factorization(system)._lu.nnz == mmd.nnz

@@ -2,15 +2,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from cloakopt import fem
+from cloakopt import fem, optimizer
 from cloakopt.geometry import UnitCellGeometry, build_cell_mesh
 from cloakopt.homogenization import (CellMaterialField, EffectiveTensor, _corrector_rhs,
-                                     corrector_pair, diagonalize,
+                                     cell_system, corrector_pair, diagonalize,
                                      effective_tensor, element_conductivity,
                                      homogenize, voigt_reuss_bounds)
 
-COPPER, PDMS = 386.0, 0.15
+from conftest import COPPER, PDMS, STEEL
 
 
 def laminate_material(mesh, horizontal=True):
@@ -23,6 +24,47 @@ def test_element_conductivity_endpoints_and_midpoint():
     assert element_conductivity(1.0, COPPER, PDMS) == pytest.approx(386.0)
     assert element_conductivity(0.0, COPPER, PDMS) == pytest.approx(0.15)
     assert element_conductivity(0.5, COPPER, PDMS) == pytest.approx(193.075)
+
+
+@pytest.mark.parametrize("chi, k_a, k_b", [
+    (np.nan, COPPER, PDMS),
+    (0.5, np.nan, PDMS),
+    (0.5, np.inf, PDMS),
+    (0.5, COPPER, np.nan),
+    (0.5, COPPER, np.inf),
+], ids=["chi-nan", "k_a-nan", "k_a-inf", "k_b-nan", "k_b-inf"])
+def test_material_rejects_non_finite_values(chi, k_a, k_b):
+    values = np.full(8, 0.5)
+    values[3] = chi
+    with pytest.raises(ValueError):
+        CellMaterialField(chi=values, k_a=k_a, k_b=k_b)
+
+
+def test_cell_system_rejects_chi_of_another_mesh(cell_mesh_32):
+    mat = CellMaterialField(chi=np.ones(cell_mesh_32.n_elements - 1), k_a=COPPER, k_b=PDMS)
+    with pytest.raises(ValueError, match="chi must have shape"):
+        cell_system(cell_mesh_32, mat)
+
+
+def test_cell_factorizations_keep_the_template_order(paper_geometry, monkeypatch):
+    """Over a 2-iteration run every cell factorization keeps the template's
+    minimum-degree numbering; the two ring factorizations still order at
+    factor time."""
+    calls = []
+    splu = spla.splu
+
+    def recording_splu(matrix, **kw):
+        calls.append((matrix.shape[0], kw["permc_spec"]))
+        return splu(matrix, **kw)
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    scenario = optimizer.Scenario(geometry=paper_geometry, k_cell_a=COPPER, k_cell_b=PDMS,
+                                  k_exterior=STEEL, k_obstacle=COPPER, max_iter=2,
+                                  macro_h=0.25, cell_resolution=16)
+    optimizer.run(scenario)
+    n_cell = 16 * 16 - 1
+    assert [spec for n, spec in calls if n == n_cell] == ["NATURAL"] * 16
+    assert [spec for n, spec in calls if n != n_cell].count(fem.ORDERING) == 2
 
 
 def test_homogeneous_cell_corrector_vanishes(cell_mesh_32):
