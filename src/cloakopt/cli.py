@@ -1,5 +1,9 @@
 """Command-line front end: optimize, homogenize, validate, sweep.
 
+``optimize`` copies its config into the run directory and writes
+``tensors.csv`` and the VTK files there; ``validate`` (tiled J1 and J2)
+and ``sweep`` (the obstacle-angle table) read that copy.
+
 Exit codes: 0 success, 2 configuration error or missing input file,
 3 solver failure.
 """
@@ -28,7 +32,7 @@ DEFAULT_EPSILON0 = 1.0 / 9.0
 
 def _export_run_fields(cfg: RunConfig, state, out: Path) -> None:
     sc = cfg.scenario
-    mesh = build_macro_mesh(sc.geometry, sc.macro_h, allow_oversize=sc.allow_oversize)
+    mesh = build_macro_mesh(sc.geometry, sc.macro_h)
     matmap = MacroMaterialMap(sector_tensors=state.tensors,
                               k_exterior=sc.k_exterior, k_obstacle=sc.k_obstacle)
     temp = macro_solver.solve_state(mesh, matmap, sc.bc)
@@ -58,10 +62,8 @@ def cmd_optimize(args) -> int:
 
     state = optimizer.run(cfg.scenario, out_dir=out, resume_from=resume_state,
                           threads=args.threads, checkpoint_every=args.checkpoint_every)
-    if cfg.export_tensor_csv:
-        homogenization.write_tensor_csv(out / "tensors.csv", state.tensors)
-    if cfg.export_vtk:
-        _export_run_fields(cfg, state, out)
+    homogenization.write_tensor_csv(out / "tensors.csv", state.tensors)
+    _export_run_fields(cfg, state, out)
     last = state.history[-1]
     print(f"finished at iteration {last.iteration}: "
           f"J1={last.j1:.6g} J2={last.j2:.6g} J={last.j:.6g} "
@@ -81,10 +83,11 @@ def cmd_homogenize(args) -> int:
     return 0
 
 
-def _load_run(run_dir: Path, config_path=None):
-    cfg_path = Path(config_path) if config_path else run_dir / "config.json"
+def _load_run(run_dir: Path):
+    cfg_path = run_dir / "config.json"
     if not cfg_path.exists():
-        raise ConfigError(f"no config found at {cfg_path}; pass --config")
+        raise ConfigError(f"no config found at {cfg_path}; "
+                          "cloakopt optimize writes it into the run directory")
     cfg = parse_config(cfg_path)
     state = optimizer.resume(run_dir / "final")
     return cfg, state
@@ -98,24 +101,13 @@ def _tiling_from(cfg: RunConfig, phis, epsilon0: float) -> TilingSpec:
                       k_obstacle=sc.k_obstacle, bc=sc.bc)
 
 
-def _sweep_angles(text: str | None, k_obstacle: float) -> list[float]:
-    """The comma-separated angles of ``--psi``, each checked with
-    ``--obstacle-k`` before anything is solved."""
-    psi = [float(p) for p in text.split(",")] if text else []
-    for p in psi:
-        validation.ObstacleSpec(p, k_obstacle)
-    return psi
-
-
 def cmd_validate(args) -> int:
-    psi = _sweep_angles(args.psi, args.obstacle_k)
     run_dir = Path(args.run)
-    cfg, state = _load_run(run_dir, args.config)
-    out = Path(args.out) if args.out else run_dir / "validation"
-    out.mkdir(parents=True, exist_ok=True)
-
+    cfg, state = _load_run(run_dir)
     spec = _tiling_from(cfg, state.phis, args.epsilon0)
     mesh = validation.fine_mesh(spec)
+    out = Path(args.out) if args.out else run_dir / "validation"
+    out.mkdir(parents=True, exist_ok=True)
     init_spec = _tiling_from(cfg, cfg.scenario.initial_phis(), args.epsilon0)
     j1_init, j2_init, _ = validation.evaluate_tiled(init_spec, mesh)
     j1, j2, temp = validation.evaluate_tiled(spec, mesh)
@@ -133,33 +125,20 @@ def cmd_validate(args) -> int:
         csv.writer(fh).writerows(rows)
     for row in rows:
         print(" ".join(str(c) for c in row))
-
-    if psi:
-        table = validation.robustness_sweep(
-            {"design": spec}, psi, j1_init,
-            k_obstacle_insert=args.obstacle_k)
-        _write_sweep(out / "sweep.csv", table)
     return 0
 
 
-def _write_sweep(path, table) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["design", "psi", "J1", "J1_ratio"])
-        for row in table:
-            writer.writerow([row["design"], row["psi"],
-                             f"{row['j1']:.10g}", f"{row['j1_ratio']:.10g}"])
-
-
 def cmd_sweep(args) -> int:
-    psi = _sweep_angles(args.psi, args.obstacle_k)
+    psi = [float(p) for p in args.psi.split(",")] if args.psi else []
+    for p in psi:       # every angle checked before anything is solved
+        validation.ObstacleSpec(p, args.obstacle_k)
     designs = {}
     cfg0 = None
     for item in args.run:
         if "=" not in item:
             raise ConfigError(f"--run expects NAME=DIR, got {item!r}")
         name, run_dir = item.split("=", 1)
-        cfg, state = _load_run(Path(run_dir), args.config)
+        cfg, state = _load_run(Path(run_dir))
         cfg0 = cfg0 or cfg
         designs[name] = _tiling_from(cfg, state.phis, args.epsilon0)
     if cfg0 is None:
@@ -173,7 +152,12 @@ def cmd_sweep(args) -> int:
                                         k_obstacle_insert=args.obstacle_k)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _write_sweep(out, table)
+    with out.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["design", "psi", "J1", "J1_ratio"])
+        for row in table:
+            writer.writerow([row["design"], row["psi"],
+                             f"{row['j1']:.10g}", f"{row['j1_ratio']:.10g}"])
     for row in table:
         print(f"{row['design']} psi={row['psi']:g} J1_ratio={row['j1_ratio']:.6g}")
     return 0
@@ -204,21 +188,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="finite-cell tiling validation of a run")
     p.add_argument("--run", required=True, help="run directory from optimize")
-    p.add_argument("--config", default=None, help="override run config")
     p.add_argument("--epsilon0", type=float, default=DEFAULT_EPSILON0)
-    p.add_argument("--psi", default=None, help="comma list of angles for a sweep")
-    p.add_argument("--obstacle-k", type=float, default=0.15,
-                   help="conductivity of the swept obstacle")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("sweep", help="obstacle-angle robustness comparison")
     p.add_argument("--run", action="append", required=True,
                    help="NAME=RUNDIR, repeatable")
-    p.add_argument("--config", default=None)
-    p.add_argument("--psi", default="0,45,90,135,180,225,270,315")
+    p.add_argument("--psi", default="0,45,90,135,180,225,270,315",
+                   help="comma list of obstacle angles (degrees)")
     p.add_argument("--epsilon0", type=float, default=DEFAULT_EPSILON0)
-    p.add_argument("--obstacle-k", type=float, default=0.15)
+    p.add_argument("--obstacle-k", type=float, default=0.15,
+                   help="conductivity of the swept obstacle")
     p.add_argument("--out", required=True, help="CSV table path")
     p.set_defaults(fn=cmd_sweep)
     return parser

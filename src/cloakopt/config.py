@@ -2,9 +2,13 @@
 
 Physical constants must be spelled out; only algorithmic knobs carry
 defaults, and the fully resolved configuration (defaults marked) is
-printed at startup so nothing is silently assumed. Unknown keys anywhere
-are rejected with the offending path, and so are non-finite numbers,
-which Python's json reads from ``NaN``, ``Infinity`` and ``1e400``.
+printed at startup so nothing is silently assumed. Every accepted key is
+read. Unknown keys anywhere are rejected with the offending path, and so
+are non-finite numbers, which Python's json reads from ``NaN``,
+``Infinity`` and ``1e400``, and keys the chosen objective mode would
+ignore: ``objective.w`` other than 1 under ``normalized`` (which
+optimizes J1 alone) and ``materials.normalization_fill`` under
+``standard``.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ class ConfigError(ValueError):
 _SCHEMA = {
     "geometry": {
         "required": {"lx": float, "ly": float, "r_ring": float, "r_obstacle": float},
-        "optional": {"allow_oversize": (bool, False)},
+        "optional": {},
     },
     "materials": {
         "required": {"cell_a": float, "cell_b": float,
@@ -56,18 +60,12 @@ _SCHEMA = {
         "required": {},
         "optional": {"macro_h": (float, 0.0625), "cell_resolution": (int, 64)},
     },
-    "export": {
-        "required": {},
-        "optional": {"vtk": (bool, True), "tensor_csv": (bool, True)},
-    },
 }
 
 
 @dataclass
 class RunConfig:
     scenario: Scenario
-    export_vtk: bool = True
-    export_tensor_csv: bool = True
     settings: dict = field(default_factory=dict)    # "section.key" -> resolved value
     defaulted: list[str] = field(default_factory=list)
 
@@ -94,8 +92,6 @@ def _coerce(path: str, value, expected):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{path}: expected an integer, got {value!r}")
         return value
-    if expected is bool and not isinstance(value, bool):
-        raise ConfigError(f"{path}: expected true/false, got {value!r}")
     if expected is str and not isinstance(value, str):
         raise ConfigError(f"{path}: expected a string, got {value!r}")
     if expected is list and not isinstance(value, list):
@@ -180,7 +176,6 @@ def build_config(raw: dict) -> RunConfig:
     ls = sections["levelset"]
     opt = sections["optimizer"]
     mesh = sections["mesh"]
-    ex = sections["export"]
 
     init = _parse_init(ls["init"])
     schedule = []
@@ -207,7 +202,6 @@ def build_config(raw: dict) -> RunConfig:
         d_schedule=tuple(schedule), init=init,
         max_iter=opt["max_iter"],
         macro_h=mesh["macro_h"], cell_resolution=mesh["cell_resolution"],
-        allow_oversize=g["allow_oversize"],
     )
     try:
         scenario.validate()
@@ -217,6 +211,4 @@ def build_config(raw: dict) -> RunConfig:
     ls.update(d_schedule=[list(entry) for entry in schedule], init=init)
     settings = {f"{name}.{key}": value
                 for name, section in sections.items() for key, value in section.items()}
-    return RunConfig(scenario=scenario, export_vtk=ex["vtk"],
-                     export_tensor_csv=ex["tensor_csv"],
-                     settings=settings, defaulted=defaulted)
+    return RunConfig(scenario=scenario, settings=settings, defaulted=defaulted)

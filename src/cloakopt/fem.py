@@ -457,15 +457,22 @@ def assemble_diffusion(mesh: TriMesh, tensors: np.ndarray,
     return assemble(on, element_stiffness(mesh, tensors, on.element_ids))
 
 
-def _factor(matrix: sp.csc_matrix, **options):
-    """SuperLU factorization with the module's supernode constants."""
+def _superlu(routine, matrix: sp.csc_matrix, **options):
+    """A SuperLU (complete or incomplete) factorization, whose singular
+    matrix raises :class:`SolverError` instead of a bare RuntimeError."""
     try:
-        return spla.splu(matrix, relax=SUPERNODE_RELAX, panel_size=PANEL_SIZE, **options)
+        return routine(matrix, **options)
     except RuntimeError as exc:
         raise SolverError(
             "factorization failed (matrix singular); a Dirichlet or gauge "
             f"constraint is likely missing: {exc}"
         ) from exc
+
+
+def _factor(matrix: sp.csc_matrix, **options):
+    """SuperLU factorization with the module's supernode constants."""
+    return _superlu(spla.splu, matrix, relax=SUPERNODE_RELAX, panel_size=PANEL_SIZE,
+                    **options)
 
 
 def minimum_degree_order(matrix: sp.csc_matrix) -> np.ndarray:
@@ -476,8 +483,8 @@ def minimum_degree_order(matrix: sp.csc_matrix) -> np.ndarray:
     incomplete one that drops every off-diagonal entry is the cheapest,
     and its ``perm_c`` (column j's position) is that of a complete one.
     """
-    return np.argsort(spla.spilu(matrix, drop_tol=1.0, fill_factor=1,
-                                 permc_spec=ORDERING).perm_c)
+    return np.argsort(_superlu(spla.spilu, matrix, drop_tol=1.0, fill_factor=1,
+                               permc_spec=ORDERING).perm_c)
 
 
 def _check_solution(x: np.ndarray, residual: np.ndarray, b: np.ndarray) -> None:

@@ -61,8 +61,9 @@ class MacroGeometry:
         if not allow_oversize:
             if self.r_ring > self.lx / 2 or self.r_ring > self.ly / 2:
                 raise MeshError(
-                    "design ring extends past the domain; pass allow_oversize=True "
-                    "to override this sanity check"
+                    f"design ring extends past the domain (r_ring {self.r_ring} > "
+                    f"lx/2 {self.lx / 2} or ly/2 {self.ly / 2}); only library callers "
+                    "override this check, with allow_oversize=True"
                 )
 
     def sector_of(self, x1, x2):

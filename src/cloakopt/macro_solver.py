@@ -93,7 +93,9 @@ def condensed_conduction(mesh: TriMesh, tensors: np.ndarray, varying: np.ndarray
                          bc: BoundaryData) -> fem.Condensation:
     """Conduction with the given element tensors and fixed edge temperatures,
     its fixed elements condensed onto the elements of the mask ``varying``,
-    whose own tensors are left out (see :class:`fem.Condensation`)."""
+    whose own tensors are left out (see :class:`fem.Condensation`). Every
+    tensor must be SPD, as :func:`fem.assemble_diffusion` requires."""
+    fem._check_spd(tensors)
     ke = fem.element_stiffness(mesh, tensors)
     ke[varying] = 0.0
     fixed = fem.assemble(_fixed_edges(mesh, bc), ke)

@@ -65,10 +65,9 @@ class Scenario:
     normalization_fill: float | None = None
     macro_h: float = 0.0625
     cell_resolution: int = 64
-    allow_oversize: bool = False
 
     def validate(self) -> None:
-        self.geometry.validate(allow_oversize=self.allow_oversize)
+        self.geometry.validate()
         self.bc.validate()
         if not 0.0 <= self.w <= 1.0:
             raise ValueError("w must lie in [0, 1]")
@@ -97,11 +96,18 @@ class Scenario:
                 raise ValueError("transition widths must lie in (0, 1)")
         if self.objective_mode not in ("standard", "normalized"):
             raise ValueError(f"unknown objective_mode {self.objective_mode!r}")
-        if self.objective_mode == "normalized" and self.normalization_fill is None:
-            raise ValueError("normalized mode needs normalization_fill")
-        if (self.objective_mode == "normalized"
-                and self.normalization_fill == self.k_exterior == self.k_obstacle):
-            raise ValueError("normalization field coincides with the reference")
+        if self.objective_mode == "standard" and self.normalization_fill is not None:
+            raise ValueError("materials.normalization_fill is read only under "
+                             "objective.mode normalized")
+        if self.objective_mode == "normalized":
+            # J1 over the fill's J1 alone: see derivative_weights and evaluate
+            if self.w != 1.0:
+                raise ValueError("objective.w must be 1 under objective.mode "
+                                 f"normalized, which optimizes J1 alone; got {self.w}")
+            if self.normalization_fill is None:
+                raise ValueError("normalized mode needs normalization_fill")
+            if self.normalization_fill == self.k_exterior == self.k_obstacle:
+                raise ValueError("normalization field coincides with the reference")
 
     def d_at(self, iteration: int) -> float:
         d = self.d_schedule[0][1]
@@ -169,8 +175,7 @@ class Workspace:
     def __init__(self, scenario: Scenario):
         scenario.validate()
         self.scenario = scenario
-        self.macro_mesh = build_macro_mesh(scenario.geometry, scenario.macro_h,
-                                           allow_oversize=scenario.allow_oversize)
+        self.macro_mesh = build_macro_mesh(scenario.geometry, scenario.macro_h)
         self.cell_mesh = build_cell_mesh(UnitCellGeometry(scenario.cell_resolution))
         self.t_steel = macro_solver.reference_field(self.macro_mesh, scenario.bc)
         self.norm_denominator = None

@@ -55,8 +55,9 @@ class TilingSpec:
     bc: BoundaryData = field(default_factory=BoundaryData)
 
     def validate(self) -> None:
-        if self.epsilon0 <= 0:
-            raise ValueError("cell size epsilon0 must be positive")
+        if not 0 < self.epsilon0 < np.inf:
+            raise ValueError("cell size epsilon0 must be positive and finite, "
+                             f"got {self.epsilon0}")
         if len(self.phis) != SECTOR_LAST - SECTOR_FIRST + 1:
             raise ValueError("one level-set field per design sector is required")
         self.geometry.validate(allow_oversize=True)
@@ -100,6 +101,7 @@ class ObstacleSpec:
 def fine_mesh(spec: TilingSpec) -> TriMesh:
     """Macro mesh resolving the tiled cells; layouts with equal geometry
     values and cell size share one (immutable) mesh while a caller holds it."""
+    spec.validate()
     g = spec.geometry
     h = spec.epsilon0 / ELEMENTS_PER_CELL
     key = (g.lx, g.ly, g.r_ring, g.r_obstacle, h)

@@ -7,19 +7,28 @@ import numpy as np
 import pytest
 
 from cloakopt import cli
-from cloakopt.config import _SCHEMA, ConfigError, parse_config
+from cloakopt.config import _SCHEMA, ConfigError, build_config, parse_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
-def small_config(tmp_path, **tweaks):
+def schema_keys() -> list[str]:
+    return [f"{name}.{key}" for name, spec in _SCHEMA.items()
+            for key in (*spec["required"], *spec["optional"])]
+
+
+def small_raw(**tweaks) -> dict:
     raw = json.loads((CONFIG_DIR / "scenario_w1.json").read_text())
     raw["optimizer"]["max_iter"] = 3
     raw["mesh"] = {"macro_h": 0.25, "cell_resolution": 16}
     for section, values in tweaks.items():
         raw.setdefault(section, {}).update(values)
+    return raw
+
+
+def small_config(tmp_path, **tweaks):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(raw))
+    path.write_text(json.dumps(small_raw(**tweaks)))
     return path
 
 
@@ -67,9 +76,57 @@ def test_n_sectors_key_rejected(tmp_path, capsys):
 
 
 def test_sensitivity_vtk_key_rejected(tmp_path, capsys):
+    """Every run writes its VTK files, so there is no export section."""
     path = small_config(tmp_path, export={"sensitivity_vtk": True})
     assert optimize_exit_code(tmp_path, path) == 2
-    assert "export.sensitivity_vtk" in capsys.readouterr().err
+    assert "unknown section 'export'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tweaks, message", [
+    ({"export": {"vtk": False}}, "unknown section 'export'"),
+    ({"export": {"tensor_csv": False}}, "unknown section 'export'"),
+    ({"geometry": {"allow_oversize": True}}, "unknown key geometry.allow_oversize"),
+], ids=["export.vtk", "export.tensor_csv", "geometry.allow_oversize"])
+def test_removed_config_key_exit_code(tmp_path, capsys, tweaks, message):
+    path = small_config(tmp_path, **tweaks)
+    assert optimize_exit_code(tmp_path, path) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_oversize_ring_exit_code(tmp_path, capsys):
+    """The ring-fits-in-domain check always runs for a configured scenario."""
+    path = small_config(tmp_path, geometry={"r_ring": 3.0})
+    assert optimize_exit_code(tmp_path, path) == 2
+    assert "design ring extends past the domain" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("validate", ["--psi", "0"]), ("validate", ["--obstacle-k", "0.15"]),
+    ("validate", ["--config", "c.json"]), ("sweep", ["--config", "c.json"]),
+], ids=["validate-psi", "validate-obstacle-k", "validate-config", "sweep-config"])
+def test_removed_flag_exit_code(tmp_path, capsys, command, flag):
+    """validate reads the config optimize copied into the run directory,
+    and cloakopt sweep is the one path to an obstacle sweep."""
+    run = str(tmp_path) if command == "validate" else f"r={tmp_path}"
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([command, "--run", run, "--out", str(tmp_path / "o"), *flag])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tweaks, message", [
+    ({"objective": {"mode": "normalized", "w": 0.5},
+      "materials": {"normalization_fill": 0.15}}, "objective.w must be 1"),
+    ({"materials": {"normalization_fill": 0.15}},
+     "materials.normalization_fill is read only under objective.mode normalized"),
+], ids=["normalized-w", "standard-normalization_fill"])
+def test_key_the_mode_ignores_exit_code(tmp_path, capsys, tweaks, message):
+    """Normalized mode optimizes J1 over the fill's J1 alone; standard mode
+    never solves the fill. Either key would be read and then ignored."""
+    path = small_config(tmp_path, **tweaks)
+    assert optimize_exit_code(tmp_path, path) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o" / "history.csv").exists()
 
 
 @pytest.mark.parametrize("schedule, message", [
@@ -162,10 +219,64 @@ def test_defaults_are_reported(tmp_path):
     text = cfg.describe()
     assert "objective.mode = standard  (default)" in text
     assert "objective.w = 1.0" in text
-    assert "geometry.allow_oversize = False  (default)" in text
     keys = [line.split(" = ")[0].strip() for line in text.splitlines()[1:]]
-    assert sorted(keys) == sorted(f"{name}.{key}" for name, spec in _SCHEMA.items()
-                                  for key in (*spec["required"], *spec["optional"]))
+    assert sorted(keys) == sorted(schema_keys())
+
+
+# one alternative valid value per schema key ("section.key": changes to the
+# small config), with the companion keys its objective mode needs
+ALTERNATIVES = {
+    "geometry.lx": {"geometry.lx": 6.0},
+    "geometry.ly": {"geometry.ly": 9.0},
+    "geometry.r_ring": {"geometry.r_ring": 1.5},
+    "geometry.r_obstacle": {"geometry.r_obstacle": 0.5},
+    "materials.cell_a": {"materials.cell_a": 300.0},
+    "materials.cell_b": {"materials.cell_b": 0.2},
+    "materials.exterior": {"materials.exterior": 60.0},
+    "materials.obstacle": {"materials.obstacle": 300.0},
+    "materials.normalization_fill": {"materials.normalization_fill": 0.3,
+                                     "objective.mode": "normalized"},
+    "boundary.t_low": {"boundary.t_low": -1.0},
+    "boundary.t_high": {"boundary.t_high": 2.0},
+    "objective.w": {"objective.w": 0.5},
+    "objective.mode": {"objective.mode": "normalized",
+                       "materials.normalization_fill": 0.15},
+    "levelset.k_phi": {"levelset.k_phi": 2.0},
+    "levelset.tau": {"levelset.tau": 1.0e-3},
+    "levelset.dt": {"levelset.dt": 0.05},
+    "levelset.d_schedule": {"levelset.d_schedule": [[1, 0.2], [3, 0.01]]},
+    "levelset.init": {"levelset.init": {"pattern": "uniform", "sign": -1.0}},
+    "optimizer.max_iter": {"optimizer.max_iter": 4},
+    "mesh.macro_h": {"mesh.macro_h": 0.5},
+    "mesh.cell_resolution": {"mesh.cell_resolution": 32},
+}
+
+
+def with_changes(changes: dict) -> dict:
+    tweaks: dict = {}
+    for dotted, value in changes.items():
+        section, key = dotted.split(".")
+        tweaks.setdefault(section, {})[key] = value
+    return small_raw(**tweaks)
+
+
+def test_alternatives_cover_the_schema():
+    assert sorted(ALTERNATIVES) == sorted(schema_keys())
+
+
+@pytest.mark.parametrize("key", sorted(ALTERNATIVES))
+def test_every_config_key_is_read(key):
+    """Each key's alternative value changes the parsed scenario, and its
+    companion keys alone do not give that scenario."""
+    changes = ALTERNATIVES[key]
+    base = build_config(small_raw()).scenario
+    changed = build_config(with_changes(changes)).scenario
+    assert changed != base
+    companions = {k: v for k, v in changes.items() if k != key}
+    try:
+        assert build_config(with_changes(companions)).scenario != changed
+    except ConfigError:
+        pass        # the companions need the key, as the mode rules require
 
 
 def test_optimize_command_end_to_end(tmp_path, capsys):
@@ -294,15 +405,25 @@ def short_run(tmp_path_factory):
 @pytest.mark.parametrize("flags", [["--psi", "nan"], ["--psi", "0,inf"],
                                    ["--psi", "0", "--obstacle-k", "nan"],
                                    ["--psi", "0", "--obstacle-k", "0"]])
-@pytest.mark.parametrize("command", ["validate", "sweep"])
+@pytest.mark.parametrize("command", ["sweep"])
 def test_bad_obstacle_exit_code(short_run, tmp_path, capsys, command, flags):
     """A non-finite angle or a non-positive or non-finite insert
-    conductivity is a configuration error, for both sweeping commands."""
-    run = str(short_run) if command == "validate" else f"short={short_run}"
-    out = tmp_path / ("validation" if command == "validate" else "sweep.csv")
-    rc = cli.main([command, "--run", run, "--epsilon0", "0.25", "--out", str(out), *flags])
+    conductivity is a configuration error of the one sweeping command."""
+    out = tmp_path / "sweep.csv"
+    rc = cli.main([command, "--run", f"short={short_run}", "--epsilon0", "0.25",
+                   "--out", str(out), *flags])
     assert rc == 2
     assert "obstacle" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0"])
+def test_bad_epsilon0_exit_code(short_run, tmp_path, capsys, value):
+    out = tmp_path / "validation"
+    rc = cli.main(["validate", "--run", str(short_run), "--epsilon0", value,
+                   "--out", str(out)])
+    assert rc == 2
+    assert "epsilon0" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -144,6 +144,14 @@ def test_singular_solve_names_missing_gauge():
         fem.Factorization(folded).solve(rhs)
 
 
+def test_singular_ordering_raises_solver_error():
+    """The ordering's incomplete factorization fails on a singular matrix
+    the way a factorization does, not with SuperLU's bare RuntimeError."""
+    singular = sp.csc_matrix(np.diag([1.0, 0.0, 2.0]))
+    with pytest.raises(fem.SolverError, match="singular"):
+        fem.minimum_degree_order(singular)
+
+
 def test_solve_residual_contract():
     mesh = unit_square_mesh(12)
     rng = np.random.default_rng(3)

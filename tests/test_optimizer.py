@@ -131,7 +131,7 @@ def test_w0_skips_mismatch_adjoint(monkeypatch):
 
 @pytest.mark.parametrize("overrides", [
     dict(w=0.0), dict(w=0.3), dict(w=1.0),
-    dict(w=0.3, objective_mode="normalized", normalization_fill=PDMS),
+    dict(w=1.0, objective_mode="normalized", normalization_fill=PDMS),
 ], ids=["w0", "w0.3", "w1", "normalized"])
 def test_each_step_solves_one_adjoint(monkeypatch, overrides):
     """One homogeneous solve on the state operator and one dJ/dK* per

@@ -267,6 +267,17 @@ def test_condensed_angles_tile_only_the_insert(paper_geometry, cell_mesh, monkey
         np.testing.assert_array_equal(tensors[:, 0, 0], want)
 
 
+@pytest.mark.parametrize("fill", ["k_exterior", "k_obstacle"])
+def test_sweep_rejects_a_non_spd_fill(paper_geometry, cell_mesh, fill):
+    """The condensed sweep checks its tensors as the one-off tiled solve does."""
+    spec = make_spec(paper_geometry, cell_mesh)
+    spec = dataclasses.replace(spec, **{fill: -getattr(spec, fill)})
+    with pytest.raises(ValueError, match="not SPD"):
+        val.evaluate_tiled(spec)
+    with pytest.raises(ValueError, match="not SPD"):
+        val.robustness_sweep({"design": spec}, [0.0, 90.0], 1.0, PDMS)
+
+
 @pytest.mark.parametrize("psi, k", [(np.nan, PDMS), (np.inf, PDMS), (0.0, np.nan),
                                     (0.0, np.inf), (0.0, 0.0), (0.0, -1.0)])
 def test_obstacle_spec_rejects_bad_values(psi, k):
