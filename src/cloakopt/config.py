@@ -8,7 +8,11 @@ are non-finite numbers, which Python's json reads from ``NaN``,
 ``Infinity`` and ``1e400``, and keys the chosen objective mode would
 ignore: ``objective.w`` other than 1 under ``normalized`` (which
 optimizes J1 alone) and ``materials.normalization_fill`` under
-``standard``.
+``standard``. Mesh settings and the initial disk are checked by key
+before anything is built (:meth:`Scenario.validate`): a cell resolution
+below 16, a macro element size that is not positive or leaves fewer than
+2 elements across the design ring, and a disk radius outside
+(0, sqrt(2)/2).
 """
 
 from __future__ import annotations

@@ -10,14 +10,18 @@ where R is a 0/1 matrix with at most one nonzero per row
 (:class:`Constraints`: R as ``dof_of_node``, g as ``fixed_values``).
 Reducing an assembled system through R keeps it symmetric positive
 definite, so every factorization runs in SuperLU's symmetric
-minimum-degree order (MMD on A^T + A). Most compute that order at
-factor time. Two kinds keep an order given to them, with diagonal
-pivots: a condensation's fixed block, and a system on an ``ordered``
-:class:`Structure`, whose DOFs are numbered in that order once per
-mesh. The periodic cell operator is one: its pattern is the same for
-every conductivity, so ordering it again per cell would only repeat the
-work (:func:`cloakopt.homogenization.cell_operator`). Both orders come
-from :func:`minimum_degree_order`. Every factorization also uses one
+minimum-degree order (MMD on A^T + A). The one-off direct solves (a
+single tiled evaluation, the normalized-mode fill, exports) compute that
+order at factor time. Every operator factored again and again keeps an
+order given to it, with diagonal pivots, because its pattern is the same
+each time and ordering it again would only repeat the work: a
+condensation's fixed blocks (K_GG, and the throwaway K_FF that yields
+S_I), and every system on an ``ordered`` :class:`Structure`, whose DOFs
+are numbered in that order once per mesh. The periodic cell operator
+(:func:`cloakopt.homogenization.cell_operator`) is one; a condensation's
+varying block (the macro design ring, the sweep's insert) is the other,
+numbered for every entry that SPD tensors can fill. All these orders
+come from :func:`minimum_degree_order`. Every factorization also uses one
 supernode setting, :data:`SUPERNODE_RELAX` and :data:`PANEL_SIZE`. The
 elimination trees of these 2D P1 operators have short supernodes, which
 scipy's defaults (relax 10, panel 20) pad with explicit zeros, and the
@@ -34,10 +38,11 @@ per mesh and constraint set, at first use: the node-to-DOF map, the
 reduced CSC pattern, and the data slot of every element-local 3x3 entry
 with periodic slaves folded onto their masters. Assembling a system on such
 a :class:`Structure` is one ``np.bincount`` of its element matrices
-into the fixed slots; where only a positive scale of each element
-matrix changes (the cell's conductivities), :class:`ScaledAssembly`
-makes it one sparse mat-vec. Objects cached on a mesh never hold the mesh
-strongly, so a mesh is freed as soon as its last outside reference goes.
+into the fixed slots; where the element matrices are fixed combinations
+of a few element values (the cell's conductivities, a tensor's k11, k12
+and k22), :class:`ScaledAssembly` makes it one sparse mat-vec. Objects
+cached on a mesh never hold the mesh strongly, so a mesh is freed as
+soon as its last outside reference goes.
 A :class:`SparseSystem` is an operator and nothing else: each solve is
 given its nodal load, ``None`` standing for the zero load.
 
@@ -49,13 +54,13 @@ tiled operator across the obstacle angles of a robustness sweep (only
 the insert's disk changes). :class:`Condensation` factors the fixed part
 once and condenses it onto the DOFs it shares with the varying part, and
 each refactorization (:class:`CondensedFactorization`) factors only the
-varying part plus that interface. One-off solves (a single tiled
-evaluation, the normalized-mode fill, exports) stay direct: they factor
-each operator once, so condensing it would only add the fixed block's
-factorization. The level-set step is no client: its operator is solved
-exactly by FFT on the periodic cell grid (:mod:`cloakopt.levelset`), so
-nothing here is factored for it; only the residual contract
-(:func:`_check_solution`) is shared.
+varying part plus that interface, assembled from the varying tensors
+by one mat-vec and factored in the order fixed at the build. One-off
+solves stay direct: they factor each operator once, so condensing it
+would only add the fixed block's factorization. The level-set step is
+no client: its operator is solved exactly by FFT on the periodic cell
+grid (:mod:`cloakopt.levelset`), so nothing here is factored for it;
+only the residual contract (:func:`_check_solution`) is shared.
 
 The interface Schur complement S_I comes by one of two routes, chosen by
 size. Where the interface is small against the fixed block
@@ -298,36 +303,84 @@ class Structure:
 
 
 class ScaledAssembly:
-    """R^T K R for element matrices s_e K_e: fixed K_e of a structure's
-    covered elements, scaled by positive element values s_e.
+    """R^T K R for element matrices sum_c s_ec K_ec: fixed component
+    matrices K_ec of a structure's covered elements, scaled by element
+    values s_ec, plus an optional constant matrix C.
 
     The reduced matrix is linear in s, so its CSC data is one sparse
-    mat-vec of s, through a map built once. The pattern holds only the
-    slots that some K_e reaches with a nonzero entry: the zero couplings
-    of a right triangle's hypotenuse under an isotropic K_e take no slot.
-    Where the other off-diagonal entries of every K_e are <= 0 (no obtuse
-    angle), no positive s cancels an entry, so the pattern is that of
-    :meth:`Structure.matrix` for every s.
+    mat-vec of s, through a map built once. With one component per
+    element the s_e are the element conductivities (the cell); with the
+    three of :func:`tensor_components` they are a tensor's (k11, k12, k22)
+    (a condensation's varying block). The pattern holds the slots that
+    some K_ec reaches with a nonzero entry, and those of C: the zero
+    couplings of a right triangle's hypotenuse under an isotropic K_e
+    take no slot, but its k12 component reaches them. Where the other
+    off-diagonal entries of every single-component K_e are <= 0 (no
+    obtuse angle), no positive s cancels an entry, so the pattern is that
+    of :meth:`Structure.matrix` for every s. The lift of nonzero fixed
+    values is linear in s too, and goes through a second map.
     """
 
-    def __init__(self, on: Structure, element_matrices: np.ndarray):
+    def __init__(self, on: Structure, element_matrices: np.ndarray,
+                 constant: sp.spmatrix | None = None):
         self.structure = on
-        slots = on._slots.ravel()
-        values = element_matrices.ravel()
+        n, n_e = on.n_free, on.n_elements
+        matrices = element_matrices.reshape(n_e, -1, 3, 3)
+        n_c = matrices.shape[1]
+        self._n_scales = n_e * n_c
+        slots = np.broadcast_to(on._slots[:, None], matrices.shape).ravel()
+        values = matrices.ravel()
         keep = (slots < on.nnz) & (values != 0.0)
-        elements = np.repeat(np.arange(on.n_elements), 9)[keep]
-        to_data = sp.csr_matrix((values[keep], (slots[keep], elements)),
-                                shape=(on.nnz, on.n_elements))
-        used = np.diff(to_data.indptr) > 0
-        self._map = to_data[used]
-        self._indices = on._indices[used]
-        self._indptr = np.r_[0, np.cumsum(used)][on._indptr].astype(np.int32)
+        slots, values = slots[keep], values[keep]
+        scales = np.repeat(np.arange(n_e * n_c), 9)[keep]
+        del keep
 
-    def matrix(self, scales: np.ndarray) -> sp.csc_matrix:
-        """R^T K R for the element scales s (n_elements,)."""
+        # column-major position of every slot of the structure's pattern
+        slot_keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(on._indptr)) + on._indices
+        used = np.zeros(on.nnz, dtype=bool)
+        used[slots] = True
+        keys = slot_keys[used]
+        del used
+        if constant is not None:
+            constant = constant.tocoo()
+            constant_keys = constant.col.astype(np.int64) * n + constant.row
+            keys = np.concatenate([keys, constant_keys])
+            keys.sort()
+            keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
+        self._map = sp.csr_matrix(
+            (values, (np.searchsorted(keys, slot_keys)[slots], scales)),
+            shape=(len(keys), n_e * n_c))
+        del values, slots, scales
+        # C's data on the pattern; system() leaves it out, its callers add it
+        self.constant = None if constant is None else np.bincount(
+            np.searchsorted(keys, constant_keys), weights=constant.data, minlength=len(keys))
+        self._indices = (keys % n).astype(np.int32)
+        self._indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
+
+        lifting = on._lift_elements
+        self._lift = None
+        if len(lifting):
+            nodes = on._elements[lifting]
+            kg = matrices[lifting] @ on.constraints.fixed_values[nodes][:, None, :, None]
+            rows = np.broadcast_to(on.constraints.dof_of_node[nodes][:, None], kg.shape[:3])
+            cols = np.broadcast_to((lifting[:, None] * n_c + np.arange(n_c))[:, :, None],
+                                   kg.shape[:3])
+            free = rows >= 0
+            self._lift = sp.csr_matrix((kg[..., 0][free], (rows[free], cols[free])),
+                                       shape=(n, n_e * n_c))
+
+    def system(self, scales: np.ndarray) -> SparseSystem:
+        """R^T K R (without C, on the pattern that includes C's slots) and
+        the lift R^T K g, for the element scales s (n_elements,) or
+        (n_elements, n_components)."""
+        s = np.asarray(scales, dtype=float).ravel()
+        if s.shape != (self._n_scales,):
+            raise ValueError(f"expected {self._n_scales} element scales, got {s.size}")
         n = self.structure.n_free
-        return sp.csc_matrix((self._map @ scales, self._indices.copy(), self._indptr.copy()),
-                             shape=(n, n))
+        matrix = sp.csc_matrix((self._map @ s, self._indices.copy(), self._indptr.copy()),
+                               shape=(n, n))
+        lift = np.zeros(n) if self._lift is None else self._lift @ s
+        return SparseSystem(self.structure, matrix, lift, self.structure.mesh)
 
 
 _CACHE_LOCK = threading.RLock()
@@ -432,6 +485,20 @@ def element_stiffness(mesh: TriMesh, tensors: np.ndarray,
     ke = grads @ (tensors @ grads.transpose(0, 2, 1))
     ke *= mesh.areas[elements][:, None, None]
     return ke
+
+
+def tensor_components(mesh: TriMesh, elements=slice(None)) -> np.ndarray:
+    """The element matrices of the selected elements (default all) under
+    the unit tensors of k11, k12 (both off-diagonal entries) and k22;
+    shape (n_selected, 3, 3, 3). Contracted with a symmetric tensor's
+    (k11, k12, k22) they give :func:`element_stiffness`."""
+    grads = mesh.grads[elements]
+    gx, gy = grads[:, :, 0], grads[:, :, 1]
+    a = mesh.areas[elements][:, None, None]
+    xy = gx[:, :, None] * gy[:, None, :]
+    return np.stack([a * (gx[:, :, None] * gx[:, None, :]),
+                     a * (xy + xy.transpose(0, 2, 1)),
+                     a * (gy[:, :, None] * gy[:, None, :])], axis=1)
 
 
 def element_mass(mesh: TriMesh, lumped: bool = False,
@@ -550,13 +617,20 @@ class Condensation:
     is factored once, in minimum-degree order, and the interface Schur
     complement S_I = K_II - K_IG K_GG^-1 K_GI is formed once, by the
     route :func:`_solves_form_schur` picks. A varying operator then needs
-    only the SPD factorization of [[S_I, K_IR], [K_RI, K_RR]], assembled
-    on :attr:`varying` in that [I, R] numbering (:meth:`factor`).
+    only the SPD factorization of [[S_I, K_IR], [K_RI, K_RR]] (:meth:`factor`).
+    Its DOFs, I and R, are numbered once, in the minimum-degree order of
+    every entry that SPD tensors on the varying elements can fill
+    (:attr:`varying`, an ``ordered`` structure; :attr:`reduced_dofs` maps
+    them back), and it is assembled by one mat-vec of the tensors'
+    components (:attr:`assembly`, whose constant is the condensed fixed
+    block), so a refactorization neither assembles element matrices nor
+    orders.
 
     Every inhomogeneous solve of the zero load has the same b_G (the
     varying elements' lift touches only R), so K_GG^-1 b_G of that load is
     solved once, at the build. Holds the fixed operator, its lift, the
-    K_GG factor and that solve, but not the mesh.
+    K_GG factor, that solve and the varying block's assembly, but not the
+    mesh.
     """
 
     def __init__(self, fixed: SparseSystem, varying_elements: np.ndarray):
@@ -568,7 +642,7 @@ class Condensation:
         n = on.n_free
 
         local = dof[mesh.elements[varying_elements]]
-        self.r = r = np.unique(local[local >= 0])
+        r = np.unique(local[local >= 0])
         in_r = np.zeros(n, dtype=bool)
         in_r[r] = True
         coupled = np.zeros(n, dtype=bool)
@@ -590,22 +664,39 @@ class Condensation:
         # formed as CondensedFactorization.solve forms b, so even signed zeros match
         self.zero_load_g = self.solve_g((np.zeros(n) - self.fixed_lift)[g])
 
-        n_i, n_ir = len(i), len(i) + len(r)
-        reduced_of = np.full(n, -1)
-        reduced_of[i] = np.arange(n_i)
-        reduced_of[r] = np.arange(n_i, n_ir)
-        self.varying = Structure(
-            mesh, Constraints(np.where(dof >= 0, reduced_of[dof], -1),
-                              on.constraints.fixed_values),
-            varying_elements)
         ir = np.concatenate([i, r])
+        n_ir = len(ir)
 
         def leading(block):
             block = block.tocoo()
             return sp.csc_matrix((block.data, (block.row, block.col)), shape=(n_ir, n_ir))
 
         # K_II is cancelled exactly before S_I replaces it
-        self.reduced_fixed = (k[ir][:, ir] - leading(k[i][:, i])) + leading(self.schur)
+        reduced_fixed = (k[ir][:, ir] - leading(k[i][:, i])) + leading(self.schur)
+        # numbered once in the minimum-degree order of every slot that the
+        # varying elements can fill (their hypotenuse couplings included,
+        # which isotropic tensors leave at zero) and of the condensed block
+        reduced_of = np.full(n, -1)
+        reduced_of[ir] = np.arange(n_ir)
+        local = np.where(local >= 0, reduced_of[local], -1)
+        rows = np.repeat(local, 3, axis=1).ravel()
+        cols = np.tile(local, 3).ravel()
+        both = (rows >= 0) & (cols >= 0)
+        order = minimum_degree_order(_pattern_matrix(reduced_fixed, rows[both], cols[both]))
+        del local, rows, cols, both
+        self.reduced_dofs = ir[order]          # the free DOF of each reduced one
+        reduced_of[self.reduced_dofs] = np.arange(n_ir)
+        self.varying = Structure(
+            mesh, Constraints(np.where(dof >= 0, reduced_of[dof], -1),
+                              on.constraints.fixed_values),
+            varying_elements, ordered=True)
+        position = reduced_of[ir]
+        reduced_fixed = reduced_fixed.tocoo()
+        self.assembly = ScaledAssembly(
+            self.varying, tensor_components(mesh, varying_elements),
+            constant=sp.coo_matrix((reduced_fixed.data, (position[reduced_fixed.row],
+                                                         position[reduced_fixed.col])),
+                                   shape=(n_ir, n_ir)))
 
     def _solved_schur(self, k_ii: sp.csc_matrix) -> sp.csc_matrix:
         """S_I from one K_GG solve per interface DOF, symmetrized. Column
@@ -617,12 +708,15 @@ class Condensation:
             s[:, j] -= k_ig @ self.solve_g(k_ig[j].toarray().ravel())
         return sp.csc_matrix(0.5 * (s + s.T))
 
-    def factor(self, varying: SparseSystem) -> "CondensedFactorization":
-        """Factor the condensed system for varying elements assembled on
-        :attr:`varying`."""
-        if varying.structure is not self.varying:
-            raise ValueError("the varying system must be assembled on Condensation.varying")
-        return CondensedFactorization(self, varying)
+    def factor(self, tensors: np.ndarray) -> "CondensedFactorization":
+        """Factor the condensed system for the varying elements' SPD
+        tensors (n_varying, 2, 2), in the order of :attr:`varying`."""
+        tensors = np.asarray(tensors, dtype=float)
+        if tensors.shape != (self.varying.n_elements, 2, 2):
+            raise ValueError("tensors must have shape (n_varying_elements, 2, 2)")
+        _check_spd(tensors)
+        components = tensors[:, [0, 0, 1], [0, 1, 1]]      # k11, k12, k22
+        return CondensedFactorization(self, self.assembly.system(components))
 
     def solve_g(self, b_g: np.ndarray) -> np.ndarray:
         """K_GG^-1 b_G, both in the order of :attr:`g`."""
@@ -643,6 +737,20 @@ def _solves_form_schur(n_i: int, n_g: int) -> bool:
     h = 1/4 to 1/64) lie to either side of it.
     """
     return 4 * n_i <= np.sqrt(n_g)
+
+
+def _pattern_matrix(block: sp.spmatrix, rows: np.ndarray, cols: np.ndarray) -> sp.csc_matrix:
+    """A nonsingular matrix on the union of ``block``'s pattern and the
+    entries (rows, cols), for :func:`minimum_degree_order`: the ordering
+    reads only the pattern, the incomplete factorization behind it needs
+    nonzero pivots, which diagonal dominance gives."""
+    n = block.shape[0]
+    block = block.tocoo()
+    pattern = sp.csc_matrix((np.ones(len(block.data) + len(rows)),
+                             (np.r_[block.row, rows], np.r_[block.col, cols])), shape=(n, n))
+    pattern.data[:] = -1.0
+    pattern.setdiag(np.diff(pattern.indptr))
+    return pattern
 
 
 def _interface_schur(k: sp.csc_matrix, g: np.ndarray, i: np.ndarray) -> sp.csc_matrix:
@@ -673,14 +781,17 @@ class CondensedFactorization:
     homogeneous)`` takes two K_GG solves (one for the zero load with the
     fixed values, whose b_G the condensation has solved at its build) and
     one reduced solve, and checks the relative residual on the full system
-    (K_fixed + K_varying) x = b.
+    (K_fixed + K_varying) x = b. ``varying`` is the varying elements'
+    operator alone, on the reduced DOFs; the reduced system factored adds
+    the condensed fixed block to its data, in the given order.
     """
 
     def __init__(self, condensation: Condensation, varying: SparseSystem):
         self.condensation = condensation
         self.varying = varying
-        self.reduced = Factorization(
-            replace(varying, matrix=condensation.reduced_fixed + varying.matrix))
+        reduced = varying.matrix.copy()
+        reduced.data += condensation.assembly.constant
+        self.reduced = Factorization(replace(varying, matrix=reduced))
 
     @property
     def constraints(self) -> Constraints:
@@ -691,22 +802,24 @@ class CondensedFactorization:
         """Solve for the given full-size nodal load (``None``: zero);
         ``homogeneous`` as in :meth:`Factorization.solve`."""
         c = self.condensation
-        n_i = len(c.i)
+        reduced = c.reduced_dofs
         b = np.zeros(c.structure.n_free) if rhs_full is None else c.structure.restrict(rhs_full)
         if not homogeneous:
             b -= c.fixed_lift
-            b[c.r] -= self.varying.lift[n_i:]
+            b[reduced] -= self.varying.lift
         # eliminate G from the load, solve the reduced system for x_I and
         # x_R, then recover x_G
         b_g = b[c.g]
         y_g = c.zero_load_g if rhs_full is None and not homogeneous else c.solve_g(b_g)
-        z = self.reduced.solve_free(np.concatenate([b[c.i] - c.k_ig @ y_g, b[c.r]]))
+        b_ir = b.copy()
+        b_ir[c.i] -= c.k_ig @ y_g
+        z = self.reduced.solve_free(b_ir[reduced])
         x = np.empty_like(b)
-        x[c.i], x[c.r] = z[:n_i], z[n_i:]
+        x[reduced] = z
         x[c.g] = c.solve_g(b_g - c.k_ig.T @ x[c.i])
 
         ax = c.fixed_matrix @ x
-        ax[c.r] += (self.varying.matrix @ z)[n_i:]
+        ax[reduced] += self.varying.matrix @ z
         _check_solution(x, ax - b, b)
         return self.constraints.expand(x, homogeneous)
 

@@ -24,6 +24,7 @@ REGION_EXTERIOR = 0          # evaluation region outside the design ring
 REGION_OBSTACLE = 9          # shielded half-disk at the centre
 CELL_INTERIOR = 0            # single-region unit-cell meshes
 SECTOR_FIRST, SECTOR_LAST = 1, 8
+MIN_CELL_RESOLUTION = 16     # elements per side of the coarsest unit-cell mesh
 
 # boundary edge tags (macro)
 GAMMA_A = "gamma_a"          # left edge, low-temperature Dirichlet
@@ -156,9 +157,11 @@ class TriMesh:
     def region_area(self, region: int) -> float:
         return float(self.areas[self.region_mask(region)].sum())
 
-    def element_gradient(self, values: np.ndarray) -> np.ndarray:
-        """Per-element gradient of a nodal field, shape (n_elements, 2)."""
-        return np.einsum("eik,ei->ek", self.grads, values[self.elements])
+    def element_gradient(self, values: np.ndarray, elements=slice(None)) -> np.ndarray:
+        """Per-element gradient of a nodal field on the selected elements
+        (default all), shape (n_selected, 2)."""
+        return np.einsum("eik,ei->ek", self.grads[elements],
+                         values[self.elements[elements]])
 
 
 def _grid_triangulation(xs: np.ndarray, ys: np.ndarray):
@@ -262,8 +265,9 @@ def build_cell_mesh(cell: UnitCellGeometry) -> TriMesh:
     only then does the checkerboard of diagonals wrap periodically.
     """
     n = cell.resolution
-    if n < 16:
-        raise MeshError("cell resolution must be at least 16 elements per side")
+    if n < MIN_CELL_RESOLUTION:
+        raise MeshError(f"cell resolution must be at least {MIN_CELL_RESOLUTION} "
+                        "elements per side")
     if n % 2:
         raise MeshError(f"cell resolution must be even, got {n}")
     xs = np.linspace(0.0, 1.0, n + 1)

@@ -117,9 +117,7 @@ def cell_system(mesh: TriMesh, mat: CellMaterialField) -> fem.SparseSystem:
     """Cell operator for a material, on the structure of :func:`cell_operator`."""
     if mat.chi.shape != (mesh.n_elements,):
         raise ValueError(f"chi must have shape ({mesh.n_elements},), got {mat.chi.shape}")
-    op = cell_operator(mesh)
-    return fem.SparseSystem(op.structure, op.matrix(mat.conductivities()),
-                            np.zeros(op.structure.n_free), mesh)
+    return cell_operator(mesh).system(mat.conductivities())
 
 
 def _corrector_rhs(mesh: TriMesh, k: np.ndarray, direction: int) -> np.ndarray:

@@ -12,8 +12,11 @@ objectives to solver precision.
 
 Across optimizer iterations only the sector tensors change, so
 :func:`state_factorization` condenses the exterior and obstacle blocks
-once per mesh, fills and edge temperatures, and then assembles and
-factors only the design ring with that interface. It shares the builder
+once per mesh, fills and edge temperatures, and numbers the design ring
+with that interface once, in a minimum-degree order that holds for any
+SPD sector tensors. Each iteration then only assembles the ring from the
+8 tensors (one sparse mat-vec) and factors it in that order; nothing is
+ordered or assembled element by element again. It shares the builder
 :func:`condensed_conduction` with the tiled robustness sweep. One-off
 solves (:func:`solve_state`) factor the whole operator; the reference
 field is a closed form (:func:`reference_field`).
@@ -110,7 +113,9 @@ def condensed_conduction(mesh: TriMesh, tensors: np.ndarray, varying: np.ndarray
 def state_factorization(mesh: TriMesh, matmap: MacroMaterialMap,
                         bc: BoundaryData) -> fem.CondensedFactorization:
     """The factored state operator, its exterior and obstacle blocks
-    condensed at first use for this mesh, fills and edge temperatures."""
+    condensed at first use for this mesh, fills and edge temperatures;
+    the design ring is assembled from the sector tensors and factored in
+    the order fixed by that condensation."""
     def condense():
         region = mesh.element_region
         ring = (region >= SECTOR_FIRST) & (region <= SECTOR_LAST)
@@ -118,10 +123,8 @@ def state_factorization(mesh: TriMesh, matmap: MacroMaterialMap,
 
     condensed = fem.cached(mesh, ("condensed state", matmap.k_exterior, matmap.k_obstacle,
                                   bc.t_low, bc.t_high), condense)
-    ring = condensed.varying
-    sectors = mesh.element_region[ring.element_ids] - SECTOR_FIRST
-    return condensed.factor(
-        fem.assemble_diffusion(mesh, matmap.sector_matrices()[sectors], on=ring))
+    sectors = mesh.element_region[condensed.varying.element_ids] - SECTOR_FIRST
+    return condensed.factor(matmap.sector_matrices()[sectors])
 
 
 def solve_state(mesh: TriMesh, matmap: MacroMaterialMap,

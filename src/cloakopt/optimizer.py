@@ -33,8 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from . import fem, homogenization, levelset, macro_solver, objectives, sensitivity
-from .geometry import (MacroGeometry, SECTOR_FIRST, SECTOR_LAST, TriMesh,
-                       UnitCellGeometry, build_cell_mesh, build_macro_mesh)
+from .geometry import (MIN_CELL_RESOLUTION, MacroGeometry, SECTOR_FIRST, SECTOR_LAST,
+                       TriMesh, UnitCellGeometry, build_cell_mesh, build_macro_mesh)
 from .homogenization import EffectiveTensor
 from .levelset import LevelSetField
 from .macro_solver import BoundaryData, MacroMaterialMap
@@ -76,8 +76,21 @@ class Scenario:
         if min(k for k in (self.k_cell_a, self.k_cell_b,
                            self.k_exterior, self.k_obstacle)) <= 0:
             raise ValueError("conductivities must be positive")
+        if self.cell_resolution < MIN_CELL_RESOLUTION:
+            raise ValueError(f"mesh.cell_resolution must be at least {MIN_CELL_RESOLUTION}, "
+                             f"got {self.cell_resolution}")
         if self.cell_resolution % 2:
             raise ValueError(f"mesh.cell_resolution must be even, got {self.cell_resolution}")
+        if not 0 < self.macro_h < math.inf:
+            raise ValueError(f"mesh.macro_h must be positive, got {self.macro_h}")
+        thickness = self.geometry.r_ring - self.geometry.r_obstacle
+        if thickness < 2.0 * self.macro_h:
+            raise ValueError(f"mesh.macro_h {self.macro_h} leaves fewer than 2 elements across "
+                             f"the design-ring thickness {thickness}")
+        if self.init[0] == "disk" and not 0 < self.init[1] < math.sqrt(0.5):
+            raise ValueError("levelset.init.radius must lie in (0, sqrt(2)/2), inside the "
+                             f"unit cell, got {self.init[1]}; pattern uniform gives a "
+                             "single-phase cell")
         if not 0 < self.k_phi < math.inf:
             raise ValueError("k_phi must be positive and finite")
         if not 0 < self.dt < math.inf:
@@ -259,18 +272,15 @@ def step(ws: Workspace, ev: Evaluation, phis: list[LevelSetField],
     sc = ws.scenario
     adjoint = macro_solver.solve_adjoint(ev.state_fact, sc.derivative_weights(),
                                          ev.temp, ws.t_steel)
+    dj_dks = sensitivity.sector_sensitivities(ws.macro_mesh, ev.temp, adjoint)
 
     def reaction_task(args):
-        l, f, (mat, _tensor, w1, w2) = args
-        dj_dk = sensitivity.tensor_sensitivity(ws.macro_mesh, ev.temp, adjoint, l)
+        dj_dk, f, (mat, _tensor, w1, w2) = args
         ins_a, ins_b = sensitivity.topological_tensor_fields(ws.cell_mesh, mat, w1, w2)
         return sensitivity.combined_sensitivity(
             ws.cell_mesh, dj_dk, ins_a, ins_b, f.chi_nodes(ev.d))
 
-    jprimes = _map_cells(
-        reaction_task,
-        list(zip(range(SECTOR_FIRST, SECTOR_LAST + 1), phis, ev.cells)),
-        threads)
+    jprimes = _map_cells(reaction_task, list(zip(dj_dks, phis, ev.cells)), threads)
     # stability limiter: cap the largest nodal reaction move so the
     # normalized sensitivity cannot flip nodes across the clamp range
     peak = max(float(np.abs(jp).max()) for jp in jprimes)

@@ -179,6 +179,35 @@ def test_odd_cell_resolution_exit_code(tmp_path, capsys):
     assert "cell_resolution must be even" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, value, message", [
+    ("mesh", "cell_resolution", 8, "mesh.cell_resolution must be at least 16"),
+    ("mesh", "cell_resolution", 0, "mesh.cell_resolution must be at least 16"),
+    ("mesh", "macro_h", 2.0, "mesh.macro_h 2.0 leaves fewer than 2 elements"),
+    ("mesh", "macro_h", 0.5, "mesh.macro_h 0.5 leaves fewer than 2 elements"),
+    ("mesh", "macro_h", 0.0, "mesh.macro_h must be positive"),
+    ("mesh", "macro_h", -0.1, "mesh.macro_h must be positive"),
+    ("levelset", "init", {"pattern": "disk", "radius": -0.3}, "levelset.init.radius must lie"),
+    ("levelset", "init", {"pattern": "disk", "radius": 0.0}, "levelset.init.radius must lie"),
+    ("levelset", "init", {"pattern": "disk", "radius": 5.0}, "levelset.init.radius must lie"),
+    ("levelset", "init", {"pattern": "disk", "radius": 0.7072}, "levelset.init.radius must lie"),
+], ids=["cell_resolution-8", "cell_resolution-0", "macro_h-2", "macro_h-0.5", "macro_h-0",
+        "macro_h-negative", "radius-negative", "radius-0", "radius-5", "radius-past-corner"])
+def test_bad_mesh_or_disk_exit_code(tmp_path, capsys, section, key, value, message):
+    """Rejected by key when the config is parsed, before the run directory
+    is made."""
+    path = small_config(tmp_path, **{section: {key: value}})
+    with pytest.raises(ConfigError, match=message):
+        parse_config(path)
+    assert optimize_exit_code(tmp_path, path) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_largest_disk_inside_the_cell_is_accepted(tmp_path):
+    path = small_config(tmp_path, levelset={"init": {"pattern": "disk", "radius": 0.707}})
+    assert parse_config(path).scenario.init == ("disk", 0.707)
+
+
 def test_checkpoint_every_below_one_exit_code(tmp_path, capsys):
     path = small_config(tmp_path)
     assert optimize_exit_code(tmp_path, path, "--checkpoint-every", "0") == 2
@@ -247,7 +276,7 @@ ALTERNATIVES = {
     "levelset.d_schedule": {"levelset.d_schedule": [[1, 0.2], [3, 0.01]]},
     "levelset.init": {"levelset.init": {"pattern": "uniform", "sign": -1.0}},
     "optimizer.max_iter": {"optimizer.max_iter": 4},
-    "mesh.macro_h": {"mesh.macro_h": 0.5},
+    "mesh.macro_h": {"mesh.macro_h": 0.125},
     "mesh.cell_resolution": {"mesh.cell_resolution": 32},
 }
 

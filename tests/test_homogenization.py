@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from cloakopt import fem, optimizer
+from cloakopt import optimizer
 from cloakopt.geometry import UnitCellGeometry, build_cell_mesh
 from cloakopt.homogenization import (CellMaterialField, EffectiveTensor, _corrector_rhs,
                                      cell_system, corrector_pair, diagonalize,
@@ -48,8 +48,8 @@ def test_cell_system_rejects_chi_of_another_mesh(cell_mesh_32):
 
 def test_cell_factorizations_keep_the_template_order(paper_geometry, monkeypatch):
     """Over a 2-iteration run every cell factorization keeps the template's
-    minimum-degree numbering; the two ring factorizations still order at
-    factor time."""
+    minimum-degree numbering; so do the condensation's fixed blocks and
+    the two ring factorizations, which keep the condensation's numbering."""
     calls = []
     splu = spla.splu
 
@@ -64,7 +64,7 @@ def test_cell_factorizations_keep_the_template_order(paper_geometry, monkeypatch
     optimizer.run(scenario)
     n_cell = 16 * 16 - 1
     assert [spec for n, spec in calls if n == n_cell] == ["NATURAL"] * 16
-    assert [spec for n, spec in calls if n != n_cell].count(fem.ORDERING) == 2
+    assert [spec for n, spec in calls if n != n_cell] == ["NATURAL"] * 4
 
 
 def test_homogeneous_cell_corrector_vanishes(cell_mesh_32):

@@ -176,6 +176,49 @@ def test_condensed_solves_match_the_direct_factorization(mesh_name, request):
         assert relative_difference(v.values, want) <= 1e-12
 
 
+def isotropic_map():
+    tensors = [k * np.eye(2) for k in (3.0, 50.0, 0.4, 200.0, 7.0, 1.0, 90.0, 12.0)]
+    return MacroMaterialMap(tensors, k_exterior=STEEL, k_obstacle=COPPER)
+
+
+@pytest.mark.parametrize("maps", [[anisotropic_map], [isotropic_map],
+                                  [isotropic_map, anisotropic_map]],
+                         ids=["anisotropic", "isotropic", "isotropic-then-anisotropic"])
+def test_ordered_condensation_matches_the_direct_solve(paper_geometry, maps):
+    """The ring's numbering is fixed when the condensation is built, for
+    the first tensors it sees; it must also hold for later ones, whose
+    k12 fills the hypotenuse slots that an isotropic ring leaves at zero."""
+    mesh = build_macro_mesh(paper_geometry, 0.125)     # its own cache: built for maps[0]
+    bc = BoundaryData(0.5, 2.0)
+    patterns = []
+    for make in maps:
+        matmap = make()
+        fact = ms.state_factorization(mesh, matmap, bc)
+        assert fact.reduced.system.structure.ordered
+        want = fem.solve(ms.state_system(mesh, matmap, bc)).values
+        assert relative_difference(fact.solve(), want) <= 1e-12
+        patterns.append(fact.reduced.system.matrix.indices)
+    assert sum(key[0] == "condensed state" for key in mesh.cache) == 1
+    assert all(np.array_equal(p, patterns[0]) for p in patterns)
+
+
+def test_ordered_condensation_lifts_a_ring_on_the_fixed_edges(paper_geometry):
+    """With r_ring = lx/2 ring elements touch the Dirichlet edges, so the
+    varying part carries a lift of its own."""
+    geometry = MacroGeometry(lx=paper_geometry.lx, ly=paper_geometry.ly,
+                             r_ring=paper_geometry.lx / 2, r_obstacle=paper_geometry.r_obstacle)
+    mesh = build_macro_mesh(geometry, 0.0625)
+    bc = BoundaryData(0.5, 2.0)
+    matmap = anisotropic_map()
+    fact = ms.state_factorization(mesh, matmap, bc)
+    assert np.count_nonzero(fact.varying.lift) > 0
+    direct = fem.Factorization(ms.state_system(mesh, matmap, bc))
+    assert relative_difference(fact.solve(), direct.solve()) <= 1e-12
+    load = np.linspace(-1.0, 1.0, mesh.n_nodes)
+    assert relative_difference(fact.solve(load, homogeneous=True),
+                               direct.solve(load, homogeneous=True)) <= 1e-12
+
+
 def test_interface_schur_complement_matches_explicit(coarse_macro_mesh):
     c = ms.state_factorization(coarse_macro_mesh, anisotropic_map(), BoundaryData()).condensation
     k = c.fixed_matrix.toarray()
@@ -232,7 +275,7 @@ def test_corrupted_reduced_system_fails_the_full_residual(paper_geometry):
     mesh = build_macro_mesh(paper_geometry, 0.25)     # its own cache, corrupted below
     matmap, bc = anisotropic_map(), BoundaryData()
     c = ms.state_factorization(mesh, matmap, bc).condensation
-    c.reduced_fixed = c.reduced_fixed * 1.01
+    c.assembly.constant = c.assembly.constant * 1.01
     fact = ms.state_factorization(mesh, matmap, bc)
     fact.reduced.solve_free(np.ones(c.varying.n_free))   # the reduced solve itself holds
     with pytest.raises(fem.SolverError, match="residual"):

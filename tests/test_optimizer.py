@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cloakopt import fem, levelset, macro_solver, optimizer, sensitivity
-from cloakopt.geometry import MacroGeometry
+from cloakopt.geometry import MacroGeometry, TriMesh
 from cloakopt.macro_solver import BoundaryData
 from cloakopt.optimizer import (DesignState, Scenario, Workspace, checkpoint, evaluate,
                                 resume, run, step)
@@ -134,10 +134,10 @@ def test_w0_skips_mismatch_adjoint(monkeypatch):
     dict(w=1.0, objective_mode="normalized", normalization_fill=PDMS),
 ], ids=["w0", "w0.3", "w1", "normalized"])
 def test_each_step_solves_one_adjoint(monkeypatch, overrides):
-    """One homogeneous solve on the state operator and one dJ/dK* per
-    sector, whatever the weights."""
-    homogeneous_flags, sectors = [], []
-    tensor_sensitivity = sensitivity.tensor_sensitivity
+    """One homogeneous solve on the state operator and one contraction of
+    the 8 sectors' dJ/dK*, whatever the weights."""
+    homogeneous_flags, contractions = [], []
+    sector_sensitivities = sensitivity.sector_sensitivities
 
     def recording_solve(solve):
         def wrapped(self, rhs_full=None, homogeneous=False):
@@ -145,16 +145,16 @@ def test_each_step_solves_one_adjoint(monkeypatch, overrides):
             return solve(self, rhs_full, homogeneous)
         return wrapped
 
-    def record_tensor(*args):
-        sectors.append(args[-1])
-        return tensor_sensitivity(*args)
+    def record_sectors(*args):
+        contractions.append(sector_sensitivities(*args))
+        return contractions[-1]
 
     for cls in (fem.Factorization, fem.CondensedFactorization):
         monkeypatch.setattr(cls, "solve", recording_solve(cls.solve))
-    monkeypatch.setattr(sensitivity, "tensor_sensitivity", record_tensor)
+    monkeypatch.setattr(sensitivity, "sector_sensitivities", record_sectors)
     run(tiny_scenario(max_iter=3, **overrides))
     assert homogeneous_flags.count(True) == 2
-    assert sectors == list(range(1, 9)) * 2
+    assert [s.shape for s in contractions] == [(8, 2, 2)] * 2
 
 
 def test_determinism_bit_identical_histories():
@@ -247,7 +247,7 @@ def test_mixed_weight_contracts_derivative_of_recorded_objective(monkeypatch):
     # separately normalized objective terms; the one adjoint of the
     # weighted load gives w*s1 + (1-w)*s2 of the single-objective adjoints
     solve_adjoint = macro_solver.solve_adjoint
-    tensor_sensitivity = sensitivity.tensor_sensitivity
+    sector_sensitivities = sensitivity.sector_sensitivities
     combined_sensitivity = sensitivity.combined_sensitivity
     adjoints, derivatives, contracted = [], [], []
 
@@ -255,28 +255,26 @@ def test_mixed_weight_contracts_derivative_of_recorded_objective(monkeypatch):
         adjoints.append((state_fact, weights, state, reference))
         return solve_adjoint(state_fact, weights, state, reference)
 
-    def record_tensor(*args):
-        s = tensor_sensitivity(*args)
-        derivatives.append((args[-1], s))
-        return s
+    def record_sectors(*args):
+        derivatives.append(sector_sensitivities(*args))
+        return derivatives[-1]
 
     def record_combined(mesh, dj_dk, *args):
         contracted.append(dj_dk)
         return combined_sensitivity(mesh, dj_dk, *args)
 
     monkeypatch.setattr(macro_solver, "solve_adjoint", record_adjoint)
-    monkeypatch.setattr(sensitivity, "tensor_sensitivity", record_tensor)
+    monkeypatch.setattr(sensitivity, "sector_sensitivities", record_sectors)
     monkeypatch.setattr(sensitivity, "combined_sensitivity", record_combined)
     w = 0.3
     run(tiny_scenario(w=w, max_iter=2))
-    assert len(adjoints) == 1 and len(derivatives) == 8 and len(contracted) == 8
+    assert len(adjoints) == 1 and len(derivatives) == 1 and len(contracted) == 8
     state_fact, weights, temp, reference = adjoints[0]
     assert weights == {"j1": w, "j2": 1.0 - w}
     single = [solve_adjoint(state_fact, {k: 1.0}, temp, reference) for k in ("j1", "j2")]
-    for s_j, (l, s) in zip(contracted, derivatives):
-        assert s_j is s
-        s1, s2 = (tensor_sensitivity(temp.mesh, temp, v, l) for v in single)
-        want = w * s1 + (1.0 - w) * s2
+    s1, s2 = (sector_sensitivities(temp.mesh, temp, v) for v in single)
+    for s_j, s, want in zip(contracted, derivatives[0], w * s1 + (1.0 - w) * s2):
+        assert np.array_equal(s_j, s)
         assert np.abs(s - want).max() <= 1e-10 * np.abs(want).max()
 
 
@@ -318,6 +316,45 @@ def test_evaluate_condenses_once_and_factors_only_the_ring(monkeypatch):
     macro = [s for s in factored if s.mesh is ws.macro_mesh]
     assert len(macro) == 3
     assert all(s.structure is c.varying for s in macro)
+
+
+def test_iterations_neither_order_nor_assemble_the_ring_again(monkeypatch):
+    """Over a 4-iteration run: orderings come only from the first
+    homogenization (the cell template) and the condensation's build,
+    nothing assembles the ring through assemble_diffusion, and no
+    gradient is taken over all of the macro mesh's elements."""
+    building, iteration, orders, assembled, gradients = [], [0], [], [], []
+    order, evaluate_ = fem.minimum_degree_order, optimizer.evaluate
+    gradient, assemble = TriMesh.element_gradient, fem.assemble_diffusion
+
+    class BuildingCondensation(fem.Condensation):
+        def __init__(self, *args):
+            building.append(self)
+            super().__init__(*args)
+            building.pop()
+
+    def counted_evaluate(*args, **kwargs):
+        iteration[0] += 1
+        return evaluate_(*args, **kwargs)
+
+    def recorded_gradient(self, values, elements=slice(None)):
+        out = gradient(self, values, elements)
+        if self.element_region.max() > 0:           # a macro mesh
+            gradients.append((len(out), self.n_elements))
+        return out
+
+    monkeypatch.setattr(fem, "Condensation", BuildingCondensation)
+    monkeypatch.setattr(fem, "minimum_degree_order",
+                        lambda m: orders.append((iteration[0], bool(building))) or order(m))
+    monkeypatch.setattr(fem, "assemble_diffusion",
+                        lambda *a, **kw: assembled.append(1) or assemble(*a, **kw))
+    monkeypatch.setattr(optimizer, "evaluate", counted_evaluate)
+    monkeypatch.setattr(TriMesh, "element_gradient", recorded_gradient)
+    run(tiny_scenario(max_iter=4))
+    assert iteration[0] == 4
+    assert sorted(orders) == [(1, False), (1, True), (1, True)]   # cell; K_GG and ring
+    assert assembled == []
+    assert len(gradients) == 2 * 3 and all(n < total for n, total in gradients)
 
 
 def test_evaluated_meshes_freed_without_the_cycle_collector():

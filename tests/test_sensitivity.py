@@ -64,7 +64,7 @@ def test_tensor_sensitivity_matches_finite_differences(fd_setup):
     mesh, steel, tensors, temp, adjoints = fd_setup
     for kind, idx in (("j1", 0), ("j2", 1)):
         for l in (1, 4, 7):
-            s = sens.tensor_sensitivity(mesh, temp, adjoints[kind], l)
+            s = sens.sector_sensitivities(mesh, temp, adjoints[kind])[l - 1]
             assert_matches_centred_differences(mesh, steel, tensors, s, l,
                                                lambda *j: j[idx])
 
@@ -74,8 +74,9 @@ def test_weighted_adjoint_differentiates_the_recorded_objective(fd_setup):
     single-objective adjoints, and the derivative of the recorded J."""
     mesh, steel, tensors, temp, adjoints = fd_setup
     for l in range(1, 9):
-        s = sens.tensor_sensitivity(mesh, temp, adjoints["recorded"], l)
-        s1, s2 = (sens.tensor_sensitivity(mesh, temp, adjoints[k], l) for k in ("j1", "j2"))
+        s = sens.sector_sensitivities(mesh, temp, adjoints["recorded"])[l - 1]
+        s1, s2 = (sens.sector_sensitivities(mesh, temp, adjoints[k])[l - 1]
+                  for k in ("j1", "j2"))
         want = W * s1 + (1.0 - W) * s2
         assert np.abs(s - want).max() <= 1e-10 * np.abs(want).max()
         assert_matches_centred_differences(mesh, steel, tensors, s, l,
@@ -88,7 +89,7 @@ def test_first_order_prediction_of_objective_change(fd_setup):
     rng = np.random.default_rng(9)
     for kind, idx in (("j1", 0), ("j2", 1)):
         l = 3
-        s = sens.tensor_sensitivity(mesh, temp, adjoints[kind], l)
+        s = sens.sector_sensitivities(mesh, temp, adjoints[kind])[l - 1]
         sym = rng.normal(size=(2, 2))
         sym = 0.5 * (sym + sym.T)
         dk = 1e-3 * np.linalg.norm(tensors[l - 1]) * sym / np.linalg.norm(sym)
@@ -102,7 +103,7 @@ def test_first_order_prediction_of_objective_change(fd_setup):
 def test_zero_adjoint_gives_zero_sensitivity(fd_setup):
     mesh, _, _, temp, _ = fd_setup
     zero = fem.ScalarField(np.zeros(mesh.n_nodes), mesh)
-    s = sens.tensor_sensitivity(mesh, temp, zero, 2)
+    s = sens.sector_sensitivities(mesh, temp, zero)
     assert np.all(s == 0.0)
 
 
@@ -110,9 +111,35 @@ def test_sensitivity_linear_in_adjoint(fd_setup):
     mesh, _, _, temp, adjoints = fd_setup
     v = adjoints["j1"]
     scaled = fem.ScalarField(4.0 * v.values, mesh)
-    s1 = sens.tensor_sensitivity(mesh, temp, v, 5)
-    s4 = sens.tensor_sensitivity(mesh, temp, scaled, 5)
+    s1 = sens.sector_sensitivities(mesh, temp, v)
+    s4 = sens.sector_sensitivities(mesh, temp, scaled)
     np.testing.assert_allclose(s4, 4.0 * s1, rtol=1e-12)
+
+
+def test_sector_sensitivities_equal_the_masked_contraction(macro_mesh, monkeypatch):
+    """Bit for bit the per-sector contraction of full-mesh gradients,
+    while no gradient is taken over the whole mesh."""
+    rng = np.random.default_rng(5)
+    temp, adjoint = (fem.ScalarField(rng.normal(size=macro_mesh.n_nodes), macro_mesh)
+                     for _ in range(2))
+    want = []
+    for l in range(1, 9):
+        mask = macro_mesh.region_mask(l)
+        gt = macro_mesh.element_gradient(temp.values)[mask]
+        gv = macro_mesh.element_gradient(adjoint.values)[mask]
+        s = -np.einsum("e,ei,ej->ij", macro_mesh.areas[mask], gt, gv)
+        want.append(0.5 * (s + s.T))
+
+    sizes = []
+    gradient = TriMesh.element_gradient
+    monkeypatch.setattr(TriMesh, "element_gradient", lambda self, values, elements=slice(None):
+                        sizes.append(len(gradient(self, values, elements)))
+                        or gradient(self, values, elements))
+    got = sens.sector_sensitivities(macro_mesh, temp, adjoint)
+    assert got.shape == (8, 2, 2)
+    np.testing.assert_array_equal(got, np.array(want))
+    ring = (macro_mesh.element_region >= 1) & (macro_mesh.element_region <= 8)
+    assert sizes == [ring.sum()] * 2
 
 
 def test_insertion_prefactors_published_values():

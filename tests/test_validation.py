@@ -253,12 +253,12 @@ def test_condensed_angles_tile_only_the_insert(paper_geometry, cell_mesh, monkey
     spec = make_spec(paper_geometry, cell_mesh)
     psi = [0.0, 45.0, 200.0]
     tiled, assembled = [], []
-    tile, assemble = val.tile_conductivity, fem.assemble_diffusion
+    tile, factor = val.tile_conductivity, fem.Condensation.factor
     monkeypatch.setattr(val, "tile_conductivity",
                         lambda *a, **kw: tiled.append(1) or tile(*a, **kw))
-    monkeypatch.setattr(fem, "assemble_diffusion",
-                        lambda mesh, tensors, on=None: assembled.append((tensors, on))
-                        or assemble(mesh, tensors, on))
+    monkeypatch.setattr(fem.Condensation, "factor",
+                        lambda self, tensors: assembled.append((tensors, self.varying))
+                        or factor(self, tensors))
     val.robustness_sweep({"design": spec}, psi, 1.0, PDMS)
     assert len(tiled) == 1 and len(assembled) == len(psi)
     mesh = val.fine_mesh(spec)
