@@ -138,18 +138,12 @@ def corrector_pair(mesh: TriMesh, mat: CellMaterialField):
 
 def effective_tensor(mesh: TriMesh, mat: CellMaterialField,
                      w1: fem.ScalarField, w2: fem.ScalarField) -> EffectiveTensor:
-    """Homogenized tensor from the symmetric corrector formula."""
-    e1 = w1.gradient() + (1.0, 0.0)
-    e2 = w2.gradient() + (0.0, 1.0)
+    """Homogenized tensor from the symmetric corrector formula: one Gram
+    product of the (e_i + grad w_i) rows weighted by k_e a_e, symmetrized."""
+    e = np.stack([w1.gradient() + (1.0, 0.0), w2.gradient() + (0.0, 1.0)])
     ka = mat.conductivities() * mesh.areas
-    k = np.array([
-        [(ka * np.einsum("ei,ei->e", e1, e1)).sum(),
-         (ka * np.einsum("ei,ei->e", e1, e2)).sum()],
-        [0.0,
-         (ka * np.einsum("ei,ei->e", e2, e2)).sum()],
-    ])
-    k[1, 0] = k[0, 1]
-    return EffectiveTensor.from_matrix(k)
+    k = (e * ka[:, None]).reshape(2, -1) @ e.reshape(2, -1).T
+    return EffectiveTensor.from_matrix(0.5 * (k + k.T))
 
 
 def homogenize(mesh: TriMesh, mat: CellMaterialField):

@@ -51,7 +51,8 @@ class LevelSetField:
 
     def chi_elements(self, d: float | None = None) -> np.ndarray:
         """Smoothed indicator at element centroids (material evaluation point)."""
-        phi_c = self.phi[self.mesh.elements].mean(axis=1)
+        e = self.mesh.elements
+        phi_c = (self.phi[e[:, 0]] + self.phi[e[:, 1]] + self.phi[e[:, 2]]) / 3.0
         return characteristic(phi_c, self.d if d is None else d)
 
 
@@ -150,6 +151,18 @@ class ReactionDiffusionUpdater:
         x = np.fft.ifft2(x_hat).real.ravel()
         fem._check_solution(x, self._mass_grid * x + c * (self._laplacian @ x) - b, b)
         return np.clip(x[self._grid], -1.0, 1.0)
+
+
+def mirror_nodes(mesh: TriMesh) -> np.ndarray:
+    """Node map of the cell's reflection y1 -> 1 - y1, built once per mesh:
+    ``phi[mirror_nodes(mesh)]`` is phi reflected, node (i, j) of the
+    structured grid taking the value of node (n - i, j). The checkerboard
+    of an even-resolution cell mesh maps onto itself under it."""
+    def build():
+        n, _ = _periodic_grid(mesh)
+        i, j = np.divmod(np.arange(mesh.n_nodes), n + 1)
+        return (n - i) * (n + 1) + j
+    return fem.cached(mesh, "mirror nodes", build)
 
 
 def _periodic_grid(mesh: TriMesh) -> tuple[int, np.ndarray]:

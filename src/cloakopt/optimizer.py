@@ -1,19 +1,25 @@
 """Optimization loop tying the two scales together.
 
+The macro problem is mirror-symmetric about the obstacle's vertical
+axis, which maps sector l onto sector 9 - l and cell coordinate y1 onto
+1 - y1. So cells 1-4 carry the design, and cell 9 - l holds the
+reflection of cell l (:func:`mirrored`), exactly at every iteration.
+
 Each iteration evaluates the design (:func:`evaluate`: both correctors
-and the tensor of every cell, the macro state, the objectives) and then,
-unless it is the last, advances it (:func:`step`): one adjoint solve on
-the factored state operator, whose load is the derivative of the recorded
-objective J (w*J1 + (1-w)*J2, or J1 over its denominator in normalized
-mode), each sector's dJ/dK* contracted with its cell's insertion
-derivatives and normalized once per cell, and one reaction-diffusion
-step of every level-set field. Its time step is dt, capped so that no
-node moves by more than :data:`MOVE_LIMIT`, divided by sqrt(k) at the
-k-th iteration of the current transition width: the reaction term has
-unit L1 mass however close the design is to a stationary point, so a
-constant step keeps the design swinging around it instead of settling.
-The transition width follows a fixed iteration schedule, and the run
-ends at the iteration cap.
+and the tensor of all 8 cells, the macro state, the objectives) and
+then, unless it is the last, advances it (:func:`step`): one adjoint
+solve on the factored state operator, whose load is the derivative of
+the recorded objective J (w*J1 + (1-w)*J2, or J1 over its denominator in
+normalized mode), the design's dJ/dK* (:func:`sensitivity.mirrored_sensitivities`)
+contracted with each design cell's insertion derivatives and normalized
+once per cell, one reaction-diffusion step of each of the 4 design
+cells, and their reflections onto cells 5-8. Its time step is dt,
+capped so that no node moves by more than :data:`MOVE_LIMIT`, divided by
+sqrt(k) at the k-th iteration of the current transition width: the
+reaction term has unit L1 mass however close the design is to a
+stationary point, so a constant step keeps the design swinging around
+it instead of settling. The transition width follows a fixed iteration
+schedule, and the run ends at the iteration cap.
 """
 
 from __future__ import annotations
@@ -42,6 +48,14 @@ from .macro_solver import BoundaryData, MacroMaterialMap
 log = logging.getLogger(__name__)
 
 MOVE_LIMIT = 0.5      # largest nodal reaction move k_phi * dt * |J'| of one step
+DESIGN_CELLS = SECTOR_LAST // 2     # cells 1-4; cell 9 - l reflects cell l
+
+
+def mirrored(mesh: TriMesh, design: list[np.ndarray]) -> list[np.ndarray]:
+    """Nodal values of all 8 cells from those of the design cells 1-4:
+    cell 9 - l is cell l reflected (:func:`levelset.mirror_nodes`)."""
+    mirror = levelset.mirror_nodes(mesh)
+    return list(design) + [phi[mirror] for phi in reversed(design)]
 
 
 @dataclass
@@ -148,11 +162,14 @@ class Scenario:
 
     def initial_phis(self, mesh: TriMesh | None = None) -> list[LevelSetField]:
         """The initial design, one level set per sector, on ``mesh`` or on a
-        new cell mesh of this scenario's resolution."""
+        new cell mesh of this scenario's resolution: the init pattern on
+        cells 1-4 and its reflection on cells 5-8."""
         if mesh is None:
             mesh = build_cell_mesh(UnitCellGeometry(self.cell_resolution))
-        return [levelset.initialize(mesh, self.init, cell_index=l)
-                for l in range(SECTOR_FIRST, SECTOR_LAST + 1)]
+        phi = levelset.initialize(mesh, self.init).phi
+        return [LevelSetField(phi=p, mesh=mesh, cell_index=l) for l, p in
+                enumerate(mirrored(mesh, [phi.copy() for _ in range(DESIGN_CELLS)]),
+                          start=SECTOR_FIRST)]
 
 
 @dataclass
@@ -263,16 +280,19 @@ def step(ws: Workspace, ev: Evaluation, phis: list[LevelSetField],
     """New nodal values of every cell's level set after one update.
 
     Solves the adjoint of the recorded J on the evaluated state operator,
-    contracts each sector's dJ/dK* with its cell's insertion derivatives
-    into a normalized reaction term, and takes one reaction-diffusion step
-    whose size the move limiter caps, divided by sqrt(k) at the k-th
-    iteration of the current transition width (a diminishing step that
-    restarts with each new width, which poses a new smoothed problem).
+    contracts the mirrored design's dJ/dK* with each design cell's
+    insertion derivatives into a normalized reaction term, and takes one
+    reaction-diffusion step of each design cell, whose size the move
+    limiter caps, divided by sqrt(k) at the k-th iteration of the current
+    transition width (a diminishing step that restarts with each new
+    width, which poses a new smoothed problem). Cells 5-8 receive the
+    reflections of the stepped cells 1-4.
     """
     sc = ws.scenario
     adjoint = macro_solver.solve_adjoint(ev.state_fact, sc.derivative_weights(),
                                          ev.temp, ws.t_steel)
-    dj_dks = sensitivity.sector_sensitivities(ws.macro_mesh, ev.temp, adjoint)
+    dj_dks = sensitivity.mirrored_sensitivities(
+        sensitivity.sector_sensitivities(ws.macro_mesh, ev.temp, adjoint))
 
     def reaction_task(args):
         dj_dk, f, (mat, _tensor, w1, w2) = args
@@ -280,7 +300,8 @@ def step(ws: Workspace, ev: Evaluation, phis: list[LevelSetField],
         return sensitivity.combined_sensitivity(
             ws.cell_mesh, dj_dk, ins_a, ins_b, f.chi_nodes(ev.d))
 
-    jprimes = _map_cells(reaction_task, list(zip(dj_dks, phis, ev.cells)), threads)
+    design = phis[:DESIGN_CELLS]
+    jprimes = _map_cells(reaction_task, list(zip(dj_dks, design, ev.cells)), threads)
     # stability limiter: cap the largest nodal reaction move so the
     # normalized sensitivity cannot flip nodes across the clamp range
     peak = max(float(np.abs(jp).max()) for jp in jprimes)
@@ -289,9 +310,9 @@ def step(ws: Workspace, ev: Evaluation, phis: list[LevelSetField],
         dt_eff = min(sc.dt, MOVE_LIMIT / (sc.k_phi * peak))
     dt_eff *= sc.width_age(iteration) ** -0.5
     updater = ws.updater
-    return _map_cells(
+    return mirrored(ws.cell_mesh, _map_cells(
         lambda pair: updater.step(pair[0].phi, pair[1], dt_eff),
-        list(zip(phis, jprimes)), threads)
+        list(zip(design, jprimes)), threads))
 
 
 def run(scenario: Scenario, out_dir=None, resume_from: DesignState | None = None,
@@ -324,6 +345,14 @@ def run(scenario: Scenario, out_dir=None, resume_from: DesignState | None = None
                 for f in resume_from.phis]
         if len(phis[0].phi) != ws.cell_mesh.n_nodes:
             raise ValueError("resumed state does not match the scenario cell mesh")
+        # a checkpoint of 8 independent cells (earlier versions) is refused
+        expected = mirrored(ws.cell_mesh, [f.phi for f in phis[:DESIGN_CELLS]])
+        for f, phi in zip(phis, expected):
+            if not np.array_equal(f.phi, phi):
+                raise ValueError(
+                    f"resumed state: cell {f.cell_index} is not the reflection of cell "
+                    f"{SECTOR_FIRST + SECTOR_LAST - f.cell_index}, so the checkpoint does "
+                    "not hold a mirrored design (cells 1-4 carry it); start the run again")
         history = list(resume_from.history)
         j1_init, j2_init = resume_from.j1_init, resume_from.j2_init
         # the saved design was evaluated but not yet advanced: replay its

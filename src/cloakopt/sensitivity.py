@@ -4,14 +4,17 @@ cell-level insertion derivatives, normalized into the level-set reaction.
 The macro half carries dJ/dK* per sector (a symmetric 2x2 from the state
 and adjoint gradients), for all 8 sectors in one call that takes the
 gradients on the design ring's elements only (:func:`sector_sensitivities`).
-The cell half carries the pointwise derivative of K* when a small
-inclusion of the other phase appears, built from the corrector
-gradients. Their contraction, split by insertion direction and blended
-by the smoothed indicator, is L1-normalized per cell. The
+The optimizer's design is mirrored, cells 1-4 carrying it and cell 9 - l
+reflecting cell l, so it contracts each design cell's derivative of the
+mirrored design (:func:`mirrored_sensitivities`), which folds in that of
+its reflected sector. The cell half carries the pointwise derivative of
+K* when a small inclusion of the other phase appears, built from the
+corrector gradients. Their contraction, split by insertion direction and
+blended by the smoothed indicator, is L1-normalized per cell. The
 optimizer contracts the derivative of the objective it records,
 w*dJ1/dK* + (1-w)*dJ2/dK*, which is linear in the adjoint load and so
-comes from one adjoint of the weighted load; each cell's reaction term
-is normalized once and follows the derivative of that weighted sum.
+comes from one adjoint of the weighted load; each design cell's reaction
+term is normalized once and follows the derivative of that weighted sum.
 """
 
 from __future__ import annotations
@@ -54,6 +57,22 @@ def sector_sensitivities(mesh: TriMesh, state: fem.ScalarField,
 # the name under which benchmarks/tracer.py times the contraction
 tensor_sensitivity = sector_sensitivities
 
+# entrywise signs of S M S for the mirror S = diag(-1, 1)
+_MIRROR_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def mirrored_sensitivities(dj_dks: np.ndarray) -> np.ndarray:
+    """dJ/dK* of the mirrored design, shape (4, 2, 2), cell l at index l - 1.
+
+    Cells 1-4 carry the design and cell 9 - l is cell l reflected
+    (y1 -> 1 - y1), so K*_{9-l} = S K*_l S with S = diag(-1, 1). By the
+    chain rule cell l receives dJ/dK*_l + S dJ/dK*_{9-l} S, on any macro
+    mesh, mirror-symmetric or not. ``dj_dks`` is the (8, 2, 2) output of
+    :func:`sector_sensitivities`.
+    """
+    half = len(dj_dks) // 2
+    return dj_dks[:half] + _MIRROR_SIGNS * dj_dks[:half - 1:-1]
+
 
 def _sector_elements(mesh: TriMesh) -> tuple[np.ndarray, list[np.ndarray]]:
     """The design ring's elements, ascending, and each sector's positions
@@ -81,13 +100,11 @@ def topological_tensor_fields(mesh: TriMesh, mat: CellMaterialField,
     """
     e1 = w1.gradient() + (1.0, 0.0)
     e2 = w2.gradient() + (0.0, 1.0)
-    outer = np.empty((mesh.n_elements, 2, 2))
-    outer[:, 0, 0] = np.einsum("ei,ei->e", e1, e1)
-    outer[:, 0, 1] = np.einsum("ei,ei->e", e1, e2)
-    outer[:, 1, 0] = outer[:, 0, 1]
-    outer[:, 1, 1] = np.einsum("ei,ei->e", e2, e2)
-
-    nodal = _average_to_nodes(mesh, outer)
+    outer = np.column_stack([np.einsum("ei,ei->e", e1, e1),
+                             np.einsum("ei,ei->e", e1, e2),
+                             np.einsum("ei,ei->e", e2, e2)])
+    # the 3 distinct components are averaged, then laid out as 2x2 tensors
+    nodal = _average_to_nodes(mesh, outer)[:, [0, 1, 1, 2]].reshape(mesh.n_nodes, 2, 2)
     pref_insert_a = insertion_prefactor(mat.k_b, mat.k_a)
     pref_insert_b = insertion_prefactor(mat.k_a, mat.k_b)
     return pref_insert_a * nodal, pref_insert_b * nodal

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cloakopt import cli
+from cloakopt import cli, levelset
 from cloakopt.config import _SCHEMA, ConfigError, build_config, parse_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -495,3 +495,18 @@ def test_resume_picks_the_latest_checkpoint_by_iteration(short_run, tmp_path, ca
                    "--resume"])
     assert rc == 0
     assert f"resuming from {saved / 'iter_10000'} (iteration 3)" in capsys.readouterr().out
+
+
+def test_resume_of_an_unmirrored_checkpoint_exit_code(short_run, tmp_path, capsys):
+    """Cells 5-8 of a checkpoint must be the reflections of cells 1-4, as
+    this version writes them; one of 8 independent cells is refused by name."""
+    run = tmp_path / "run"
+    shutil.copytree(short_run, run)
+    path = run / "checkpoints" / "iter_0003" / "cell_7.csv"
+    f = levelset.read_phi_field(path)
+    f.phi[f.mesh.n_nodes // 2] += 1e-12
+    levelset.write_phi_csv(f, path)
+    rc = cli.main(["optimize", "--config", str(small_config(tmp_path, optimizer={"max_iter": 5})),
+                   "--out", str(run), "--resume"])
+    assert rc == 2
+    assert "cell 7 is not the reflection of cell 2" in capsys.readouterr().err

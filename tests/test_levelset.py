@@ -10,7 +10,7 @@ from cloakopt import fem
 from cloakopt.geometry import (MacroGeometry, UnitCellGeometry, build_cell_mesh,
                                build_macro_mesh)
 from cloakopt.levelset import (LevelSetField, ReactionDiffusionUpdater,
-                               characteristic, initialize, read_phi_csv,
+                               characteristic, initialize, mirror_nodes, read_phi_csv,
                                read_phi_field, write_phi_csv)
 
 
@@ -220,3 +220,16 @@ def test_read_phi_field_rebuilds_or_checks_the_cell_mesh(tmp_path, cell_mesh_32)
     write_phi_csv(shifted, path)
     with pytest.raises(ValueError, match="do not match"):
         read_phi_field(path)
+
+
+def test_mirror_nodes_reflect_the_cell_and_its_triangles(cell_mesh_32):
+    m = mirror_nodes(cell_mesh_32)
+    nodes = cell_mesh_32.nodes
+    np.testing.assert_allclose(nodes[m], np.column_stack([1.0 - nodes[:, 0], nodes[:, 1]]),
+                               rtol=0.0, atol=1e-15)
+    np.testing.assert_array_equal(m[m], np.arange(cell_mesh_32.n_nodes))
+
+    def triangles(elements):
+        return {tuple(sorted(t)) for t in elements.tolist()}
+    assert triangles(m[cell_mesh_32.elements]) == triangles(cell_mesh_32.elements)
+    assert mirror_nodes(cell_mesh_32) is m

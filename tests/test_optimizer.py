@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cloakopt import fem, levelset, macro_solver, optimizer, sensitivity
-from cloakopt.geometry import MacroGeometry, TriMesh
+from cloakopt.geometry import MacroGeometry, TriMesh, UnitCellGeometry, build_cell_mesh
 from cloakopt.macro_solver import BoundaryData
 from cloakopt.optimizer import (DesignState, Scenario, Workspace, checkpoint, evaluate,
                                 resume, run, step)
@@ -91,8 +91,8 @@ def test_step_diminishes_within_each_width(monkeypatch):
     monkeypatch.setattr(levelset.ReactionDiffusionUpdater, "step", record_dt)
     monkeypatch.setattr(optimizer, "MOVE_LIMIT", 1e9)
     run(tiny_scenario(max_iter=5))    # widths start at 1 and 3
-    steps = dts[::8]
-    assert dts == [dt for dt in steps for _ in range(8)]
+    steps = dts[::4]                  # one step per design cell 1-4
+    assert dts == [dt for dt in steps for _ in range(4)]
     assert steps == [0.1, 0.1 * 2 ** -0.5, 0.1, 0.1 * 2 ** -0.5]
 
 
@@ -201,6 +201,88 @@ def test_resume_ignores_counters_of_older_checkpoints(tmp_path):
     assert history_signature(resumed) == history_signature(run(sc))
 
 
+def test_resume_rejects_a_checkpoint_without_a_mirrored_design(tmp_path):
+    """A checkpoint of 8 independent cells, as earlier versions wrote, is
+    refused by name rather than resumed onto another design."""
+    sc = tiny_scenario(max_iter=3)
+    checkpoint(run(dataclasses.replace(sc, max_iter=2)), tmp_path / "ck")
+    path = tmp_path / "ck" / "cell_6.csv"
+    f = levelset.read_phi_field(path)
+    f.phi[f.mesh.n_nodes // 2] += 1e-12
+    levelset.write_phi_csv(f, path)
+    with pytest.raises(ValueError, match="cell 6 is not the reflection of cell 3"):
+        run(sc, resume_from=resume(tmp_path / "ck"))
+
+
+def assert_mirrored(phis):
+    mirror = levelset.mirror_nodes(phis[0].mesh)
+    for l in range(1, 5):
+        np.testing.assert_array_equal(phis[8 - l].phi, phis[l - 1].phi[mirror])
+
+
+def test_every_checkpoint_holds_a_mirrored_design(tmp_path):
+    """Cell 9 - l is cell l reflected, bit for bit, at every checkpoint of a
+    w=1/2 run on a macro mesh that is not mirror-symmetric (21 divisions
+    across lx), where roundoff would not keep the 8-cell design so."""
+    out = tmp_path / "run"
+    sc = tiny_scenario(w=0.5, macro_h=5.0 / 21)
+    final = run(sc, out_dir=out, checkpoint_every=1)
+    for it in range(1, sc.max_iter + 1):
+        assert_mirrored(resume(out / "checkpoints" / f"iter_{it:04d}").phis)
+    assert_mirrored(final.phis)
+    mirror = levelset.mirror_nodes(final.phis[0].mesh)
+    assert not np.array_equal(final.phis[0].phi, final.phis[0].phi[mirror])
+
+
+def test_file_init_reflects_the_file_onto_cells_5_to_8(tmp_path):
+    mesh = build_cell_mesh(UnitCellGeometry(16))
+    x, y = mesh.nodes.T
+    f = levelset.LevelSetField(phi=0.8 * np.sin(2 * np.pi * (x + 0.1)) * np.cos(2 * np.pi * y),
+                               mesh=mesh)
+    levelset.write_phi_csv(f, tmp_path / "cell.csv")
+    phis = tiny_scenario(init=("file", str(tmp_path / "cell.csv"))).initial_phis()
+    assert [g.cell_index for g in phis] == list(range(1, 9))
+    for g in phis[:4]:
+        np.testing.assert_array_equal(g.phi, f.phi)
+    assert_mirrored(phis)
+    assert not np.array_equal(phis[7].phi, f.phi)
+
+
+def test_mirrored_reaction_terms_equal_the_eight_cell_ones_on_a_symmetric_design(monkeypatch):
+    """On a mirrored design and a mirror-symmetric macro mesh (20 divisions
+    across lx), cell l's reaction term from dJ/dK*_l + S dJ/dK*_(9-l) S is,
+    after normalization, the one the 8-cell step gave it from dJ/dK*_l, and
+    the 8-cell term of cell 9 - l is its reflection."""
+    ws = Workspace(tiny_scenario(w=0.5))
+    mesh = ws.cell_mesh
+    x, y = mesh.nodes.T
+    design = [0.6 * np.sin(2 * np.pi * (x + 0.1 * l)) * np.cos(2 * np.pi * (y - x)) + 0.2
+              for l in range(1, 5)]
+    phis = [levelset.LevelSetField(phi=p, mesh=mesh, cell_index=l)
+            for l, p in enumerate(optimizer.mirrored(mesh, design), start=1)]
+    ev = evaluate(ws, phis, 0.2)
+    sector_sensitivities = sensitivity.sector_sensitivities
+    combined_sensitivity = sensitivity.combined_sensitivity
+    raw, restricted = [], []
+    monkeypatch.setattr(sensitivity, "sector_sensitivities",
+                        lambda *a: raw.append(sector_sensitivities(*a)) or raw[-1])
+    monkeypatch.setattr(sensitivity, "combined_sensitivity",
+                        lambda *a: restricted.append(combined_sensitivity(*a)) or restricted[-1])
+    step(ws, ev, phis, 1)
+    assert len(raw) == 1 and len(restricted) == 4
+
+    eight = []
+    for dj_dk, f, (mat, _, w1, w2) in zip(raw[0], phis, ev.cells, strict=True):
+        ins_a, ins_b = sensitivity.topological_tensor_fields(mesh, mat, w1, w2)
+        eight.append(combined_sensitivity(mesh, dj_dk, ins_a, ins_b, f.chi_nodes(0.2)))
+    mirror = levelset.mirror_nodes(mesh)
+    scale = max(np.abs(g).max() for g in eight)
+    for l in range(1, 5):
+        np.testing.assert_allclose(restricted[l - 1], eight[l - 1], rtol=0.0, atol=1e-9 * scale)
+        np.testing.assert_allclose(eight[8 - l], eight[l - 1][mirror], rtol=0.0,
+                                   atol=1e-9 * scale)
+
+
 def test_resume_finished_run_is_noop(tmp_path):
     sc = tiny_scenario()
     state = run(sc)
@@ -245,7 +327,8 @@ def test_mixed_weight_contracts_derivative_of_recorded_objective(monkeypatch):
     # for 0 < w < 1 each cell's reaction term must come from the derivative
     # of the recorded J = w*J1 + (1-w)*J2, normalized once, not from two
     # separately normalized objective terms; the one adjoint of the
-    # weighted load gives w*s1 + (1-w)*s2 of the single-objective adjoints
+    # weighted load gives w*s1 + (1-w)*s2 of the single-objective adjoints,
+    # and each design cell 1-4 contracts its mirrored derivative
     solve_adjoint = macro_solver.solve_adjoint
     sector_sensitivities = sensitivity.sector_sensitivities
     combined_sensitivity = sensitivity.combined_sensitivity
@@ -268,12 +351,14 @@ def test_mixed_weight_contracts_derivative_of_recorded_objective(monkeypatch):
     monkeypatch.setattr(sensitivity, "combined_sensitivity", record_combined)
     w = 0.3
     run(tiny_scenario(w=w, max_iter=2))
-    assert len(adjoints) == 1 and len(derivatives) == 1 and len(contracted) == 8
+    assert len(adjoints) == 1 and len(derivatives) == 1 and len(contracted) == 4
     state_fact, weights, temp, reference = adjoints[0]
     assert weights == {"j1": w, "j2": 1.0 - w}
     single = [solve_adjoint(state_fact, {k: 1.0}, temp, reference) for k in ("j1", "j2")]
     s1, s2 = (sector_sensitivities(temp.mesh, temp, v) for v in single)
-    for s_j, s, want in zip(contracted, derivatives[0], w * s1 + (1.0 - w) * s2):
+    mirrored = sensitivity.mirrored_sensitivities
+    for s_j, s, want in zip(contracted, mirrored(derivatives[0]),
+                            mirrored(w * s1 + (1.0 - w) * s2), strict=True):
         assert np.array_equal(s_j, s)
         assert np.abs(s - want).max() <= 1e-10 * np.abs(want).max()
 

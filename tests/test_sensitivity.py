@@ -4,7 +4,7 @@ import pytest
 from cloakopt import fem, objectives
 from cloakopt import macro_solver as ms
 from cloakopt import sensitivity as sens
-from cloakopt.geometry import TriMesh, UnitCellGeometry, build_cell_mesh
+from cloakopt.geometry import TriMesh, UnitCellGeometry, build_cell_mesh, build_macro_mesh
 from cloakopt.homogenization import CellMaterialField, corrector_pair
 from cloakopt.macro_solver import BoundaryData, MacroMaterialMap
 
@@ -98,6 +98,50 @@ def test_first_order_prediction_of_objective_change(fd_setup):
         dj = objective_pair(mesh, steel, perturbed)[idx] - j0[idx]
         predicted = float(np.tensordot(s, dk))
         assert dj == pytest.approx(predicted, rel=0.05)
+
+
+def test_mirrored_sensitivities_match_centred_differences_on_an_asymmetric_mesh(
+        paper_geometry):
+    """The restricted design moves K*_l and K*_(9-l) = S K*_l S together; on
+    a macro mesh whose element centroids are not mirror-invariant (81
+    divisions across lx), its derivative matches a centred difference along
+    such a mirrored perturbation, and differs from the mirrored-mesh
+    shortcut 2 dJ/dK*_l by more than that tolerance."""
+    mesh = build_macro_mesh(paper_geometry, paper_geometry.lx / 81)
+    assert mesh.structured_shape[0] == 81
+    steel = ms.reference_field(mesh, BC)
+    flip = np.diag([-1.0, 1.0])
+    design = synthetic_sector_tensors()[:4]
+    tensors = design + [flip @ k @ flip for k in reversed(design)]
+    matmap = MacroMaterialMap(list(tensors), k_exterior=STEEL, k_obstacle=COPPER)
+    fact = fem.Factorization(ms.state_system(mesh, matmap, BC))
+    temp = fem.ScalarField(fact.solve(), mesh)
+    adjoint = ms.solve_adjoint(fact, {"j1": W, "j2": 1.0 - W}, temp, steel)
+    per_sector = sens.sector_sensitivities(mesh, temp, adjoint)
+    g = sens.mirrored_sensitivities(per_sector)
+    assert g.shape == (4, 2, 2)
+
+    def objective(ks):
+        return objectives.compose(*objective_pair(mesh, steel, ks), W)
+
+    shortcut_gap = 0.0
+    for l in range(1, 5):
+        h = 1e-4 * np.linalg.norm(tensors[l - 1])
+        for (i, j) in ((0, 0), (0, 1), (1, 1)):
+            dk = np.zeros((2, 2))
+            dk[i, j] += h
+            if i != j:
+                dk[j, i] += h
+            plus, minus = list(tensors), list(tensors)
+            plus[l - 1], minus[l - 1] = tensors[l - 1] + dk, tensors[l - 1] - dk
+            plus[8 - l] = tensors[8 - l] + flip @ dk @ flip
+            minus[8 - l] = tensors[8 - l] - flip @ dk @ flip
+            fd = (objective(plus) - objective(minus)) / (2 * h)
+            factor = 1.0 if i == j else 2.0
+            assert fd == pytest.approx(factor * g[l - 1, i, j], rel=1e-3), (l, i, j)
+            shortcut_gap = max(shortcut_gap,
+                               abs(2.0 * factor * per_sector[l - 1, i, j] - fd) / abs(fd))
+    assert shortcut_gap > 1e-2
 
 
 def test_zero_adjoint_gives_zero_sensitivity(fd_setup):
