@@ -6,7 +6,7 @@ from .geometry import (MacroGeometry, MeshError, TriMesh, UnitCellGeometry,
                        build_cell_mesh, build_macro_mesh)
 from .fem import ScalarField, SolverError, SparseSystem
 from .homogenization import (CellMaterialField, EffectiveTensor, diagonalize,
-                             effective_tensor, element_conductivity, homogenize)
+                             element_conductivity, homogenize)
 from .levelset import LevelSetField, characteristic, initialize
 from .macro_solver import (BoundaryData, MacroMaterialMap, evaluate_objectives,
                            solve_adjoint, solve_state)
@@ -19,8 +19,8 @@ __all__ = [
     "MacroGeometry", "MeshError", "TriMesh", "UnitCellGeometry",
     "build_cell_mesh", "build_macro_mesh",
     "ScalarField", "SolverError", "SparseSystem",
-    "CellMaterialField", "EffectiveTensor", "diagonalize", "effective_tensor",
-    "element_conductivity", "homogenize",
+    "CellMaterialField", "EffectiveTensor", "diagonalize", "element_conductivity",
+    "homogenize",
     "LevelSetField", "characteristic", "initialize",
     "BoundaryData", "MacroMaterialMap", "evaluate_objectives",
     "solve_adjoint", "solve_state",

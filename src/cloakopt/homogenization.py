@@ -1,12 +1,16 @@
 """Unit-cell corrector problems and the homogenized conductivity tensor.
 
-For a two-phase periodic cell the effective 2x2 tensor is
+The correctors w_i solve the periodic cell problem A w_i = b_i driven by
+a unit macroscopic gradient e_i, with b_i = -sum_e k_e a_e e_i . grad N.
+On the unit cell the effective 2x2 tensor is the Gram product
+K*_ij = sum_e k_e a_e (e_i + grad w_i) . (e_j + grad w_j). Testing the
+corrector equation with w_j cancels its grad w_i . grad w_j term against
+a cross term, and b_j . w_i = -sum_e k_e a_e d_j w_i, so
 
-    K*_ij = sum_e k_e a_e (e_i + grad w_i) . (e_j + grad w_j)
+    K*_ij = (sum_e k_e a_e) delta_ij - b_j . w_i
 
-with the correctors w_i solving the periodic cell problem driven by a
-unit macroscopic gradient e_i. The unit cell has unit area, so no volume
-normalization is needed.
+(the flux-average form; Allaire, *Shape Optimization by the
+Homogenization Method*, 2002). It is linear in the solve error.
 """
 
 from __future__ import annotations
@@ -17,19 +21,20 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import fem
 from .geometry import TriMesh
 from .levelset import LevelSetField
 
+BOUNDS_SLACK = 1e-6     # allowed excess of a principal value over its Voigt-Reuss bounds
+
 
 @dataclass
 class CellMaterialField:
-    """Element-wise phase blend on a cell mesh.
-
-    ``chi`` in [0, 1] selects material a (chi=1) against material b
-    (chi=0); conductivity interpolates linearly between the two.
-    """
+    """Element-wise phase blend on a cell mesh: ``chi`` in [0, 1] selects
+    material a (chi=1) against material b (chi=0); conductivity
+    interpolates linearly between the two."""
 
     chi: np.ndarray
     k_a: float
@@ -86,16 +91,12 @@ class EffectiveTensor:
 
 
 def cell_operator(mesh: TriMesh) -> fem.ScaledAssembly:
-    """The cell operator of a mesh as a function of the element
-    conductivities, built once per mesh.
-
-    Periodic with the first master node pinned to 0, so no fixed value
-    is nonzero and the operator has no lift. The free DOFs are numbered
-    in the minimum-degree order of the unit-conductivity operator. That
-    order holds for every positive isotropic conductivity, whose operator
-    has the same pattern (see :class:`fem.ScaledAssembly`), so the
-    structure is ``ordered`` and no cell factorization orders again.
-    """
+    """The cell operator as a function of the element conductivities, built
+    once per mesh: periodic, the first master pinned to 0 (so no lift), and
+    its free DOFs in the minimum-degree order of the unit-conductivity
+    operator, whose pattern every positive isotropic conductivity shares
+    (:class:`fem.ScaledAssembly`); the structure is ``ordered``, so no
+    cell factorization orders again."""
     if mesh.periodic_pairs is None:
         raise ValueError("cell problems require a mesh with periodic pairs")
 
@@ -120,36 +121,34 @@ def cell_system(mesh: TriMesh, mat: CellMaterialField) -> fem.SparseSystem:
     return cell_operator(mesh).system(mat.conductivities())
 
 
-def _corrector_rhs(mesh: TriMesh, k: np.ndarray, direction: int) -> np.ndarray:
-    """Load for the unit-gradient cell problem: -sum_e k_e a_e e_i . grad N."""
-    contrib = -(k * mesh.areas)[:, None] * mesh.grads[:, :, direction - 1]
-    return np.bincount(mesh.elements.ravel(), weights=contrib.ravel(),
-                       minlength=mesh.n_nodes)
-
-
-def corrector_pair(mesh: TriMesh, mat: CellMaterialField):
-    """Both correctors, sharing one factorization of the cell operator."""
-    fact = fem.Factorization(cell_system(mesh, mat))
-    k = mat.conductivities()
-    w1 = fact.solve(_corrector_rhs(mesh, k, 1))
-    w2 = fact.solve(_corrector_rhs(mesh, k, 2))
-    return fem.ScalarField(w1, mesh), fem.ScalarField(w2, mesh)
-
-
-def effective_tensor(mesh: TriMesh, mat: CellMaterialField,
-                     w1: fem.ScalarField, w2: fem.ScalarField) -> EffectiveTensor:
-    """Homogenized tensor from the symmetric corrector formula: one Gram
-    product of the (e_i + grad w_i) rows weighted by k_e a_e, symmetrized."""
-    e = np.stack([w1.gradient() + (1.0, 0.0), w2.gradient() + (0.0, 1.0)])
-    ka = mat.conductivities() * mesh.areas
-    k = (e * ka[:, None]).reshape(2, -1) @ e.reshape(2, -1).T
-    return EffectiveTensor.from_matrix(0.5 * (k + k.T))
+def cell_loads(mesh: TriMesh) -> sp.csr_matrix:
+    """(2 n_nodes, n_elements) map from k_e a_e to the stacked loads b_1, b_2."""
+    def build():
+        rows = mesh.elements.ravel() + mesh.n_nodes * np.arange(2)[:, None]
+        cols = np.broadcast_to(np.arange(mesh.n_elements).repeat(3), rows.shape)
+        return sp.csr_matrix((-mesh.grads.transpose(2, 0, 1).ravel(),
+                              (rows.ravel(), cols.ravel())),
+                             shape=(2 * mesh.n_nodes, mesh.n_elements))
+    return fem.cached(mesh, "cell_loads", build)
 
 
 def homogenize(mesh: TriMesh, mat: CellMaterialField):
-    """Correctors plus tensor in one call; returns (tensor, w1, w2)."""
-    w1, w2 = corrector_pair(mesh, mat)
-    return effective_tensor(mesh, mat, w1, w2), w1, w2
+    """Tensor and both correctors of one cell on one factorization,
+    (tensor, w1, w2), with K* from the loads (module docstring). Raises
+    :class:`fem.SolverError` if K* is not SPD or a principal value leaves
+    the Voigt-Reuss bounds of the volume fraction by over ``BOUNDS_SLACK``."""
+    fact = fem.Factorization(cell_system(mesh, mat))
+    ka = mat.conductivities() * mesh.areas
+    loads = (cell_loads(mesh) @ ka).reshape(2, mesh.n_nodes)
+    w = np.stack([fact.solve(b) for b in loads])
+    k = ka.sum() * np.eye(2) - w @ loads.T
+    tensor = EffectiveTensor.from_matrix(0.5 * (k + k.T))
+    lower, upper = voigt_reuss_bounds(mat.volume_fraction(mesh), mat.k_a, mat.k_b)
+    lo, hi = sorted((tensor.kbar1, tensor.kbar2))
+    if not (tensor.is_spd() and lower - BOUNDS_SLACK <= lo and hi <= upper + BOUNDS_SLACK):
+        raise fem.SolverError(f"cell tensor principal values {lo:.6g}, {hi:.6g} leave "
+                              f"the Voigt-Reuss bounds [{lower:.6g}, {upper:.6g}]")
+    return tensor, fem.ScalarField(w[0], mesh), fem.ScalarField(w[1], mesh)
 
 
 def diagonalize(k: np.ndarray) -> tuple[float, float, float]:

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from cloakopt import optimizer
-from cloakopt.geometry import UnitCellGeometry, build_cell_mesh
-from cloakopt.homogenization import (CellMaterialField, EffectiveTensor, _corrector_rhs,
-                                     cell_system, corrector_pair, diagonalize,
-                                     effective_tensor, element_conductivity,
-                                     homogenize, voigt_reuss_bounds)
+from cloakopt import fem, levelset, optimizer
+from cloakopt.geometry import TriMesh, UnitCellGeometry, build_cell_mesh
+from cloakopt.homogenization import (CellMaterialField, EffectiveTensor, cell_loads,
+                                     cell_system, diagonalize, element_conductivity,
+                                     homogenize, material_from_levelset,
+                                     voigt_reuss_bounds)
 
 from conftest import COPPER, PDMS, STEEL
 
@@ -70,7 +70,7 @@ def test_cell_factorizations_keep_the_template_order(paper_geometry, monkeypatch
 def test_homogeneous_cell_corrector_vanishes(cell_mesh_32):
     mat = CellMaterialField(chi=np.ones(cell_mesh_32.n_elements),
                             k_a=COPPER, k_b=PDMS)
-    w1, _ = corrector_pair(cell_mesh_32, mat)
+    _, w1, _ = homogenize(cell_mesh_32, mat)
     assert np.abs(w1.values).max() < 1e-12
 
 
@@ -98,7 +98,7 @@ def test_laminate_transverse_corrector_profile(cell_mesh_32):
     # closed form: w2 piecewise linear in y2 with slopes making the total
     # gradient inversely proportional to k in each layer
     mat = laminate_material(cell_mesh_32)
-    _, w2 = corrector_pair(cell_mesh_32, mat)
+    _, _, w2 = homogenize(cell_mesh_32, mat)
     harm = 2.0 * COPPER * PDMS / (COPPER + PDMS)
     grads = cell_mesh_32.element_gradient(w2.values)
     total = grads[:, 1] + 1.0
@@ -128,7 +128,7 @@ def test_off_diagonal_symmetry_identical(cell_mesh_32):
     c = cell_mesh_32.centroids
     chi = np.clip(0.5 + 0.5 * np.sin(2 * np.pi * (c[:, 0] + 2 * c[:, 1])), 0, 1)
     mat = CellMaterialField(chi=chi, k_a=COPPER, k_b=PDMS)
-    w1, w2 = corrector_pair(cell_mesh_32, mat)
+    _, w1, w2 = homogenize(cell_mesh_32, mat)
     e1 = w1.gradient() + (1.0, 0.0)
     e2 = w2.gradient() + (0.0, 1.0)
     ka = mat.conductivities() * cell_mesh_32.areas
@@ -209,12 +209,99 @@ def test_effective_tensor_from_matrix_fields():
 
 
 def test_corrector_rhs_matches_the_accumulating_loop(cell_mesh_32):
-    """The bincount load against a per-element loop, to a few ulps."""
+    """The per-mesh map of both corrector loads against a per-element loop,
+    to a few ulps."""
     mesh = cell_mesh_32
     k = np.random.default_rng(2).uniform(PDMS, COPPER, mesh.n_elements)
+    got = (cell_loads(mesh) @ (k * mesh.areas)).reshape(2, mesh.n_nodes)
     for direction in (1, 2):
         want = np.zeros(mesh.n_nodes)
         for e, tri in enumerate(mesh.elements):
             want[tri] -= k[e] * mesh.areas[e] * mesh.grads[e, :, direction - 1]
-        got = _corrector_rhs(mesh, k, direction)
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.abs(got[direction - 1] - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("resolution", [32, 64])
+def test_tensor_equals_the_gram_product_of_its_correctors(resolution):
+    """K* from the loads equals sum_e k_e a_e (e_i + grad w_i).(e_j + grad w_j)
+    of the returned correctors."""
+    mesh = build_cell_mesh(UnitCellGeometry(resolution))
+    rng = np.random.default_rng(resolution)
+    for _ in range(3):
+        mat = CellMaterialField(chi=random_smooth_chi(mesh, rng), k_a=COPPER, k_b=PDMS)
+        t, w1, w2 = homogenize(mesh, mat)
+        e = np.stack([w1.gradient() + (1.0, 0.0), w2.gradient() + (0.0, 1.0)])
+        ka = mat.conductivities() * mesh.areas
+        gram = np.einsum("e,iek,jek->ij", ka, e, e)
+        assert np.abs(t.matrix - gram).max() <= 1e-12 * np.abs(gram).max()
+
+
+def test_reflected_cell_homogenizes_to_the_reflected_tensor(cell_mesh_64):
+    """The cell reflected by y1 -> 1 - y1 gives S K* S, S = diag(-1, 1)."""
+    mesh = cell_mesh_64
+    x, y = mesh.nodes.T
+    phi = (np.sin(2 * np.pi * (x + 2 * y) + 0.3) + 0.5 * np.cos(2 * np.pi * (3 * x - y))
+           + 0.2)
+    mats = [material_from_levelset(levelset.LevelSetField(p, mesh), COPPER, PDMS, 0.2)
+            for p in (phi, phi[levelset.mirror_nodes(mesh)])]
+    k, k_refl = (homogenize(mesh, m)[0].matrix for m in mats)
+    s = np.diag([-1.0, 1.0])
+    assert abs(k[0, 1]) > 1e-3 * np.abs(k).max()        # the reflection shows
+    assert np.abs(k_refl - s @ k @ s).max() <= 1e-12 * np.abs(k).max()
+
+
+def count_calls(monkeypatch, owner, name, mesh=None):
+    """Record each call of owner.name (on ``mesh`` alone, if given)."""
+    calls, original = [], getattr(owner, name)
+
+    def counted(self, *args, **kwargs):
+        if mesh is None or self is mesh:
+            calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_homogenize_factors_once_solves_twice_and_takes_no_gradient(cell_mesh_32,
+                                                                    monkeypatch):
+    mat = CellMaterialField(chi=random_smooth_chi(cell_mesh_32, np.random.default_rng(3)),
+                            k_a=COPPER, k_b=PDMS)
+    homogenize(cell_mesh_32, mat)                       # build the per-mesh caches
+    factorizations = count_calls(monkeypatch, fem.Factorization, "__init__")
+    solves = count_calls(monkeypatch, fem.Factorization, "solve")
+    gradients = count_calls(monkeypatch, TriMesh, "element_gradient", cell_mesh_32)
+    _, w1, w2 = homogenize(cell_mesh_32, mat)
+    assert (len(factorizations), len(solves), len(gradients)) == (1, 2, 0)
+    w1.gradient(), w2.gradient(), w1.gradient()
+    assert len(gradients) == 2
+
+
+def test_a_step_takes_corrector_gradients_of_the_design_cells_only(paper_geometry,
+                                                                   monkeypatch):
+    """An evaluation takes no corrector gradient; its step takes those of
+    cells 1-4, and cells 5-8 never need theirs."""
+    ws = optimizer.Workspace(optimizer.Scenario(
+        geometry=paper_geometry, k_cell_a=COPPER, k_cell_b=PDMS, k_exterior=STEEL, k_obstacle=COPPER,
+        macro_h=0.25, cell_resolution=16))
+    phis = ws.scenario.initial_phis(ws.cell_mesh)
+    gradients = count_calls(monkeypatch, TriMesh, "element_gradient", ws.cell_mesh)
+    ev = optimizer.evaluate(ws, phis, 0.2)
+    assert len(ev.cells) == 8 and gradients == []
+    optimizer.step(ws, ev, phis, 1)
+    assert len(gradients) == 2 * optimizer.DESIGN_CELLS == 8
+    assert all(c[2]._gradient is None and c[3]._gradient is None for c in ev.cells[4:])
+
+
+@pytest.mark.parametrize("factor", [-1.0, 1e3], ids=["above-voigt", "not-spd"])
+def test_corrupted_corrector_trips_the_tensor_guard(cell_mesh_32, monkeypatch, factor):
+    """Correctors scaled by c give K* = (sum k_e a_e) I - c [w_i . b_j]: above
+    the Voigt bound for c = -1, indefinite for a large c."""
+    mat = CellMaterialField(chi=random_smooth_chi(cell_mesh_32, np.random.default_rng(4)),
+                            k_a=COPPER, k_b=PDMS)
+    solve = fem.Factorization.solve
+    monkeypatch.setattr(fem.Factorization, "solve",
+                        lambda self, rhs: factor * solve(self, rhs))
+    with pytest.raises(fem.SolverError, match="Voigt-Reuss"):
+        homogenize(cell_mesh_32, mat)
+

@@ -5,7 +5,7 @@ from cloakopt import fem, objectives
 from cloakopt import macro_solver as ms
 from cloakopt import sensitivity as sens
 from cloakopt.geometry import TriMesh, UnitCellGeometry, build_cell_mesh, build_macro_mesh
-from cloakopt.homogenization import CellMaterialField, corrector_pair
+from cloakopt.homogenization import CellMaterialField, homogenize
 from cloakopt.macro_solver import BoundaryData, MacroMaterialMap
 
 from conftest import COPPER, PDMS, STEEL, rotation
@@ -194,7 +194,7 @@ def test_insertion_prefactors_published_values():
 def test_topological_fields_homogeneous_cell(cell_mesh_32):
     mat = CellMaterialField(chi=np.ones(cell_mesh_32.n_elements),
                             k_a=COPPER, k_b=PDMS)
-    w1, w2 = corrector_pair(cell_mesh_32, mat)
+    _, w1, w2 = homogenize(cell_mesh_32, mat)
     ins_a, ins_b = sens.topological_tensor_fields(cell_mesh_32, mat, w1, w2)
     pa = sens.insertion_prefactor(PDMS, COPPER)
     pb = sens.insertion_prefactor(COPPER, PDMS)
@@ -207,7 +207,7 @@ def test_topological_fields_periodic_consistency(cell_mesh_32):
     c = cell_mesh_32.centroids
     chi = np.clip(0.5 + 0.5 * np.sin(2 * np.pi * c[:, 0]), 0, 1)
     mat = CellMaterialField(chi=chi, k_a=COPPER, k_b=PDMS)
-    w1, w2 = corrector_pair(cell_mesh_32, mat)
+    _, w1, w2 = homogenize(cell_mesh_32, mat)
     ins_a, _ = sens.topological_tensor_fields(cell_mesh_32, mat, w1, w2)
     m, s = cell_mesh_32.periodic_pairs.T
     np.testing.assert_array_equal(ins_a[m], ins_a[s])
@@ -217,7 +217,7 @@ def test_combined_sensitivity_normalization_identity(cell_mesh_32):
     c = cell_mesh_32.centroids
     chi = np.clip(0.5 + 0.5 * np.sin(2 * np.pi * (c[:, 0] + c[:, 1])), 0, 1)
     mat = CellMaterialField(chi=chi, k_a=COPPER, k_b=PDMS)
-    w1, w2 = corrector_pair(cell_mesh_32, mat)
+    _, w1, w2 = homogenize(cell_mesh_32, mat)
     ins_a, ins_b = sens.topological_tensor_fields(cell_mesh_32, mat, w1, w2)
     chi_nodes = np.clip(0.5 + 0.5 * np.sin(
         2 * np.pi * (cell_mesh_32.nodes[:, 0] + cell_mesh_32.nodes[:, 1])), 0, 1)
@@ -240,7 +240,7 @@ def test_combined_sensitivity_normalization_identity(cell_mesh_32):
 def test_combined_sensitivity_single_objective_weights(cell_mesh_32):
     mat = CellMaterialField(chi=np.zeros(cell_mesh_32.n_elements),
                             k_a=COPPER, k_b=PDMS)
-    w1, w2 = corrector_pair(cell_mesh_32, mat)
+    _, w1, w2 = homogenize(cell_mesh_32, mat)
     ins_a, ins_b = sens.topological_tensor_fields(cell_mesh_32, mat, w1, w2)
     chi_nodes = np.zeros(cell_mesh_32.n_nodes)
     jprime = sens.combined_sensitivity(cell_mesh_32, np.eye(2), ins_a, ins_b, chi_nodes)
@@ -253,7 +253,7 @@ def test_combined_sensitivity_single_objective_weights(cell_mesh_32):
 def test_degenerate_norm_drops_term(cell_mesh_32, caplog):
     mat = CellMaterialField(chi=np.zeros(cell_mesh_32.n_elements),
                             k_a=COPPER, k_b=PDMS)
-    w1, w2 = corrector_pair(cell_mesh_32, mat)
+    _, w1, w2 = homogenize(cell_mesh_32, mat)
     ins_a, ins_b = sens.topological_tensor_fields(cell_mesh_32, mat, w1, w2)
     with caplog.at_level("WARNING"):
         jprime = sens.combined_sensitivity(
