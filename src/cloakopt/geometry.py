@@ -3,6 +3,10 @@
 The macroscale domain is the top half of a rectangle centred on the
 shielded obstacle: a half-disk obstacle region, an annular design ring
 split into equal-angle sectors, and the surrounding evaluation region.
+A design whose sector l and sector 9 - l are mirror images about x = 0
+needs only the x >= 0 half of that domain, sectors 1-4
+(``build_macro_mesh(..., half=True)``), whose integrals stand for both
+halves (:attr:`TriMesh.mirror_half`).
 The microscale domain is the unit square, meshed structurally so that
 opposite edges carry matching node layouts for periodic constraints.
 
@@ -27,7 +31,7 @@ SECTOR_FIRST, SECTOR_LAST = 1, 8
 MIN_CELL_RESOLUTION = 16     # elements per side of the coarsest unit-cell mesh
 
 # boundary edge tags (macro)
-GAMMA_A = "gamma_a"          # left edge, low-temperature Dirichlet
+GAMMA_A = "gamma_a"          # left edge, low-temperature Dirichlet (a half mesh: x = 0)
 GAMMA_B = "gamma_b"          # right edge, high-temperature Dirichlet
 GAMMA_N = "gamma_n"          # top edge, adiabatic
 GAMMA_SYM = "gamma_sym"      # bottom edge, mirror plane (adiabatic)
@@ -95,9 +99,11 @@ class TriMesh:
     ``periodic_pairs`` is an (P, 2) array of (master, slave) node indices
     (cell meshes only). ``structured_shape`` records (nx, ny) grid
     divisions when the mesh came from a structured generator; tiling
-    interpolation relies on it. Meshes are immutable after construction;
-    ``cache`` holds the solver structures and operators that ``fem``
-    builds for the mesh at their first use.
+    interpolation relies on it. ``mirror_half`` marks the x >= 0 half of a
+    macro mesh that is mirror-symmetric about x = 0: its integrals (the
+    objectives) stand for both halves. Meshes are immutable after
+    construction; ``cache`` holds the solver structures and operators
+    that ``fem`` builds for the mesh at their first use.
     """
 
     nodes: np.ndarray
@@ -107,6 +113,7 @@ class TriMesh:
     periodic_pairs: np.ndarray | None = None
     structured_shape: tuple[int, int] | None = None
     extent: tuple[float, float, float, float] | None = None  # (x0, x1, y0, y1)
+    mirror_half: bool = False
     cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -164,11 +171,13 @@ class TriMesh:
                          values[self.elements[elements]])
 
 
-def _grid_triangulation(xs: np.ndarray, ys: np.ndarray):
+def _grid_triangulation(xs: np.ndarray, ys: np.ndarray, parity: int = 0):
     """Triangulate a tensor grid; alternate quad diagonals checkerboard-wise.
 
     With an even number of divisions the pattern is invariant under 90
-    degree rotation, which cell-level symmetry checks rely on.
+    degree rotation, which cell-level symmetry checks rely on. ``parity``
+    1 starts the checkerboard on the other diagonal, as the grid's right
+    part does when it begins at an odd column of the whole grid.
     """
     nx, ny = len(xs) - 1, len(ys) - 1
     X, Y = np.meshgrid(xs, ys, indexing="ij")
@@ -185,7 +194,7 @@ def _grid_triangulation(xs: np.ndarray, ys: np.ndarray):
     n11 = nid(I + 1, J + 1)
 
     elements = np.empty((2 * nx * ny, 3), dtype=np.int32)
-    even = (I + J) % 2 == 0
+    even = (I + J + parity) % 2 == 0
     # even quads: diagonal n00-n11, odd quads: diagonal n10-n01
     elements[0::2][even] = np.column_stack([n00, n10, n11])[even]
     elements[1::2][even] = np.column_stack([n00, n11, n01])[even]
@@ -216,13 +225,19 @@ def _grid_boundary_edges(nx: int, ny: int, tags: tuple[str, str, str, str]):
 
 
 def build_macro_mesh(geom: MacroGeometry, resolution: float,
-                     allow_oversize: bool = False) -> TriMesh:
+                     allow_oversize: bool = False, half: bool = False) -> TriMesh:
     """Mesh the top-half rectangle and tag elements by region.
 
     ``resolution`` is the target element edge length in metres. Elements
     are tagged by centroid, so region interfaces are resolved to within
     one element diameter. Rejects resolutions with fewer than two
     elements across the design-ring thickness.
+
+    ``half`` meshes only the x >= 0 half, built directly: its nodes,
+    elements (in order, renumbered from 0), diagonals and regions are
+    exactly the right half of the whole mesh, which must have an even
+    number of divisions across lx to be mirror-symmetric. Its left edge,
+    the mirror line, carries ``GAMMA_A``; the mesh is a ``mirror_half``.
     """
     geom.validate(allow_oversize=allow_oversize)
     if resolution <= 0:
@@ -237,7 +252,15 @@ def build_macro_mesh(geom: MacroGeometry, resolution: float,
     ny = max(2, round(geom.ly / 2.0 / resolution))
     xs = np.linspace(-geom.lx / 2.0, geom.lx / 2.0, nx + 1)
     ys = np.linspace(0.0, geom.ly / 2.0, ny + 1)
-    nodes, elements, shape = _grid_triangulation(xs, ys)
+    first = 0
+    if half:
+        if nx % 2:
+            raise MeshError(f"element size {resolution} gives {nx} divisions across lx "
+                            f"{geom.lx}; only an even count is mirror-symmetric")
+        first = nx // 2
+    # the right half's columns of the whole grid, so its coordinates,
+    # centroids and regions are those of the whole mesh bit for bit
+    nodes, elements, shape = _grid_triangulation(xs[first:], ys, parity=first % 2)
 
     c = nodes[elements].mean(axis=1)
     r = np.hypot(c[:, 0], c[:, 1])
@@ -253,7 +276,8 @@ def build_macro_mesh(geom: MacroGeometry, resolution: float,
         element_region=region,
         boundary_edges=edges,
         structured_shape=shape,
-        extent=(xs[0], xs[-1], ys[0], ys[-1]),
+        extent=(xs[first], xs[-1], ys[0], ys[-1]),
+        mirror_half=half,
     )
 
 
@@ -317,7 +341,10 @@ def interpolate_structured(mesh: TriMesh, points: np.ndarray,
     fu = u - i
     fv = v - j
     quad = i * ny + j
-    even = (i + j) % 2 == 0
+    # the first quad's diagonal fixes the checkerboard's phase (a half
+    # mesh may start on the other diagonal)
+    parity = int(mesh.elements[0, 2] != ny + 2)
+    even = (i + j + parity) % 2 == 0
     # even quads split along the n00-n11 diagonal (fv <= fu -> first tri),
     # odd quads along n10-n01 (fu + fv <= 1 -> first tri)
     first = np.where(even, fv <= fu, fu + fv <= 1.0)

@@ -10,7 +10,14 @@ a cross term, and b_j . w_i = -sum_e k_e a_e d_j w_i, so
     K*_ij = (sum_e k_e a_e) delta_ij - b_j . w_i
 
 (the flux-average form; Allaire, *Shape Optimization by the
-Homogenization Method*, 2002). It is linear in the solve error.
+Homogenization Method*, 2002). That form is linear in the solve error,
+which costs high-contrast cells digits of their small principal value.
+Adding x_i . r_j, with x_j corrector j on the free DOFs and
+r_j = A x_j - R^T b_j its residual there, and symmetrizing gives the
+Gram product again, whose error is quadratic in the solve error. Since
+x_i . R^T b_j = b_j . w_i, that is
+K* = (sum_e k_e a_e) I - 2 [b_j . w_i] + [x_i . A x_j], one mat-vec per
+corrector.
 """
 
 from __future__ import annotations
@@ -132,16 +139,31 @@ def cell_loads(mesh: TriMesh) -> sp.csr_matrix:
     return fem.cached(mesh, "cell_loads", build)
 
 
+def _dof_nodes(mesh: TriMesh) -> np.ndarray:
+    """A node of each free DOF of :func:`cell_operator`, in DOF order."""
+    def build():
+        constraints = cell_operator(mesh).structure.constraints
+        dof = constraints.dof_of_node
+        free = np.flatnonzero(dof >= 0)
+        nodes = np.empty(constraints.n_free, dtype=np.intp)
+        nodes[dof[free]] = free
+        return nodes
+    return fem.cached(mesh, "cell_dof_nodes", build)
+
+
 def homogenize(mesh: TriMesh, mat: CellMaterialField):
     """Tensor and both correctors of one cell on one factorization,
-    (tensor, w1, w2), with K* from the loads (module docstring). Raises
+    (tensor, w1, w2), with K* from the loads and the correctors'
+    residuals (module docstring). Raises
     :class:`fem.SolverError` if K* is not SPD or a principal value leaves
     the Voigt-Reuss bounds of the volume fraction by over ``BOUNDS_SLACK``."""
-    fact = fem.Factorization(cell_system(mesh, mat))
+    system = cell_system(mesh, mat)
+    fact = fem.Factorization(system)
     ka = mat.conductivities() * mesh.areas
     loads = (cell_loads(mesh) @ ka).reshape(2, mesh.n_nodes)
     w = np.stack([fact.solve(b) for b in loads])
-    k = ka.sum() * np.eye(2) - w @ loads.T
+    x = w[:, _dof_nodes(mesh)]          # the correctors on the free DOFs
+    k = ka.sum() * np.eye(2) - 2.0 * (w @ loads.T) + x @ (system.matrix @ x.T)
     tensor = EffectiveTensor.from_matrix(0.5 * (k + k.T))
     lower, upper = voigt_reuss_bounds(mat.volume_fraction(mesh), mat.k_a, mat.k_b)
     lo, hi = sorted((tensor.kbar1, tensor.kbar2))

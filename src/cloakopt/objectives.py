@@ -2,7 +2,8 @@
 
 J1 measures the squared mismatch to the uniform-material reference field
 over the evaluation region; J2 measures the gradient energy (heat-flux
-proxy) inside the shielded region. Both are evaluated with quadrature
+proxy) inside the shielded region. On a ``mirror_half`` mesh both
+stand for the whole (top-half) domain. Both are evaluated with quadrature
 that is exact for the P1 fields involved, which keeps the discrete
 adjoint consistent with finite differences of these values.
 """
@@ -19,11 +20,15 @@ def region_operators(mesh: TriMesh):
     """(M_E, A_C): the evaluation region's consistent mass matrix and the
     obstacle region's unit-conductivity stiffness, built once per mesh,
     each from its region's elements alone on an unconstrained structure
-    that is then dropped (nothing else uses it)."""
+    that is then dropped (nothing else uses it). The elements of a
+    ``mirror_half`` mesh weigh 2, so its integrals are those of both
+    halves."""
+    weight = 2.0 if mesh.mirror_half else 1.0
+
     def region_matrix(region, element_matrices):
         elements = np.flatnonzero(mesh.region_mask(region))
         on = fem.Structure(mesh, fem.Constraints.none(mesh.n_nodes), elements)
-        return on.matrix(element_matrices(elements))
+        return on.matrix(weight * element_matrices(elements))
 
     def build():
         return (region_matrix(REGION_EXTERIOR, lambda e: fem.element_mass(mesh, elements=e)),

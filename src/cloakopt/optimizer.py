@@ -4,17 +4,23 @@ The macro problem is mirror-symmetric about the obstacle's vertical
 axis, which maps sector l onto sector 9 - l and cell coordinate y1 onto
 1 - y1. So cells 1-4 carry the design, and cell 9 - l holds the
 reflection of cell l (:func:`mirrored`), exactly at every iteration.
+The state of such a design is antisymmetric about x = 0, taking the
+mean of the two edge temperatures there, so the macro problem is solved
+on the x >= 0 half of the macro mesh (sectors 1-4, a ``mirror_half`` mesh
+whose objective integrals stand for both halves) with that mean on the
+mirror line (Kosaka & Swan, Computers & Structures 70, 1999).
 
 Each iteration evaluates the design (:func:`evaluate`: both correctors
 and the tensor of all 8 cells, the macro state, the objectives) and
 then, unless it is the last, advances it (:func:`step`): one adjoint
 solve on the factored state operator, whose load is the derivative of
 the recorded objective J (w*J1 + (1-w)*J2, or J1 over its denominator in
-normalized mode), the design's dJ/dK* (:func:`sensitivity.mirrored_sensitivities`)
+normalized mode), the mirrored design's dJ/dK*, which the half mesh's
+sectors 1-4 give directly (:func:`sensitivity.sector_sensitivities`),
 contracted with each design cell's insertion derivatives and normalized
 once per cell, one reaction-diffusion step of each of the 4 design
-cells, and their reflections onto cells 5-8. Its time step is dt,
-capped so that no node moves by more than :data:`MOVE_LIMIT`, divided by
+cells, and their reflections onto cells 5-8. Its time step is dt, capped
+so that no node moves by more than :data:`MOVE_LIMIT`, divided by
 sqrt(k) at the k-th iteration of the current transition width: the
 reaction term has unit L1 mass however close the design is to a
 stationary point, so a constant step keeps the design swinging around
@@ -101,6 +107,11 @@ class Scenario:
         if thickness < 2.0 * self.macro_h:
             raise ValueError(f"mesh.macro_h {self.macro_h} leaves fewer than 2 elements across "
                              f"the design-ring thickness {thickness}")
+        divisions = round(self.geometry.lx / self.macro_h)
+        if divisions % 2:
+            raise ValueError(f"mesh.macro_h {self.macro_h} gives {divisions} divisions across "
+                             f"geometry.lx {self.geometry.lx}; the macro mesh is "
+                             "mirror-symmetric only for an even count")
         if self.init[0] == "disk" and not 0 < self.init[1] < math.sqrt(0.5):
             raise ValueError("levelset.init.radius must lie in (0, sqrt(2)/2), inside the "
                              f"unit cell, got {self.init[1]}; pattern uniform gives a "
@@ -200,21 +211,29 @@ class DesignState:
 
 
 class Workspace:
-    """Meshes, reference fields and reusable operators for one scenario."""
+    """Meshes, reference fields and reusable operators for one scenario.
+
+    The macro problem lives on the x >= 0 half of the macro mesh
+    (``macro_mesh``, a ``mirror_half``), whose edge data ``bc`` holds the mean
+    edge temperature on the mirror line and t_high on the right edge, and
+    whose reference ramp ``t_steel`` runs between the two.
+    """
 
     def __init__(self, scenario: Scenario):
         scenario.validate()
         self.scenario = scenario
-        self.macro_mesh = build_macro_mesh(scenario.geometry, scenario.macro_h)
+        self.macro_mesh = build_macro_mesh(scenario.geometry, scenario.macro_h, half=True)
         self.cell_mesh = build_cell_mesh(UnitCellGeometry(scenario.cell_resolution))
-        self.t_steel = macro_solver.reference_field(self.macro_mesh, scenario.bc)
+        bc = scenario.bc
+        self.bc = BoundaryData(0.5 * (bc.t_low + bc.t_high), bc.t_high)
+        self.t_steel = macro_solver.reference_field(self.macro_mesh, self.bc)
         self.norm_denominator = None
         if scenario.objective_mode == "normalized":
             worst = macro_solver.solve_state(
                 self.macro_mesh,
                 macro_solver.ring_filled_map(scenario.normalization_fill,
                                              scenario.k_exterior, scenario.k_obstacle),
-                scenario.bc)
+                self.bc)
             self.norm_denominator = objectives.mismatch(
                 worst.values, self.t_steel.values, self.macro_mesh)
 
@@ -254,7 +273,8 @@ class Evaluation:
 def evaluate(ws: Workspace, phis: list[LevelSetField], d: float,
              threads: int = 1) -> Evaluation:
     """Homogenize every cell at transition width d, solve the macro state
-    and evaluate the objectives."""
+    on the half mesh, which reads the tensors of cells 1-4, and evaluate
+    the objectives of the whole domain."""
     sc = ws.scenario
 
     def cell_task(f):
@@ -265,7 +285,7 @@ def evaluate(ws: Workspace, phis: list[LevelSetField], d: float,
     cells = _map_cells(cell_task, phis, threads)
     matmap = MacroMaterialMap(sector_tensors=[c[1] for c in cells],
                               k_exterior=sc.k_exterior, k_obstacle=sc.k_obstacle)
-    state_fact = macro_solver.state_factorization(ws.macro_mesh, matmap, sc.bc)
+    state_fact = macro_solver.state_factorization(ws.macro_mesh, matmap, ws.bc)
     temp = fem.ScalarField(state_fact.solve(), ws.macro_mesh)
     j1, j2 = macro_solver.evaluate_objectives(temp, ws.t_steel, ws.macro_mesh)
     if sc.objective_mode == "normalized":
@@ -280,19 +300,18 @@ def step(ws: Workspace, ev: Evaluation, phis: list[LevelSetField],
     """New nodal values of every cell's level set after one update.
 
     Solves the adjoint of the recorded J on the evaluated state operator,
-    contracts the mirrored design's dJ/dK* with each design cell's
-    insertion derivatives into a normalized reaction term, and takes one
-    reaction-diffusion step of each design cell, whose size the move
-    limiter caps, divided by sqrt(k) at the k-th iteration of the current
-    transition width (a diminishing step that restarts with each new
-    width, which poses a new smoothed problem). Cells 5-8 receive the
-    reflections of the stepped cells 1-4.
+    contracts the mirrored design's dJ/dK* (sectors 1-4 of the half mesh)
+    with each design cell's insertion derivatives into a normalized
+    reaction term, and takes one reaction-diffusion step of each design
+    cell, whose size the move limiter caps, divided by sqrt(k) at the k-th
+    iteration of the current transition width (a diminishing step that
+    restarts with each new width, which poses a new smoothed problem).
+    Cells 5-8 receive the reflections of the stepped cells 1-4.
     """
     sc = ws.scenario
     adjoint = macro_solver.solve_adjoint(ev.state_fact, sc.derivative_weights(),
                                          ev.temp, ws.t_steel)
-    dj_dks = sensitivity.mirrored_sensitivities(
-        sensitivity.sector_sensitivities(ws.macro_mesh, ev.temp, adjoint))
+    dj_dks = sensitivity.sector_sensitivities(ws.macro_mesh, ev.temp, adjoint)
 
     def reaction_task(args):
         dj_dk, f, (mat, _tensor, w1, w2) = args

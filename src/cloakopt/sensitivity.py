@@ -2,19 +2,23 @@
 cell-level insertion derivatives, normalized into the level-set reaction.
 
 The macro half carries dJ/dK* per sector (a symmetric 2x2 from the state
-and adjoint gradients), for all 8 sectors in one call that takes the
-gradients on the design ring's elements only (:func:`sector_sensitivities`).
-The optimizer's design is mirrored, cells 1-4 carrying it and cell 9 - l
-reflecting cell l, so it contracts each design cell's derivative of the
-mirrored design (:func:`mirrored_sensitivities`), which folds in that of
-its reflected sector. The cell half carries the pointwise derivative of
-K* when a small inclusion of the other phase appears, built from the
-corrector gradients. Their contraction, split by insertion direction and
-blended by the smoothed indicator, is L1-normalized per cell. The
-optimizer contracts the derivative of the objective it records,
-w*dJ1/dK* + (1-w)*dJ2/dK*, which is linear in the adjoint load and so
-comes from one adjoint of the weighted load; each design cell's reaction
-term is normalized once and follows the derivative of that weighted sum.
+and adjoint gradients), for every sector of the mesh in one call that
+takes the gradients on the design ring's elements only
+(:func:`sector_sensitivities`). The optimizer's design is mirrored,
+cells 1-4 carrying it and cell 9 - l reflecting cell l, and it solves on
+the x >= 0 half of the macro mesh (a ``mirror_half`` mesh), which holds
+sectors 1-4 and weighs its objective integrals by 2. There the adjoint of the
+full-domain objective is twice the whole mesh's, and sector l's
+contraction is dJ/dK*_l + S dJ/dK*_{9-l} S (S = diag(-1, 1)), the
+derivative of the mirrored design itself. The cell half carries the
+pointwise derivative of K* when a small inclusion of the other phase
+appears, built from the corrector gradients. Their contraction, split by
+insertion direction and blended by the smoothed indicator, is
+L1-normalized per cell. The optimizer contracts the derivative of the
+objective it records, w*dJ1/dK* + (1-w)*dJ2/dK*, which is linear in the
+adjoint load and so comes from one adjoint of the weighted load; each
+design cell's reaction term is normalized once and follows the
+derivative of that weighted sum.
 """
 
 from __future__ import annotations
@@ -35,8 +39,9 @@ DEGENERATE_NORM = 1e-300
 
 def sector_sensitivities(mesh: TriMesh, state: fem.ScalarField,
                          adjoint: fem.ScalarField) -> np.ndarray:
-    """Symmetrized dJ/dK* of every design sector, -int grad T (x) grad v
-    over its elements; shape (8, 2, 2), sector l at index l - 1.
+    """Symmetrized dJ/dK* of every design sector of the mesh, -int grad T
+    (x) grad v over its elements; shape (8, 2, 2), or (4, 2, 2) for sectors
+    1-4 of a ``mirror_half`` mesh, sector l at index l - 1.
 
     The gradients are taken on the design ring's elements alone, whose
     per-sector indices are cached on the mesh. Only the symmetric part is
@@ -57,30 +62,14 @@ def sector_sensitivities(mesh: TriMesh, state: fem.ScalarField,
 # the name under which benchmarks/tracer.py times the contraction
 tensor_sensitivity = sector_sensitivities
 
-# entrywise signs of S M S for the mirror S = diag(-1, 1)
-_MIRROR_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
-
-
-def mirrored_sensitivities(dj_dks: np.ndarray) -> np.ndarray:
-    """dJ/dK* of the mirrored design, shape (4, 2, 2), cell l at index l - 1.
-
-    Cells 1-4 carry the design and cell 9 - l is cell l reflected
-    (y1 -> 1 - y1), so K*_{9-l} = S K*_l S with S = diag(-1, 1). By the
-    chain rule cell l receives dJ/dK*_l + S dJ/dK*_{9-l} S, on any macro
-    mesh, mirror-symmetric or not. ``dj_dks`` is the (8, 2, 2) output of
-    :func:`sector_sensitivities`.
-    """
-    half = len(dj_dks) // 2
-    return dj_dks[:half] + _MIRROR_SIGNS * dj_dks[:half - 1:-1]
-
 
 def _sector_elements(mesh: TriMesh) -> tuple[np.ndarray, list[np.ndarray]]:
     """The design ring's elements, ascending, and each sector's positions
     among them."""
     region = mesh.element_region
-    ring = np.flatnonzero((region >= SECTOR_FIRST) & (region <= SECTOR_LAST))
-    return ring, [np.flatnonzero(region[ring] == l)
-                  for l in range(SECTOR_FIRST, SECTOR_LAST + 1)]
+    last = SECTOR_LAST // 2 if mesh.mirror_half else SECTOR_LAST
+    ring = np.flatnonzero((region >= SECTOR_FIRST) & (region <= last))
+    return ring, [np.flatnonzero(region[ring] == l) for l in range(SECTOR_FIRST, last + 1)]
 
 
 def insertion_prefactor(k_host: float, k_insert: float) -> float:

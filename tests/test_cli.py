@@ -186,12 +186,13 @@ def test_odd_cell_resolution_exit_code(tmp_path, capsys):
     ("mesh", "macro_h", 0.5, "mesh.macro_h 0.5 leaves fewer than 2 elements"),
     ("mesh", "macro_h", 0.0, "mesh.macro_h must be positive"),
     ("mesh", "macro_h", -0.1, "mesh.macro_h must be positive"),
+    ("mesh", "macro_h", 0.2, "mesh.macro_h 0.2 gives 25 divisions across geometry.lx 5.0"),
     ("levelset", "init", {"pattern": "disk", "radius": -0.3}, "levelset.init.radius must lie"),
     ("levelset", "init", {"pattern": "disk", "radius": 0.0}, "levelset.init.radius must lie"),
     ("levelset", "init", {"pattern": "disk", "radius": 5.0}, "levelset.init.radius must lie"),
     ("levelset", "init", {"pattern": "disk", "radius": 0.7072}, "levelset.init.radius must lie"),
 ], ids=["cell_resolution-8", "cell_resolution-0", "macro_h-2", "macro_h-0.5", "macro_h-0",
-        "macro_h-negative", "radius-negative", "radius-0", "radius-5", "radius-past-corner"])
+        "macro_h-negative", "macro_h-odd-divisions", "radius-negative", "radius-0", "radius-5", "radius-past-corner"])
 def test_bad_mesh_or_disk_exit_code(tmp_path, capsys, section, key, value, message):
     """Rejected by key when the config is parsed, before the run directory
     is made."""

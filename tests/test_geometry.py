@@ -137,3 +137,105 @@ def test_structured_interpolation_exact_for_linear(cell_mesh_32):
     got = interpolate_structured(mesh, pts, values)
     want = 2.0 * pts[:, 0] - 3.0 * pts[:, 1] + 0.25
     np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+APPENDIX_B = MacroGeometry(lx=20.0, ly=13.333333333333334, r_ring=5.0, r_obstacle=3.0)
+
+
+@pytest.mark.parametrize("geometry, h, half_divisions", [
+    (MacroGeometry(lx=5.0, ly=8.0, r_ring=1.35, r_obstacle=0.4), 1.0 / 16, 40),
+    (APPENDIX_B, 0.2, 50),
+], ids=["paper-h0.0625", "appendixB-h0.2"])
+def test_half_mesh_is_the_right_half_of_the_whole(geometry, h, half_divisions):
+    """Nodes, elements (renumbered, in order), diagonals and regions of the
+    half mesh are those of the whole mesh's x >= 0 half, whether the half
+    starts at an even (40) or odd (50) column of the whole grid."""
+    whole = build_macro_mesh(geometry, h)
+    half = build_macro_mesh(geometry, h, half=True)
+    nx, ny = whole.structured_shape
+    assert half.structured_shape == (nx // 2, ny) == (half_divisions, ny)
+    first_node, first_element = (nx // 2) * (ny + 1), 2 * (nx // 2) * ny
+    assert np.abs(half.nodes - whole.nodes[first_node:]).max() <= 1e-15 * geometry.lx
+    assert np.abs(half.nodes[half.boundary_edges[GAMMA_A], 0]).max() <= 1e-15 * geometry.lx
+    np.testing.assert_array_equal(half.elements, whole.elements[first_element:] - first_node)
+    np.testing.assert_array_equal(half.element_region, whole.element_region[first_element:])
+    assert set(np.unique(half.element_region)) == {REGION_EXTERIOR, REGION_OBSTACLE, 1, 2, 3, 4}
+    for tag in (GAMMA_B, GAMMA_SYM, GAMMA_N):
+        edges = whole.boundary_edges[tag]
+        right = edges[(edges >= first_node).all(axis=1)] - first_node
+        np.testing.assert_array_equal(half.boundary_edges[tag], right)
+    assert half.mirror_half and not whole.mirror_half
+    assert half.areas.sum() == pytest.approx(0.5 * whole.areas.sum(), rel=1e-12)
+
+
+def test_half_mesh_needs_an_even_division_count(paper_geometry):
+    with pytest.raises(MeshError, match="21 divisions across lx"):
+        build_macro_mesh(paper_geometry, paper_geometry.lx / 21, half=True)
+
+
+def grid_oracle(geometry, h):
+    """The whole macro mesh by its definition, one quad at a time: nodes
+    column by column, two triangles per quad split along n00-n11 where
+    i + j is even and along n10-n01 elsewhere, regions by centroid."""
+    nx, ny = round(geometry.lx / h), round(geometry.ly / 2.0 / h)
+    xs = np.linspace(-geometry.lx / 2.0, geometry.lx / 2.0, nx + 1)
+    ys = np.linspace(0.0, geometry.ly / 2.0, ny + 1)
+    nodes = np.array([(x, y) for x in xs for y in ys])
+    elements = []
+    for i in range(nx):
+        for j in range(ny):
+            n00, n10 = i * (ny + 1) + j, (i + 1) * (ny + 1) + j
+            n01, n11 = n00 + 1, n10 + 1
+            if (i + j) % 2 == 0:
+                elements += [(n00, n10, n11), (n00, n11, n01)]
+            else:
+                elements += [(n00, n10, n01), (n10, n11, n01)]
+    elements = np.array(elements)
+    c = nodes[elements].mean(axis=1)
+    r = np.hypot(c[:, 0], c[:, 1])
+    sector = np.clip(np.floor(np.arctan2(c[:, 1], c[:, 0]) / (np.pi / 8)).astype(int) + 1, 1, 8)
+    region = np.where(r < geometry.r_obstacle, REGION_OBSTACLE,
+                      np.where(r < geometry.r_ring, sector, REGION_EXTERIOR))
+    return nodes, elements, region
+
+
+@pytest.mark.parametrize("geometry, h", [
+    (MacroGeometry(lx=5.0, ly=8.0, r_ring=1.35, r_obstacle=0.4), 0.25),
+    (MacroGeometry(lx=5.0, ly=8.0, r_ring=1.35, r_obstacle=0.4), 5.0 / 21),
+    (APPENDIX_B, 0.4),
+], ids=["paper-h0.25", "paper-21-divisions", "appendixB-h0.4"])
+def test_whole_macro_mesh_follows_its_definition(geometry, h):
+    """The whole mesh, which the tiled validation's fine mesh also is, is
+    unchanged by the half-mesh option: bit for bit the grid oracle."""
+    mesh = build_macro_mesh(geometry, h)
+    nodes, elements, region = grid_oracle(geometry, h)
+    np.testing.assert_array_equal(mesh.nodes, nodes)
+    np.testing.assert_array_equal(mesh.elements, elements)
+    np.testing.assert_array_equal(mesh.element_region, region)
+
+
+def test_structured_interpolation_locates_the_elements_of_a_half_mesh():
+    """A half mesh starting at an odd column of the whole grid flips the
+    checkerboard; the element location follows it."""
+    mesh = build_macro_mesh(APPENDIX_B, 0.4, half=True)
+    assert mesh.structured_shape[0] % 2 == 1
+    values = mesh.nodes[:, 0] * mesh.nodes[:, 1]
+    x0, x1, y0, y1 = mesh.extent
+    rng = np.random.default_rng(8)
+    pts = np.column_stack([rng.uniform(x0, x1, 300), rng.uniform(y0, y1, 300)])
+    got = interpolate_structured(mesh, pts, values)
+    # x y is linear only inside a triangle, and its interpolant on a quad
+    # depends on the diagonal: compare with the P1 interpolant of the
+    # element found by brute force
+    want = np.empty(len(pts))
+    p = mesh.nodes[mesh.elements]
+    for k, q in enumerate(pts):
+        d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+        r = q - p[:, 0]
+        l1 = (r[:, 0] * d2[:, 1] - r[:, 1] * d2[:, 0]) / det
+        l2 = (r[:, 1] * d1[:, 0] - r[:, 0] * d1[:, 1]) / det
+        inside = np.flatnonzero((l1 >= -1e-12) & (l2 >= -1e-12) & (l1 + l2 <= 1 + 1e-12))[0]
+        v = values[mesh.elements[inside]]
+        want[k] = (1 - l1[inside] - l2[inside]) * v[0] + l1[inside] * v[1] + l2[inside] * v[2]
+    np.testing.assert_allclose(got, want, atol=1e-12)

@@ -94,6 +94,17 @@ def test_laminate_series_parallel(cell_mesh_64):
     assert np.abs(w1.values).max() < 1e-10
 
 
+def test_laminate_harmonic_mean_holds_its_digits_at_resolution_128():
+    """k22 of the copper/PDMS laminate, a small principal value that the
+    tensor takes as a difference of two numbers near 193, keeps 10 digits
+    on the fine cell: the residual term leaves an error quadratic in the
+    solve error (the flux-average form alone read 1.3e-10 here)."""
+    mesh = build_cell_mesh(UnitCellGeometry(128))
+    t, _, _ = homogenize(mesh, laminate_material(mesh))
+    harm = 2.0 * COPPER * PDMS / (COPPER + PDMS)
+    assert t.k22 == pytest.approx(harm, rel=1e-10)
+
+
 def test_laminate_transverse_corrector_profile(cell_mesh_32):
     # closed form: w2 piecewise linear in y2 with slopes making the total
     # gradient inversely proportional to k in each layer
@@ -295,8 +306,11 @@ def test_a_step_takes_corrector_gradients_of_the_design_cells_only(paper_geometr
 
 @pytest.mark.parametrize("factor", [-1.0, 1e3], ids=["above-voigt", "not-spd"])
 def test_corrupted_corrector_trips_the_tensor_guard(cell_mesh_32, monkeypatch, factor):
-    """Correctors scaled by c give K* = (sum k_e a_e) I - c [w_i . b_j]: above
-    the Voigt bound for c = -1, indefinite for a large c."""
+    """Correctors scaled by c give K* = (sum k_e a_e) I - (2c - c^2) [w_i . b_j]
+    of the true correctors: above the Voigt bound for c = -1, and far above
+    it for a large c (the flux-average form alone went indefinite there;
+    with the residual term K* is the Gram product of the correctors it is
+    given, positive semi-definite up to roundoff)."""
     mat = CellMaterialField(chi=random_smooth_chi(cell_mesh_32, np.random.default_rng(4)),
                             k_a=COPPER, k_b=PDMS)
     solve = fem.Factorization.solve

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from cloakopt import fem, levelset, macro_solver, optimizer, sensitivity
-from cloakopt.geometry import MacroGeometry, TriMesh, UnitCellGeometry, build_cell_mesh
+from cloakopt.geometry import (MacroGeometry, TriMesh, UnitCellGeometry, build_cell_mesh,
+                               build_macro_mesh)
 from cloakopt.macro_solver import BoundaryData
 from cloakopt.optimizer import (DesignState, Scenario, Workspace, checkpoint, evaluate,
                                 resume, run, step)
@@ -135,7 +136,7 @@ def test_w0_skips_mismatch_adjoint(monkeypatch):
 ], ids=["w0", "w0.3", "w1", "normalized"])
 def test_each_step_solves_one_adjoint(monkeypatch, overrides):
     """One homogeneous solve on the state operator and one contraction of
-    the 8 sectors' dJ/dK*, whatever the weights."""
+    the half mesh's sectors 1-4, whatever the weights."""
     homogeneous_flags, contractions = [], []
     sector_sensitivities = sensitivity.sector_sensitivities
 
@@ -154,7 +155,7 @@ def test_each_step_solves_one_adjoint(monkeypatch, overrides):
     monkeypatch.setattr(sensitivity, "sector_sensitivities", record_sectors)
     run(tiny_scenario(max_iter=3, **overrides))
     assert homogeneous_flags.count(True) == 2
-    assert [s.shape for s in contractions] == [(8, 2, 2)] * 2
+    assert [s.shape for s in contractions] == [(4, 2, 2)] * 2
 
 
 def test_determinism_bit_identical_histories():
@@ -222,16 +223,37 @@ def assert_mirrored(phis):
 
 def test_every_checkpoint_holds_a_mirrored_design(tmp_path):
     """Cell 9 - l is cell l reflected, bit for bit, at every checkpoint of a
-    w=1/2 run on a macro mesh that is not mirror-symmetric (21 divisions
-    across lx), where roundoff would not keep the 8-cell design so."""
+    w=1/2 run, although only cells 1-4 feed the macro solve."""
     out = tmp_path / "run"
-    sc = tiny_scenario(w=0.5, macro_h=5.0 / 21)
+    sc = tiny_scenario(w=0.5)
     final = run(sc, out_dir=out, checkpoint_every=1)
     for it in range(1, sc.max_iter + 1):
         assert_mirrored(resume(out / "checkpoints" / f"iter_{it:04d}").phis)
     assert_mirrored(final.phis)
     mirror = levelset.mirror_nodes(final.phis[0].mesh)
     assert not np.array_equal(final.phis[0].phi, final.phis[0].phi[mirror])
+
+
+def test_every_iteration_records_mirrored_tensors(monkeypatch):
+    """Cells 5-8 no longer feed the macro solve, which reads sectors 1-4
+    alone, so their tensors are checked here: at every iteration of a
+    w=1/2 run K*_(9-l) is S K*_l S to roundoff, and all 8 are recorded."""
+    evaluate_, recorded = optimizer.evaluate, []
+
+    def record(*args, **kwargs):
+        ev = evaluate_(*args, **kwargs)
+        recorded.append([t.matrix for t in ev.tensors])
+        return ev
+
+    monkeypatch.setattr(optimizer, "evaluate", record)
+    state = run(tiny_scenario(w=0.5))
+    assert len(recorded) == 4 and all(len(ks) == 8 for ks in recorded)
+    assert len(state.tensors) == 8
+    flip = np.diag([-1.0, 1.0])
+    for ks in recorded:
+        for l in range(1, 5):
+            want = flip @ ks[l - 1] @ flip
+            assert np.abs(ks[8 - l] - want).max() <= 1e-10 * np.abs(want).max(), l
 
 
 def test_file_init_reflects_the_file_onto_cells_5_to_8(tmp_path):
@@ -249,10 +271,10 @@ def test_file_init_reflects_the_file_onto_cells_5_to_8(tmp_path):
 
 
 def test_mirrored_reaction_terms_equal_the_eight_cell_ones_on_a_symmetric_design(monkeypatch):
-    """On a mirrored design and a mirror-symmetric macro mesh (20 divisions
-    across lx), cell l's reaction term from dJ/dK*_l + S dJ/dK*_(9-l) S is,
-    after normalization, the one the 8-cell step gave it from dJ/dK*_l, and
-    the 8-cell term of cell 9 - l is its reflection."""
+    """On a mirrored design, cell l's reaction term from sector l of the half
+    mesh is, after normalization, the one an 8-cell step on the whole mesh
+    (20 divisions across lx) gives it from dJ/dK*_l, and the 8-cell term of
+    cell 9 - l is its reflection."""
     ws = Workspace(tiny_scenario(w=0.5))
     mesh = ws.cell_mesh
     x, y = mesh.nodes.T
@@ -261,18 +283,23 @@ def test_mirrored_reaction_terms_equal_the_eight_cell_ones_on_a_symmetric_design
     phis = [levelset.LevelSetField(phi=p, mesh=mesh, cell_index=l)
             for l, p in enumerate(optimizer.mirrored(mesh, design), start=1)]
     ev = evaluate(ws, phis, 0.2)
-    sector_sensitivities = sensitivity.sector_sensitivities
     combined_sensitivity = sensitivity.combined_sensitivity
-    raw, restricted = [], []
-    monkeypatch.setattr(sensitivity, "sector_sensitivities",
-                        lambda *a: raw.append(sector_sensitivities(*a)) or raw[-1])
+    restricted = []
     monkeypatch.setattr(sensitivity, "combined_sensitivity",
                         lambda *a: restricted.append(combined_sensitivity(*a)) or restricted[-1])
     step(ws, ev, phis, 1)
-    assert len(raw) == 1 and len(restricted) == 4
+    assert len(restricted) == 4
 
+    sc = ws.scenario
+    whole = build_macro_mesh(sc.geometry, sc.macro_h)
+    matmap = macro_solver.MacroMaterialMap(ev.tensors, sc.k_exterior, sc.k_obstacle)
+    fact = fem.Factorization(macro_solver.state_system(whole, matmap, sc.bc))
+    temp = fem.ScalarField(fact.solve(), whole)
+    adjoint = macro_solver.solve_adjoint(fact, sc.derivative_weights(), temp,
+                                         macro_solver.reference_field(whole, sc.bc))
     eight = []
-    for dj_dk, f, (mat, _, w1, w2) in zip(raw[0], phis, ev.cells, strict=True):
+    for dj_dk, f, (mat, _, w1, w2) in zip(sensitivity.sector_sensitivities(whole, temp, adjoint),
+                                          phis, ev.cells, strict=True):
         ins_a, ins_b = sensitivity.topological_tensor_fields(mesh, mat, w1, w2)
         eight.append(combined_sensitivity(mesh, dj_dk, ins_a, ins_b, f.chi_nodes(0.2)))
     mirror = levelset.mirror_nodes(mesh)
@@ -328,7 +355,7 @@ def test_mixed_weight_contracts_derivative_of_recorded_objective(monkeypatch):
     # of the recorded J = w*J1 + (1-w)*J2, normalized once, not from two
     # separately normalized objective terms; the one adjoint of the
     # weighted load gives w*s1 + (1-w)*s2 of the single-objective adjoints,
-    # and each design cell 1-4 contracts its mirrored derivative
+    # and each design cell 1-4 contracts its sector of the half mesh
     solve_adjoint = macro_solver.solve_adjoint
     sector_sensitivities = sensitivity.sector_sensitivities
     combined_sensitivity = sensitivity.combined_sensitivity
@@ -356,9 +383,8 @@ def test_mixed_weight_contracts_derivative_of_recorded_objective(monkeypatch):
     assert weights == {"j1": w, "j2": 1.0 - w}
     single = [solve_adjoint(state_fact, {k: 1.0}, temp, reference) for k in ("j1", "j2")]
     s1, s2 = (sector_sensitivities(temp.mesh, temp, v) for v in single)
-    mirrored = sensitivity.mirrored_sensitivities
-    for s_j, s, want in zip(contracted, mirrored(derivatives[0]),
-                            mirrored(w * s1 + (1.0 - w) * s2), strict=True):
+    for s_j, s, want in zip(contracted, derivatives[0], w * s1 + (1.0 - w) * s2,
+                            strict=True):
         assert np.array_equal(s_j, s)
         assert np.abs(s - want).max() <= 1e-10 * np.abs(want).max()
 
