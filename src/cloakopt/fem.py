@@ -63,12 +63,20 @@ grid (:mod:`cloakopt.levelset`), so nothing here is factored for it;
 only the residual contract (:func:`_check_solution`) is shared.
 
 The interface Schur complement S_I comes by one of two routes, chosen by
-size. Where the interface is small against the fixed block
-(4 |I| <= sqrt(|G|), as for the sweep's insert), it is formed from |I|
-solves on the fixed block's factor, which the condensation keeps anyway.
+size, and the route decides what the condensation keeps. Where the
+interface is small against the fixed block (4 |I| <= sqrt(|G|), as for
+the sweep's insert), S_I is formed from the interface responses
+X = K_GG^-1 K_GI, solved on the fixed block's factor :data:`RESPONSE_BLOCK`
+columns at a time. The condensation keeps X, the static constraint modes
+of substructuring (Guyan 1965; Craig & Bampton 1968), and frees the
+factor. It then takes only loads that vanish on G (a sweep angle's zero
+load with the fixed edge temperatures is one): for those, K_GG^-1 b_G is
+the zero load's solve from the build, or zero, so x_G = K_GG^-1 b_G - X x_I
+needs no K_GG solve. Any other load raises ``ValueError``.
 Otherwise (the macro design ring, whose interface is 1.2-1.4 sqrt(|G|)),
 those solves would cost more than a second factorization, so S_I is read
-off a throwaway factor of the whole fixed part with the interface last.
+off a throwaway factor of the whole fixed part with the interface last,
+and the condensation keeps the K_GG factor for loads of any kind.
 """
 
 from __future__ import annotations
@@ -88,6 +96,7 @@ SOLVE_RTOL = 1e-10
 ORDERING = "MMD_AT_PLUS_A"       # symmetric fill-reducing ordering for SPD operators
 SUPERNODE_RELAX = 1              # columns of a relaxed supernode at the tree's leaves
 PANEL_SIZE = 4                   # columns factored together as one panel
+RESPONSE_BLOCK = 2               # interface responses per multi-RHS solve of a fixed block
 
 _LUMPED_MASS = np.eye(3) / 3.0
 _CONSISTENT_MASS = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
@@ -628,9 +637,14 @@ class Condensation:
 
     Every inhomogeneous solve of the zero load has the same b_G (the
     varying elements' lift touches only R), so K_GG^-1 b_G of that load is
-    solved once, at the build. Holds the fixed operator, its lift, the
-    K_GG factor, that solve and the varying block's assembly, but not the
-    mesh.
+    solved once, at the build (:attr:`zero_load_g`). Holds the fixed
+    operator, its lift, that solve and the varying block's assembly, but
+    not the mesh. On the ring route it also holds the K_GG factor, for
+    loads of any kind. On the solve route it holds the interface
+    responses X = K_GG^-1 K_GI instead (:attr:`responses`) and frees the
+    factor once X and that solve are formed: it then takes only loads that
+    vanish on G, for which K_GG^-1 b_G is that solve (or zero, for a
+    homogeneous solve), and x_G needs no K_GG solve.
     """
 
     def __init__(self, fixed: SparseSystem, varying_elements: np.ndarray):
@@ -654,15 +668,23 @@ class Condensation:
             g = g[minimum_degree_order(k[g][:, g])]
         self.g = g
         self.k_ig = k[i][:, g]
+        self.responses: np.ndarray | None = None
         solves = _solves_form_schur(len(i), len(g))
         if not solves:
             self.schur = _interface_schur(k, g, i)
         # factored after the K_FF factor behind a read S_I is freed: they never coexist
         self._lu = _factor(k[g][:, g], **_SYMMETRIC_PIVOTS) if len(g) else None
         if solves:
-            self.schur = self._solved_schur(k[i][:, i])
+            self.schur, blocks = self._solved_schur(k[i][:, i])
         # formed as CondensedFactorization.solve forms b, so even signed zeros match
         self.zero_load_g = self.solve_g((np.zeros(n) - self.fixed_lift)[g])
+        if solves:
+            # X is joined into one array, for one mat-vec per solve, only
+            # once the factor is freed: the two never coexist
+            self._lu = None
+            self.responses = (np.concatenate(blocks, axis=1) if blocks
+                              else np.zeros((len(g), 0)))
+            del blocks
 
         ir = np.concatenate([i, r])
         n_ir = len(ir)
@@ -698,15 +720,27 @@ class Condensation:
                                                          position[reduced_fixed.col])),
                                    shape=(n_ir, n_ir)))
 
-    def _solved_schur(self, k_ii: sp.csc_matrix) -> sp.csc_matrix:
-        """S_I from one K_GG solve per interface DOF, symmetrized. Column
-        by column: solving the dense |G| x |I| block at once raised the
-        tiled sweep's peak RSS by ~40 MB."""
+    def _solved_schur(self, k_ii: sp.csc_matrix) -> tuple[sp.csc_matrix, list[np.ndarray]]:
+        """S_I = K_II - K_IG X, symmetrized, and the interface responses
+        X = K_GG^-1 K_GI as blocks of :data:`RESPONSE_BLOCK` columns.
+
+        Each block is one multi-RHS solve. Beside the K_GG factor and the
+        blocks solved so far, it holds two more |G| x block arrays
+        (scipy's copy of the load and SuperLU's zeroed work array), and
+        that sum sets the tiled sweep's peak RSS. On the eps0 = 1/9 insert
+        (|I| = 27, |G| = 103,587) blocks of 1, 2, 4 and 8 columns took
+        ~0.33, ~0.25, ~0.2 and ~0.2 s for the 27 solves, and read about
+        +2%, +3%, +4.5% and +10% in the sweep's peak RSS against a
+        condensation that keeps only its factor.
+        """
         k_ig = self.k_ig.tocsr()
         s = k_ii.toarray()
-        for j in range(len(self.i)):
-            s[:, j] -= k_ig @ self.solve_g(k_ig[j].toarray().ravel())
-        return sp.csc_matrix(0.5 * (s + s.T))
+        blocks = []
+        for j in range(0, len(self.i), RESPONSE_BLOCK):
+            block = self.solve_g(k_ig[j:j + RESPONSE_BLOCK].T.toarray())
+            s[:, j:j + block.shape[1]] -= k_ig @ block
+            blocks.append(block)
+        return sp.csc_matrix(0.5 * (s + s.T)), blocks
 
     def factor(self, tensors: np.ndarray) -> "CondensedFactorization":
         """Factor the condensed system for the varying elements' SPD
@@ -719,8 +753,14 @@ class Condensation:
         return CondensedFactorization(self, self.assembly.system(components))
 
     def solve_g(self, b_g: np.ndarray) -> np.ndarray:
-        """K_GG^-1 b_G, both in the order of :attr:`g`."""
-        return b_g if self._lu is None else self._lu.solve(b_g)
+        """K_GG^-1 b_G (a vector, or one per column), in the order of
+        :attr:`g`; ``ValueError`` once the solve route has freed the factor."""
+        if self._lu is not None:
+            return self._lu.solve(b_g)
+        if len(self.g):
+            raise ValueError("the fixed block's factor is freed: this condensation "
+                             "kept its interface responses instead")
+        return b_g
 
 
 def _solves_form_schur(n_i: int, n_g: int) -> bool:
@@ -778,12 +818,17 @@ class CondensedFactorization:
     """A condensed system factored for one varying part.
 
     Same contract as :class:`Factorization`: ``solve(rhs_full,
-    homogeneous)`` takes two K_GG solves (one for the zero load with the
-    fixed values, whose b_G the condensation has solved at its build) and
-    one reduced solve, and checks the relative residual on the full system
-    (K_fixed + K_varying) x = b. ``varying`` is the varying elements'
-    operator alone, on the reduced DOFs; the reduced system factored adds
-    the condensed fixed block to its data, in the given order.
+    homogeneous)`` makes one reduced solve and checks the relative
+    residual on the full system (K_fixed + K_varying) x = b. On the ring
+    route it also makes two K_GG solves, one for y_G = K_GG^-1 b_G (none
+    for the zero load with the fixed values, whose y_G the condensation
+    solved at its build) and one for x_G = K_GG^-1 (b_G - K_GI x_I). On the
+    solve route it makes none: the load must vanish on G (else
+    ``ValueError``, before any solve), y_G is the build's solve or zero,
+    and x_G = y_G - X x_I comes from the kept responses. ``varying`` is
+    the varying elements' operator alone, on the reduced DOFs; the reduced
+    system factored adds the condensed fixed block to its data, in the
+    given order.
     """
 
     def __init__(self, condensation: Condensation, varying: SparseSystem):
@@ -804,19 +849,28 @@ class CondensedFactorization:
         c = self.condensation
         reduced = c.reduced_dofs
         b = np.zeros(c.structure.n_free) if rhs_full is None else c.structure.restrict(rhs_full)
+        if c.responses is not None and rhs_full is not None and b[c.g].any():
+            raise ValueError("this condensation keeps no K_GG factor, only its interface "
+                             "responses: it takes loads that vanish on the fixed block G")
         if not homogeneous:
             b -= c.fixed_lift
             b[reduced] -= self.varying.lift
         # eliminate G from the load, solve the reduced system for x_I and
         # x_R, then recover x_G
-        b_g = b[c.g]
-        y_g = c.zero_load_g if rhs_full is None and not homogeneous else c.solve_g(b_g)
+        if c.responses is None:
+            b_g = b[c.g]
+            y_g = c.zero_load_g if rhs_full is None and not homogeneous else c.solve_g(b_g)
+        else:           # the load vanishes on G: b_G is the zero load's, or zero
+            y_g = np.zeros(len(c.g)) if homogeneous else c.zero_load_g
         b_ir = b.copy()
         b_ir[c.i] -= c.k_ig @ y_g
         z = self.reduced.solve_free(b_ir[reduced])
         x = np.empty_like(b)
         x[reduced] = z
-        x[c.g] = c.solve_g(b_g - c.k_ig.T @ x[c.i])
+        if c.responses is None:
+            x[c.g] = c.solve_g(b_g - c.k_ig.T @ x[c.i])
+        else:
+            x[c.g] = y_g - c.responses @ x[c.i]
 
         ax = c.fixed_matrix @ x
         ax[reduced] += self.varying.matrix @ z

@@ -17,8 +17,13 @@ design's tiled operator onto that disk once (:func:`sweep_condensation`,
 through :func:`macro_solver.condensed_conduction`), and each angle
 assigns conductivities to the disk's elements alone (the disk lies in
 the obstacle region, where no level set is read) and factors only the
-disk and its interface. A condensation is bound to the spec it was built
-for; the first design's is freed before the next one is built.
+disk and its interface. The condensation keeps the fixed block's
+responses to the interface temperatures, not the fixed block's factor
+(:class:`fem.Condensation`), so an angle solves nothing off the disk: the
+temperature there is the zero load's, solved at the build, minus the
+responses times the interface temperatures, one mat-vec. A condensation
+is bound to the spec it was built for; the first design's is freed
+before the next one is built.
 """
 
 from __future__ import annotations
@@ -221,5 +226,5 @@ def robustness_sweep(designs: dict[str, TilingSpec], psi_values,
             j1, _, _ = evaluate_tiled(spec, mesh, obstacle, condensation=condensation)
             rows.append({"design": name, "psi": obstacle.psi_deg,
                          "j1": j1, "j1_ratio": j1 / j1_init})
-        del condensation    # its K_GG factor never coexists with the next design's
+        del condensation    # its responses never coexist with the next design's
     return rows

@@ -168,14 +168,74 @@ def test_fine_mesh_shared_only_while_held(paper_geometry, cell_mesh):
 
 
 def test_condensed_sweep_matches_direct_evaluations(paper_geometry, cell_mesh):
+    """J1, J2 and the whole temperature field of every condensed angle
+    match the direct solve of the whole tiled operator."""
     spec = make_spec(paper_geometry, cell_mesh)
     mesh = val.fine_mesh(spec)
     psi = [0.0, 90.0, 180.0, 270.0]
     rows = val.robustness_sweep({"design": spec}, psi, 1.0, PDMS)
     assert [r["psi"] for r in rows] == psi
+    condensation = val.sweep_condensation(spec, mesh, val.ObstacleSpec(0.0, PDMS))
     for r in rows:
-        want, _, _ = val.evaluate_tiled(spec, mesh, val.ObstacleSpec(r["psi"], PDMS))
-        assert r["j1"] == pytest.approx(want, rel=1e-10)
+        obstacle = val.ObstacleSpec(r["psi"], PDMS)
+        want_j1, want_j2, want_t = val.evaluate_tiled(spec, mesh, obstacle)
+        j1, j2, temp = val.evaluate_tiled(spec, mesh, obstacle, condensation=condensation)
+        assert r["j1"] == pytest.approx(want_j1, rel=1e-10)
+        assert j1 == pytest.approx(want_j1, rel=1e-10)
+        assert j2 == pytest.approx(want_j2, rel=1e-10)
+        assert (np.abs(temp.values - want_t.values).max()
+                <= 1e-10 * np.abs(want_t.values).max())
+
+
+def test_sweep_angles_make_no_fixed_block_solve(paper_geometry, cell_mesh, monkeypatch):
+    """The insert's build solves K_GG once per block of interface
+    responses and once for the zero load, then frees the factor; no
+    angle solves K_GG again."""
+    spec = make_spec(paper_geometry, cell_mesh)
+    mesh = val.fine_mesh(spec)
+    calls = []
+    solve_g = fem.Condensation.solve_g
+    monkeypatch.setattr(fem.Condensation, "solve_g",
+                        lambda self, b: calls.append(np.shape(b)) or solve_g(self, b))
+    c = val.sweep_condensation(spec, mesh, val.ObstacleSpec(0.0, PDMS))
+    n_i, n_g = len(c.condensation.i), len(c.condensation.g)
+    assert n_i > fem.RESPONSE_BLOCK
+    assert len(calls) == -(-n_i // fem.RESPONSE_BLOCK) + 1
+    assert sum(shape[1] for shape in calls[:-1]) == n_i and calls[-1] == (n_g,)
+    assert c.condensation.responses.shape == (n_g, n_i)
+    calls.clear()
+    for psi in (0.0, 90.0, 225.0):
+        val.evaluate_tiled(spec, mesh, val.ObstacleSpec(psi, PDMS), condensation=c)
+    assert calls == []
+
+
+def test_insert_condensation_refuses_a_load_on_its_fixed_block(paper_geometry, cell_mesh):
+    """With its K_GG factor freed, an insert condensation solves loads
+    that vanish on G, as the direct solve does, and refuses any other
+    before solving; ``solve_g`` raises instead of returning its input."""
+    spec = make_spec(paper_geometry, cell_mesh, epsilon0=0.5)
+    mesh = val.fine_mesh(spec)
+    obstacle = val.ObstacleSpec(45.0, PDMS)
+    c = val.sweep_condensation(spec, mesh, obstacle).condensation
+    k = val.tile_conductivity(spec, mesh, obstacle)
+    fact = c.factor(fem.isotropic_tensors(k[c.varying.element_ids]))
+    direct = fem.Factorization(ms.conduction_system(mesh, fem.isotropic_tensors(k), spec.bc))
+    node_of = np.full(c.structure.n_free, -1)
+    free = np.flatnonzero(c.structure.constraints.dof_of_node >= 0)
+    node_of[c.structure.constraints.dof_of_node[free]] = free
+    on_insert = np.zeros(mesh.n_nodes)
+    on_insert[node_of[c.reduced_dofs]] = np.linspace(1.0, 2.0, len(c.reduced_dofs))
+    for homogeneous in (False, True):
+        want = direct.solve(on_insert, homogeneous=homogeneous)
+        got = fact.solve(on_insert, homogeneous=homogeneous)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+    on_g = on_insert.copy()
+    on_g[node_of[c.g[len(c.g) // 2]]] = 1.0
+    for homogeneous in (False, True):
+        with pytest.raises(ValueError, match="vanish on the fixed block"):
+            fact.solve(on_g, homogeneous=homogeneous)
+    with pytest.raises(ValueError, match="factor is freed"):
+        c.solve_g(np.ones(len(c.g)))
 
 
 def test_sweep_condenses_each_design_once(paper_geometry, cell_mesh, monkeypatch):
@@ -225,6 +285,8 @@ def test_insert_schur_complement_matches_explicit(paper_geometry, cell_mesh, mon
     want = k[np.ix_(i, i)] - k[np.ix_(i, g)] @ np.linalg.solve(k[np.ix_(g, g)], k[np.ix_(g, i)])
     got = c.schur.toarray()
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    responses = np.linalg.solve(k[np.ix_(g, g)], k[np.ix_(g, i)])
+    assert np.abs(c.responses - responses).max() <= 1e-12 * np.abs(responses).max()
 
 
 def test_evaluate_tiled_rejects_a_condensation_of_another_mesh(paper_geometry, cell_mesh):
