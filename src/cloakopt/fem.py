@@ -63,20 +63,22 @@ grid (:mod:`cloakopt.levelset`), so nothing here is factored for it;
 only the residual contract (:func:`_check_solution`) is shared.
 
 The interface Schur complement S_I comes by one of two routes, chosen by
-size, and the route decides what the condensation keeps. Where the
-interface is small against the fixed block (4 |I| <= sqrt(|G|), as for
-the sweep's insert), S_I is formed from the interface responses
-X = K_GG^-1 K_GI, solved on the fixed block's factor :data:`RESPONSE_BLOCK`
-columns at a time. The condensation keeps X, the static constraint modes
-of substructuring (Guyan 1965; Craig & Bampton 1968), and frees the
-factor. It then takes only loads that vanish on G (a sweep angle's zero
-load with the fixed edge temperatures is one): for those, K_GG^-1 b_G is
-the zero load's solve from the build, or zero, so x_G = K_GG^-1 b_G - X x_I
-needs no K_GG solve. Any other load raises ``ValueError``.
-Otherwise (the macro design ring, whose interface is 1.2-1.4 sqrt(|G|)),
-those solves would cost more than a second factorization, so S_I is read
-off a throwaway factor of the whole fixed part with the interface last,
-and the condensation keeps the K_GG factor for loads of any kind.
+size. Where the interface is small against the fixed block
+(4 |I| <= sqrt(|G|), as for the sweep's insert), S_I is formed from the
+interface responses X = K_GG^-1 K_GI, solved on the fixed block's factor
+:data:`RESPONSE_BLOCK` columns at a time. Otherwise (the macro design
+ring of the paper's plate, whose interface is 1.2-1.4 sqrt(|G|)), those
+solves would cost more than a second factorization, so S_I is read off a
+throwaway factor of the whole fixed part with the interface last. The
+route decides cost only: either way the condensation keeps the K_GG
+factor and takes loads of any kind (the optimizer's adjoint loads the
+exterior and obstacle, which are G). A caller whose loads all vanish on
+G (the robustness sweep: a zero load with fixed edge temperatures) may
+ask instead to keep X, the static constraint modes of substructuring
+(Guyan 1965; Craig & Bampton 1968). S_I is then formed from X whatever
+the size, and the factor is freed: for such a load K_GG^-1 b_G is the
+zero load's solve from the build, or zero, so x_G = K_GG^-1 b_G - X x_I
+needs no K_GG solve. Any other load then raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -625,8 +627,9 @@ class Condensation:
     operator) and G (the rest of the fixed region). The fixed block K_GG
     is factored once, in minimum-degree order, and the interface Schur
     complement S_I = K_II - K_IG K_GG^-1 K_GI is formed once, by the
-    route :func:`_solves_form_schur` picks. A varying operator then needs
-    only the SPD factorization of [[S_I, K_IR], [K_RI, K_RR]] (:meth:`factor`).
+    route :func:`_solves_form_schur` picks (unless ``keep_responses``,
+    below). A varying operator then needs only the SPD factorization of
+    [[S_I, K_IR], [K_RI, K_RR]] (:meth:`factor`).
     Its DOFs, I and R, are numbered once, in the minimum-degree order of
     every entry that SPD tensors on the varying elements can fill
     (:attr:`varying`, an ``ordered`` structure; :attr:`reduced_dofs` maps
@@ -639,15 +642,18 @@ class Condensation:
     varying elements' lift touches only R), so K_GG^-1 b_G of that load is
     solved once, at the build (:attr:`zero_load_g`). Holds the fixed
     operator, its lift, that solve and the varying block's assembly, but
-    not the mesh. On the ring route it also holds the K_GG factor, for
-    loads of any kind. On the solve route it holds the interface
-    responses X = K_GG^-1 K_GI instead (:attr:`responses`) and frees the
-    factor once X and that solve are formed: it then takes only loads that
-    vanish on G, for which K_GG^-1 b_G is that solve (or zero, for a
-    homogeneous solve), and x_G needs no K_GG solve.
+    not the mesh. By default it also holds the K_GG factor, for loads of
+    any kind. With ``keep_responses`` it forms S_I from the interface
+    responses X = K_GG^-1 K_GI, holds X instead (:attr:`responses`) and
+    frees the factor once X and that solve are formed: it then takes only
+    loads that vanish on G, for which K_GG^-1 b_G is that solve (or zero,
+    for a homogeneous solve), and x_G needs no K_GG solve. That is for
+    callers whose loads never touch G (the robustness sweep's insert);
+    the size of the interface never decides it.
     """
 
-    def __init__(self, fixed: SparseSystem, varying_elements: np.ndarray):
+    def __init__(self, fixed: SparseSystem, varying_elements: np.ndarray,
+                 keep_responses: bool = False):
         self.structure = on = fixed.structure
         self.fixed_matrix = k = fixed.matrix
         self.fixed_lift = fixed.lift
@@ -669,16 +675,16 @@ class Condensation:
         self.g = g
         self.k_ig = k[i][:, g]
         self.responses: np.ndarray | None = None
-        solves = _solves_form_schur(len(i), len(g))
+        solves = keep_responses or _solves_form_schur(len(i), len(g))
         if not solves:
             self.schur = _interface_schur(k, g, i)
         # factored after the K_FF factor behind a read S_I is freed: they never coexist
         self._lu = _factor(k[g][:, g], **_SYMMETRIC_PIVOTS) if len(g) else None
         if solves:
-            self.schur, blocks = self._solved_schur(k[i][:, i])
+            self.schur, blocks = self._solved_schur(k[i][:, i], keep_responses)
         # formed as CondensedFactorization.solve forms b, so even signed zeros match
         self.zero_load_g = self.solve_g((np.zeros(n) - self.fixed_lift)[g])
-        if solves:
+        if keep_responses:
             # X is joined into one array, for one mat-vec per solve, only
             # once the factor is freed: the two never coexist
             self._lu = None
@@ -720,9 +726,11 @@ class Condensation:
                                                          position[reduced_fixed.col])),
                                    shape=(n_ir, n_ir)))
 
-    def _solved_schur(self, k_ii: sp.csc_matrix) -> tuple[sp.csc_matrix, list[np.ndarray]]:
-        """S_I = K_II - K_IG X, symmetrized, and the interface responses
-        X = K_GG^-1 K_GI as blocks of :data:`RESPONSE_BLOCK` columns.
+    def _solved_schur(self, k_ii: sp.csc_matrix,
+                      keep: bool) -> tuple[sp.csc_matrix, list[np.ndarray]]:
+        """S_I = K_II - K_IG X, symmetrized, and (if ``keep``, else none)
+        the interface responses X = K_GG^-1 K_GI as blocks of
+        :data:`RESPONSE_BLOCK` columns.
 
         Each block is one multi-RHS solve. Beside the K_GG factor and the
         blocks solved so far, it holds two more |G| x block arrays
@@ -739,7 +747,8 @@ class Condensation:
         for j in range(0, len(self.i), RESPONSE_BLOCK):
             block = self.solve_g(k_ig[j:j + RESPONSE_BLOCK].T.toarray())
             s[:, j:j + block.shape[1]] -= k_ig @ block
-            blocks.append(block)
+            if keep:
+                blocks.append(block)
         return sp.csc_matrix(0.5 * (s + s.T)), blocks
 
     def factor(self, tensors: np.ndarray) -> "CondensedFactorization":
@@ -754,7 +763,7 @@ class Condensation:
 
     def solve_g(self, b_g: np.ndarray) -> np.ndarray:
         """K_GG^-1 b_G (a vector, or one per column), in the order of
-        :attr:`g`; ``ValueError`` once the solve route has freed the factor."""
+        :attr:`g`; ``ValueError`` once ``keep_responses`` has freed the factor."""
         if self._lu is not None:
             return self._lu.solve(b_g)
         if len(self.g):
@@ -774,7 +783,11 @@ def _solves_form_schur(n_i: int, n_g: int) -> bool:
     h = 1/64. The threshold 1/4 leans to the solves because they also
     peak lower in memory (the throwaway factor coexists with the copy of
     its U that scipy makes); the insert (0.08) and the rings (1.2-1.4 from
-    h = 1/4 to 1/64) lie to either side of it.
+    h = 1/4 to 1/64) lie to either side of it. The ratio grows with the
+    ring's perimeter over the square root of the plate's area, so the
+    ring of a large enough plate takes the solves. Both routes keep the
+    K_GG factor, so the choice moves cost, never the loads a condensation
+    takes.
     """
     return 4 * n_i <= np.sqrt(n_g)
 
@@ -819,13 +832,13 @@ class CondensedFactorization:
 
     Same contract as :class:`Factorization`: ``solve(rhs_full,
     homogeneous)`` makes one reduced solve and checks the relative
-    residual on the full system (K_fixed + K_varying) x = b. On the ring
-    route it also makes two K_GG solves, one for y_G = K_GG^-1 b_G (none
-    for the zero load with the fixed values, whose y_G the condensation
-    solved at its build) and one for x_G = K_GG^-1 (b_G - K_GI x_I). On the
-    solve route it makes none: the load must vanish on G (else
-    ``ValueError``, before any solve), y_G is the build's solve or zero,
-    and x_G = y_G - X x_I comes from the kept responses. ``varying`` is
+    residual on the full system (K_fixed + K_varying) x = b. With the
+    K_GG factor kept it also makes two K_GG solves, one for
+    y_G = K_GG^-1 b_G (none for the zero load with the fixed values, whose
+    y_G the condensation solved at its build) and one for
+    x_G = K_GG^-1 (b_G - K_GI x_I). With the responses kept instead it
+    makes none: the load must vanish on G (else ``ValueError``, before any
+    solve), y_G is the build's solve or zero, and x_G = y_G - X x_I. ``varying`` is
     the varying elements' operator alone, on the reduced DOFs; the reduced
     system factored adds the condensed fixed block to its data, in the
     given order.

@@ -93,11 +93,15 @@ def state_system(mesh: TriMesh, matmap: MacroMaterialMap,
 
 
 def condensed_conduction(mesh: TriMesh, tensors: np.ndarray, varying: np.ndarray,
-                         bc: BoundaryData) -> fem.Condensation:
+                         bc: BoundaryData, keep_responses: bool = False) -> fem.Condensation:
     """Conduction with the given element tensors and fixed edge temperatures,
     its fixed elements condensed onto the elements of the mask ``varying``,
     whose own tensors are left out (see :class:`fem.Condensation`). Every
-    tensor must be SPD, as :func:`fem.assemble_diffusion` requires."""
+    tensor must be SPD, as :func:`fem.assemble_diffusion` requires.
+    ``keep_responses`` trades the fixed block's factor for its interface
+    responses, for callers whose loads all vanish off the varying
+    elements; the optimizer's adjoint loads the fixed block, so its state
+    operator keeps the factor."""
     fem._check_spd(tensors)
     ke = fem.element_stiffness(mesh, tensors)
     ke[varying] = 0.0
@@ -107,7 +111,7 @@ def condensed_conduction(mesh: TriMesh, tensors: np.ndarray, varying: np.ndarray
     # ``tensors`` before the assembly measured a 3 MB lower peak on the
     # macro mesh but 5-20 MB higher on the tiled one, through heap placement
     del ke, tensors
-    return fem.Condensation(fixed, np.flatnonzero(varying))
+    return fem.Condensation(fixed, np.flatnonzero(varying), keep_responses)
 
 
 def state_factorization(mesh: TriMesh, matmap: MacroMaterialMap,

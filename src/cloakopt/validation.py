@@ -199,10 +199,12 @@ def evaluate_tiled(spec: TilingSpec, mesh: TriMesh | None = None,
 def sweep_condensation(spec: TilingSpec, mesh: TriMesh,
                        obstacle: ObstacleSpec) -> SweepCondensation:
     """The tiled operator of ``spec`` condensed onto the obstacle's disk,
-    the elements that differ between the angles of a sweep."""
+    the elements that differ between the angles of a sweep. Every angle
+    solves the zero load, so the condensation keeps the interface
+    responses in place of the fixed block's factor."""
     return SweepCondensation(spec, macro_solver.condensed_conduction(
         mesh, fem.isotropic_tensors(tile_conductivity(spec, mesh)),
-        obstacle.disk(mesh, spec.geometry), spec.bc))
+        obstacle.disk(mesh, spec.geometry), spec.bc, keep_responses=True))
 
 
 def robustness_sweep(designs: dict[str, TilingSpec], psi_values,

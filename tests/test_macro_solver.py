@@ -244,6 +244,33 @@ def test_macro_ring_reads_the_schur_complement_off_a_throwaway_factor(mesh_name,
     assert 4 * len(c.i) > np.sqrt(len(c.g))
 
 
+def test_ring_of_a_wide_plate_keeps_its_factor_on_the_solves_route(monkeypatch):
+    """On a plate ~4x the paper's with the paper's ring, the optimizer's
+    half-mesh ring forms S_I from K_GG solves, yet keeps the K_GG factor:
+    the adjoint's load on the exterior and obstacle (G) solves as the
+    direct factorization does."""
+    geometry = MacroGeometry(lx=20.0, ly=32.0, r_ring=1.35, r_obstacle=0.4)
+    mesh = build_macro_mesh(geometry, 0.25, half=True)
+    read = []
+    schur = fem._interface_schur
+    monkeypatch.setattr(fem, "_interface_schur", lambda *a: read.append(a) or schur(*a))
+    bc, matmap = BoundaryData(0.5, 2.0), anisotropic_map()
+    condensed = ms.state_factorization(mesh, matmap, bc)
+    c = condensed.condensation
+    assert read == [] and 0 < 4 * len(c.i) <= np.sqrt(len(c.g))
+    assert c.responses is None
+    direct = direct_factorization(mesh, matmap, bc)
+    state = direct.solve()
+    assert relative_difference(condensed.solve(), state) <= 1e-12
+    load = ms.adjoint_load(mesh, {"j1": 0.3, "j2": 0.7}, fem.ScalarField(state, mesh),
+                           ms.reference_field(mesh, bc))
+    assert c.structure.restrict(load)[c.g].any()
+    for homogeneous in (True, False):
+        want = direct.solve(load, homogeneous=homogeneous)
+        got = condensed.solve(load, homogeneous=homogeneous)
+        assert relative_difference(got, want) <= 1e-12
+
+
 def test_system_load_reuses_its_fixed_block_solve(paper_geometry, monkeypatch):
     """The condensation solves K_GG for the zero load once, at its build.
     Each state solve then makes 1 K_GG solve and each adjoint solve 2,
