@@ -9,20 +9,21 @@ pinning) are represented by an affine reconstruction
 where R is a 0/1 matrix with at most one nonzero per row
 (:class:`Constraints`: R as ``dof_of_node``, g as ``fixed_values``).
 Reducing an assembled system through R keeps it symmetric positive
-definite, so every factorization runs in SuperLU's symmetric
-minimum-degree order (MMD on A^T + A). The one-off direct solves (a
-single tiled evaluation, the normalized-mode fill, exports) compute that
-order at factor time. Every operator factored again and again keeps an
-order given to it, with diagonal pivots, because its pattern is the same
-each time and ordering it again would only repeat the work: a
-condensation's fixed blocks (K_GG, and the throwaway K_FF that yields
-S_I), and every system on an ``ordered`` :class:`Structure`, whose DOFs
-are numbered in that order once per mesh. The periodic cell operator
-(:func:`cloakopt.homogenization.cell_operator`) is one; a condensation's
-varying block (the macro design ring, the sweep's insert) is the other,
-numbered for every entry that SPD tensors can fill. All these orders
-come from :func:`minimum_degree_order`. Every factorization also uses one
-supernode setting, :data:`SUPERNODE_RELAX` and :data:`PANEL_SIZE`. The
+definite, so every factorization (:func:`_factor`) takes diagonal pivots
+in SuperLU's symmetric mode and runs in its symmetric minimum-degree
+order (MMD on A^T + A). Only where that order comes from differs. The
+one-off direct solves (a single tiled evaluation, the normalized-mode
+fill, exports) compute it at factor time (:data:`ORDERING`). Every
+operator factored again and again is given it (``NATURAL``), because
+its pattern is the same each time and ordering it again would only
+repeat the work: a condensation's fixed blocks (K_GG, and the throwaway
+K_FF that yields S_I), and every system on an ``ordered``
+:class:`Structure`, whose DOFs are numbered in that order once per mesh.
+The periodic cell operator (:func:`cloakopt.homogenization.cell_operator`)
+is one; a condensation's varying block (the macro design ring, the
+sweep's insert) is the other, numbered for every entry that SPD tensors
+can fill. All these orders come from :func:`minimum_degree_order`.
+Every factorization also uses one supernode setting, :data:`SUPERNODE_RELAX` and :data:`PANEL_SIZE`. The
 elimination trees of these 2D P1 operators have short supernodes, which
 scipy's defaults (relax 10, panel 20) pad with explicit zeros, and the
 padding costs more than its dense kernels save. Relax 1 and panel 4, a
@@ -62,23 +63,19 @@ no client: its operator is solved exactly by FFT on the periodic cell
 grid (:mod:`cloakopt.levelset`), so nothing here is factored for it;
 only the residual contract (:func:`_check_solution`) is shared.
 
-The interface Schur complement S_I comes by one of two routes, chosen by
-size. Where the interface is small against the fixed block
-(4 |I| <= sqrt(|G|), as for the sweep's insert), S_I is formed from the
-interface responses X = K_GG^-1 K_GI, solved on the fixed block's factor
-:data:`RESPONSE_BLOCK` columns at a time. Otherwise (the macro design
-ring of the paper's plate, whose interface is 1.2-1.4 sqrt(|G|)), those
-solves would cost more than a second factorization, so S_I is read off a
-throwaway factor of the whole fixed part with the interface last. The
-route decides cost only: either way the condensation keeps the K_GG
-factor and takes loads of any kind (the optimizer's adjoint loads the
-exterior and obstacle, which are G). A caller whose loads all vanish on
-G (the robustness sweep: a zero load with fixed edge temperatures) may
-ask instead to keep X, the static constraint modes of substructuring
-(Guyan 1965; Craig & Bampton 1968). S_I is then formed from X whatever
-the size, and the factor is freed: for such a load K_GG^-1 b_G is the
-zero load's solve from the build, or zero, so x_G = K_GG^-1 b_G - X x_I
-needs no K_GG solve. Any other load then raises ``ValueError``.
+A condensation works in one of two modes, and its mode alone decides how
+the interface Schur complement S_I is formed. By default it keeps the
+K_GG factor and takes loads of any kind (the optimizer's adjoint loads
+the exterior and obstacle, which are G); S_I is read off a throwaway
+factor of the whole fixed part with the interface last. A caller whose
+loads all vanish on G (the robustness sweep: a zero load with fixed edge
+temperatures) asks instead to keep the interface responses
+X = K_GG^-1 K_GI, the static constraint modes of substructuring (Guyan
+1965; Craig & Bampton 1968). X is solved on the K_GG factor
+:data:`RESPONSE_BLOCK` columns at a time, S_I is formed from it, and the
+factor is freed: for such a load K_GG^-1 b_G is the zero load's solve
+from the build, or zero, so x_G = K_GG^-1 b_G - X x_I needs no K_GG
+solve. Any other load then raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -547,10 +544,13 @@ def _superlu(routine, matrix: sp.csc_matrix, **options):
         ) from exc
 
 
-def _factor(matrix: sp.csc_matrix, **options):
-    """SuperLU factorization with the module's supernode constants."""
-    return _superlu(spla.splu, matrix, relax=SUPERNODE_RELAX, panel_size=PANEL_SIZE,
-                    **options)
+def _factor(matrix: sp.csc_matrix, *, permc_spec: str):
+    """SuperLU factorization of an SPD matrix: diagonal pivots in symmetric
+    mode and the module's supernode constants, in the column order
+    ``permc_spec``, given (``"NATURAL"``) or computed (:data:`ORDERING`)."""
+    return _superlu(spla.splu, matrix, permc_spec=permc_spec, diag_pivot_thresh=0.0,
+                    relax=SUPERNODE_RELAX, panel_size=PANEL_SIZE,
+                    options={"SymmetricMode": True})
 
 
 def minimum_degree_order(matrix: sp.csc_matrix) -> np.ndarray:
@@ -581,10 +581,6 @@ def _check_solution(x: np.ndarray, residual: np.ndarray, b: np.ndarray) -> None:
         )
 
 
-_SYMMETRIC_PIVOTS = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0,
-                     "options": {"SymmetricMode": True}}   # keep a given order
-
-
 class Factorization:
     """Direct sparse factorization of a reduced system, reusable across
     loads; in minimum-degree order, computed here unless the system's
@@ -592,8 +588,8 @@ class Factorization:
 
     def __init__(self, system: SparseSystem):
         self.system = system
-        options = _SYMMETRIC_PIVOTS if system.structure.ordered else {"permc_spec": ORDERING}
-        self._lu = _factor(system.matrix, **options) if system.n_free else None
+        order = "NATURAL" if system.structure.ordered else ORDERING
+        self._lu = _factor(system.matrix, permc_spec=order) if system.n_free else None
 
     def solve(self, rhs_full: np.ndarray | None = None,
               homogeneous: bool = False) -> np.ndarray:
@@ -626,10 +622,9 @@ class Condensation:
     (on a varying element), I (off them but coupled to R by the fixed
     operator) and G (the rest of the fixed region). The fixed block K_GG
     is factored once, in minimum-degree order, and the interface Schur
-    complement S_I = K_II - K_IG K_GG^-1 K_GI is formed once, by the
-    route :func:`_solves_form_schur` picks (unless ``keep_responses``,
-    below). A varying operator then needs only the SPD factorization of
-    [[S_I, K_IR], [K_RI, K_RR]] (:meth:`factor`).
+    complement S_I = K_II - K_IG K_GG^-1 K_GI is formed once, in the way
+    ``keep_responses`` (below) picks. A varying operator then needs only
+    the SPD factorization of [[S_I, K_IR], [K_RI, K_RR]] (:meth:`factor`).
     Its DOFs, I and R, are numbered once, in the minimum-degree order of
     every entry that SPD tensors on the varying elements can fill
     (:attr:`varying`, an ``ordered`` structure; :attr:`reduced_dofs` maps
@@ -643,13 +638,14 @@ class Condensation:
     solved once, at the build (:attr:`zero_load_g`). Holds the fixed
     operator, its lift, that solve and the varying block's assembly, but
     not the mesh. By default it also holds the K_GG factor, for loads of
-    any kind. With ``keep_responses`` it forms S_I from the interface
-    responses X = K_GG^-1 K_GI, holds X instead (:attr:`responses`) and
-    frees the factor once X and that solve are formed: it then takes only
-    loads that vanish on G, for which K_GG^-1 b_G is that solve (or zero,
-    for a homogeneous solve), and x_G needs no K_GG solve. That is for
-    callers whose loads never touch G (the robustness sweep's insert);
-    the size of the interface never decides it.
+    any kind, and reads S_I off a throwaway factor of K_FF
+    (:func:`_interface_schur`). With ``keep_responses`` it forms S_I from
+    the interface responses X = K_GG^-1 K_GI (:meth:`_solved_schur`),
+    holds X instead (:attr:`responses`) and frees the factor once X and
+    that solve are formed: it then takes only loads that vanish on G, for
+    which K_GG^-1 b_G is that solve (or zero, for a homogeneous solve),
+    and x_G needs no K_GG solve. That is for callers whose loads never
+    touch G (the robustness sweep's insert).
     """
 
     def __init__(self, fixed: SparseSystem, varying_elements: np.ndarray,
@@ -675,13 +671,12 @@ class Condensation:
         self.g = g
         self.k_ig = k[i][:, g]
         self.responses: np.ndarray | None = None
-        solves = keep_responses or _solves_form_schur(len(i), len(g))
-        if not solves:
+        if not keep_responses:
             self.schur = _interface_schur(k, g, i)
         # factored after the K_FF factor behind a read S_I is freed: they never coexist
-        self._lu = _factor(k[g][:, g], **_SYMMETRIC_PIVOTS) if len(g) else None
-        if solves:
-            self.schur, blocks = self._solved_schur(k[i][:, i], keep_responses)
+        self._lu = _factor(k[g][:, g], permc_spec="NATURAL") if len(g) else None
+        if keep_responses:
+            self.schur, blocks = self._solved_schur(k[i][:, i])
         # formed as CondensedFactorization.solve forms b, so even signed zeros match
         self.zero_load_g = self.solve_g((np.zeros(n) - self.fixed_lift)[g])
         if keep_responses:
@@ -726,11 +721,9 @@ class Condensation:
                                                          position[reduced_fixed.col])),
                                    shape=(n_ir, n_ir)))
 
-    def _solved_schur(self, k_ii: sp.csc_matrix,
-                      keep: bool) -> tuple[sp.csc_matrix, list[np.ndarray]]:
-        """S_I = K_II - K_IG X, symmetrized, and (if ``keep``, else none)
-        the interface responses X = K_GG^-1 K_GI as blocks of
-        :data:`RESPONSE_BLOCK` columns.
+    def _solved_schur(self, k_ii: sp.csc_matrix) -> tuple[sp.csc_matrix, list[np.ndarray]]:
+        """S_I = K_II - K_IG X, symmetrized, and the interface responses
+        X = K_GG^-1 K_GI as blocks of :data:`RESPONSE_BLOCK` columns.
 
         Each block is one multi-RHS solve. Beside the K_GG factor and the
         blocks solved so far, it holds two more |G| x block arrays
@@ -747,8 +740,7 @@ class Condensation:
         for j in range(0, len(self.i), RESPONSE_BLOCK):
             block = self.solve_g(k_ig[j:j + RESPONSE_BLOCK].T.toarray())
             s[:, j:j + block.shape[1]] -= k_ig @ block
-            if keep:
-                blocks.append(block)
+            blocks.append(block)
         return sp.csc_matrix(0.5 * (s + s.T)), blocks
 
     def factor(self, tensors: np.ndarray) -> "CondensedFactorization":
@@ -770,26 +762,6 @@ class Condensation:
             raise ValueError("the fixed block's factor is freed: this condensation "
                              "kept its interface responses instead")
         return b_g
-
-
-def _solves_form_schur(n_i: int, n_g: int) -> bool:
-    """Whether S_I is formed from |I| solves on the K_GG factor rather than
-    read off a throwaway factor of K_FF (:func:`_interface_schur`).
-
-    The solves cost |I| K_GG solves, the throwaway route one more
-    factorization; on a 2D mesh a factorization costs some sqrt(|G|)
-    solves. Measured, they break even near |I| = 0.08 sqrt(|G|) for the
-    tiled insert at eps0 = 1/9 and 0.12 sqrt(|G|) for the macro ring at
-    h = 1/64. The threshold 1/4 leans to the solves because they also
-    peak lower in memory (the throwaway factor coexists with the copy of
-    its U that scipy makes); the insert (0.08) and the rings (1.2-1.4 from
-    h = 1/4 to 1/64) lie to either side of it. The ratio grows with the
-    ring's perimeter over the square root of the plate's area, so the
-    ring of a large enough plate takes the solves. Both routes keep the
-    K_GG factor, so the choice moves cost, never the loads a condensation
-    takes.
-    """
-    return 4 * n_i <= np.sqrt(n_g)
 
 
 def _pattern_matrix(block: sp.spmatrix, rows: np.ndarray, cols: np.ndarray) -> sp.csc_matrix:
@@ -819,7 +791,7 @@ def _interface_schur(k: sp.csc_matrix, g: np.ndarray, i: np.ndarray) -> sp.csc_m
     if not len(i):
         return sp.csc_matrix((0, 0))
     f = np.concatenate([g, i])
-    lu = _factor(k[f][:, f], **_SYMMETRIC_PIVOTS)
+    lu = _factor(k[f][:, f], permc_spec="NATURAL")
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise SolverError("the fixed block pivoted off its diagonal; it is not SPD")
     pos = lu.perm_c[len(g):]

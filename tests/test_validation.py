@@ -272,8 +272,9 @@ def test_sweep_condenses_each_design_once(paper_geometry, cell_mesh, monkeypatch
 
 
 def test_insert_schur_complement_matches_explicit(paper_geometry, cell_mesh, monkeypatch):
-    """On a layout small enough for dense algebra, the insert still takes
-    the solve route, and its S_I is the explicit Schur complement."""
+    """On a layout small enough for dense algebra, the insert forms S_I
+    from the interface responses it keeps, not off a throwaway factor, and
+    its S_I is the explicit Schur complement."""
     spec = make_spec(paper_geometry, cell_mesh, epsilon0=1.0)
     mesh = val.fine_mesh(spec)
     read = []
@@ -351,7 +352,8 @@ def test_every_factorization_uses_the_supernode_constants(paper_geometry, cell_m
                                                           monkeypatch):
     """Cell, ring, fixed-block, throwaway, one-off tiled and sweep
     factorizations all reach SuperLU through ``fem._factor``, with its
-    relaxation and panel size."""
+    relaxation and panel size and its one pivoting policy: diagonal pivots
+    in symmetric mode."""
     calls = []
     splu = spla.splu
 
@@ -376,3 +378,5 @@ def test_every_factorization_uses_the_supernode_constants(paper_geometry, cell_m
     for n, kw in calls:
         assert (kw.get("relax"), kw.get("panel_size")) == (
             fem.SUPERNODE_RELAX, fem.PANEL_SIZE), n
+        assert (kw.get("diag_pivot_thresh"), kw.get("options")) == (
+            0.0, {"SymmetricMode": True}), n
