@@ -13,16 +13,16 @@ definite, so every factorization (:func:`_factor`) takes diagonal pivots
 in SuperLU's symmetric mode and runs in its symmetric minimum-degree
 order (MMD on A^T + A). Only where that order comes from differs. The
 one-off direct solves (a single tiled evaluation, the normalized-mode
-fill, exports) compute it at factor time (:data:`ORDERING`). Every
-operator factored again and again is given it (``NATURAL``), because
-its pattern is the same each time and ordering it again would only
-repeat the work: a condensation's fixed blocks (K_GG, and the throwaway
-K_FF that yields S_I), and every system on an ``ordered``
-:class:`Structure`, whose DOFs are numbered in that order once per mesh.
-The periodic cell operator (:func:`cloakopt.homogenization.cell_operator`)
-is one; a condensation's varying block (the macro design ring, the
-sweep's insert) is the other, numbered for every entry that SPD tensors
-can fill. All these orders come from :func:`minimum_degree_order`.
+fill, exports) compute it at factor time (:data:`ORDERING`). Every other
+factorization is given it (``NATURAL``). A condensation numbers its
+fixed block G once, and factors K_GG and the throwaway K_FF that yields
+S_I in that numbering. Every operator factored again and again on one
+pattern is numbered by the :class:`ScaledAssembly` that assembles it,
+once, in the order of every entry its component matrices can fill, and
+its systems lie on that assembly's ``ordered`` :class:`Structure`: the
+periodic cell operator (:func:`cloakopt.homogenization.cell_operator`)
+and a condensation's varying block (the macro design ring, the sweep's
+insert). All these orders come from :func:`minimum_degree_order`.
 Every factorization also uses one supernode setting, :data:`SUPERNODE_RELAX` and :data:`PANEL_SIZE`. The
 elimination trees of these 2D P1 operators have short supernodes, which
 scipy's defaults (relax 10, panel 20) pad with explicit zeros, and the
@@ -230,8 +230,9 @@ class Structure:
     the data slot of each element-local entry (e, i, j); entries in an
     eliminated row or column go to a discarded extra slot. With
     ``ordered`` the constraints number the free DOFs in a fill-reducing
-    order, which :class:`Factorization` keeps. The mesh is held by weak
-    reference: structures are cached on their mesh.
+    order, which :class:`Factorization` keeps; a :class:`ScaledAssembly`
+    builds such a structure in the order it computes. The mesh is held by
+    weak reference: structures are cached on their mesh.
     """
 
     def __init__(self, mesh: TriMesh, constraints: Constraints,
@@ -283,9 +284,10 @@ class Structure:
 
         Entries that sum to exactly zero are dropped: under an isotropic
         conductivity the two ends of a right triangle's hypotenuse do not
-        couple, and the fill-reducing ordering sees only true nonzeros.
-        An operator assembled many times on one pattern is cheaper through
-        :class:`ScaledAssembly`, whose pattern holds no such slots.
+        couple, and a one-off factorization orders only true nonzeros.
+        An operator assembled and factored many times on one pattern goes
+        through :class:`ScaledAssembly` instead, which numbers its DOFs
+        once and whose pattern holds no such slots.
         """
         data = np.bincount(self._slots.ravel(), weights=element_matrices.ravel(),
                            minlength=self.nnz + 1)[:self.nnz]
@@ -312,65 +314,75 @@ class Structure:
 
 class ScaledAssembly:
     """R^T K R for element matrices sum_c s_ec K_ec: fixed component
-    matrices K_ec of a structure's covered elements, scaled by element
-    values s_ec, plus an optional constant matrix C.
+    matrices K_ec of a mesh's elements (all by default, else the indices
+    ``elements``), scaled by element values s_ec, plus an optional
+    constant matrix C, both in the numbering of ``constraints``.
+
+    Every operator factored again and again on one pattern (the periodic
+    cell, a condensation's varying block) is built here, and numbered
+    here alone. The pattern is every entry that some K_ec reaches with a
+    nonzero value, plus C's: the zero couplings of a right triangle's
+    hypotenuse under an isotropic K_e take no entry, but its k12
+    component reaches them. The free DOFs are numbered once, in the
+    :func:`minimum_degree_order` of that pattern (:attr:`order`: entry k
+    is the input DOF numbered k-th), on an ``ordered`` :attr:`structure`,
+    so no factorization of it orders again. Where the off-diagonal
+    entries of every single-component K_e are <= 0 (no obtuse angle), no
+    positive s cancels an entry, so the pattern is that of
+    :meth:`Structure.matrix` for every s.
 
     The reduced matrix is linear in s, so its CSC data is one sparse
     mat-vec of s, through a map built once. With one component per
     element the s_e are the element conductivities (the cell); with the
     three of :func:`tensor_components` they are a tensor's (k11, k12, k22)
-    (a condensation's varying block). The pattern holds the slots that
-    some K_ec reaches with a nonzero entry, and those of C: the zero
-    couplings of a right triangle's hypotenuse under an isotropic K_e
-    take no slot, but its k12 component reaches them. Where the other
-    off-diagonal entries of every single-component K_e are <= 0 (no
-    obtuse angle), no positive s cancels an entry, so the pattern is that
-    of :meth:`Structure.matrix` for every s. The lift of nonzero fixed
-    values is linear in s too, and goes through a second map.
+    (a condensation's varying block). The lift of nonzero fixed values is
+    linear in s too, and goes through a second map.
     """
 
-    def __init__(self, on: Structure, element_matrices: np.ndarray,
-                 constant: sp.spmatrix | None = None):
-        self.structure = on
-        n, n_e = on.n_free, on.n_elements
+    def __init__(self, mesh: TriMesh, constraints: Constraints, element_matrices: np.ndarray,
+                 elements: np.ndarray | None = None, constant: sp.spmatrix | None = None):
+        nodes = mesh.elements if elements is None else mesh.elements[elements]
+        n, n_e = constraints.n_free, len(nodes)
         matrices = element_matrices.reshape(n_e, -1, 3, 3)
         n_c = matrices.shape[1]
         self._n_scales = n_e * n_c
-        slots = np.broadcast_to(on._slots[:, None], matrices.shape).ravel()
+        local = constraints.dof_of_node[nodes]
+        rows = np.broadcast_to(local[:, None, :, None], matrices.shape).ravel()
+        cols = np.broadcast_to(local[:, None, None, :], matrices.shape).ravel()
         values = matrices.ravel()
-        keep = (slots < on.nnz) & (values != 0.0)
-        slots, values = slots[keep], values[keep]
+        keep = (rows >= 0) & (cols >= 0) & (values != 0.0)
+        rows, cols, values = rows[keep], cols[keep], values[keep]
         scales = np.repeat(np.arange(n_e * n_c), 9)[keep]
         del keep
+        c = sp.coo_matrix((n, n)) if constant is None else constant.tocoo()
 
-        # column-major position of every slot of the structure's pattern
-        slot_keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(on._indptr)) + on._indices
-        used = np.zeros(on.nnz, dtype=bool)
-        used[slots] = True
-        keys = slot_keys[used]
-        del used
-        if constant is not None:
-            constant = constant.tocoo()
-            constant_keys = constant.col.astype(np.int64) * n + constant.row
-            keys = np.concatenate([keys, constant_keys])
-            keys.sort()
-            keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
-        self._map = sp.csr_matrix(
-            (values, (np.searchsorted(keys, slot_keys)[slots], scales)),
-            shape=(len(keys), n_e * n_c))
-        del values, slots, scales
+        self.order = minimum_degree_order(_pattern_matrix(n, np.r_[rows, c.row],
+                                                          np.r_[cols, c.col]))
+        position = np.empty_like(self.order)
+        position[self.order] = np.arange(n)
+        dof = np.where(constraints.dof_of_node >= 0, position[constraints.dof_of_node], -1)
+        self.structure = Structure(mesh, replace(constraints, dof_of_node=dof), elements,
+                                   ordered=True)
+
+        # column-major positions of the entries in that numbering
+        entry_keys = position[cols].astype(np.int64) * n + position[rows]
+        constant_keys = position[c.col].astype(np.int64) * n + position[c.row]
+        pattern = np.unique(np.r_[entry_keys, constant_keys])
+        self._map = sp.csr_matrix((values, (np.searchsorted(pattern, entry_keys), scales)),
+                                  shape=(len(pattern), n_e * n_c))
+        del values, scales, entry_keys
         # C's data on the pattern; system() leaves it out, its callers add it
         self.constant = None if constant is None else np.bincount(
-            np.searchsorted(keys, constant_keys), weights=constant.data, minlength=len(keys))
-        self._indices = (keys % n).astype(np.int32)
-        self._indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
+            np.searchsorted(pattern, constant_keys), weights=c.data, minlength=len(pattern))
+        self._indices = (pattern % n).astype(np.int32)
+        self._indptr = np.searchsorted(pattern, np.arange(n + 1) * n).astype(np.int32)
 
-        lifting = on._lift_elements
+        lifting = np.flatnonzero((constraints.fixed_values[nodes] != 0.0).any(axis=1))
         self._lift = None
         if len(lifting):
-            nodes = on._elements[lifting]
-            kg = matrices[lifting] @ on.constraints.fixed_values[nodes][:, None, :, None]
-            rows = np.broadcast_to(on.constraints.dof_of_node[nodes][:, None], kg.shape[:3])
+            nodes = nodes[lifting]
+            kg = matrices[lifting] @ constraints.fixed_values[nodes][:, None, :, None]
+            rows = np.broadcast_to(dof[nodes][:, None], kg.shape[:3])
             cols = np.broadcast_to((lifting[:, None] * n_c + np.arange(n_c))[:, :, None],
                                    kg.shape[:3])
             free = rows >= 0
@@ -625,13 +637,13 @@ class Condensation:
     complement S_I = K_II - K_IG K_GG^-1 K_GI is formed once, in the way
     ``keep_responses`` (below) picks. A varying operator then needs only
     the SPD factorization of [[S_I, K_IR], [K_RI, K_RR]] (:meth:`factor`).
-    Its DOFs, I and R, are numbered once, in the minimum-degree order of
-    every entry that SPD tensors on the varying elements can fill
-    (:attr:`varying`, an ``ordered`` structure; :attr:`reduced_dofs` maps
-    them back), and it is assembled by one mat-vec of the tensors'
-    components (:attr:`assembly`, whose constant is the condensed fixed
-    block), so a refactorization neither assembles element matrices nor
-    orders.
+    It is assembled by one mat-vec of the tensors' components
+    (:attr:`assembly`, a :class:`ScaledAssembly` over I and R with G
+    eliminated, whose constant is the condensed fixed block), which
+    numbers I and R once, in the minimum-degree order of every entry that
+    SPD tensors on the varying elements can fill (:attr:`varying`, its
+    ``ordered`` structure; :attr:`reduced_dofs` maps them back), so a
+    refactorization neither assembles element matrices nor orders.
 
     Every inhomogeneous solve of the zero load has the same b_G (the
     varying elements' lift touches only R), so K_GG^-1 b_G of that load is
@@ -696,30 +708,16 @@ class Condensation:
 
         # K_II is cancelled exactly before S_I replaces it
         reduced_fixed = (k[ir][:, ir] - leading(k[i][:, i])) + leading(self.schur)
-        # numbered once in the minimum-degree order of every slot that the
-        # varying elements can fill (their hypotenuse couplings included,
-        # which isotropic tensors leave at zero) and of the condensed block
+        # I and R numbered as in ir, G eliminated (its fixed value is 0)
         reduced_of = np.full(n, -1)
         reduced_of[ir] = np.arange(n_ir)
-        local = np.where(local >= 0, reduced_of[local], -1)
-        rows = np.repeat(local, 3, axis=1).ravel()
-        cols = np.tile(local, 3).ravel()
-        both = (rows >= 0) & (cols >= 0)
-        order = minimum_degree_order(_pattern_matrix(reduced_fixed, rows[both], cols[both]))
-        del local, rows, cols, both
-        self.reduced_dofs = ir[order]          # the free DOF of each reduced one
-        reduced_of[self.reduced_dofs] = np.arange(n_ir)
-        self.varying = Structure(
+        self.assembly = ScaledAssembly(
             mesh, Constraints(np.where(dof >= 0, reduced_of[dof], -1),
                               on.constraints.fixed_values),
-            varying_elements, ordered=True)
-        position = reduced_of[ir]
-        reduced_fixed = reduced_fixed.tocoo()
-        self.assembly = ScaledAssembly(
-            self.varying, tensor_components(mesh, varying_elements),
-            constant=sp.coo_matrix((reduced_fixed.data, (position[reduced_fixed.row],
-                                                         position[reduced_fixed.col])),
-                                   shape=(n_ir, n_ir)))
+            tensor_components(mesh, varying_elements), varying_elements,
+            constant=reduced_fixed)
+        self.varying = self.assembly.structure
+        self.reduced_dofs = ir[self.assembly.order]      # the free DOF of each reduced one
 
     def _solved_schur(self, k_ii: sp.csc_matrix) -> tuple[sp.csc_matrix, list[np.ndarray]]:
         """S_I = K_II - K_IG X, symmetrized, and the interface responses
@@ -764,15 +762,12 @@ class Condensation:
         return b_g
 
 
-def _pattern_matrix(block: sp.spmatrix, rows: np.ndarray, cols: np.ndarray) -> sp.csc_matrix:
-    """A nonsingular matrix on the union of ``block``'s pattern and the
-    entries (rows, cols), for :func:`minimum_degree_order`: the ordering
-    reads only the pattern, the incomplete factorization behind it needs
-    nonzero pivots, which diagonal dominance gives."""
-    n = block.shape[0]
-    block = block.tocoo()
-    pattern = sp.csc_matrix((np.ones(len(block.data) + len(rows)),
-                             (np.r_[block.row, rows], np.r_[block.col, cols])), shape=(n, n))
+def _pattern_matrix(n: int, rows: np.ndarray, cols: np.ndarray) -> sp.csc_matrix:
+    """A nonsingular n x n matrix on the entries (rows, cols), for the
+    :func:`minimum_degree_order` that numbers a :class:`ScaledAssembly`:
+    the ordering reads only the pattern, the incomplete factorization
+    behind it needs nonzero pivots, which diagonal dominance gives."""
+    pattern = sp.csc_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
     pattern.data[:] = -1.0
     pattern.setdiag(np.diff(pattern.indptr))
     return pattern

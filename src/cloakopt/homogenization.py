@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -100,10 +100,9 @@ class EffectiveTensor:
 def cell_operator(mesh: TriMesh) -> fem.ScaledAssembly:
     """The cell operator as a function of the element conductivities, built
     once per mesh: periodic, the first master pinned to 0 (so no lift), and
-    its free DOFs in the minimum-degree order of the unit-conductivity
-    operator, whose pattern every positive isotropic conductivity shares
-    (:class:`fem.ScaledAssembly`); the structure is ``ordered``, so no
-    cell factorization orders again."""
+    numbered by its :class:`fem.ScaledAssembly` in the minimum-degree order
+    of the unit-conductivity operator's pattern, which every positive
+    isotropic conductivity shares, so no cell factorization orders again."""
     if mesh.periodic_pairs is None:
         raise ValueError("cell problems require a mesh with periodic pairs")
 
@@ -112,12 +111,7 @@ def cell_operator(mesh: TriMesh) -> fem.ScaledAssembly:
         c = fem.apply_periodic(fem.Constraints.none(mesh.n_nodes), mesh.periodic_pairs,
                                gauge=gauge)
         unit = fem.element_stiffness(mesh, fem.isotropic_tensors(np.ones(mesh.n_elements)))
-        order = fem.minimum_degree_order(fem.Structure(mesh, c).matrix(unit))
-        position = np.empty_like(order)
-        position[order] = np.arange(len(order))
-        dof = np.where(c.dof_of_node >= 0, position[c.dof_of_node], -1)
-        on = fem.Structure(mesh, replace(c, dof_of_node=dof), ordered=True)
-        return fem.ScaledAssembly(on, unit)
+        return fem.ScaledAssembly(mesh, c, unit)
     return fem.cached(mesh, "cell_operator", build)
 
 

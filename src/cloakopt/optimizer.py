@@ -472,7 +472,9 @@ def checkpoint(state: DesignState, path) -> None:
 
 def resume(path) -> DesignState:
     """Reload a checkpoint; the cell mesh is rebuilt from the node count.
-    A ``"counters"`` entry, written by earlier versions, is ignored."""
+    A ``"counters"`` entry, written by earlier versions, is ignored. A
+    missing key, or a tensors or history entry with missing or unknown
+    fields, raises ``ValueError`` naming it."""
     path = Path(path)
     state_file = path / "state.json"
     if not state_file.exists():
@@ -480,16 +482,21 @@ def resume(path) -> DesignState:
     with state_file.open() as fh:
         payload = json.load(fh)
 
-    phis = []
-    for l, d in zip(range(SECTOR_FIRST, SECTOR_LAST + 1), payload["d"]):
-        mesh = phis[0].mesh if phis else None       # all cells share the first's mesh
-        phis.append(levelset.read_phi_field(path / f"cell_{l}.csv", mesh,
-                                            cell_index=l, d=d))
-
-    tensors = [EffectiveTensor(**t) for t in payload["tensors"]]
-    history = [IterationRecord(**r) for r in payload["history"]]
-    return DesignState(
-        iteration=payload["iteration"], phis=phis, tensors=tensors,
-        j1=payload["j1"], j2=payload["j2"], j=payload["j"],
-        j1_init=payload["j1_init"], j2_init=payload["j2_init"],
-        history=history)
+    try:
+        state = DesignState(
+            iteration=payload["iteration"], phis=[],
+            tensors=[EffectiveTensor(**t) for t in payload["tensors"]],
+            j1=payload["j1"], j2=payload["j2"], j=payload["j"],
+            j1_init=payload["j1_init"], j2_init=payload["j2_init"],
+            history=[IterationRecord(**r) for r in payload["history"]])
+        widths = payload["d"]
+    except KeyError as exc:
+        raise ValueError(f"{state_file}: missing key {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"{state_file}: a tensors or history entry has missing or "
+                         f"unknown fields ({exc})") from exc
+    for l, d in zip(range(SECTOR_FIRST, SECTOR_LAST + 1), widths):
+        mesh = state.phis[0].mesh if state.phis else None     # all cells share the first's mesh
+        state.phis.append(levelset.read_phi_field(path / f"cell_{l}.csv", mesh,
+                                                  cell_index=l, d=d))
+    return state

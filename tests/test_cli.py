@@ -511,3 +511,29 @@ def test_resume_of_an_unmirrored_checkpoint_exit_code(short_run, tmp_path, capsy
                    "--out", str(run), "--resume"])
     assert rc == 2
     assert "cell 7 is not the reflection of cell 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("corrupt, named", [
+    (lambda payload: payload.pop("tensors"), "missing key 'tensors'"),
+    (lambda payload: payload.pop("history"), "missing key 'history'"),
+    (lambda payload: payload["tensors"][0].pop("k12"), "'k12'"),
+    (lambda payload: payload["history"][0].update(speed=1.0), "'speed'"),
+], ids=["no-tensors", "no-history", "tensor-without-k12", "history-with-unknown-field"])
+@pytest.mark.parametrize("command", ["validate", "sweep", "optimize"])
+def test_malformed_checkpoint_exit_code(short_run, tmp_path, capsys, command, corrupt, named):
+    """A checkpoint without its tensors or history, or with an entry of
+    missing or unknown fields, is refused with the file and the key named."""
+    run = tmp_path / "run"
+    shutil.copytree(short_run, run)
+    for state in run.rglob("state.json"):
+        payload = json.loads(state.read_text())
+        corrupt(payload)
+        state.write_text(json.dumps(payload))
+    flags = {"validate": ["--run", str(run), "--epsilon0", "0.25"],
+             "sweep": ["--run", f"short={run}", "--epsilon0", "0.25",
+                       "--out", str(tmp_path / "sweep.csv")],
+             "optimize": ["--config", str(small_config(tmp_path)), "--out", str(run),
+                          "--resume"]}[command]
+    assert cli.main([command, *flags]) == 2
+    err = capsys.readouterr().err.strip().splitlines()[-1]
+    assert err.startswith("configuration error") and "state.json" in err and named in err

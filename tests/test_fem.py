@@ -310,13 +310,15 @@ def test_cell_factor_fill_at_resolution_64(cell_mesh_64):
     assert fact._lu.nnz <= 2.0e5
 
 
-@pytest.mark.parametrize("resolution", [16, 32])
+@pytest.mark.parametrize("resolution", [16, 32, 64])
 def test_cell_operator_is_the_slot_assembly_in_minimum_degree_order(resolution):
-    """The conductivity-to-data map of the cell template against
-    element_stiffness assembled on a plain Structure in the template's
+    """The conductivity-to-data map of the cell's ScaledAssembly against
+    element_stiffness assembled on a plain Structure in the assembly's
     numbering. That numbering is SuperLU's own minimum-degree order: the
-    template's factor, kept in it, has the fill of an MMD factor of the
-    operator in mesh numbering."""
+    assembly's factor, kept in it, has the fill of an MMD factor of the
+    operator in mesh numbering. The assembly orders the pattern alone
+    (_pattern_matrix), and that order is the one of the unit-conductivity
+    operator's values."""
     mesh = build_cell_mesh(UnitCellGeometry(resolution))
     system, ke = cell_operator(mesh)
     assert system.structure.ordered
@@ -331,3 +333,10 @@ def test_cell_operator_is_the_slot_assembly_in_minimum_degree_order(resolution):
     mmd = fem._factor(plain, permc_spec=fem.ORDERING)
     np.testing.assert_array_equal(fem.minimum_degree_order(plain), np.argsort(mmd.perm_c))
     assert fem.Factorization(system)._lu.nnz == mmd.nnz
+
+    unit = fem.Structure(mesh, folded).matrix(
+        fem.element_stiffness(mesh, fem.isotropic_tensors(np.ones(mesh.n_elements))))
+    by_values = fem.minimum_degree_order(unit)
+    by_pattern = fem.minimum_degree_order(fem._pattern_matrix(unit.shape[0], *unit.nonzero()))
+    np.testing.assert_array_equal(by_values, by_pattern)
+    np.testing.assert_array_equal(homogenization.cell_operator(mesh).order, by_values)

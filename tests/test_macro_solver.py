@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cloakopt import fem
 from cloakopt import homogenization as hom
@@ -234,6 +235,36 @@ def test_interface_schur_complement_matches_explicit(coarse_macro_mesh, keep_res
     want = k[np.ix_(i, i)] - k[np.ix_(i, g)] @ np.linalg.solve(k[np.ix_(g, g)], k[np.ix_(g, i)])
     assert len(i) > 0
     assert relative_difference(c.schur.toarray(), want) <= 1e-12
+
+
+def test_ring_assembly_is_the_slot_assembly_plus_the_condensed_block(coarse_macro_mesh):
+    """The ring's ScaledAssembly, whose constant is the condensed fixed
+    block C, against element matrices assembled on its own structure plus
+    C formed from the fixed operator and S_I; its numbering covers I and
+    R once each."""
+    mesh = coarse_macro_mesh
+    region = mesh.element_region
+    ring = (region >= 1) & (region <= 8)
+    c = ms.condensed_conduction(mesh, anisotropic_map().element_tensors(mesh), ring,
+                                BoundaryData())
+    a, on = c.assembly, c.varying
+    assert on is a.structure and on.ordered
+    r = c.structure.constraints.dof_of_node[mesh.elements[ring]]
+    np.testing.assert_array_equal(np.sort(c.reduced_dofs), np.union1d(c.i, r[r >= 0]))
+
+    p = c.reduced_dofs
+    position = np.empty(c.structure.n_free, dtype=int)
+    position[p] = np.arange(len(p))
+    constant = c.fixed_matrix[p][:, p].toarray()
+    constant[np.ix_(position[c.i], position[c.i])] = c.schur.toarray()
+    scales = np.random.default_rng(5).uniform(0.5, 2.0, (on.n_elements, 3))
+    ke = np.einsum("ec,ecij->eij", scales, fem.tensor_components(mesh, on.element_ids))
+    want = (on.matrix(ke) + sp.csc_matrix(constant)).tocsc()
+    got = a.system(scales).matrix
+    got.data += a.constant
+    assert abs(got - want).max() <= 1e-13 * abs(want).max()
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
 
 
 @pytest.mark.parametrize("mesh_name", ["coarse_macro_mesh", "macro_mesh"])
