@@ -6,46 +6,47 @@ pinning) are represented by an affine reconstruction
 
     u_nodes = R @ u_free + g
 
-where R is a 0/1 matrix with at most one nonzero per row
-(:class:`Constraints`: R as ``dof_of_node``, g as ``fixed_values``).
+where R is a 0/1 matrix with at most one nonzero per row. Four objects
+each hold one thing, and nothing that no reader reads:
+
+- :class:`Constraints` is the numbering: R as ``dof_of_node``, g as
+  ``fixed_values``. It expands free values to nodal ones (R x + g) and
+  restricts nodal loads to free ones (R^T f).
+- :class:`Structure` is the slot table of one-off assembly: the reduced
+  CSC pattern of a mesh (or of some of its elements) under one
+  constraint set, and the data slot of every element-local 3x3 entry.
+  :func:`structure` builds it once per mesh and constraint set, at first
+  use; assembling on it is one ``np.bincount`` into the slots.
+- :class:`ScaledAssembly` is the ordered assembly of an operator that is
+  refactored again and again on one pattern, from a few values per
+  element: the periodic cell operator (its conductivities) and a
+  condensation's varying block (the macro design ring, the sweep's
+  insert; a tensor's k11, k12, k22). It numbers the free DOFs once and
+  assembles by one sparse mat-vec.
+- :class:`SparseSystem` is an operator and nothing else: its
+  constraints, R^T K R, the lift R^T K g of the fixed values, and
+  whether the constraints number it in a fill-reducing order. Each
+  solve is given its nodal load, ``None`` standing for the zero load.
+
+Objects cached on a mesh never hold the mesh strongly, so a mesh is
+freed as soon as its last outside reference goes.
+
 Reducing an assembled system through R keeps it symmetric positive
 definite, so every factorization (:func:`_factor`) takes diagonal pivots
 in SuperLU's symmetric mode and runs in its symmetric minimum-degree
-order (MMD on A^T + A). Only where that order comes from differs. The
-one-off direct solves (a single tiled evaluation, the normalized-mode
-fill, exports) compute it at factor time (:data:`ORDERING`). Every other
-factorization is given it (``NATURAL``). A condensation numbers its
+order (MMD on A^T + A), from :func:`minimum_degree_order`. The one-off
+direct solves (a single tiled evaluation, the normalized-mode fill,
+exports) compute it at factor time (:data:`ORDERING`). Every other
+factorization is given it (``NATURAL``): a condensation numbers its
 fixed block G once, and factors K_GG and the throwaway K_FF that yields
-S_I in that numbering. Every operator factored again and again on one
-pattern is numbered by the :class:`ScaledAssembly` that assembles it,
-once, in the order of every entry its component matrices can fill, and
-its systems lie on that assembly's ``ordered`` :class:`Structure`: the
-periodic cell operator (:func:`cloakopt.homogenization.cell_operator`)
-and a condensation's varying block (the macro design ring, the sweep's
-insert). All these orders come from :func:`minimum_degree_order`.
-Every factorization also uses one supernode setting, :data:`SUPERNODE_RELAX` and :data:`PANEL_SIZE`. The
-elimination trees of these 2D P1 operators have short supernodes, which
-scipy's defaults (relax 10, panel 20) pad with explicit zeros, and the
-padding costs more than its dense kernels save. Relax 1 and panel 4, a
-point of the flat optimum that interleaved timings of the cell, ring and
-fine operators found for relax 1-2 and panels of 2-5, factor the
-resolution-64 cell (with 6% less fill) and the macro ring ~20% faster,
+S_I in that numbering, and the systems of a :class:`ScaledAssembly` come
+``ordered``. Every factorization also uses one supernode setting,
+:data:`SUPERNODE_RELAX` and :data:`PANEL_SIZE`: scipy's defaults (relax
+10, panel 20) pad the short supernodes of these 2D P1 operators with
+explicit zeros that cost more than their dense kernels save. Relax 1 and
+panel 4 factor the resolution-64 cell and the macro ring ~20% faster,
 the eps0 = 1/9 fine operator 12-20% and the fixed blocks of a
 condensation 15-35%.
-
-The constraint map and the sparsity of the reduced operator depend only
-on the mesh and the constraint set. :func:`structure` builds them once
-per mesh and constraint set, at first use: the node-to-DOF map, the
-reduced CSC pattern, and the data slot of every element-local 3x3 entry
-with periodic slaves folded onto their masters. Assembling a system on such
-a :class:`Structure` is one ``np.bincount`` of its element matrices
-into the fixed slots; where the element matrices are fixed combinations
-of a few element values (the cell's conductivities, a tensor's k11, k12
-and k22), :class:`ScaledAssembly` makes it one sparse mat-vec. Objects
-cached on a mesh never hold the mesh strongly, so a mesh is freed as
-soon as its last outside reference goes.
-A :class:`SparseSystem` is an operator and nothing else: each solve is
-given its nodal load, ``None`` standing for the zero load.
 
 Most solves factor the whole reduced operator (:class:`Factorization`).
 The exception is an operator refactored many times with only a fixed
@@ -68,14 +69,11 @@ the interface Schur complement S_I is formed. By default it keeps the
 K_GG factor and takes loads of any kind (the optimizer's adjoint loads
 the exterior and obstacle, which are G); S_I is read off a throwaway
 factor of the whole fixed part with the interface last. A caller whose
-loads all vanish on G (the robustness sweep: a zero load with fixed edge
-temperatures) asks instead to keep the interface responses
-X = K_GG^-1 K_GI, the static constraint modes of substructuring (Guyan
-1965; Craig & Bampton 1968). X is solved on the K_GG factor
-:data:`RESPONSE_BLOCK` columns at a time, S_I is formed from it, and the
-factor is freed: for such a load K_GG^-1 b_G is the zero load's solve
-from the build, or zero, so x_G = K_GG^-1 b_G - X x_I needs no K_GG
-solve. Any other load then raises ``ValueError``.
+loads all vanish on G (the robustness sweep) asks instead to keep the
+interface responses X = K_GG^-1 K_GI, the static constraint modes of
+substructuring (Guyan 1965; Craig & Bampton 1968), from which S_I is
+formed; the factor is then freed, and x_G = K_GG^-1 b_G - X x_I needs
+no K_GG solve (:class:`Condensation`).
 """
 
 from __future__ import annotations
@@ -131,7 +129,7 @@ class ScalarField:
 
 @dataclass(frozen=True, eq=False)
 class Constraints:
-    """The affine reconstruction u = R x + g of one mesh's nodal values."""
+    """The numbering of one mesh's nodal values: u = R x + g."""
 
     dof_of_node: np.ndarray        # node -> free-DOF column, -1 if eliminated
     fixed_values: np.ndarray       # value for eliminated nodes, 0 elsewhere
@@ -150,6 +148,11 @@ class Constraints:
         free = self.dof_of_node >= 0
         u[free] = x_free[self.dof_of_node[free]]
         return u
+
+    def restrict(self, nodal: np.ndarray) -> np.ndarray:
+        """R^T f for a nodal vector f: each free DOF sums its nodes' values."""
+        free = self.dof_of_node >= 0
+        return np.bincount(self.dof_of_node[free], weights=nodal[free], minlength=self.n_free)
 
 
 def apply_dirichlet(constraints: Constraints, nodes, values) -> Constraints:
@@ -222,24 +225,22 @@ def apply_periodic(constraints: Constraints, pairs: np.ndarray,
 
 
 class Structure:
-    """Reduced sparsity of one mesh, or of a subset of its elements, under
-    one constraint set.
+    """The slot table of one-off assembly on one mesh, or on a subset of
+    its elements, under one constraint set.
 
     Holds the CSC pattern of R^T K R for any element matrices K_e of the
     covered elements (all by default, else the indices ``elements``), and
     the data slot of each element-local entry (e, i, j); entries in an
-    eliminated row or column go to a discarded extra slot. With
-    ``ordered`` the constraints number the free DOFs in a fill-reducing
-    order, which :class:`Factorization` keeps; a :class:`ScaledAssembly`
-    builds such a structure in the order it computes. The mesh is held by
-    weak reference: structures are cached on their mesh.
+    eliminated row or column go to a discarded extra slot. The mesh is
+    held by weak reference, as structures are cached on their mesh;
+    :func:`assemble_diffusion` reads it to check that a structure belongs
+    to the mesh it is given.
     """
 
     def __init__(self, mesh: TriMesh, constraints: Constraints,
-                 elements: np.ndarray | None = None, ordered: bool = False):
+                 elements: np.ndarray | None = None):
         self._mesh = weakref.ref(mesh)
         self.constraints = constraints
-        self.ordered = ordered
         self.element_ids = slice(None) if elements is None else np.asarray(elements)
         self._elements = mesh.elements[self.element_ids]
         n = self.n_free = constraints.n_free
@@ -263,17 +264,9 @@ class Structure:
             self._slots[:, i, j] = np.where(k >= 0, np.searchsorted(pattern, k), self.nnz)
         self._indices = (pattern % n).astype(np.int32)
         self._indptr = np.searchsorted(pattern, np.arange(n + 1) * n).astype(np.int32)
-        self._free_nodes = np.flatnonzero(constraints.dof_of_node >= 0)
         # elements that carry the lift of nonzero fixed values onto free rows
         self._lift_elements = np.flatnonzero(
             (constraints.fixed_values[self._elements] != 0.0).any(axis=1))
-
-    @property
-    def mesh(self) -> TriMesh:
-        mesh = self._mesh()
-        if mesh is None:
-            raise ReferenceError("the structure's mesh has been freed")
-        return mesh
 
     @property
     def n_elements(self) -> int:
@@ -296,27 +289,22 @@ class Structure:
         a.eliminate_zeros()
         return a
 
-    def restrict(self, nodal: np.ndarray) -> np.ndarray:
-        """R^T f for a nodal vector f."""
-        nodes = self._free_nodes
-        return np.bincount(self.constraints.dof_of_node[nodes], weights=nodal[nodes],
-                           minlength=self.n_free)
-
     def lift(self, element_matrices: np.ndarray) -> np.ndarray:
         """R^T K g: the fixed values' load on the free DOFs."""
         e = self._lift_elements
         elems = self._elements[e]
         g = self.constraints.fixed_values
         kg = np.einsum("eij,ej->ei", element_matrices[e], g[elems])
-        return self.restrict(np.bincount(elems.ravel(), weights=kg.ravel(),
-                                         minlength=len(g)))
+        return self.constraints.restrict(np.bincount(elems.ravel(), weights=kg.ravel(),
+                                                     minlength=len(g)))
 
 
 class ScaledAssembly:
-    """R^T K R for element matrices sum_c s_ec K_ec: fixed component
-    matrices K_ec of a mesh's elements (all by default, else the indices
-    ``elements``), scaled by element values s_ec, plus an optional
-    constant matrix C, both in the numbering of ``constraints``.
+    """The ordered assembly of R^T K R for element matrices
+    sum_c s_ec K_ec: fixed component matrices K_ec of a mesh's elements
+    (all by default, else the indices ``elements``), scaled by element
+    values s_ec, plus an optional constant matrix C, both given in the
+    numbering of ``constraints``.
 
     Every operator factored again and again on one pattern (the periodic
     cell, a condensation's varying block) is built here, and numbered
@@ -325,18 +313,19 @@ class ScaledAssembly:
     hypotenuse under an isotropic K_e take no entry, but its k12
     component reaches them. The free DOFs are numbered once, in the
     :func:`minimum_degree_order` of that pattern (:attr:`order`: entry k
-    is the input DOF numbered k-th), on an ``ordered`` :attr:`structure`,
-    so no factorization of it orders again. Where the off-diagonal
+    is the input DOF numbered k-th), and :attr:`constraints` is the input
+    renumbered so; its systems are ``ordered``, so no factorization of
+    them orders again. It holds these, its maps and C's data, but no slot
+    table and no mesh. Where the off-diagonal
     entries of every single-component K_e are <= 0 (no obtuse angle), no
     positive s cancels an entry, so the pattern is that of
     :meth:`Structure.matrix` for every s.
 
     The reduced matrix is linear in s, so its CSC data is one sparse
-    mat-vec of s, through a map built once. With one component per
-    element the s_e are the element conductivities (the cell); with the
-    three of :func:`tensor_components` they are a tensor's (k11, k12, k22)
-    (a condensation's varying block). The lift of nonzero fixed values is
-    linear in s too, and goes through a second map.
+    mat-vec of s, through a map built once; so is the lift of nonzero
+    fixed values, through a second map. With one component per element
+    the s_e are the element conductivities (the cell); with the three of
+    :func:`tensor_components`, a tensor's (k11, k12, k22).
     """
 
     def __init__(self, mesh: TriMesh, constraints: Constraints, element_matrices: np.ndarray,
@@ -345,7 +334,6 @@ class ScaledAssembly:
         n, n_e = constraints.n_free, len(nodes)
         matrices = element_matrices.reshape(n_e, -1, 3, 3)
         n_c = matrices.shape[1]
-        self._n_scales = n_e * n_c
         local = constraints.dof_of_node[nodes]
         rows = np.broadcast_to(local[:, None, :, None], matrices.shape).ravel()
         cols = np.broadcast_to(local[:, None, None, :], matrices.shape).ravel()
@@ -361,8 +349,7 @@ class ScaledAssembly:
         position = np.empty_like(self.order)
         position[self.order] = np.arange(n)
         dof = np.where(constraints.dof_of_node >= 0, position[constraints.dof_of_node], -1)
-        self.structure = Structure(mesh, replace(constraints, dof_of_node=dof), elements,
-                                   ordered=True)
+        self.constraints = replace(constraints, dof_of_node=dof)
 
         # column-major positions of the entries in that numbering
         entry_keys = position[cols].astype(np.int64) * n + position[rows]
@@ -394,13 +381,13 @@ class ScaledAssembly:
         the lift R^T K g, for the element scales s (n_elements,) or
         (n_elements, n_components)."""
         s = np.asarray(scales, dtype=float).ravel()
-        if s.shape != (self._n_scales,):
-            raise ValueError(f"expected {self._n_scales} element scales, got {s.size}")
-        n = self.structure.n_free
+        if s.shape != (self._map.shape[1],):
+            raise ValueError(f"expected {self._map.shape[1]} element scales, got {s.size}")
+        n = len(self.order)
         matrix = sp.csc_matrix((self._map @ s, self._indices.copy(), self._indptr.copy()),
                                shape=(n, n))
         lift = np.zeros(n) if self._lift is None else self._lift @ s
-        return SparseSystem(self.structure, matrix, lift, self.structure.mesh)
+        return SparseSystem(self.constraints, matrix, lift, ordered=True)
 
 
 _CACHE_LOCK = threading.RLock()
@@ -424,7 +411,7 @@ def structure(mesh: TriMesh, periodic: bool = False, dirichlet: tuple = ()) -> S
 
     ``periodic`` folds the mesh's periodic pairs; ``dirichlet`` is a
     tuple of (boundary tag, value) pairs fixing every node of the tagged
-    edges. (The gauge-pinned cell structure is built by
+    edges. (The gauge-pinned cell operator is numbered and assembled by
     :func:`cloakopt.homogenization.cell_operator`.)
     """
     def build():
@@ -439,36 +426,34 @@ def structure(mesh: TriMesh, periodic: bool = False, dirichlet: tuple = ()) -> S
 
 @dataclass
 class SparseSystem:
-    """An operator reduced onto a constraint structure: R^T K R, the lift
-    R^T K g of the fixed values, and the mesh (held here, as a system is
-    never cached on its mesh). The load is no part of it: each solve is
-    given its own."""
+    """An operator reduced onto a numbering, and nothing else: the
+    constraints, R^T K R and the lift R^T K g of the fixed values. With
+    ``ordered`` the constraints number the free DOFs in a fill-reducing
+    order, which :class:`Factorization` keeps (only the systems of a
+    :class:`ScaledAssembly` are). The load is no part of it: each solve
+    is given its own."""
 
-    structure: Structure
+    constraints: Constraints
     matrix: sp.csc_matrix
     lift: np.ndarray
-    mesh: TriMesh
-
-    @property
-    def constraints(self) -> Constraints:
-        return self.structure.constraints
+    ordered: bool = False
 
     @property
     def n_free(self) -> int:
-        return self.structure.n_free
+        return len(self.lift)
 
     def reduced_load(self, rhs_full: np.ndarray | None = None,
                      homogeneous: bool = False) -> np.ndarray:
         """R^T (f - K g) for the nodal load f (``None``: zero); g is taken
         as zero with ``homogeneous``."""
-        b = np.zeros(self.n_free) if rhs_full is None else self.structure.restrict(rhs_full)
+        b = np.zeros(self.n_free) if rhs_full is None else self.constraints.restrict(rhs_full)
         return b if homogeneous else b - self.lift
 
 
 def assemble(on: Structure, element_matrices: np.ndarray) -> SparseSystem:
     """Reduce the covered elements' matrices (n_elements, 3, 3) onto a
     structure; the element matrices are not kept."""
-    return SparseSystem(on, on.matrix(element_matrices), on.lift(element_matrices), on.mesh)
+    return SparseSystem(on.constraints, on.matrix(element_matrices), on.lift(element_matrices))
 
 
 def isotropic_tensors(values) -> np.ndarray:
@@ -535,7 +520,7 @@ def assemble_diffusion(mesh: TriMesh, tensors: np.ndarray,
     tensor per element the structure covers."""
     if on is None:
         on = structure(mesh)
-    elif on.mesh is not mesh:
+    elif on._mesh() is not mesh:
         raise ValueError("structure belongs to another mesh")
     tensors = np.asarray(tensors, dtype=float)
     if tensors.shape != (on.n_elements, 2, 2):
@@ -595,12 +580,12 @@ def _check_solution(x: np.ndarray, residual: np.ndarray, b: np.ndarray) -> None:
 
 class Factorization:
     """Direct sparse factorization of a reduced system, reusable across
-    loads; in minimum-degree order, computed here unless the system's
-    structure is ``ordered``."""
+    loads; in minimum-degree order, computed here unless the system is
+    ``ordered``. Holds the system, for its constraints and the residual."""
 
     def __init__(self, system: SparseSystem):
         self.system = system
-        order = "NATURAL" if system.structure.ordered else ORDERING
+        order = "NATURAL" if system.ordered else ORDERING
         self._lu = _factor(system.matrix, permc_spec=order) if system.n_free else None
 
     def solve(self, rhs_full: np.ndarray | None = None,
@@ -611,11 +596,9 @@ class Factorization:
         instead of the system's fixed values (adjoint solves reuse the
         state factorization this way).
         """
-        constraints = self.system.constraints
-        if self._lu is None:
-            return constraints.expand(np.zeros(0), homogeneous)
-        x = self.solve_free(self.system.reduced_load(rhs_full, homogeneous))
-        return constraints.expand(x, homogeneous)
+        x = (np.zeros(0) if self._lu is None
+             else self.solve_free(self.system.reduced_load(rhs_full, homogeneous)))
+        return self.system.constraints.expand(x, homogeneous)
 
     def solve_free(self, b: np.ndarray) -> np.ndarray:
         """The free-DOF solution of A x = b, under the residual contract."""
@@ -626,10 +609,9 @@ class Factorization:
 
 class Condensation:
     """The fixed part of a system condensed onto the DOFs it shares with a
-    varying part, for operators refactored with new varying elements and
-    the same fixed ones.
+    varying part, for operators refactored with new varying elements.
 
-    ``fixed`` is assembled from the fixed elements alone;
+    ``fixed`` is assembled on ``mesh`` from the fixed elements alone;
     ``varying_elements`` indexes the others. The free DOFs split into R
     (on a varying element), I (off them but coupled to R by the fixed
     operator) and G (the rest of the fixed region). The fixed block K_GG
@@ -641,33 +623,33 @@ class Condensation:
     (:attr:`assembly`, a :class:`ScaledAssembly` over I and R with G
     eliminated, whose constant is the condensed fixed block), which
     numbers I and R once, in the minimum-degree order of every entry that
-    SPD tensors on the varying elements can fill (:attr:`varying`, its
-    ``ordered`` structure; :attr:`reduced_dofs` maps them back), so a
-    refactorization neither assembles element matrices nor orders.
+    SPD tensors on the varying elements can fill (:attr:`reduced_dofs`
+    maps them back), so a refactorization neither assembles element
+    matrices nor orders.
 
     Every inhomogeneous solve of the zero load has the same b_G (the
     varying elements' lift touches only R), so K_GG^-1 b_G of that load is
     solved once, at the build (:attr:`zero_load_g`). Holds the fixed
-    operator, its lift, that solve and the varying block's assembly, but
-    not the mesh. By default it also holds the K_GG factor, for loads of
-    any kind, and reads S_I off a throwaway factor of K_FF
-    (:func:`_interface_schur`). With ``keep_responses`` it forms S_I from
-    the interface responses X = K_GG^-1 K_GI (:meth:`_solved_schur`),
-    holds X instead (:attr:`responses`) and frees the factor once X and
-    that solve are formed: it then takes only loads that vanish on G, for
-    which K_GG^-1 b_G is that solve (or zero, for a homogeneous solve),
-    and x_G needs no K_GG solve. That is for callers whose loads never
-    touch G (the robustness sweep's insert).
+    system's :attr:`constraints`, operator and lift, that solve, the
+    :attr:`varying_elements` and their assembly, but not the mesh. By
+    default it also holds the K_GG factor, for loads of any kind, and
+    reads S_I off a throwaway factor of K_FF (:func:`_interface_schur`).
+    With ``keep_responses`` it forms S_I from the interface responses
+    X = K_GG^-1 K_GI (:meth:`_solved_schur`), holds X instead
+    (:attr:`responses`) and frees the factor once X and that solve are
+    formed: it then takes only loads that vanish on G, for which
+    K_GG^-1 b_G is that solve (or zero, for a homogeneous solve), and x_G
+    needs no K_GG solve (the robustness sweep's insert).
     """
 
-    def __init__(self, fixed: SparseSystem, varying_elements: np.ndarray,
+    def __init__(self, mesh: TriMesh, fixed: SparseSystem, varying_elements: np.ndarray,
                  keep_responses: bool = False):
-        self.structure = on = fixed.structure
+        self.constraints = fixed.constraints
+        self.varying_elements = varying_elements
         self.fixed_matrix = k = fixed.matrix
         self.fixed_lift = fixed.lift
-        mesh = fixed.mesh
-        dof = on.constraints.dof_of_node
-        n = on.n_free
+        dof = self.constraints.dof_of_node
+        n = fixed.n_free
 
         local = dof[mesh.elements[varying_elements]]
         r = np.unique(local[local >= 0])
@@ -713,10 +695,9 @@ class Condensation:
         reduced_of[ir] = np.arange(n_ir)
         self.assembly = ScaledAssembly(
             mesh, Constraints(np.where(dof >= 0, reduced_of[dof], -1),
-                              on.constraints.fixed_values),
+                              self.constraints.fixed_values),
             tensor_components(mesh, varying_elements), varying_elements,
             constant=reduced_fixed)
-        self.varying = self.assembly.structure
         self.reduced_dofs = ir[self.assembly.order]      # the free DOF of each reduced one
 
     def _solved_schur(self, k_ii: sp.csc_matrix) -> tuple[sp.csc_matrix, list[np.ndarray]]:
@@ -743,9 +724,9 @@ class Condensation:
 
     def factor(self, tensors: np.ndarray) -> "CondensedFactorization":
         """Factor the condensed system for the varying elements' SPD
-        tensors (n_varying, 2, 2), in the order of :attr:`varying`."""
+        tensors (n_varying, 2, 2), in the order of :attr:`varying_elements`."""
         tensors = np.asarray(tensors, dtype=float)
-        if tensors.shape != (self.varying.n_elements, 2, 2):
+        if tensors.shape != (len(self.varying_elements), 2, 2):
             raise ValueError("tensors must have shape (n_varying_elements, 2, 2)")
         _check_spd(tensors)
         components = tensors[:, [0, 0, 1], [0, 1, 1]]      # k11, k12, k22
@@ -818,17 +799,13 @@ class CondensedFactorization:
         reduced.data += condensation.assembly.constant
         self.reduced = Factorization(replace(varying, matrix=reduced))
 
-    @property
-    def constraints(self) -> Constraints:
-        return self.condensation.structure.constraints
-
     def solve(self, rhs_full: np.ndarray | None = None,
               homogeneous: bool = False) -> np.ndarray:
         """Solve for the given full-size nodal load (``None``: zero);
         ``homogeneous`` as in :meth:`Factorization.solve`."""
         c = self.condensation
         reduced = c.reduced_dofs
-        b = np.zeros(c.structure.n_free) if rhs_full is None else c.structure.restrict(rhs_full)
+        b = np.zeros(len(c.fixed_lift)) if rhs_full is None else c.constraints.restrict(rhs_full)
         if c.responses is not None and rhs_full is not None and b[c.g].any():
             raise ValueError("this condensation keeps no K_GG factor, only its interface "
                              "responses: it takes loads that vanish on the fixed block G")
@@ -855,12 +832,7 @@ class CondensedFactorization:
         ax = c.fixed_matrix @ x
         ax[reduced] += self.varying.matrix @ z
         _check_solution(x, ax - b, b)
-        return self.constraints.expand(x, homogeneous)
-
-
-def solve(system: SparseSystem) -> ScalarField:
-    """Direct solve honouring the relative-residual contract."""
-    return ScalarField(Factorization(system).solve(), system.mesh)
+        return c.constraints.expand(x, homogeneous)
 
 
 def boundary_reaction(mesh: TriMesh, element_matrices: np.ndarray, values: np.ndarray,

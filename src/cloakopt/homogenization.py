@@ -116,7 +116,7 @@ def cell_operator(mesh: TriMesh) -> fem.ScaledAssembly:
 
 
 def cell_system(mesh: TriMesh, mat: CellMaterialField) -> fem.SparseSystem:
-    """Cell operator for a material, on the structure of :func:`cell_operator`."""
+    """Cell operator for a material, in the numbering of :func:`cell_operator`."""
     if mat.chi.shape != (mesh.n_elements,):
         raise ValueError(f"chi must have shape ({mesh.n_elements},), got {mat.chi.shape}")
     return cell_operator(mesh).system(mat.conductivities())
@@ -136,12 +136,9 @@ def cell_loads(mesh: TriMesh) -> sp.csr_matrix:
 def _dof_nodes(mesh: TriMesh) -> np.ndarray:
     """A node of each free DOF of :func:`cell_operator`, in DOF order."""
     def build():
-        constraints = cell_operator(mesh).structure.constraints
-        dof = constraints.dof_of_node
+        dof = cell_operator(mesh).constraints.dof_of_node
         free = np.flatnonzero(dof >= 0)
-        nodes = np.empty(constraints.n_free, dtype=np.intp)
-        nodes[dof[free]] = free
-        return nodes
+        return free[np.unique(dof[free], return_index=True)[1]]
     return fem.cached(mesh, "cell_dof_nodes", build)
 
 

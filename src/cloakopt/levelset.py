@@ -125,7 +125,7 @@ class ReactionDiffusionUpdater:
         order[self._grid] = dof
         if on.n_free != n * n or not np.array_equal(order[self._grid], dof):
             raise ValueError("the periodic fold does not match the cell grid")
-        self._mass_grid = on.restrict(self.mass)[order]
+        self._mass_grid = on.constraints.restrict(self.mass)[order]
         self._laplacian = on.matrix(fem.element_stiffness(
             mesh, fem.isotropic_tensors(np.ones(mesh.n_elements))))[order][:, order].tocsr()
 

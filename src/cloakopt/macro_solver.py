@@ -114,7 +114,7 @@ def condensed_conduction(mesh: TriMesh, tensors: np.ndarray, varying: np.ndarray
     # ``tensors`` before the assembly measured a 3 MB lower peak on the
     # macro mesh but 5-20 MB higher on the tiled one, through heap placement
     del ke, tensors
-    return fem.Condensation(fixed, np.flatnonzero(varying), keep_responses)
+    return fem.Condensation(mesh, fixed, np.flatnonzero(varying), keep_responses)
 
 
 def state_factorization(mesh: TriMesh, matmap: MacroMaterialMap,
@@ -130,14 +130,14 @@ def state_factorization(mesh: TriMesh, matmap: MacroMaterialMap,
 
     condensed = fem.cached(mesh, ("condensed state", matmap.k_exterior, matmap.k_obstacle,
                                   bc.t_low, bc.t_high), condense)
-    sectors = mesh.element_region[condensed.varying.element_ids] - SECTOR_FIRST
+    sectors = mesh.element_region[condensed.varying_elements] - SECTOR_FIRST
     return condensed.factor(matmap.sector_matrices()[sectors])
 
 
 def solve_state(mesh: TriMesh, matmap: MacroMaterialMap,
                 bc: BoundaryData) -> fem.ScalarField:
     """Temperature field for the given material map and edge temperatures."""
-    return fem.solve(state_system(mesh, matmap, bc))
+    return fem.ScalarField(fem.Factorization(state_system(mesh, matmap, bc)).solve(), mesh)
 
 
 def reference_field(mesh: TriMesh, bc: BoundaryData) -> fem.ScalarField:

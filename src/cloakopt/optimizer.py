@@ -39,7 +39,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from functools import cached_property
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +88,8 @@ class Scenario:
 
     def validate(self) -> None:
         self.geometry.validate()
+        if self.geometry.r_obstacle == 0:       # J2 and the sweep's insert live there
+            raise ValueError("geometry.r_obstacle must be positive, got 0")
         self.bc.validate()
         if not 0.0 <= self.w <= 1.0:
             raise ValueError("w must lie in [0, 1]")
@@ -470,11 +472,18 @@ def checkpoint(state: DesignState, path) -> None:
         json.dump(payload, fh, indent=1)
 
 
+def _is_number(value, kind=Real) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def resume(path) -> DesignState:
     """Reload a checkpoint; the cell mesh is rebuilt from the node count.
     A ``"counters"`` entry, written by earlier versions, is ignored. A
-    missing key, or a tensors or history entry with missing or unknown
-    fields, raises ``ValueError`` naming it."""
+    missing key, a tensors or history entry with missing or unknown
+    fields, or a value of the wrong kind raises ``ValueError`` naming it:
+    ``iteration`` must be an integer of at least 1, the objective values
+    finite numbers, ``d`` one width in (0, 1) per sector, and every
+    tensor and history field a number."""
     path = Path(path)
     state_file = path / "state.json"
     if not state_file.exists():
@@ -495,6 +504,22 @@ def resume(path) -> DesignState:
     except TypeError as exc:
         raise ValueError(f"{state_file}: a tensors or history entry has missing or "
                          f"unknown fields ({exc})") from exc
+
+    def refuse(key, want, value):
+        raise ValueError(f"{state_file}: key {key!r} must be {want}, got {value!r}")
+    if not (_is_number(state.iteration, Integral) and state.iteration >= 1):
+        refuse("iteration", "an integer of at least 1", state.iteration)
+    for key in ("j1", "j2", "j", "j1_init", "j2_init"):
+        if not (_is_number(payload[key]) and math.isfinite(payload[key])):
+            refuse(key, "a finite number", payload[key])
+    if not (isinstance(widths, list) and len(widths) == SECTOR_LAST - SECTOR_FIRST + 1
+            and all(_is_number(d) and 0 < d < 1 for d in widths)):
+        refuse("d", "one transition width in (0, 1) per sector", widths)
+    for key in ("tensors", "history"):
+        for i, entry in enumerate(payload[key]):
+            for name, value in entry.items():
+                if not _is_number(value):
+                    refuse(f"{key}[{i}].{name}", "a number", value)
     for l, d in zip(range(SECTOR_FIRST, SECTOR_LAST + 1), widths):
         mesh = state.phis[0].mesh if state.phis else None     # all cells share the first's mesh
         state.phis.append(levelset.read_phi_field(path / f"cell_{l}.csv", mesh,

@@ -154,10 +154,12 @@ def tile_conductivity(spec: TilingSpec, mesh: TriMesh,
 @dataclass(frozen=True, eq=False)
 class SweepCondensation:
     """One design's tiled operator condensed onto the insert's disk, bound
-    to the spec it was built for."""
+    to the spec it was built for, and the reference ramp of every angle's
+    J1 on its fine mesh; the ramp, not the condensation, holds that mesh."""
 
     spec: TilingSpec
     condensation: fem.Condensation
+    reference: fem.ScalarField
 
 
 def evaluate_tiled(spec: TilingSpec, mesh: TriMesh | None = None,
@@ -170,27 +172,29 @@ def evaluate_tiled(spec: TilingSpec, mesh: TriMesh | None = None,
     Without ``condensation`` the whole structure is tiled and its
     operator factored; with one (built by :func:`sweep_condensation` for
     this very spec and mesh, else ``ValueError``) only the disk's
-    elements get conductivities and only they are assembled and factored.
+    elements get conductivities and only they are assembled and factored,
+    and J1 compares against the condensation's ramp.
     """
     if mesh is None:
         mesh = fine_mesh(spec)
     if condensation is None:
         k = tile_conductivity(spec, mesh, obstacle)
-        temp = fem.solve(macro_solver.conduction_system(mesh, fem.isotropic_tensors(k),
-                                                        spec.bc))
+        values = fem.Factorization(macro_solver.conduction_system(
+            mesh, fem.isotropic_tensors(k), spec.bc)).solve()
+        reference = macro_solver.reference_field(mesh, spec.bc)
     else:
-        insert = condensation.condensation.varying
-        if insert.mesh is not mesh:
+        if condensation.reference.mesh is not mesh:
             raise ValueError("the condensation belongs to another mesh")
         if condensation.spec is not spec:
             raise ValueError("the condensation was built for another design")
+        insert = condensation.condensation.varying_elements
         # the disk lies in the obstacle region: obstacle fill, or the insert
-        k = np.full(insert.n_elements, spec.k_obstacle)
+        k = np.full(len(insert), spec.k_obstacle)
         if obstacle is not None:
-            k[obstacle.on_insert_side(mesh.centroids[insert.element_ids])] = obstacle.k
-        fact = condensation.condensation.factor(fem.isotropic_tensors(k))
-        temp = fem.ScalarField(fact.solve(), mesh)
-    reference = macro_solver.reference_field(mesh, spec.bc)
+            k[obstacle.on_insert_side(mesh.centroids[insert])] = obstacle.k
+        values = condensation.condensation.factor(fem.isotropic_tensors(k)).solve()
+        reference = condensation.reference
+    temp = fem.ScalarField(values, mesh)
     j1 = objectives.mismatch(temp.values, reference.values, mesh)
     j2 = objectives.gradient_energy(temp.values, mesh)
     return j1, j2, temp
@@ -204,7 +208,8 @@ def sweep_condensation(spec: TilingSpec, mesh: TriMesh,
     responses in place of the fixed block's factor."""
     return SweepCondensation(spec, macro_solver.condensed_conduction(
         mesh, fem.isotropic_tensors(tile_conductivity(spec, mesh)),
-        obstacle.disk(mesh, spec.geometry), spec.bc, keep_responses=True))
+        obstacle.disk(mesh, spec.geometry), spec.bc, keep_responses=True),
+        macro_solver.reference_field(mesh, spec.bc))
 
 
 def robustness_sweep(designs: dict[str, TilingSpec], psi_values,

@@ -191,8 +191,10 @@ def test_odd_cell_resolution_exit_code(tmp_path, capsys):
     ("levelset", "init", {"pattern": "disk", "radius": 0.0}, "levelset.init.radius must lie"),
     ("levelset", "init", {"pattern": "disk", "radius": 5.0}, "levelset.init.radius must lie"),
     ("levelset", "init", {"pattern": "disk", "radius": 0.7072}, "levelset.init.radius must lie"),
+    ("geometry", "r_obstacle", 0.0, "geometry.r_obstacle must be positive"),
 ], ids=["cell_resolution-8", "cell_resolution-0", "macro_h-2", "macro_h-0.5", "macro_h-0",
-        "macro_h-negative", "macro_h-odd-divisions", "radius-negative", "radius-0", "radius-5", "radius-past-corner"])
+        "macro_h-negative", "macro_h-odd-divisions", "radius-negative", "radius-0", "radius-5",
+        "radius-past-corner", "r_obstacle-0"])
 def test_bad_mesh_or_disk_exit_code(tmp_path, capsys, section, key, value, message):
     """Rejected by key when the config is parsed, before the run directory
     is made."""
@@ -513,16 +515,39 @@ def test_resume_of_an_unmirrored_checkpoint_exit_code(short_run, tmp_path, capsy
     assert "cell 7 is not the reflection of cell 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "sweep"])
+def test_zero_obstacle_radius_of_a_run_exit_code(short_run, tmp_path, capsys, command):
+    """A run whose config has no shielded region is refused by key when
+    validate or sweep parse it, before anything is tiled."""
+    run = tmp_path / "run"
+    shutil.copytree(short_run, run)
+    (run / "config.json").write_text(json.dumps(small_raw(geometry={"r_obstacle": 0.0})))
+    flags = (["--run", str(run)] if command == "validate"
+             else ["--run", f"short={run}", "--out", str(tmp_path / "sweep.csv")])
+    assert cli.main([command, *flags, "--epsilon0", "0.25"]) == 2
+    assert "geometry.r_obstacle must be positive" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("corrupt, named", [
     (lambda payload: payload.pop("tensors"), "missing key 'tensors'"),
     (lambda payload: payload.pop("history"), "missing key 'history'"),
     (lambda payload: payload["tensors"][0].pop("k12"), "'k12'"),
     (lambda payload: payload["history"][0].update(speed=1.0), "'speed'"),
-], ids=["no-tensors", "no-history", "tensor-without-k12", "history-with-unknown-field"])
+    (lambda payload: payload.update(iteration="2"), "'iteration'"),
+    (lambda payload: payload.update(iteration=2.5), "'iteration'"),
+    (lambda payload: payload.update(j1_init=None), "'j1_init'"),
+    (lambda payload: payload.update(d=payload["d"][:1]), "'d'"),
+    (lambda payload: payload["history"][0].update(j1="x"), "'history[0].j1'"),
+], ids=["no-tensors", "no-history", "tensor-without-k12", "history-with-unknown-field",
+        "iteration-string", "iteration-fraction", "j1_init-null", "one-width",
+        "history-j1-string"])
 @pytest.mark.parametrize("command", ["validate", "sweep", "optimize"])
 def test_malformed_checkpoint_exit_code(short_run, tmp_path, capsys, command, corrupt, named):
-    """A checkpoint without its tensors or history, or with an entry of
-    missing or unknown fields, is refused with the file and the key named."""
+    """A checkpoint without its tensors or history, with an entry of
+    missing or unknown fields, or with a value of the wrong kind (an
+    iteration that is no integer, a missing initial J1, fewer widths than
+    sectors, a history field that is no number) is refused with the file
+    and the key named."""
     run = tmp_path / "run"
     shutil.copytree(short_run, run)
     for state in run.rglob("state.json"):

@@ -73,13 +73,13 @@ def patch_solution(mesh):
     boundary = np.unique(np.concatenate([e.ravel() for e in
                                          mesh.boundary_edges.values()]))
     c = fem.apply_dirichlet(free(mesh), boundary, mesh.nodes[boundary, 0])
-    return fem.solve(unit_system(mesh, c))
+    return fem.Factorization(unit_system(mesh, c)).solve()
 
 
 def test_patch_test_reproduces_linear_field():
     mesh = unit_square_mesh(9)
-    field = patch_solution(mesh)
-    assert np.abs(field.values - mesh.nodes[:, 0]).max() < 1e-10
+    values = patch_solution(mesh)
+    assert np.abs(values - mesh.nodes[:, 0]).max() < 1e-10
 
 
 def test_dirichlet_strip_profile():
@@ -88,9 +88,9 @@ def test_dirichlet_strip_profile():
     right = np.unique(mesh.boundary_edges[GAMMA_B])
     c = fem.apply_dirichlet(free(mesh), left, 0.0)
     c = fem.apply_dirichlet(c, right, 1.0)
-    field = fem.solve(unit_system(mesh, c))
+    values = fem.Factorization(unit_system(mesh, c)).solve()
     want = mesh.nodes[:, 0] + 0.5
-    assert np.abs(field.values - want).max() < 1e-10
+    assert np.abs(values - want).max() < 1e-10
 
 
 def test_dirichlet_idempotent():
@@ -116,8 +116,7 @@ def test_constrain_all_nodes_returns_data():
     system = unit_system(mesh, fem.apply_dirichlet(free(mesh), np.arange(mesh.n_nodes),
                                                    values))
     assert system.n_free == 0
-    field = fem.solve(system)
-    np.testing.assert_array_equal(field.values, values)
+    np.testing.assert_array_equal(fem.Factorization(system).solve(), values)
 
 
 def test_periodic_fold_keeps_symmetry_and_constants():
@@ -160,9 +159,9 @@ def test_solve_residual_contract():
     c = fem.apply_dirichlet(free(mesh), left, 0.0)
     c = fem.apply_dirichlet(c, right, 1.0)
     system = unit_system(mesh, c, rng.uniform(0.5, 5.0, mesh.n_elements))
-    field = fem.solve(system)
+    values = fem.Factorization(system).solve()
     a, b = system.matrix, system.reduced_load()
-    x = field.values[c.dof_of_node >= 0]
+    x = values[c.dof_of_node >= 0]
     res = np.linalg.norm(a @ x - b) / np.linalg.norm(b)
     assert res < 1e-10
 
@@ -175,21 +174,21 @@ def test_series_resistance_flux():
     tensors = fem.isotropic_tensors(k)
     system = fem.assemble_diffusion(
         mesh, tensors, on=fem.structure(mesh, dirichlet=((GAMMA_A, 0.0), (GAMMA_B, 1.0))))
-    field = fem.solve(system)
+    values = fem.Factorization(system).solve()
     ke = fem.element_stiffness(mesh, tensors)
-    flux_in = fem.boundary_reaction(mesh, ke, field.values, GAMMA_B)
+    flux_in = fem.boundary_reaction(mesh, ke, values, GAMMA_B)
     # series resistance per unit height: 1/2 + 1/1, height 1, dT = 1
     expected = 1.0 / (1.0 / 2.0 + 1.0 / 1.0) * 1.0
     assert flux_in == pytest.approx(expected, rel=1e-10)
-    flux_out = fem.boundary_reaction(mesh, ke, field.values, GAMMA_A)
+    flux_out = fem.boundary_reaction(mesh, ke, values, GAMMA_A)
     assert flux_in + flux_out == pytest.approx(0.0, abs=1e-10 * abs(flux_in))
 
 
-def galerkin_reduction(system, element_matrices, load):
+def galerkin_reduction(mesh, system, element_matrices, load):
     """R^T A R and R^T (f - A g) for the nodal load f, with A assembled by
     COO from the element matrices and R from the DOF map: the definition
     the slots must meet."""
-    mesh, c = system.mesh, system.constraints
+    c = system.constraints
     rows = np.repeat(mesh.elements, 3, axis=1).ravel()
     cols = np.tile(mesh.elements, (1, 3)).ravel()
     a = sp.coo_matrix((element_matrices.ravel(), (rows, cols)),
@@ -229,13 +228,14 @@ def levelset_operator(mesh):
     (levelset_operator, lambda: build_cell_mesh(UnitCellGeometry(16))),
 ], ids=["cell", "macro", "levelset"])
 def test_reduced_operator_matches_galerkin_reduction(build, mesh_of):
-    system, ke = build(mesh_of())
-    load = np.random.default_rng(13).normal(size=system.mesh.n_nodes)
-    want_a, want_b = galerkin_reduction(system, ke, load)
+    mesh = mesh_of()
+    system, ke = build(mesh)
+    load = np.random.default_rng(13).normal(size=mesh.n_nodes)
+    want_a, want_b = galerkin_reduction(mesh, system, ke, load)
     assert abs(system.matrix - want_a).max() <= 1e-13 * abs(want_a).max()
     got_b = system.reduced_load(load)
     assert np.abs(got_b - want_b).max() <= 1e-13 * max(np.abs(want_b).max(), 1.0)
-    zero = np.zeros(system.mesh.n_nodes)
+    zero = np.zeros(mesh.n_nodes)
     assert np.array_equal(system.reduced_load(), system.reduced_load(zero))
 
 
@@ -321,7 +321,7 @@ def test_cell_operator_is_the_slot_assembly_in_minimum_degree_order(resolution):
     operator's values."""
     mesh = build_cell_mesh(UnitCellGeometry(resolution))
     system, ke = cell_operator(mesh)
-    assert system.structure.ordered
+    assert system.ordered
     want = fem.Structure(mesh, system.constraints).matrix(ke)
     got = system.matrix
     assert abs(got - want).max() <= 1e-13 * abs(want).max()
@@ -340,3 +340,36 @@ def test_cell_operator_is_the_slot_assembly_in_minimum_degree_order(resolution):
     by_pattern = fem.minimum_degree_order(fem._pattern_matrix(unit.shape[0], *unit.nonzero()))
     np.testing.assert_array_equal(by_values, by_pattern)
     np.testing.assert_array_equal(homogenization.cell_operator(mesh).order, by_values)
+
+
+def structures_built(monkeypatch):
+    """A list that grows by (mesh, elements) at every Structure construction."""
+    built = []
+    init = fem.Structure.__init__
+
+    def counted(self, mesh, constraints, elements=None):
+        built.append((mesh, elements))
+        init(self, mesh, constraints, elements)
+
+    monkeypatch.setattr(fem.Structure, "__init__", counted)
+    return built
+
+
+def test_scaled_assemblies_build_no_structure(monkeypatch):
+    """The cell operator and a condensation's varying block are numbered
+    and assembled by a ScaledAssembly, which holds its constraints and
+    order but no slot table: neither builds a Structure."""
+    cell = build_cell_mesh(UnitCellGeometry(16))
+    mesh = unit_square_mesh(8)
+    bc = macro_solver.BoundaryData(0.5, 2.0)
+    varying = np.flatnonzero(np.hypot(*mesh.centroids.T) < 0.3)
+    ke = fem.element_stiffness(mesh, fem.isotropic_tensors(np.ones(mesh.n_elements)))
+    ke[varying] = 0.0
+    fixed = fem.assemble(macro_solver._fixed_edges(mesh, bc), ke)
+    built = structures_built(monkeypatch)
+    mat = homogenization.CellMaterialField(np.linspace(0, 1, cell.n_elements), 386.0, 0.15)
+    homogenization.homogenize(cell, mat)
+    condensation = fem.Condensation(mesh, fixed, varying)
+    condensation.factor(fem.isotropic_tensors(np.full(len(varying), 3.0))).solve()
+    assert built == []
+

@@ -107,7 +107,7 @@ def superlu_step(mesh, phi, jprime, k_phi, tau, dt):
     on = fem.structure(mesh, periodic=True)
     ke = (fem.element_mass(mesh, lumped=True) + dt * k_phi * tau
           * fem.element_stiffness(mesh, fem.isotropic_tensors(np.ones(mesh.n_elements))))
-    b = on.restrict(mesh.lumped_mass * (phi - dt * k_phi * jprime))
+    b = on.constraints.restrict(mesh.lumped_mass * (phi - dt * k_phi * jprime))
     x = spla.splu(on.matrix(ke).tocsc()).solve(b)
     return np.clip(on.constraints.expand(x), -1.0, 1.0)
 

@@ -195,8 +195,8 @@ def test_ordered_condensation_matches_the_direct_solve(paper_geometry, maps):
     for make in maps:
         matmap = make()
         fact = ms.state_factorization(mesh, matmap, bc)
-        assert fact.reduced.system.structure.ordered
-        want = fem.solve(ms.state_system(mesh, matmap, bc)).values
+        assert fact.reduced.system.ordered
+        want = ms.solve_state(mesh, matmap, bc).values
         assert relative_difference(fact.solve(), want) <= 1e-12
         patterns.append(fact.reduced.system.matrix.indices)
     assert sum(key[0] == "condensed state" for key in mesh.cache) == 1
@@ -239,28 +239,31 @@ def test_interface_schur_complement_matches_explicit(coarse_macro_mesh, keep_res
 
 def test_ring_assembly_is_the_slot_assembly_plus_the_condensed_block(coarse_macro_mesh):
     """The ring's ScaledAssembly, whose constant is the condensed fixed
-    block C, against element matrices assembled on its own structure plus
-    C formed from the fixed operator and S_I; its numbering covers I and
-    R once each."""
+    block C, against element matrices assembled on a Structure in its
+    numbering plus C formed from the fixed operator and S_I; its numbering
+    covers I and R once each."""
     mesh = coarse_macro_mesh
     region = mesh.element_region
     ring = (region >= 1) & (region <= 8)
     c = ms.condensed_conduction(mesh, anisotropic_map().element_tensors(mesh), ring,
                                 BoundaryData())
-    a, on = c.assembly, c.varying
-    assert on is a.structure and on.ordered
-    r = c.structure.constraints.dof_of_node[mesh.elements[ring]]
+    a = c.assembly
+    np.testing.assert_array_equal(c.varying_elements, np.flatnonzero(ring))
+    on = fem.Structure(mesh, a.constraints, c.varying_elements)
+    r = c.constraints.dof_of_node[mesh.elements[ring]]
     np.testing.assert_array_equal(np.sort(c.reduced_dofs), np.union1d(c.i, r[r >= 0]))
 
     p = c.reduced_dofs
-    position = np.empty(c.structure.n_free, dtype=int)
+    position = np.empty(c.constraints.n_free, dtype=int)
     position[p] = np.arange(len(p))
     constant = c.fixed_matrix[p][:, p].toarray()
     constant[np.ix_(position[c.i], position[c.i])] = c.schur.toarray()
     scales = np.random.default_rng(5).uniform(0.5, 2.0, (on.n_elements, 3))
     ke = np.einsum("ec,ecij->eij", scales, fem.tensor_components(mesh, on.element_ids))
     want = on.matrix(ke) + sp.csc_matrix(constant)
-    got = a.system(scales).matrix
+    system = a.system(scales)
+    assert system.ordered and system.constraints is a.constraints
+    got = system.matrix
     got.data += a.constant
     assert abs(got - want).max() <= 1e-13 * abs(want).max()
     np.testing.assert_array_equal(got.indptr, want.indptr)
@@ -302,7 +305,7 @@ def test_ring_of_a_wide_plate_keeps_its_factor_for_loads_on_the_fixed_block(monk
     assert relative_difference(condensed.solve(), state) <= 1e-12
     load = ms.adjoint_load(mesh, {"j1": 0.3, "j2": 0.7}, fem.ScalarField(state, mesh),
                            ms.reference_field(mesh, bc))
-    assert c.structure.restrict(load)[c.g].any()
+    assert c.constraints.restrict(load)[c.g].any()
     for homogeneous in (True, False):
         want = direct.solve(load, homogeneous=homogeneous)
         got = condensed.solve(load, homogeneous=homogeneous)
@@ -342,7 +345,7 @@ def test_corrupted_reduced_system_fails_the_full_residual(paper_geometry):
     c = ms.state_factorization(mesh, matmap, bc).condensation
     c.assembly.constant = c.assembly.constant * 1.01
     fact = ms.state_factorization(mesh, matmap, bc)
-    fact.reduced.solve_free(np.ones(c.varying.n_free))   # the reduced solve itself holds
+    fact.reduced.solve_free(np.ones(len(c.reduced_dofs)))   # the reduced solve itself holds
     with pytest.raises(fem.SolverError, match="residual"):
         fact.solve()
 

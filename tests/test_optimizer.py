@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from cloakopt import fem, levelset, macro_solver, optimizer, sensitivity
+from cloakopt import fem, homogenization, levelset, macro_solver, optimizer, sensitivity
 from cloakopt.geometry import (MacroGeometry, TriMesh, UnitCellGeometry, build_cell_mesh,
                                build_macro_mesh)
 from cloakopt.macro_solver import BoundaryData
@@ -424,9 +424,9 @@ def test_evaluate_condenses_once_and_factors_only_the_ring(monkeypatch):
     assert len(condensations) == 1
     c = condensations[0]
     assert fixed_factors == [len(c.g) + len(c.i), len(c.g)]
-    macro = [s for s in factored if s.mesh is ws.macro_mesh]
-    assert len(macro) == 3
-    assert all(s.structure is c.varying for s in macro)
+    ring, cell = c.assembly.constraints, homogenization.cell_operator(ws.cell_mesh).constraints
+    assert all(s.constraints is ring or s.constraints is cell for s in factored)
+    assert sum(s.constraints is ring for s in factored) == 3
 
 
 def test_iterations_neither_order_nor_assemble_the_ring_again(monkeypatch):
@@ -482,3 +482,22 @@ def test_evaluated_meshes_freed_without_the_cycle_collector():
         assert [m() for m in meshes] == [None, None]
     finally:
         gc.enable()
+
+
+def test_run_builds_only_the_one_off_structures(monkeypatch):
+    """A 2-iteration run builds 4 Structures, each once: the macro
+    Dirichlet one (the condensation's fixed part), the periodic level-set
+    one and the two objective regions'. The cell operator and the ring
+    are assembled by ScaledAssembly and build none."""
+    built = []
+    init = fem.Structure.__init__
+
+    def counted(self, mesh, constraints, elements=None):
+        built.append((mesh.element_region.max() > 0, elements is not None))
+        init(self, mesh, constraints, elements)
+
+    monkeypatch.setattr(fem.Structure, "__init__", counted)
+    run(tiny_scenario(max_iter=2))
+    # (on the macro mesh, over a subset of its elements)
+    assert sorted(built) == [(False, False), (True, False), (True, True), (True, True)]
+

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from cloakopt import fem, optimizer
+from cloakopt import fem, objectives, optimizer
 from cloakopt import levelset as ls
 from cloakopt import macro_solver as ms
 from cloakopt import validation as val
@@ -218,11 +218,11 @@ def test_insert_condensation_refuses_a_load_on_its_fixed_block(paper_geometry, c
     obstacle = val.ObstacleSpec(45.0, PDMS)
     c = val.sweep_condensation(spec, mesh, obstacle).condensation
     k = val.tile_conductivity(spec, mesh, obstacle)
-    fact = c.factor(fem.isotropic_tensors(k[c.varying.element_ids]))
+    fact = c.factor(fem.isotropic_tensors(k[c.varying_elements]))
     direct = fem.Factorization(ms.conduction_system(mesh, fem.isotropic_tensors(k), spec.bc))
-    node_of = np.full(c.structure.n_free, -1)
-    free = np.flatnonzero(c.structure.constraints.dof_of_node >= 0)
-    node_of[c.structure.constraints.dof_of_node[free]] = free
+    node_of = np.full(c.constraints.n_free, -1)
+    free = np.flatnonzero(c.constraints.dof_of_node >= 0)
+    node_of[c.constraints.dof_of_node[free]] = free
     on_insert = np.zeros(mesh.n_nodes)
     on_insert[node_of[c.reduced_dofs]] = np.linspace(1.0, 2.0, len(c.reduced_dofs))
     for homogeneous in (False, True):
@@ -320,13 +320,13 @@ def test_condensed_angles_tile_only_the_insert(paper_geometry, cell_mesh, monkey
     monkeypatch.setattr(val, "tile_conductivity",
                         lambda *a, **kw: tiled.append(1) or tile(*a, **kw))
     monkeypatch.setattr(fem.Condensation, "factor",
-                        lambda self, tensors: assembled.append((tensors, self.varying))
+                        lambda self, tensors: assembled.append((tensors, self.varying_elements))
                         or factor(self, tensors))
     val.robustness_sweep({"design": spec}, psi, 1.0, PDMS)
     assert len(tiled) == 1 and len(assembled) == len(psi)
     mesh = val.fine_mesh(spec)
-    for p, (tensors, on) in zip(psi, assembled):
-        want = tile(spec, mesh, val.ObstacleSpec(p, PDMS))[on.element_ids]
+    for p, (tensors, insert) in zip(psi, assembled):
+        want = tile(spec, mesh, val.ObstacleSpec(p, PDMS))[insert]
         np.testing.assert_array_equal(tensors[:, 0, 0], want)
 
 
@@ -380,3 +380,26 @@ def test_every_factorization_uses_the_supernode_constants(paper_geometry, cell_m
             fem.SUPERNODE_RELAX, fem.PANEL_SIZE), n
         assert (kw.get("diag_pivot_thresh"), kw.get("options")) == (
             0.0, {"SymmetricMode": True}), n
+
+
+def test_sweep_computes_the_reference_ramp_once_per_design(paper_geometry, cell_mesh,
+                                                           monkeypatch):
+    """The sweep's condensation carries its fine mesh's reference ramp:
+    two designs at three angles compute it twice, and every angle's J1 is
+    the mismatch against a ramp computed afresh, bit for bit."""
+    specs = {"a": make_spec(paper_geometry, cell_mesh),
+             "b": make_spec(paper_geometry, cell_mesh, pattern=("disk", 0.35))}
+    psi = [0.0, 120.0, 240.0]
+    mesh = val.fine_mesh(specs["a"])
+    ramps = []
+    ramp = ms.reference_field
+    monkeypatch.setattr(ms, "reference_field", lambda *a: ramps.append(1) or ramp(*a))
+    rows = val.robustness_sweep(specs, psi, 1.0, PDMS)
+    assert len(ramps) == len(specs)
+    reference = ramp(mesh, specs["a"].bc).values
+    for name, spec in specs.items():
+        c = val.sweep_condensation(spec, mesh, val.ObstacleSpec(0.0, PDMS))
+        for p, row in zip(psi, [r for r in rows if r["design"] == name], strict=True):
+            temp = val.evaluate_tiled(spec, mesh, val.ObstacleSpec(p, PDMS), condensation=c)[2]
+            assert row["j1"] == objectives.mismatch(temp.values, reference, mesh)
+
