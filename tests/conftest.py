@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cloakopt import fem
 from cloakopt.geometry import (MacroGeometry, UnitCellGeometry,
                                build_cell_mesh, build_macro_mesh)
 
@@ -32,6 +33,20 @@ def cell_mesh_32():
 @pytest.fixture(scope="session")
 def cell_mesh_64():
     return build_cell_mesh(UnitCellGeometry(64))
+
+
+@pytest.fixture
+def structures_built(monkeypatch):
+    """A list that grows by (mesh, elements) at every Structure construction."""
+    built = []
+    init = fem.Structure.__init__
+
+    def counted(self, mesh, constraints, elements=None):
+        built.append((mesh, elements))
+        init(self, mesh, constraints, elements)
+
+    monkeypatch.setattr(fem.Structure, "__init__", counted)
+    return built
 
 
 def rotation(deg):

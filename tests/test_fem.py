@@ -342,20 +342,7 @@ def test_cell_operator_is_the_slot_assembly_in_minimum_degree_order(resolution):
     np.testing.assert_array_equal(homogenization.cell_operator(mesh).order, by_values)
 
 
-def structures_built(monkeypatch):
-    """A list that grows by (mesh, elements) at every Structure construction."""
-    built = []
-    init = fem.Structure.__init__
-
-    def counted(self, mesh, constraints, elements=None):
-        built.append((mesh, elements))
-        init(self, mesh, constraints, elements)
-
-    monkeypatch.setattr(fem.Structure, "__init__", counted)
-    return built
-
-
-def test_scaled_assemblies_build_no_structure(monkeypatch):
+def test_scaled_assemblies_build_no_structure(structures_built):
     """The cell operator and a condensation's varying block are numbered
     and assembled by a ScaledAssembly, which holds its constraints and
     order but no slot table: neither builds a Structure."""
@@ -366,10 +353,10 @@ def test_scaled_assemblies_build_no_structure(monkeypatch):
     ke = fem.element_stiffness(mesh, fem.isotropic_tensors(np.ones(mesh.n_elements)))
     ke[varying] = 0.0
     fixed = fem.assemble(macro_solver._fixed_edges(mesh, bc), ke)
-    built = structures_built(monkeypatch)
+    structures_built.clear()
     mat = homogenization.CellMaterialField(np.linspace(0, 1, cell.n_elements), 386.0, 0.15)
     homogenization.homogenize(cell, mat)
     condensation = fem.Condensation(mesh, fixed, varying)
     condensation.factor(fem.isotropic_tensors(np.full(len(varying), 3.0))).solve()
-    assert built == []
+    assert structures_built == []
 
