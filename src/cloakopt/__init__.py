@@ -4,7 +4,7 @@ adjoint-driven level-set evolution, and finite-cell validation."""
 
 from .geometry import (MacroGeometry, MeshError, TriMesh, UnitCellGeometry,
                        build_cell_mesh, build_macro_mesh)
-from .fem import ScalarField, SolverError, SparseSystem
+from .fem import SolverError, SparseSystem
 from .homogenization import (CellMaterialField, EffectiveTensor, diagonalize,
                              element_conductivity, homogenize)
 from .levelset import LevelSetField, characteristic, initialize
@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 __all__ = [
     "MacroGeometry", "MeshError", "TriMesh", "UnitCellGeometry",
     "build_cell_mesh", "build_macro_mesh",
-    "ScalarField", "SolverError", "SparseSystem",
+    "SolverError", "SparseSystem",
     "CellMaterialField", "EffectiveTensor", "diagonalize", "element_conductivity",
     "homogenize",
     "LevelSetField", "characteristic", "initialize",

@@ -115,8 +115,7 @@ def cmd_validate(args) -> int:
     k = validation.tile_conductivity(spec, mesh)
     reference = macro_solver.reference_field(mesh, spec.bc)
     vtkio.write_vtk(out / "tiled.vtk", mesh,
-                    point_data={"T": temp.values,
-                                "T_sub": temp.values - reference.values},
+                    point_data={"T": temp, "T_sub": temp - reference},
                     cell_data={"conductivity": k})
     rows = [["quantity", "initial", "final", "ratio"],
             ["J1", f"{j1_init:.10g}", f"{j1:.10g}", f"{j1 / j1_init:.10g}"],

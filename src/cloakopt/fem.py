@@ -15,8 +15,11 @@ each hold one thing, and nothing that no reader reads:
 - :class:`Structure` is the slot table of one-off assembly: the reduced
   CSC pattern of a mesh (or of some of its elements) under one
   constraint set, and the data slot of every element-local 3x3 entry.
-  :func:`structure` builds it once per mesh and constraint set, at first
-  use; assembling on it is one ``np.bincount`` into the slots.
+  Assembling on it is one ``np.bincount`` into the slots. It is built
+  where it is read; only the macro problem's fixed-edge structure is
+  cached on its mesh (by :mod:`cloakopt.macro_solver`), as a fine mesh
+  reads it for its direct tiled solve and again for each sweep
+  condensation.
 - :class:`ScaledAssembly` is the ordered assembly of an operator that is
   refactored again and again on one pattern, from a few values per
   element: the periodic cell operator (its conductivities) and a
@@ -28,6 +31,8 @@ each hold one thing, and nothing that no reader reads:
   whether the constraints number it in a fill-reducing order. Each
   solve is given its nodal load, ``None`` standing for the zero load.
 
+A nodal field (a temperature, a corrector, an adjoint) is a plain array
+indexed by mesh node, and every reader takes its mesh as an argument.
 Objects cached on a mesh never hold the mesh strongly, so a mesh is
 freed as soon as its last outside reference goes.
 
@@ -80,7 +85,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -105,26 +110,6 @@ class SolverError(RuntimeError):
 
 class ConstraintError(ValueError):
     """Inconsistent Dirichlet values or periodic pairing."""
-
-
-@dataclass(eq=False)
-class ScalarField:
-    """Nodal scalar field (temperature, corrector, adjoint, ...).
-
-    ``values`` must not change after construction: the element gradient
-    is computed once and handed out read-only.
-    """
-
-    values: np.ndarray
-    mesh: TriMesh
-    _gradient: np.ndarray | None = field(default=None, init=False, repr=False)
-
-    def gradient(self) -> np.ndarray:
-        if self._gradient is None:
-            g = self.mesh.element_gradient(self.values)
-            g.flags.writeable = False
-            self._gradient = g
-        return self._gradient
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,7 +217,7 @@ class Structure:
     covered elements (all by default, else the indices ``elements``), and
     the data slot of each element-local entry (e, i, j); entries in an
     eliminated row or column go to a discarded extra slot. The mesh is
-    held by weak reference, as structures are cached on their mesh;
+    held by weak reference, as a structure may be cached on its mesh;
     :func:`assemble_diffusion` reads it to check that a structure belongs
     to the mesh it is given.
     """
@@ -406,24 +391,6 @@ def cached(mesh: TriMesh, key, build):
         return mesh.cache[key]
 
 
-def structure(mesh: TriMesh, periodic: bool = False, dirichlet: tuple = ()) -> Structure:
-    """The mesh's structure under a constraint set, built at first use.
-
-    ``periodic`` folds the mesh's periodic pairs; ``dirichlet`` is a
-    tuple of (boundary tag, value) pairs fixing every node of the tagged
-    edges. (The gauge-pinned cell operator is numbered and assembled by
-    :func:`cloakopt.homogenization.cell_operator`.)
-    """
-    def build():
-        c = Constraints.none(mesh.n_nodes)
-        if periodic:
-            c = apply_periodic(c, mesh.periodic_pairs)
-        for tag, value in dirichlet:
-            c = apply_dirichlet(c, np.unique(mesh.boundary_edges[tag]), value)
-        return Structure(mesh, c)
-    return cached(mesh, ("structure", periodic, tuple(dirichlet)), build)
-
-
 @dataclass
 class SparseSystem:
     """An operator reduced onto a numbering, and nothing else: the
@@ -516,10 +483,10 @@ def element_mass(mesh: TriMesh, lumped: bool = False,
 
 def assemble_diffusion(mesh: TriMesh, tensors: np.ndarray,
                        on: Structure | None = None) -> SparseSystem:
-    """Diffusion operator on a structure (default: unconstrained), one
-    tensor per element the structure covers."""
+    """Diffusion operator on a structure (default: a new unconstrained
+    one), one tensor per element the structure covers."""
     if on is None:
-        on = structure(mesh)
+        on = Structure(mesh, Constraints.none(mesh.n_nodes))
     elif on._mesh() is not mesh:
         raise ValueError("structure belongs to another mesh")
     tensors = np.asarray(tensors, dtype=float)

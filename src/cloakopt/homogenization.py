@@ -144,8 +144,8 @@ def _dof_nodes(mesh: TriMesh) -> np.ndarray:
 
 def homogenize(mesh: TriMesh, mat: CellMaterialField):
     """Tensor and both correctors of one cell on one factorization,
-    (tensor, w1, w2), with K* from the loads and the correctors'
-    residuals (module docstring). Raises
+    (tensor, w1, w2), the correctors as nodal arrays, with K* from the
+    loads and the correctors' residuals (module docstring). Raises
     :class:`fem.SolverError` if K* is not SPD or a principal value leaves
     the Voigt-Reuss bounds of the volume fraction by over ``BOUNDS_SLACK``."""
     system = cell_system(mesh, mat)
@@ -161,7 +161,7 @@ def homogenize(mesh: TriMesh, mat: CellMaterialField):
     if not (tensor.is_spd() and lower - BOUNDS_SLACK <= lo and hi <= upper + BOUNDS_SLACK):
         raise fem.SolverError(f"cell tensor principal values {lo:.6g}, {hi:.6g} leave "
                               f"the Voigt-Reuss bounds [{lower:.6g}, {upper:.6g}]")
-    return tensor, fem.ScalarField(w[0], mesh), fem.ScalarField(w[1], mesh)
+    return tensor, w[0], w[1]
 
 
 def diagonalize(k: np.ndarray) -> tuple[float, float, float]:

@@ -118,8 +118,10 @@ class ReactionDiffusionUpdater:
         self.tau = tau
         self.mass = mesh.lumped_mass
         n, self._grid = _periodic_grid(mesh)
-        # M and A assembled on the periodic structure, in grid order
-        on = fem.structure(mesh, periodic=True)
+        # M and A assembled on the periodic structure, in grid order; the
+        # structure is read here alone, so it is not kept
+        on = fem.Structure(mesh, fem.apply_periodic(fem.Constraints.none(mesh.n_nodes),
+                                                    mesh.periodic_pairs))
         dof = on.constraints.dof_of_node
         order = np.zeros(n * n, dtype=int)
         order[self._grid] = dof
@@ -191,7 +193,11 @@ def write_phi_csv(field: LevelSetField, path) -> None:
 
 
 def read_phi_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """(coordinates, phi) of a :func:`write_phi_csv` file in node order;
+    ``ValueError`` naming the file if it holds no rows of four columns."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if not len(data) or data.shape[1] != 4:
+        raise ValueError(f"{path}: expected rows of node_index, y1, y2, phi")
     data = data[np.argsort(data[:, 0])]
     return data[:, 1:3], data[:, 3]
 
@@ -200,8 +206,13 @@ def read_phi_field(path, mesh: TriMesh | None = None, cell_index: int = 0,
                    d: float = 0.2) -> LevelSetField:
     """Reload one cell written by :func:`write_phi_csv` onto ``mesh``, or,
     without one, onto the structured cell mesh its node count implies;
-    ``ValueError`` when the file's nodes are not those of the mesh."""
+    ``ValueError`` naming the file when its nodes are not those of the
+    mesh or a phi is not finite. Values beyond +-1 are kept: the smoothed
+    step saturates them."""
     coords, phi = read_phi_csv(path)
+    if not np.isfinite(phi).all():
+        raise ValueError(f"{path}: phi of node {int(np.flatnonzero(~np.isfinite(phi))[0])} "
+                         "is not finite")
     if mesh is None:
         mesh = build_cell_mesh(UnitCellGeometry(int(round(np.sqrt(len(phi)))) - 1))
     if len(phi) != mesh.n_nodes or not np.allclose(coords, mesh.nodes, atol=1e-9):

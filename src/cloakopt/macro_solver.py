@@ -77,8 +77,15 @@ def ring_filled_map(k_ring: float, k_exterior: float, k_obstacle: float) -> Macr
 
 
 def _fixed_edges(mesh: TriMesh, bc: BoundaryData) -> fem.Structure:
+    """Both edges fixed; cached, as a fine mesh reads it again for each sweep condensation."""
     bc.validate()
-    return fem.structure(mesh, dirichlet=((GAMMA_A, bc.t_low), (GAMMA_B, bc.t_high)))
+
+    def build():
+        c = fem.Constraints.none(mesh.n_nodes)
+        for tag, value in ((GAMMA_A, bc.t_low), (GAMMA_B, bc.t_high)):
+            c = fem.apply_dirichlet(c, np.unique(mesh.boundary_edges[tag]), value)
+        return fem.Structure(mesh, c)
+    return fem.cached(mesh, ("fixed edges", bc.t_low, bc.t_high), build)
 
 
 def conduction_system(mesh: TriMesh, tensors: np.ndarray,
@@ -135,14 +142,15 @@ def state_factorization(mesh: TriMesh, matmap: MacroMaterialMap,
 
 
 def solve_state(mesh: TriMesh, matmap: MacroMaterialMap,
-                bc: BoundaryData) -> fem.ScalarField:
-    """Temperature field for the given material map and edge temperatures."""
-    return fem.ScalarField(fem.Factorization(state_system(mesh, matmap, bc)).solve(), mesh)
+                bc: BoundaryData) -> np.ndarray:
+    """Nodal temperatures for the given material map and edge temperatures."""
+    return fem.Factorization(state_system(mesh, matmap, bc)).solve()
 
 
-def reference_field(mesh: TriMesh, bc: BoundaryData) -> fem.ScalarField:
-    """The uniform-plate temperature J1 compares against: the linear ramp
-    from t_low at x0 to t_high at x1, taking both edge values exactly.
+def reference_field(mesh: TriMesh, bc: BoundaryData) -> np.ndarray:
+    """The uniform-plate nodal temperatures J1 compares against: the
+    linear ramp from t_low at x0 to t_high at x1, taking both edge values
+    exactly.
 
     It is the discrete P1 solution for any uniform conductivity k: for
     grad u = (c, 0), the row of free node i is k c times the boundary
@@ -151,11 +159,11 @@ def reference_field(mesh: TriMesh, bc: BoundaryData) -> fem.ScalarField:
     bc.validate()
     x0, x1 = mesh.extent[:2]
     s = (mesh.nodes[:, 0] - x0) / (x1 - x0)
-    return fem.ScalarField(bc.t_low * (1.0 - s) + bc.t_high * s, mesh)
+    return bc.t_low * (1.0 - s) + bc.t_high * s
 
 
-def adjoint_load(mesh: TriMesh, weights: dict[str, float], state: fem.ScalarField,
-                 reference: fem.ScalarField | None = None) -> np.ndarray:
+def adjoint_load(mesh: TriMesh, weights: dict[str, float], state: np.ndarray,
+                 reference: np.ndarray | None = None) -> np.ndarray:
     """Derivative of sum_k weights[k] * J_k w.r.t. nodal temperatures.
 
     ``weights`` maps "j1" and "j2" to their weights, as
@@ -171,53 +179,52 @@ def adjoint_load(mesh: TriMesh, weights: dict[str, float], state: fem.ScalarFiel
     if "j1" in weights:
         if reference is None:
             raise ValueError("j1 adjoint needs the reference field")
-        load += weights["j1"] * 2.0 * (m_e @ (state.values - reference.values))
+        load += weights["j1"] * 2.0 * (m_e @ (state - reference))
     if "j2" in weights:
-        load += weights["j2"] * 2.0 * (a_c @ state.values)
+        load += weights["j2"] * 2.0 * (a_c @ state)
     return load
 
 
 def solve_adjoint(state_fact: fem.Factorization | fem.CondensedFactorization,
-                  weights: dict[str, float], state: fem.ScalarField,
-                  reference: fem.ScalarField | None = None) -> fem.ScalarField:
-    """Adjoint of sum_k weights[k] * J_k on the factored state operator:
-    its derivative as the load, zero values on the fixed edges. dJ/dK*
-    is linear in the load, so one solve differentiates the weighted sum."""
-    load = adjoint_load(state.mesh, weights, state, reference)
-    return fem.ScalarField(state_fact.solve(load, homogeneous=True), state.mesh)
+                  mesh: TriMesh, weights: dict[str, float], state: np.ndarray,
+                  reference: np.ndarray | None = None) -> np.ndarray:
+    """Adjoint of sum_k weights[k] * J_k on the factored state operator of
+    ``mesh``: its derivative as the load, zero values on the fixed edges.
+    dJ/dK* is linear in the load, so one solve differentiates the weighted sum."""
+    return state_fact.solve(adjoint_load(mesh, weights, state, reference), homogeneous=True)
 
 
-def evaluate_objectives(state: fem.ScalarField, reference: fem.ScalarField,
+def evaluate_objectives(state: np.ndarray, reference: np.ndarray,
                         mesh: TriMesh) -> tuple[float, float]:
     """(J1, J2): exterior mismatch energy and obstacle gradient energy."""
-    j1 = objectives.mismatch(state.values, reference.values, mesh)
-    j2 = objectives.gradient_energy(state.values, mesh)
+    j1 = objectives.mismatch(state, reference, mesh)
+    j2 = objectives.gradient_energy(state, mesh)
     return j1, j2
 
 
 def flux_balance_error(mesh: TriMesh, matmap: MacroMaterialMap, bc: BoundaryData,
-                       state: fem.ScalarField) -> float:
+                       state: np.ndarray) -> float:
     """Relative mismatch between inflow and outflow through the fixed edges."""
     bc.validate()
     ke = fem.element_stiffness(mesh, matmap.element_tensors(mesh))
-    fa = fem.boundary_reaction(mesh, ke, state.values, GAMMA_A)
-    fb = fem.boundary_reaction(mesh, ke, state.values, GAMMA_B)
+    fa = fem.boundary_reaction(mesh, ke, state, GAMMA_A)
+    fb = fem.boundary_reaction(mesh, ke, state, GAMMA_B)
     scale = max(abs(fa), abs(fb), 1e-300)
     return abs(fa + fb) / scale
 
 
-def temperature_bounds_violation(state: fem.ScalarField, bc: BoundaryData) -> float:
+def temperature_bounds_violation(state: np.ndarray, bc: BoundaryData) -> float:
     """How far nodal temperatures overshoot the prescribed edge range."""
     lo, hi = sorted((bc.t_low, bc.t_high))
-    return max(float(lo - state.values.min()), float(state.values.max() - hi), 0.0)
+    return max(float(lo - state.min()), float(state.max() - hi), 0.0)
 
 
-def export_fields(path, mesh: TriMesh, state: fem.ScalarField,
-                  reference: fem.ScalarField, matmap: MacroMaterialMap) -> None:
+def export_fields(path, mesh: TriMesh, state: np.ndarray,
+                  reference: np.ndarray, matmap: MacroMaterialMap) -> None:
     """VTK dump of T, the deviation from the reference, and the heat flux."""
     tensors = matmap.element_tensors(mesh)
     vtkio.write_vtk(
         path, mesh,
-        point_data={"T": state.values, "T_sub": state.values - reference.values},
-        cell_data={"flux": vtkio.flux_vectors(mesh, tensors, state.values)},
+        point_data={"T": state, "T_sub": state - reference},
+        cell_data={"flux": vtkio.flux_vectors(mesh, tensors, state)},
     )

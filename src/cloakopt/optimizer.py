@@ -236,8 +236,7 @@ class Workspace:
                 macro_solver.ring_filled_map(scenario.normalization_fill,
                                              scenario.k_exterior, scenario.k_obstacle),
                 self.bc)
-            self.norm_denominator = objectives.mismatch(
-                worst.values, self.t_steel.values, self.macro_mesh)
+            self.norm_denominator = objectives.mismatch(worst, self.t_steel, self.macro_mesh)
 
     @cached_property
     def updater(self) -> levelset.ReactionDiffusionUpdater:
@@ -260,7 +259,7 @@ class Evaluation:
     """One evaluated design: cell homogenizations, macro state, objectives."""
 
     cells: list                       # (material, tensor, w1, w2) per cell
-    temp: fem.ScalarField
+    temp: np.ndarray                  # nodal temperatures on the half mesh
     state_fact: fem.CondensedFactorization   # state operator, reused by the adjoints
     j1: float
     j2: float
@@ -288,7 +287,7 @@ def evaluate(ws: Workspace, phis: list[LevelSetField], d: float,
     matmap = MacroMaterialMap(sector_tensors=[c[1] for c in cells],
                               k_exterior=sc.k_exterior, k_obstacle=sc.k_obstacle)
     state_fact = macro_solver.state_factorization(ws.macro_mesh, matmap, ws.bc)
-    temp = fem.ScalarField(state_fact.solve(), ws.macro_mesh)
+    temp = state_fact.solve()
     j1, j2 = macro_solver.evaluate_objectives(temp, ws.t_steel, ws.macro_mesh)
     if sc.objective_mode == "normalized":
         j = j1 / ws.norm_denominator
@@ -311,8 +310,8 @@ def step(ws: Workspace, ev: Evaluation, phis: list[LevelSetField],
     Cells 5-8 receive the reflections of the stepped cells 1-4.
     """
     sc = ws.scenario
-    adjoint = macro_solver.solve_adjoint(ev.state_fact, sc.derivative_weights(),
-                                         ev.temp, ws.t_steel)
+    adjoint = macro_solver.solve_adjoint(ev.state_fact, ws.macro_mesh,
+                                         sc.derivative_weights(), ev.temp, ws.t_steel)
     dj_dks = sensitivity.sector_sensitivities(ws.macro_mesh, ev.temp, adjoint)
 
     def reaction_task(args):
@@ -431,7 +430,7 @@ def run(scenario: Scenario, out_dir=None, resume_from: DesignState | None = None
         if not last:
             for f, phi in zip(phis, step(ws, ev, phis, it, threads)):
                 f.phi = phi
-        # release this iteration's fields, gradients and state factor
+        # release this iteration's fields and state factor
         # before the next evaluation builds its own
         del ev
 

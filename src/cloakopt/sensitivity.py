@@ -37,8 +37,8 @@ log = logging.getLogger(__name__)
 DEGENERATE_NORM = 1e-300
 
 
-def sector_sensitivities(mesh: TriMesh, state: fem.ScalarField,
-                         adjoint: fem.ScalarField) -> np.ndarray:
+def sector_sensitivities(mesh: TriMesh, state: np.ndarray,
+                         adjoint: np.ndarray) -> np.ndarray:
     """Symmetrized dJ/dK* of every design sector of the mesh, -int grad T
     (x) grad v over its elements; shape (8, 2, 2), or (4, 2, 2) for sectors
     1-4 of a ``mirror_half`` mesh, sector l at index l - 1.
@@ -49,8 +49,8 @@ def sector_sensitivities(mesh: TriMesh, state: fem.ScalarField,
     derivative along half of a symmetric (1,2)+(2,1) perturbation.
     """
     ring, sectors = fem.cached(mesh, "sector elements", lambda: _sector_elements(mesh))
-    gt = mesh.element_gradient(state.values, ring)
-    gv = mesh.element_gradient(adjoint.values, ring)
+    gt = mesh.element_gradient(state, ring)
+    gv = mesh.element_gradient(adjoint, ring)
     a = mesh.areas[ring]
     out = np.empty((len(sectors), 2, 2))
     for k, e in enumerate(sectors):
@@ -78,17 +78,18 @@ def insertion_prefactor(k_host: float, k_insert: float) -> float:
 
 
 def topological_tensor_fields(mesh: TriMesh, mat: CellMaterialField,
-                              w1: fem.ScalarField, w2: fem.ScalarField):
+                              w1: np.ndarray, w2: np.ndarray):
     """Nodal insertion derivatives of K* for both phase swaps.
 
+    ``w1`` and ``w2`` are the correctors' nodal values on ``mesh``.
     Returns (insert_a, insert_b): (n_nodes, 2, 2) arrays for inserting
     phase a into b-host and phase b into a-host. Element values
     prefactor * (e_i + grad w_i).(e_j + grad w_j) are transferred to
     nodes by area-weighted averaging, accumulated on periodic masters so
     paired boundary nodes agree exactly.
     """
-    e1 = w1.gradient() + (1.0, 0.0)
-    e2 = w2.gradient() + (0.0, 1.0)
+    e1 = mesh.element_gradient(w1) + (1.0, 0.0)
+    e2 = mesh.element_gradient(w2) + (0.0, 1.0)
     outer = np.column_stack([np.einsum("ei,ei->e", e1, e1),
                              np.einsum("ei,ei->e", e1, e2),
                              np.einsum("ei,ei->e", e2, e2)])

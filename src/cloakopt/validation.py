@@ -154,18 +154,20 @@ def tile_conductivity(spec: TilingSpec, mesh: TriMesh,
 @dataclass(frozen=True, eq=False)
 class SweepCondensation:
     """One design's tiled operator condensed onto the insert's disk, bound
-    to the spec it was built for, and the reference ramp of every angle's
-    J1 on its fine mesh; the ramp, not the condensation, holds that mesh."""
+    to the spec and fine mesh it was built for, and the reference ramp of
+    every angle's J1 on that mesh; it, not the condensation, holds the mesh."""
 
     spec: TilingSpec
+    mesh: TriMesh
     condensation: fem.Condensation
-    reference: fem.ScalarField
+    reference: np.ndarray
 
 
 def evaluate_tiled(spec: TilingSpec, mesh: TriMesh | None = None,
                    obstacle: ObstacleSpec | None = None, *,
                    condensation: SweepCondensation | None = None):
-    """Solve raw conduction on the tiled structure; returns (J1, J2, T).
+    """Solve raw conduction on the tiled structure; returns (J1, J2, T),
+    T the nodal temperatures.
 
     ``mesh`` defaults to :func:`fine_mesh`; J1 compares against the
     reference ramp on that mesh (:func:`macro_solver.reference_field`).
@@ -179,11 +181,11 @@ def evaluate_tiled(spec: TilingSpec, mesh: TriMesh | None = None,
         mesh = fine_mesh(spec)
     if condensation is None:
         k = tile_conductivity(spec, mesh, obstacle)
-        values = fem.Factorization(macro_solver.conduction_system(
+        temp = fem.Factorization(macro_solver.conduction_system(
             mesh, fem.isotropic_tensors(k), spec.bc)).solve()
         reference = macro_solver.reference_field(mesh, spec.bc)
     else:
-        if condensation.reference.mesh is not mesh:
+        if condensation.mesh is not mesh:
             raise ValueError("the condensation belongs to another mesh")
         if condensation.spec is not spec:
             raise ValueError("the condensation was built for another design")
@@ -192,11 +194,10 @@ def evaluate_tiled(spec: TilingSpec, mesh: TriMesh | None = None,
         k = np.full(len(insert), spec.k_obstacle)
         if obstacle is not None:
             k[obstacle.on_insert_side(mesh.centroids[insert])] = obstacle.k
-        values = condensation.condensation.factor(fem.isotropic_tensors(k)).solve()
+        temp = condensation.condensation.factor(fem.isotropic_tensors(k)).solve()
         reference = condensation.reference
-    temp = fem.ScalarField(values, mesh)
-    j1 = objectives.mismatch(temp.values, reference.values, mesh)
-    j2 = objectives.gradient_energy(temp.values, mesh)
+    j1 = objectives.mismatch(temp, reference, mesh)
+    j2 = objectives.gradient_energy(temp, mesh)
     return j1, j2, temp
 
 
@@ -206,7 +207,7 @@ def sweep_condensation(spec: TilingSpec, mesh: TriMesh,
     the elements that differ between the angles of a sweep. Every angle
     solves the zero load, so the condensation keeps the interface
     responses in place of the fixed block's factor."""
-    return SweepCondensation(spec, macro_solver.condensed_conduction(
+    return SweepCondensation(spec, mesh, macro_solver.condensed_conduction(
         mesh, fem.isotropic_tensors(tile_conductivity(spec, mesh)),
         obstacle.disk(mesh, spec.geometry), spec.bc, keep_responses=True),
         macro_solver.reference_field(mesh, spec.bc))

@@ -562,3 +562,39 @@ def test_malformed_checkpoint_exit_code(short_run, tmp_path, capsys, command, co
     assert cli.main([command, *flags]) == 2
     err = capsys.readouterr().err.strip().splitlines()[-1]
     assert err.startswith("configuration error") and "state.json" in err and named in err
+
+
+def set_phi(value, row=40):
+    """A corruption that sets the phi of one data row to ``value``."""
+    def corrupt(text):
+        lines = text.split("\r\n")
+        fields = lines[1 + row].split(",")
+        lines[1 + row] = ",".join(fields[:3] + [value])
+        return "\r\n".join(lines)
+    return corrupt
+
+
+@pytest.mark.parametrize("cells, corrupt", [
+    ((3,), lambda text: ""),
+    ((3,), set_phi("nan")),
+    ((3, 6), set_phi("nan")),
+    ((3,), set_phi("inf")),
+    ((3,), set_phi("-inf")),
+], ids=["empty", "nan", "nan-in-3-and-6", "inf", "minus-inf"])
+@pytest.mark.parametrize("command", ["validate", "sweep", "optimize"])
+def test_malformed_phi_csv_exit_code(short_run, tmp_path, capsys, command, cells, corrupt):
+    """A cell file that is empty or holds a phi that is not finite is
+    refused, with the file named, by every command that reads a run."""
+    run = tmp_path / "run"
+    shutil.copytree(short_run, run)
+    for l in cells:
+        for path in run.rglob(f"cell_{l}.csv"):
+            path.write_bytes(corrupt(path.read_bytes().decode()).encode())
+    flags = {"validate": ["--run", str(run), "--epsilon0", "0.25"],
+             "sweep": ["--run", f"short={run}", "--epsilon0", "0.25",
+                       "--out", str(tmp_path / "sweep.csv")],
+             "optimize": ["--config", str(small_config(tmp_path)), "--out", str(run),
+                          "--resume"]}[command]
+    assert cli.main([command, *flags]) == 2
+    err = capsys.readouterr().err.strip().splitlines()[-1]
+    assert err.startswith("configuration error") and "cell_3.csv" in err

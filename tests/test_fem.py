@@ -172,8 +172,9 @@ def test_series_resistance_flux():
     mesh = build_macro_mesh(g, 0.1, allow_oversize=True)
     k = np.where(mesh.centroids[:, 0] < 0.0, 2.0, 1.0)
     tensors = fem.isotropic_tensors(k)
-    system = fem.assemble_diffusion(
-        mesh, tensors, on=fem.structure(mesh, dirichlet=((GAMMA_A, 0.0), (GAMMA_B, 1.0))))
+    c = fem.apply_dirichlet(free(mesh), np.unique(mesh.boundary_edges[GAMMA_A]), 0.0)
+    c = fem.apply_dirichlet(c, np.unique(mesh.boundary_edges[GAMMA_B]), 1.0)
+    system = fem.assemble_diffusion(mesh, tensors, on=fem.Structure(mesh, c))
     values = fem.Factorization(system).solve()
     ke = fem.element_stiffness(mesh, tensors)
     flux_in = fem.boundary_reaction(mesh, ke, values, GAMMA_B)
@@ -219,7 +220,8 @@ def levelset_operator(mesh):
     k_phi, tau, dt = 1.5, 0.05, 0.1
     ke = (fem.element_mass(mesh, lumped=True) + dt * k_phi * tau
           * fem.element_stiffness(mesh, fem.isotropic_tensors(np.ones(mesh.n_elements))))
-    return fem.assemble(fem.structure(mesh, periodic=True), ke), ke
+    periodic = fem.apply_periodic(free(mesh), mesh.periodic_pairs)
+    return fem.assemble(fem.Structure(mesh, periodic), ke), ke
 
 
 @pytest.mark.parametrize("build, mesh_of", [

@@ -104,7 +104,8 @@ def test_update_uniform_reaction_shifts_then_clamps(cell_mesh_32):
 
 def superlu_step(mesh, phi, jprime, k_phi, tau, dt):
     """Oracle: the step assembled on the periodic structure and factored by SuperLU."""
-    on = fem.structure(mesh, periodic=True)
+    on = fem.Structure(mesh, fem.apply_periodic(fem.Constraints.none(mesh.n_nodes),
+                                                mesh.periodic_pairs))
     ke = (fem.element_mass(mesh, lumped=True) + dt * k_phi * tau
           * fem.element_stiffness(mesh, fem.isotropic_tensors(np.ones(mesh.n_elements))))
     b = on.constraints.restrict(mesh.lumped_mass * (phi - dt * k_phi * jprime))

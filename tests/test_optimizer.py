@@ -38,9 +38,9 @@ def adjoint_weights(monkeypatch, scenario):
     weights = []
     solve_adjoint = macro_solver.solve_adjoint
 
-    def record(state_fact, w, *args):
+    def record(state_fact, mesh, w, *args):
         weights.append(dict(w))
-        return solve_adjoint(state_fact, w, *args)
+        return solve_adjoint(state_fact, mesh, w, *args)
 
     monkeypatch.setattr(macro_solver, "solve_adjoint", record)
     return run(scenario), weights
@@ -294,8 +294,8 @@ def test_mirrored_reaction_terms_equal_the_eight_cell_ones_on_a_symmetric_design
     whole = build_macro_mesh(sc.geometry, sc.macro_h)
     matmap = macro_solver.MacroMaterialMap(ev.tensors, sc.k_exterior, sc.k_obstacle)
     fact = fem.Factorization(macro_solver.state_system(whole, matmap, sc.bc))
-    temp = fem.ScalarField(fact.solve(), whole)
-    adjoint = macro_solver.solve_adjoint(fact, sc.derivative_weights(), temp,
+    temp = fact.solve()
+    adjoint = macro_solver.solve_adjoint(fact, whole, sc.derivative_weights(), temp,
                                          macro_solver.reference_field(whole, sc.bc))
     eight = []
     for dj_dk, f, (mat, _, w1, w2) in zip(sensitivity.sector_sensitivities(whole, temp, adjoint),
@@ -361,9 +361,9 @@ def test_mixed_weight_contracts_derivative_of_recorded_objective(monkeypatch):
     combined_sensitivity = sensitivity.combined_sensitivity
     adjoints, derivatives, contracted = [], [], []
 
-    def record_adjoint(state_fact, weights, state, reference):
-        adjoints.append((state_fact, weights, state, reference))
-        return solve_adjoint(state_fact, weights, state, reference)
+    def record_adjoint(state_fact, mesh, weights, state, reference):
+        adjoints.append((state_fact, mesh, weights, state, reference))
+        return solve_adjoint(state_fact, mesh, weights, state, reference)
 
     def record_sectors(*args):
         derivatives.append(sector_sensitivities(*args))
@@ -379,10 +379,10 @@ def test_mixed_weight_contracts_derivative_of_recorded_objective(monkeypatch):
     w = 0.3
     run(tiny_scenario(w=w, max_iter=2))
     assert len(adjoints) == 1 and len(derivatives) == 1 and len(contracted) == 4
-    state_fact, weights, temp, reference = adjoints[0]
+    state_fact, mesh, weights, temp, reference = adjoints[0]
     assert weights == {"j1": w, "j2": 1.0 - w}
-    single = [solve_adjoint(state_fact, {k: 1.0}, temp, reference) for k in ("j1", "j2")]
-    s1, s2 = (sector_sensitivities(temp.mesh, temp, v) for v in single)
+    single = [solve_adjoint(state_fact, mesh, {k: 1.0}, temp, reference) for k in ("j1", "j2")]
+    s1, s2 = (sector_sensitivities(mesh, temp, v) for v in single)
     for s_j, s, want in zip(contracted, derivatives[0], w * s1 + (1.0 - w) * s2,
                             strict=True):
         assert np.array_equal(s_j, s)
@@ -495,3 +495,25 @@ def test_run_builds_only_the_one_off_structures(structures_built):
                    for mesh, elements in structures_built)
     assert built == [(False, False), (True, False), (True, True), (True, True)]
 
+
+
+def test_a_run_caches_only_the_fixed_edge_structure(monkeypatch):
+    """After a run the cell mesh holds no Structure (the level-set
+    stepper's is read at its build alone) and the macro mesh only the
+    fixed-edge one, which the condensation's build reads."""
+    workspaces = []
+
+    class Recorded(Workspace):
+        def __init__(self, scenario):
+            super().__init__(scenario)
+            workspaces.append(self)
+
+    monkeypatch.setattr(optimizer, "Workspace", Recorded)
+    run(tiny_scenario(max_iter=2))
+    (ws,) = workspaces
+
+    def structures(mesh):
+        return [key for key, value in mesh.cache.items() if isinstance(value, fem.Structure)]
+
+    assert ws.cell_mesh.cache and structures(ws.cell_mesh) == []
+    assert structures(ws.macro_mesh) == [("fixed edges", ws.bc.t_low, ws.bc.t_high)]

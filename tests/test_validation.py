@@ -183,8 +183,8 @@ def test_condensed_sweep_matches_direct_evaluations(paper_geometry, cell_mesh):
         assert r["j1"] == pytest.approx(want_j1, rel=1e-10)
         assert j1 == pytest.approx(want_j1, rel=1e-10)
         assert j2 == pytest.approx(want_j2, rel=1e-10)
-        assert (np.abs(temp.values - want_t.values).max()
-                <= 1e-10 * np.abs(want_t.values).max())
+        assert (np.abs(temp - want_t).max()
+                <= 1e-10 * np.abs(want_t).max())
 
 
 def test_sweep_angles_make_no_fixed_block_solve(paper_geometry, cell_mesh, monkeypatch):
@@ -396,10 +396,23 @@ def test_sweep_computes_the_reference_ramp_once_per_design(paper_geometry, cell_
     monkeypatch.setattr(ms, "reference_field", lambda *a: ramps.append(1) or ramp(*a))
     rows = val.robustness_sweep(specs, psi, 1.0, PDMS)
     assert len(ramps) == len(specs)
-    reference = ramp(mesh, specs["a"].bc).values
+    reference = ramp(mesh, specs["a"].bc)
     for name, spec in specs.items():
         c = val.sweep_condensation(spec, mesh, val.ObstacleSpec(0.0, PDMS))
         for p, row in zip(psi, [r for r in rows if r["design"] == name], strict=True):
             temp = val.evaluate_tiled(spec, mesh, val.ObstacleSpec(p, PDMS), condensation=c)[2]
-            assert row["j1"] == objectives.mismatch(temp.values, reference, mesh)
+            assert row["j1"] == objectives.mismatch(temp, reference, mesh)
 
+
+
+def test_a_fine_mesh_builds_its_fixed_edge_structure_once(paper_geometry, cell_mesh,
+                                                          structures_built):
+    """A direct tiled evaluation and the sweep's condensation of one fine
+    mesh read one fixed-edge structure, cached on the mesh."""
+    spec = make_spec(paper_geometry, cell_mesh)
+    mesh = build_macro_mesh(spec.geometry, spec.epsilon0 / val.ELEMENTS_PER_CELL,
+                            allow_oversize=True)
+    val.evaluate_tiled(spec, mesh)
+    val.sweep_condensation(spec, mesh, val.ObstacleSpec(0.0, PDMS))
+    whole = [m for m, elements in structures_built if elements is None]
+    assert len(whole) == 1 and whole[0] is mesh

@@ -1,0 +1,135 @@
+"""Check that two source trees produce bit-identical outputs.
+
+    python tools/compare_outputs.py PARENT_ROOT [CHANGE_ROOT]
+
+CHANGE_ROOT defaults to the tree holding this script. Each check runs in
+a subprocess on one BLAS thread, with ``src/`` of the tree under test on
+``PYTHONPATH``; the inputs come from CHANGE_ROOT for both trees:
+
+* every config in ``configs/``, run by ``cloakopt optimize`` for 20
+  iterations with the transition width switching at iteration 11:
+  ``history.csv`` without its ``wall_ms`` column, ``tensors.csv`` and
+  ``macro_fields.vtk``;
+* the ``validate_sweep`` benchmark's inputs at seed 7, read from
+  ``benchmarks/inputs.py``: the direct tiled J1, J2 and temperature field
+  of the design, and the J1 of its 8 condensed sweep angles.
+
+Prints one SHA-256 per output and exits 1 if any differs.
+"""
+
+from __future__ import annotations
+
+import csv
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ITERATIONS = 20
+SWITCH = 11
+SEED = 7
+
+# run in the tree under test; prints {output: sha256}
+SWEEP_SCRIPT = r"""
+import hashlib, json, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+import inputs
+from cloakopt import validation
+from cloakopt.geometry import (MacroGeometry, SECTOR_FIRST, SECTOR_LAST,
+                               UnitCellGeometry, build_cell_mesh)
+from cloakopt.levelset import LevelSetField
+from cloakopt.macro_solver import BoundaryData
+
+seed = int(sys.argv[2])
+mesh = build_cell_mesh(UnitCellGeometry(inputs.SWEEP_CELL_RESOLUTION))
+cells = range(SECTOR_FIRST, SECTOR_LAST + 1)
+design = [LevelSetField(phi=phi, mesh=mesh, cell_index=l, d=inputs.SWEEP_D) for l, phi in
+          zip(cells, inputs.sweep_phis(mesh.nodes, mesh.periodic_pairs, seed))]
+m = inputs.MATERIALS
+spec = validation.TilingSpec(
+    epsilon0=inputs.EPSILON0, phis=design, d=inputs.SWEEP_D,
+    geometry=MacroGeometry(**inputs.GEOMETRY), k_cell_a=m["cell_a"], k_cell_b=m["cell_b"],
+    k_exterior=m["exterior"], k_obstacle=m["obstacle"], bc=BoundaryData(**inputs.BOUNDARY))
+j1, j2, temp = validation.evaluate_tiled(spec)
+temp = np.ascontiguousarray(getattr(temp, "values", temp), dtype="<f8")  # earlier versions wrap T
+rows = validation.robustness_sweep({"design": spec}, list(inputs.SWEEP_PSI), 1.0,
+                                   k_obstacle_insert=inputs.SWEEP_OBSTACLE_K)
+
+def sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+print(json.dumps({"tiled J1": sha(j1.hex().encode()), "tiled J2": sha(j2.hex().encode()),
+                  "tiled T": sha(temp.tobytes()),
+                  "sweep J1 x8": sha(" ".join(r["j1"].hex() for r in rows).encode())}))
+"""
+
+
+def environment(root: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env.update({k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                 "MKL_NUM_THREADS")})
+    return env
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def history_without_wall_time(path: Path) -> bytes:
+    rows = list(csv.reader(io.StringIO(path.read_text())))
+    keep = [i for i, name in enumerate(rows[0]) if name != "wall_ms"]
+    return "\n".join(",".join(row[i] for i in keep) for row in rows).encode()
+
+
+def optimize_outputs(root: Path, config: Path, work: Path) -> dict:
+    raw = json.loads(config.read_text())
+    widths = [d for _, d in raw["levelset"]["d_schedule"]]
+    raw["levelset"]["d_schedule"] = [[1, widths[0]], [SWITCH, widths[-1]]]
+    raw["optimizer"]["max_iter"] = ITERATIONS
+    short = work / f"{config.stem}.json"
+    short.write_text(json.dumps(raw))
+    out = work / config.stem
+    subprocess.run([sys.executable, "-m", "cloakopt.cli", "optimize", "--config", str(short),
+                    "--out", str(out)], env=environment(root), check=True,
+                   stdout=subprocess.DEVNULL)
+    return {f"{config.stem} history.csv": sha256(history_without_wall_time(
+                out / "history.csv")),
+            f"{config.stem} tensors.csv": sha256((out / "tensors.csv").read_bytes()),
+            f"{config.stem} macro_fields.vtk": sha256((out / "macro_fields.vtk").read_bytes())}
+
+
+def outputs(root: Path, inputs_root: Path) -> dict:
+    hashes = {}
+    with tempfile.TemporaryDirectory() as work:
+        for config in sorted((inputs_root / "configs").glob("*.json")):
+            hashes.update(optimize_outputs(root, config, Path(work)))
+    sweep = subprocess.run([sys.executable, "-c", SWEEP_SCRIPT,
+                            str(inputs_root / "benchmarks"), str(SEED)],
+                           env=environment(root), check=True, capture_output=True, text=True)
+    hashes.update(json.loads(sweep.stdout.strip().splitlines()[-1]))
+    return hashes
+
+
+def main(argv: list[str]) -> int:
+    if not 1 <= len(argv) <= 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    parent = Path(argv[0]).resolve()
+    change = Path(argv[1]).resolve() if len(argv) == 2 else Path(__file__).resolve().parents[1]
+    want, got = outputs(parent, change), outputs(change, change)
+    differ = 0
+    for name in got:
+        same = want.get(name) == got[name]
+        differ += not same
+        print(f"{name:36} {got[name]}" + ("" if same else f"  DIFFERS: parent {want.get(name)}"))
+    print(f"{len(got) - differ} of {len(got)} outputs identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
