@@ -13,6 +13,7 @@ factors nothing (:class:`ReactionDiffusionUpdater`).
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -185,17 +186,29 @@ def _periodic_grid(mesh: TriMesh) -> tuple[int, np.ndarray]:
 
 def write_phi_csv(field: LevelSetField, path) -> None:
     """Checkpoint one cell: node_index, y1, y2, phi with round-trip precision,
-    CRLF-terminated as the csv module writes; the rows are one %-format
-    over the flat list (a format per row costs ~4x more)."""
-    table = np.column_stack([np.arange(field.mesh.n_nodes), field.mesh.nodes, field.phi])
-    rows = ("%d,%.17g,%.17g,%.17g\r\n" * len(table)) % tuple(table.ravel().tolist())
-    Path(path).write_bytes(("node_index,y1,y2,phi\r\n" + rows).encode())
+    CRLF-terminated as the csv module writes.
+
+    The header and each row's ``node_index,y1,y2,`` depend on the mesh
+    alone. They are formatted once per mesh into a template kept in its
+    cache (a plain string, so it keeps no mesh alive), and a write is one
+    %-format of phi over it: a run checkpoints its eight cells, all on
+    one mesh, every few iterations. Both formats run over the flat list
+    (a format per row costs ~4x more)."""
+    def build():
+        table = np.column_stack([np.arange(field.mesh.n_nodes), field.mesh.nodes])
+        # "%%" leaves each row a "%.17g" slot for its phi
+        rows = ("%d,%.17g,%.17g,%%.17g\r\n" * len(table)) % tuple(table.ravel().tolist())
+        return "node_index,y1,y2,phi\r\n" + rows
+    template = fem.cached(field.mesh, "phi csv template", build)
+    Path(path).write_bytes((template % tuple(field.phi.tolist())).encode())
 
 
 def read_phi_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """(coordinates, phi) of a :func:`write_phi_csv` file in node order;
     ``ValueError`` naming the file if it holds no rows of four columns."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    with warnings.catch_warnings():     # an empty file is refused below
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if not len(data) or data.shape[1] != 4:
         raise ValueError(f"{path}: expected rows of node_index, y1, y2, phi")
     data = data[np.argsort(data[:, 0])]

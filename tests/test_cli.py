@@ -1,6 +1,7 @@
 import csv
 import json
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -584,7 +585,8 @@ def set_phi(value, row=40):
 @pytest.mark.parametrize("command", ["validate", "sweep", "optimize"])
 def test_malformed_phi_csv_exit_code(short_run, tmp_path, capsys, command, cells, corrupt):
     """A cell file that is empty or holds a phi that is not finite is
-    refused, with the file named, by every command that reads a run."""
+    refused, with the file named and no warning before it, by every
+    command that reads a run."""
     run = tmp_path / "run"
     shutil.copytree(short_run, run)
     for l in cells:
@@ -595,6 +597,9 @@ def test_malformed_phi_csv_exit_code(short_run, tmp_path, capsys, command, cells
                        "--out", str(tmp_path / "sweep.csv")],
              "optimize": ["--config", str(small_config(tmp_path)), "--out", str(run),
                           "--resume"]}[command]
-    assert cli.main([command, *flags]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main([command, *flags]) == 2
+    assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err.strip().splitlines()[-1]
     assert err.startswith("configuration error") and "cell_3.csv" in err

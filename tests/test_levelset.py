@@ -1,6 +1,8 @@
 import csv
 import dataclasses
+import gc
 import io
+import weakref
 
 import numpy as np
 import pytest
@@ -186,23 +188,45 @@ def test_update_preserves_periodicity(cell_mesh_32):
     assert out.min() >= -1.0 and out.max() <= 1.0
 
 
-def test_checkpoint_round_trip(tmp_path, cell_mesh_32):
-    f = initialize(cell_mesh_32, ("disk", 0.25))
-    rng = np.random.default_rng(5)
-    f.phi = np.clip(f.phi + 1e-3 * rng.normal(size=f.phi.shape), -1, 1)
-    path = tmp_path / "cell.csv"
-    write_phi_csv(f, path)
-    per_row = io.StringIO(newline="")     # the csv module's rows are the file format
+def per_row_csv(field) -> bytes:
+    """The checkpoint of one cell written one row at a time by the csv
+    module, whose rows are the file format."""
+    per_row = io.StringIO(newline="")
     writer = csv.writer(per_row)
     writer.writerow(["node_index", "y1", "y2", "phi"])
-    for i, ((y1, y2), p) in enumerate(zip(f.mesh.nodes, f.phi)):
+    for i, ((y1, y2), p) in enumerate(zip(field.mesh.nodes, field.phi)):
         writer.writerow([i, f"{y1:.17g}", f"{y2:.17g}", f"{p:.17g}"])
-    assert path.read_bytes() == per_row.getvalue().encode()
-    coords, phi = read_phi_csv(path)
-    np.testing.assert_array_equal(phi, f.phi)          # bit round-trip
-    np.testing.assert_array_equal(coords, cell_mesh_32.nodes)
-    g = initialize(cell_mesh_32, ("file", path))
-    np.testing.assert_array_equal(g.phi, f.phi)
+    return per_row.getvalue().encode()
+
+
+def test_checkpoint_round_trip(tmp_path, cell_mesh_32):
+    """Two checkpoints on one mesh with different phi, and one on a second
+    mesh in between, each match the per-row reference and read back bit
+    for bit. The template a mesh caches is a plain string, so the second
+    mesh is freed without the cycle collector."""
+    rng = np.random.default_rng(5)
+    f = initialize(cell_mesh_32, ("disk", 0.25))
+    f.phi = np.clip(f.phi + 1e-3 * rng.normal(size=f.phi.shape), -1, 1)
+    gc.disable()
+    try:
+        other = initialize(build_cell_mesh(UnitCellGeometry(16)), ("disk", 0.3))
+        g = dataclasses.replace(f, phi=rng.normal(size=f.phi.shape) * 10.0 ** rng.integers(
+            -20, 20, size=f.phi.shape))
+        for i, field in enumerate([f, other, g]):
+            path = tmp_path / f"cell_{i}.csv"
+            write_phi_csv(field, path)
+            assert path.read_bytes() == per_row_csv(field)
+            coords, phi = read_phi_csv(path)
+            np.testing.assert_array_equal(phi, field.phi)          # bit round-trip
+            np.testing.assert_array_equal(coords, field.mesh.nodes)
+        assert other.mesh.cache
+        released = weakref.ref(other.mesh)
+        del other, field
+        assert released() is None
+    finally:
+        gc.enable()
+    reloaded = initialize(cell_mesh_32, ("file", tmp_path / "cell_0.csv"))
+    np.testing.assert_array_equal(reloaded.phi, f.phi)
 
 
 def test_read_phi_field_rebuilds_or_checks_the_cell_mesh(tmp_path, cell_mesh_32):

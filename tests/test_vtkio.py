@@ -1,4 +1,8 @@
+import gc
+import weakref
+
 import numpy as np
+import pytest
 
 from cloakopt import vtkio
 from cloakopt.geometry import UnitCellGeometry, build_cell_mesh
@@ -34,8 +38,11 @@ def per_row_vtk(mesh, point_data, cell_data) -> str:
     lines += [f"3 {a} {b} {c}" for a, b, c in mesh.elements]
     lines.append(f"CELL_TYPES {mesh.n_elements}")
     lines += ["5"] * mesh.n_elements
+    cell_data = {"region": mesh.element_region.astype(float), **cell_data}
     for section, count, data in (("CELL_DATA", mesh.n_elements, cell_data),
                                  ("POINT_DATA", mesh.n_nodes, point_data)):
+        if not data:
+            continue
         lines.append(f"{section} {count}")
         for name, values in data.items():
             if values.ndim == 1:
@@ -48,16 +55,40 @@ def per_row_vtk(mesh, point_data, cell_data) -> str:
 
 
 def test_vtk_bytes_match_per_row_formatting(tmp_path):
-    mesh = build_cell_mesh(UnitCellGeometry(16))
+    """Two writes on one mesh with different fields, and one on a second
+    mesh in between, each match the per-row reference: the text a mesh
+    caches carries nothing of an earlier write or of another mesh. Being
+    a plain string it does not hold the mesh either, so both meshes are
+    freed without the cycle collector."""
     rng = np.random.default_rng(8)
-    scale = 10.0 ** rng.integers(-20, 20, size=mesh.n_nodes)
-    phi = rng.normal(size=mesh.n_nodes) * scale
-    phi[:3] = (-0.0, 0.0, 1.0 / 3.0)
-    flux = rng.normal(size=(mesh.n_elements, 2))
-    out = tmp_path / "mesh.vtk"
-    vtkio.write_vtk(out, mesh, point_data={"phi": phi}, cell_data={"flux": flux})
-    cell_data = {"region": mesh.element_region.astype(float), "flux": flux}
-    assert out.read_bytes() == per_row_vtk(mesh, {"phi": phi}, cell_data).encode()
+
+    def scalars(n):
+        values = rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, size=n)
+        values[:3] = (-0.0, 0.0, 1.0 / 3.0)
+        return values
+
+    gc.disable()
+    try:
+        mesh, other = build_cell_mesh(UnitCellGeometry(16)), build_cell_mesh(UnitCellGeometry(32))
+        writes = [
+            (mesh, {"phi": scalars(mesh.n_nodes)},
+             {"flux": rng.normal(size=(mesh.n_elements, 2))}),
+            (other, {"T": scalars(other.n_nodes), "q": rng.normal(size=(other.n_nodes, 2))},
+             {"k": scalars(other.n_elements)}),
+            (mesh, {}, {"k": scalars(mesh.n_elements), "q": rng.normal(size=(mesh.n_elements, 2))}),
+        ]
+        for i, (m, point_data, cell_data) in enumerate(writes):
+            out = tmp_path / f"mesh_{i}.vtk"
+            vtkio.write_vtk(out, m, point_data=point_data, cell_data=cell_data)
+            assert out.read_bytes() == per_row_vtk(m, point_data, cell_data).encode()
+        with pytest.raises(ValueError, match="region"):
+            vtkio.write_vtk(tmp_path / "region.vtk", mesh, cell_data={"region": scalars(8)})
+        assert mesh.cache and other.cache
+        released = [weakref.ref(mesh), weakref.ref(other)]
+        del mesh, other, writes, m
+        assert [r() for r in released] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_flux_vectors_sign():

@@ -8,8 +8,10 @@ a subprocess on one BLAS thread, with ``src/`` of the tree under test on
 
 * every config in ``configs/``, run by ``cloakopt optimize`` for 20
   iterations with the transition width switching at iteration 11:
-  ``history.csv`` without its ``wall_ms`` column, ``tensors.csv`` and
-  ``macro_fields.vtk``;
+  ``history.csv`` without its ``wall_ms`` column, ``tensors.csv``,
+  ``macro_fields.vtk``, the per-cell ``cell_<l>.vtk``, and the last
+  checkpoint in ``final/``: the per-cell phi files ``cell_<l>.csv`` and
+  ``state.json`` with each history entry's ``wall_ms`` dropped;
 * the ``validate_sweep`` benchmark's inputs at seed 7, read from
   ``benchmarks/inputs.py``: the direct tiled J1, J2 and temperature field
   of the design, and the J1 of its 8 condensed sweep angles.
@@ -86,6 +88,13 @@ def history_without_wall_time(path: Path) -> bytes:
     return "\n".join(",".join(row[i] for i in keep) for row in rows).encode()
 
 
+def state_without_wall_time(path: Path) -> bytes:
+    payload = json.loads(path.read_text())
+    for entry in payload["history"]:
+        entry.pop("wall_ms", None)
+    return json.dumps(payload).encode()
+
+
 def optimize_outputs(root: Path, config: Path, work: Path) -> dict:
     raw = json.loads(config.read_text())
     widths = [d for _, d in raw["levelset"]["d_schedule"]]
@@ -97,10 +106,15 @@ def optimize_outputs(root: Path, config: Path, work: Path) -> dict:
     subprocess.run([sys.executable, "-m", "cloakopt.cli", "optimize", "--config", str(short),
                     "--out", str(out)], env=environment(root), check=True,
                    stdout=subprocess.DEVNULL)
-    return {f"{config.stem} history.csv": sha256(history_without_wall_time(
-                out / "history.csv")),
-            f"{config.stem} tensors.csv": sha256((out / "tensors.csv").read_bytes()),
-            f"{config.stem} macro_fields.vtk": sha256((out / "macro_fields.vtk").read_bytes())}
+    files = [out / "tensors.csv", out / "macro_fields.vtk", *sorted(out.glob("cell_*.vtk")),
+             *sorted((out / "final").glob("cell_*.csv"))]
+    hashes = {f"{config.stem} history.csv": sha256(history_without_wall_time(
+        out / "history.csv"))}
+    hashes.update({f"{config.stem} {path.relative_to(out).as_posix()}":
+                   sha256(path.read_bytes()) for path in files})
+    hashes[f"{config.stem} final/state.json"] = sha256(state_without_wall_time(
+        out / "final" / "state.json"))
+    return hashes
 
 
 def outputs(root: Path, inputs_root: Path) -> dict:
@@ -122,12 +136,14 @@ def main(argv: list[str]) -> int:
     parent = Path(argv[0]).resolve()
     change = Path(argv[1]).resolve() if len(argv) == 2 else Path(__file__).resolve().parents[1]
     want, got = outputs(parent, change), outputs(change, change)
+    names = [*got, *(name for name in want if name not in got)]
     differ = 0
-    for name in got:
-        same = want.get(name) == got[name]
+    for name in names:
+        same = want.get(name) == got.get(name)
         differ += not same
-        print(f"{name:36} {got[name]}" + ("" if same else f"  DIFFERS: parent {want.get(name)}"))
-    print(f"{len(got) - differ} of {len(got)} outputs identical")
+        print(f"{name:36} {got.get(name)}"
+              + ("" if same else f"  DIFFERS: parent {want.get(name)}"))
+    print(f"{len(names) - differ} of {len(names)} outputs identical")
     return 1 if differ else 0
 
 
