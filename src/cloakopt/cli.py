@@ -110,10 +110,11 @@ def cmd_validate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     init_spec = _tiling_from(cfg, cfg.scenario.initial_phis(), args.epsilon0)
     j1_init, j2_init, _ = validation.evaluate_tiled(init_spec, mesh)
-    j1, j2, temp = validation.evaluate_tiled(spec, mesh)
-
+    # the final design is tiled once, for its solve and for tiled.vtk
     k = validation.tile_conductivity(spec, mesh)
-    reference = macro_solver.reference_field(mesh, spec.bc)
+    temp = validation.tiled_state(spec, mesh, k)
+    reference = validation.reference(mesh, spec.bc)
+    j1, j2 = macro_solver.evaluate_objectives(temp, reference, mesh)
     vtkio.write_vtk(out / "tiled.vtk", mesh,
                     point_data={"T": temp, "T_sub": temp - reference},
                     cell_data={"conductivity": k})
@@ -129,8 +130,8 @@ def cmd_validate(args) -> int:
 
 def cmd_sweep(args) -> int:
     psi = [float(p) for p in args.psi.split(",")] if args.psi else []
-    for p in psi:       # every angle checked before anything is solved
-        validation.ObstacleSpec(p, args.obstacle_k)
+    # every angle, and every design's insert disk, checked before anything is solved
+    obstacles = [validation.ObstacleSpec(p, args.obstacle_k) for p in psi]
     designs = {}
     cfg0 = None
     for item in args.run:
@@ -146,6 +147,9 @@ def cmd_sweep(args) -> int:
     init_spec = _tiling_from(cfg0, cfg0.scenario.initial_phis(), args.epsilon0)
     # held through the sweep, so designs on the same layout reuse it
     mesh = validation.fine_mesh(init_spec)
+    if obstacles:
+        for spec in designs.values():
+            validation.insert_disk(spec, validation.fine_mesh(spec), obstacles[0])
     j1_init, _, _ = validation.evaluate_tiled(init_spec, mesh)
     table = validation.robustness_sweep(designs, psi, j1_init,
                                         k_obstacle_insert=args.obstacle_k)

@@ -12,14 +12,15 @@ each hold one thing, and nothing that no reader reads:
 - :class:`Constraints` is the numbering: R as ``dof_of_node``, g as
   ``fixed_values``. It expands free values to nodal ones (R x + g) and
   restricts nodal loads to free ones (R^T f).
-- :class:`Structure` is the slot table of one-off assembly: the reduced
-  CSC pattern of a mesh (or of some of its elements) under one
-  constraint set, and the data slot of every element-local 3x3 entry.
-  Assembling on it is one ``np.bincount`` into the slots. It is built
-  where it is read; only the macro problem's fixed-edge structure is
-  cached on its mesh (by :mod:`cloakopt.macro_solver`), as a fine mesh
-  reads it for its direct tiled solve and again for each sweep
-  condensation.
+- :class:`Structure` is the one slot table of a mesh: the unconstrained
+  CSC pattern of all of its elements, and the data slot of every
+  element-local 3x3 entry, built at first use and cached on the mesh
+  (:func:`structure`). Every one-off operator is read from it: a
+  region's (the objectives' mass and stiffness) is one ``np.bincount``
+  of its elements' matrices into their slots, and a system whose
+  constraints only eliminate nodes (the fixed-edge conduction systems of
+  :mod:`cloakopt.macro_solver`) is a gather of its free rows and columns
+  (:func:`assemble`). So each mesh sorts and searches one pattern.
 - :class:`ScaledAssembly` is the ordered assembly of an operator that is
   refactored again and again on one pattern, from a few values per
   element: the periodic cell operator (its conductivities) and a
@@ -39,14 +40,17 @@ freed as soon as its last outside reference goes.
 Reducing an assembled system through R keeps it symmetric positive
 definite, so every factorization (:func:`_factor`) takes diagonal pivots
 in SuperLU's symmetric mode and runs in its symmetric minimum-degree
-order (MMD on A^T + A), from :func:`minimum_degree_order`. The one-off
-direct solves (a single tiled evaluation, the normalized-mode fill,
-exports) compute it at factor time (:data:`ORDERING`). Every other
-factorization is given it (``NATURAL``): a condensation numbers its
-fixed block G once, and factors K_GG and the throwaway K_FF that yields
-S_I in that numbering, and the systems of a :class:`ScaledAssembly` come
-``ordered``. Every factorization also uses one supernode setting,
-:data:`SUPERNODE_RELAX` and :data:`PANEL_SIZE`: scipy's defaults (relax
+order (MMD on A^T + A). SuperLU computes that order inside the
+factorization (:data:`ORDERING`) for every matrix factored once: the
+one-off direct solves (a single tiled evaluation, the normalized-mode
+fill, exports) and the sweep's fixed block K_GG. Only two kinds are
+given an explicit order (``NATURAL``), from
+:func:`minimum_degree_order`: the systems of a :class:`ScaledAssembly`
+come ``ordered``, as they are refactored on one pattern again and again,
+and a default-mode condensation numbers its fixed block G once, because
+the throwaway K_FF factor that yields S_I must take I last, and factors
+K_GG in that numbering too. Every factorization also uses one supernode
+setting, :data:`SUPERNODE_RELAX` and :data:`PANEL_SIZE`: scipy's defaults (relax
 10, panel 20) pad the short supernodes of these 2D P1 operators with
 explicit zeros that cost more than their dense kernels save. Relax 1 and
 panel 4 factor the resolution-64 cell and the macro ring ~20% faster,
@@ -84,7 +88,6 @@ no K_GG solve (:class:`Condensation`).
 from __future__ import annotations
 
 import threading
-import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -210,78 +213,71 @@ def apply_periodic(constraints: Constraints, pairs: np.ndarray,
 
 
 class Structure:
-    """The slot table of one-off assembly on one mesh, or on a subset of
-    its elements, under one constraint set.
+    """The slot table of a mesh: the CSC pattern of the unconstrained
+    operator sum_e K_e over all of its elements, and the data slot of
+    each element-local entry (e, i, j).
 
-    Holds the CSC pattern of R^T K R for any element matrices K_e of the
-    covered elements (all by default, else the indices ``elements``), and
-    the data slot of each element-local entry (e, i, j); entries in an
-    eliminated row or column go to a discarded extra slot. The mesh is
-    held by weak reference, as a structure may be cached on its mesh;
-    :func:`assemble_diffusion` reads it to check that a structure belongs
-    to the mesh it is given.
+    Every one-off operator of the mesh is read from it (:func:`structure`
+    builds it at first use and caches it on the mesh): a region's
+    operator is one ``np.bincount`` of its elements' matrices into their
+    slots (:meth:`matrix`), and a system whose constraints only eliminate
+    nodes is that of all elements, gathered onto its free rows and
+    columns (:func:`assemble`). It holds no mesh.
     """
 
-    def __init__(self, mesh: TriMesh, constraints: Constraints,
-                 elements: np.ndarray | None = None):
-        self._mesh = weakref.ref(mesh)
-        self.constraints = constraints
-        self.element_ids = slice(None) if elements is None else np.asarray(elements)
-        self._elements = mesh.elements[self.element_ids]
-        n = self.n_free = constraints.n_free
-        local = constraints.dof_of_node[self._elements]
+    def __init__(self, mesh: TriMesh):
+        n = self.n_nodes = mesh.n_nodes
+        elements = mesh.elements
 
         def keys(i, j):
-            """Column-major position of entry (i, j) of every element, -1 if dropped."""
-            r, c = local[:, i], local[:, j]
-            return np.where((r >= 0) & (c >= 0), c.astype(np.int64) * n + r, -1)
+            """Column-major position of entry (i, j) of every element."""
+            return elements[:, j].astype(np.int64) * n + elements[:, i]
 
         # one local pair at a time keeps the build's memory at a few
         # element-length arrays, which matters on the tiled fine mesh
         pairs = [(i, j) for i in range(3) for j in range(3)]
         pattern = np.concatenate([keys(i, j) for i, j in pairs])
         pattern.sort()
-        pattern = pattern[(pattern >= 0) & np.r_[True, pattern[1:] != pattern[:-1]]]
+        pattern = pattern[np.r_[True, pattern[1:] != pattern[:-1]]]
         self.nnz = len(pattern)
-        self._slots = np.empty((len(local), 3, 3), dtype=np.int32)
+        self._slots = np.empty((len(elements), 3, 3), dtype=np.int32)
         for i, j in pairs:
-            k = keys(i, j)
-            self._slots[:, i, j] = np.where(k >= 0, np.searchsorted(pattern, k), self.nnz)
+            self._slots[:, i, j] = np.searchsorted(pattern, keys(i, j))
         self._indices = (pattern % n).astype(np.int32)
         self._indptr = np.searchsorted(pattern, np.arange(n + 1) * n).astype(np.int32)
-        # elements that carry the lift of nonzero fixed values onto free rows
-        self._lift_elements = np.flatnonzero(
-            (constraints.fixed_values[self._elements] != 0.0).any(axis=1))
 
-    @property
-    def n_elements(self) -> int:
-        return len(self._elements)
+    def matrix(self, element_matrices: np.ndarray, elements=slice(None),
+               free: np.ndarray | None = None) -> sp.csc_matrix:
+        """The nodal operator of the selected elements' matrices
+        (n_selected, 3, 3), all elements by default, on the rows and
+        columns of the nodes ``free`` (a mask, default all), numbered in
+        mesh order: a gather of the slots, with no table of its own.
 
-    def matrix(self, element_matrices: np.ndarray) -> sp.csc_matrix:
-        """R^T K R for the covered elements' matrices (n_elements, 3, 3).
-
-        Entries that sum to exactly zero are dropped: under an isotropic
-        conductivity the two ends of a right triangle's hypotenuse do not
-        couple, and a one-off factorization orders only true nonzeros.
-        An operator assembled and factored many times on one pattern goes
-        through :class:`ScaledAssembly` instead, which numbers its DOFs
-        once and whose pattern holds no such slots.
+        Entries that sum to exactly zero are dropped, so the pattern is
+        that of the selected elements alone and, under an isotropic
+        conductivity, the two ends of a right triangle's hypotenuse do
+        not couple: a one-off factorization orders only true nonzeros.
+        The arrays hold the kept entries alone, so a cached operator keeps
+        nothing of the whole pattern. An operator assembled and factored
+        many times on one pattern goes through :class:`ScaledAssembly`
+        instead, which numbers its DOFs once and whose pattern holds no
+        such slots.
         """
-        data = np.bincount(self._slots.ravel(), weights=element_matrices.ravel(),
-                           minlength=self.nnz + 1)[:self.nnz]
-        a = sp.csc_matrix((data, self._indices.copy(), self._indptr.copy()),
-                          shape=(self.n_free, self.n_free))
-        a.eliminate_zeros()
-        return a
+        if free is None:
+            free = np.ones(self.n_nodes, dtype=bool)
+        data = np.bincount(self._slots[elements].ravel(), weights=element_matrices.ravel(),
+                           minlength=self.nnz)
+        keep = (data != 0.0) & free[self._indices] & np.repeat(free, np.diff(self._indptr))
+        kept = np.r_[0, np.cumsum(keep)][self._indptr]      # kept entries before each column
+        indptr = np.r_[0, np.cumsum(np.diff(kept)[free])].astype(np.int32)
+        number = (np.cumsum(free) - 1).astype(np.int32)
+        n = len(indptr) - 1
+        return sp.csc_matrix((data[keep], number[self._indices[keep]], indptr), shape=(n, n))
 
-    def lift(self, element_matrices: np.ndarray) -> np.ndarray:
-        """R^T K g: the fixed values' load on the free DOFs."""
-        e = self._lift_elements
-        elems = self._elements[e]
-        g = self.constraints.fixed_values
-        kg = np.einsum("eij,ej->ei", element_matrices[e], g[elems])
-        return self.constraints.restrict(np.bincount(elems.ravel(), weights=kg.ravel(),
-                                                     minlength=len(g)))
+
+def structure(mesh: TriMesh) -> Structure:
+    """The slot table of ``mesh``, built at first use and cached on it."""
+    return cached(mesh, "structure", lambda: Structure(mesh))
 
 
 class ScaledAssembly:
@@ -417,10 +413,24 @@ class SparseSystem:
         return b if homogeneous else b - self.lift
 
 
-def assemble(on: Structure, element_matrices: np.ndarray) -> SparseSystem:
-    """Reduce the covered elements' matrices (n_elements, 3, 3) onto a
-    structure; the element matrices are not kept."""
-    return SparseSystem(on.constraints, on.matrix(element_matrices), on.lift(element_matrices))
+def assemble(mesh: TriMesh, element_matrices: np.ndarray,
+             constraints: Constraints) -> SparseSystem:
+    """Reduce all of a mesh's element matrices (n_elements, 3, 3) onto
+    constraints that only eliminate nodes: the free nodes, numbered in
+    mesh order, are the free DOFs, so R^T K R is the free rows and columns
+    of the mesh's slot table (:meth:`Structure.matrix`). The element
+    matrices are not kept."""
+    dof, g = constraints.dof_of_node, constraints.fixed_values
+    free = dof >= 0
+    if not np.array_equal(dof[free], np.arange(constraints.n_free)):
+        raise ValueError("a mesh's slot table reduces only constraints that eliminate "
+                         "nodes, with the free nodes numbered in mesh order")
+    # the elements that carry the lift of nonzero fixed values onto free rows
+    lifting = np.flatnonzero((g[mesh.elements] != 0.0).any(axis=1))
+    nodes = mesh.elements[lifting]
+    kg = np.einsum("eij,ej->ei", element_matrices[lifting], g[nodes])
+    lift = constraints.restrict(np.bincount(nodes.ravel(), weights=kg.ravel(), minlength=len(g)))
+    return SparseSystem(constraints, structure(mesh).matrix(element_matrices, free=free), lift)
 
 
 def isotropic_tensors(values) -> np.ndarray:
@@ -482,18 +492,16 @@ def element_mass(mesh: TriMesh, lumped: bool = False,
 
 
 def assemble_diffusion(mesh: TriMesh, tensors: np.ndarray,
-                       on: Structure | None = None) -> SparseSystem:
-    """Diffusion operator on a structure (default: a new unconstrained
-    one), one tensor per element the structure covers."""
-    if on is None:
-        on = Structure(mesh, Constraints.none(mesh.n_nodes))
-    elif on._mesh() is not mesh:
-        raise ValueError("structure belongs to another mesh")
+                       constraints: Constraints | None = None) -> SparseSystem:
+    """Diffusion operator of a mesh, one tensor per element, reduced onto
+    constraints that only eliminate nodes (default none); see :func:`assemble`."""
     tensors = np.asarray(tensors, dtype=float)
-    if tensors.shape != (on.n_elements, 2, 2):
+    if tensors.shape != (mesh.n_elements, 2, 2):
         raise ValueError("tensors must have shape (n_elements, 2, 2)")
     _check_spd(tensors)
-    return assemble(on, element_stiffness(mesh, tensors, on.element_ids))
+    if constraints is None:
+        constraints = Constraints.none(mesh.n_nodes)
+    return assemble(mesh, element_stiffness(mesh, tensors), constraints)
 
 
 def _superlu(routine, matrix: sp.csc_matrix, **options):
@@ -584,8 +592,13 @@ class Condensation:
     operator) and G (the rest of the fixed region). The fixed block K_GG
     is factored once, in minimum-degree order, and the interface Schur
     complement S_I = K_II - K_IG K_GG^-1 K_GI is formed once, in the way
-    ``keep_responses`` (below) picks. A varying operator then needs only
-    the SPD factorization of [[S_I, K_IR], [K_RI, K_RR]] (:meth:`factor`).
+    ``keep_responses`` (below) picks. By default G is numbered in that
+    order first (:func:`minimum_degree_order`), as the throwaway K_FF
+    factor takes G so with I last; with ``keep_responses`` nothing else
+    factors G, so SuperLU orders K_GG inside its own factorization
+    (:data:`ORDERING`) and no ordering pass is paid twice. A varying
+    operator then needs only the SPD factorization of
+    [[S_I, K_IR], [K_RI, K_RR]] (:meth:`factor`).
     It is assembled by one mat-vec of the tensors' components
     (:attr:`assembly`, a :class:`ScaledAssembly` over I and R with G
     eliminated, whose constant is the condensed fixed block), which
@@ -627,7 +640,8 @@ class Condensation:
         self.i = i = np.flatnonzero(coupled & ~in_r)
         g = np.flatnonzero(~coupled & ~in_r)
 
-        if len(g):
+        if len(g) and not keep_responses:
+            # the throwaway K_FF factor takes G in this order with I last
             g = g[minimum_degree_order(k[g][:, g])]
         self.g = g
         self.k_ig = k[i][:, g]
@@ -635,7 +649,8 @@ class Condensation:
         if not keep_responses:
             self.schur = _interface_schur(k, g, i)
         # factored after the K_FF factor behind a read S_I is freed: they never coexist
-        self._lu = _factor(k[g][:, g], permc_spec="NATURAL") if len(g) else None
+        self._lu = (_factor(k[g][:, g], permc_spec=ORDERING if keep_responses else "NATURAL")
+                    if len(g) else None)
         if keep_responses:
             self.schur, blocks = self._solved_schur(k[i][:, i])
         # formed as CondensedFactorization.solve forms b, so even signed zeros match

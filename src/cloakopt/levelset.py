@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import fem
 from .geometry import TriMesh, UnitCellGeometry, build_cell_mesh
@@ -119,18 +120,20 @@ class ReactionDiffusionUpdater:
         self.tau = tau
         self.mass = mesh.lumped_mass
         n, self._grid = _periodic_grid(mesh)
-        # M and A assembled on the periodic structure, in grid order; the
-        # structure is read here alone, so it is not kept
-        on = fem.Structure(mesh, fem.apply_periodic(fem.Constraints.none(mesh.n_nodes),
-                                                    mesh.periodic_pairs))
-        dof = on.constraints.dof_of_node
+        # M and A folded onto the periodic grid, in grid order; A serves
+        # the residual check alone, so it is summed by COO, with no slot table
+        folded = fem.apply_periodic(fem.Constraints.none(mesh.n_nodes), mesh.periodic_pairs)
+        dof = folded.dof_of_node
         order = np.zeros(n * n, dtype=int)
         order[self._grid] = dof
-        if on.n_free != n * n or not np.array_equal(order[self._grid], dof):
+        if folded.n_free != n * n or not np.array_equal(order[self._grid], dof):
             raise ValueError("the periodic fold does not match the cell grid")
-        self._mass_grid = on.constraints.restrict(self.mass)[order]
-        self._laplacian = on.matrix(fem.element_stiffness(
-            mesh, fem.isotropic_tensors(np.ones(mesh.n_elements))))[order][:, order].tocsr()
+        self._mass_grid = folded.restrict(self.mass)[order]
+        grid = self._grid[mesh.elements]
+        unit = fem.element_stiffness(mesh, fem.isotropic_tensors(np.ones(mesh.n_elements)))
+        self._laplacian = sp.csr_matrix(
+            (unit.ravel(), (np.repeat(grid, 3, axis=1).ravel(), np.tile(grid, 3).ravel())),
+            shape=(n * n, n * n))
 
         i, j = np.indices((n, n))
         m = self._mass_grid.reshape(n, n)

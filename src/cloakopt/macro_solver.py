@@ -76,22 +76,26 @@ def ring_filled_map(k_ring: float, k_exterior: float, k_obstacle: float) -> Macr
                             k_exterior=k_exterior, k_obstacle=k_obstacle)
 
 
-def _fixed_edges(mesh: TriMesh, bc: BoundaryData) -> fem.Structure:
-    """Both edges fixed; cached, as a fine mesh reads it again for each sweep condensation."""
+def _fixed_edges(mesh: TriMesh, bc: BoundaryData) -> fem.Constraints:
+    """Both edges fixed, numbered once per mesh and edge values. The
+    constraints only eliminate nodes, so each fixed-edge system (a direct
+    state solve, the direct tiled solve, a condensation's fixed part) is
+    a gather of the free rows and columns of the mesh's one slot table
+    (:func:`fem.assemble`)."""
     bc.validate()
 
     def build():
         c = fem.Constraints.none(mesh.n_nodes)
         for tag, value in ((GAMMA_A, bc.t_low), (GAMMA_B, bc.t_high)):
             c = fem.apply_dirichlet(c, np.unique(mesh.boundary_edges[tag]), value)
-        return fem.Structure(mesh, c)
+        return c
     return fem.cached(mesh, ("fixed edges", bc.t_low, bc.t_high), build)
 
 
 def conduction_system(mesh: TriMesh, tensors: np.ndarray,
                       bc: BoundaryData) -> fem.SparseSystem:
     """Conduction with the given element tensors and fixed edge temperatures."""
-    return fem.assemble_diffusion(mesh, tensors, on=_fixed_edges(mesh, bc))
+    return fem.assemble_diffusion(mesh, tensors, _fixed_edges(mesh, bc))
 
 
 def state_system(mesh: TriMesh, matmap: MacroMaterialMap,
@@ -115,7 +119,7 @@ def condensed_conduction(mesh: TriMesh, tensors: np.ndarray, varying: np.ndarray
     fem._check_spd(tensors)
     ke = fem.element_stiffness(mesh, tensors)
     ke[varying] = 0.0
-    fixed = fem.assemble(_fixed_edges(mesh, bc), ke)
+    fixed = fem.assemble(mesh, ke, _fixed_edges(mesh, bc))
     # freed before the condensation's factorizations peak memory (a
     # temporary passed as ``tensors`` has no other reference); freeing
     # ``tensors`` before the assembly measured a 3 MB lower peak on the

@@ -19,21 +19,20 @@ from .geometry import REGION_EXTERIOR, REGION_OBSTACLE, TriMesh
 def region_operators(mesh: TriMesh):
     """(M_E, A_C): the evaluation region's consistent mass matrix and the
     obstacle region's unit-conductivity stiffness, built once per mesh,
-    each from its region's elements alone on an unconstrained structure
-    that is then dropped (nothing else uses it). The elements of a
+    each one ``np.bincount`` of its region's element matrices into their
+    slots of the mesh's slot table (:func:`fem.structure`), which the
+    mesh's fixed-edge systems read too. The elements of a
     ``mirror_half`` mesh weigh 2, so its integrals are those of both
     halves."""
     weight = 2.0 if mesh.mirror_half else 1.0
 
-    def region_matrix(region, element_matrices):
-        elements = np.flatnonzero(mesh.region_mask(region))
-        on = fem.Structure(mesh, fem.Constraints.none(mesh.n_nodes), elements)
-        return on.matrix(weight * element_matrices(elements))
-
     def build():
-        return (region_matrix(REGION_EXTERIOR, lambda e: fem.element_mass(mesh, elements=e)),
-                region_matrix(REGION_OBSTACLE, lambda e: fem.element_stiffness(
-                    mesh, fem.isotropic_tensors(np.ones(len(e))), e)))
+        table = fem.structure(mesh)
+        exterior = np.flatnonzero(mesh.region_mask(REGION_EXTERIOR))
+        obstacle = np.flatnonzero(mesh.region_mask(REGION_OBSTACLE))
+        unit = fem.isotropic_tensors(np.ones(len(obstacle)))
+        return (table.matrix(weight * fem.element_mass(mesh, elements=exterior), exterior),
+                table.matrix(weight * fem.element_stiffness(mesh, unit, obstacle), obstacle))
     return fem.cached(mesh, "region_operators", build)
 
 

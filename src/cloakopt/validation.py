@@ -10,11 +10,12 @@ robustness sweep re-solves with an asymmetric insulating obstacle at a
 set of rotation angles.
 
 Tilings of one layout share one fine mesh while it is held, and with it
-the mesh's solver structure and objective operators. A single tiled
-evaluation tiles and factors the whole fine operator. A sweep changes
-only the insert's disk from one angle to the next, so it condenses each
-design's tiled operator onto that disk once (:func:`sweep_condensation`,
-through :func:`macro_solver.condensed_conduction`), and each angle
+the mesh's one slot table (:func:`fem.structure`), reference ramp and
+objective operators. A single tiled evaluation tiles and factors the
+whole fine operator. A sweep changes only the insert's disk from one
+angle to the next, so it condenses each design's tiled operator onto
+that disk once (:func:`sweep_condensation`, through
+:func:`macro_solver.condensed_conduction`), and each angle
 assigns conductivities to the disk's elements alone (the disk lies in
 the obstacle region, where no level set is read) and factors only the
 disk and its interface. The condensation keeps the fixed block's
@@ -151,16 +152,31 @@ def tile_conductivity(spec: TilingSpec, mesh: TriMesh,
     return k
 
 
+def reference(mesh: TriMesh, bc: BoundaryData) -> np.ndarray:
+    """The reference ramp of J1 on a fine mesh
+    (:func:`macro_solver.reference_field`), computed once per mesh and
+    edge values and cached on the mesh."""
+    return fem.cached(mesh, ("reference", bc.t_low, bc.t_high),
+                      lambda: macro_solver.reference_field(mesh, bc))
+
+
+def tiled_state(spec: TilingSpec, mesh: TriMesh, conductivity: np.ndarray) -> np.ndarray:
+    """Nodal temperatures of the tiled structure, for its element
+    conductivities (:func:`tile_conductivity`): the whole operator,
+    factored directly."""
+    return fem.Factorization(macro_solver.conduction_system(
+        mesh, fem.isotropic_tensors(conductivity), spec.bc)).solve()
+
+
 @dataclass(frozen=True, eq=False)
 class SweepCondensation:
     """One design's tiled operator condensed onto the insert's disk, bound
-    to the spec and fine mesh it was built for, and the reference ramp of
-    every angle's J1 on that mesh; it, not the condensation, holds the mesh."""
+    to the spec and fine mesh it was built for; it, not the condensation,
+    holds the mesh."""
 
     spec: TilingSpec
     mesh: TriMesh
     condensation: fem.Condensation
-    reference: np.ndarray
 
 
 def evaluate_tiled(spec: TilingSpec, mesh: TriMesh | None = None,
@@ -170,20 +186,16 @@ def evaluate_tiled(spec: TilingSpec, mesh: TriMesh | None = None,
     T the nodal temperatures.
 
     ``mesh`` defaults to :func:`fine_mesh`; J1 compares against the
-    reference ramp on that mesh (:func:`macro_solver.reference_field`).
-    Without ``condensation`` the whole structure is tiled and its
-    operator factored; with one (built by :func:`sweep_condensation` for
-    this very spec and mesh, else ``ValueError``) only the disk's
-    elements get conductivities and only they are assembled and factored,
-    and J1 compares against the condensation's ramp.
+    mesh's :func:`reference` ramp. Without ``condensation`` the whole
+    structure is tiled and its operator factored (:func:`tiled_state`);
+    with one (built by :func:`sweep_condensation` for this very spec and
+    mesh, else ``ValueError``) only the disk's elements get
+    conductivities and only they are assembled and factored.
     """
     if mesh is None:
         mesh = fine_mesh(spec)
     if condensation is None:
-        k = tile_conductivity(spec, mesh, obstacle)
-        temp = fem.Factorization(macro_solver.conduction_system(
-            mesh, fem.isotropic_tensors(k), spec.bc)).solve()
-        reference = macro_solver.reference_field(mesh, spec.bc)
+        temp = tiled_state(spec, mesh, tile_conductivity(spec, mesh, obstacle))
     else:
         if condensation.mesh is not mesh:
             raise ValueError("the condensation belongs to another mesh")
@@ -195,10 +207,22 @@ def evaluate_tiled(spec: TilingSpec, mesh: TriMesh | None = None,
         if obstacle is not None:
             k[obstacle.on_insert_side(mesh.centroids[insert])] = obstacle.k
         temp = condensation.condensation.factor(fem.isotropic_tensors(k)).solve()
-        reference = condensation.reference
-    j1 = objectives.mismatch(temp, reference, mesh)
+    j1 = objectives.mismatch(temp, reference(mesh, spec.bc), mesh)
     j2 = objectives.gradient_energy(temp, mesh)
     return j1, j2, temp
+
+
+def insert_disk(spec: TilingSpec, mesh: TriMesh, obstacle: ObstacleSpec) -> np.ndarray:
+    """The obstacle's disk on the fine mesh; ``ValueError`` if it holds no
+    element, as a sweep then has nothing to condense onto."""
+    disk = obstacle.disk(mesh, spec.geometry)
+    if not disk.any():
+        raise ValueError(
+            f"the sweep's insert disk of radius 0.3 * r_obstacle = "
+            f"{obstacle.resolved_radius(spec.geometry):.4g} m (r_obstacle = "
+            f"{spec.geometry.r_obstacle:.4g} m) holds no element of the fine mesh "
+            f"({spec.epsilon0 / ELEMENTS_PER_CELL:.4g} m elements)")
+    return disk
 
 
 def sweep_condensation(spec: TilingSpec, mesh: TriMesh,
@@ -206,11 +230,12 @@ def sweep_condensation(spec: TilingSpec, mesh: TriMesh,
     """The tiled operator of ``spec`` condensed onto the obstacle's disk,
     the elements that differ between the angles of a sweep. Every angle
     solves the zero load, so the condensation keeps the interface
-    responses in place of the fixed block's factor."""
+    responses in place of the fixed block's factor. ``ValueError`` if
+    the disk holds no element of the mesh."""
+    disk = insert_disk(spec, mesh, obstacle)
     return SweepCondensation(spec, mesh, macro_solver.condensed_conduction(
-        mesh, fem.isotropic_tensors(tile_conductivity(spec, mesh)),
-        obstacle.disk(mesh, spec.geometry), spec.bc, keep_responses=True),
-        macro_solver.reference_field(mesh, spec.bc))
+        mesh, fem.isotropic_tensors(tile_conductivity(spec, mesh)), disk, spec.bc,
+        keep_responses=True))
 
 
 def robustness_sweep(designs: dict[str, TilingSpec], psi_values,
@@ -219,16 +244,21 @@ def robustness_sweep(designs: dict[str, TilingSpec], psi_values,
 
     Returns rows {design, psi, j1, j1_ratio}; ``j1_init`` is the tiled
     initial-structure value used to normalize every entry. An empty
-    angle list yields an empty table. Every angle is checked before the
-    first solve; each design is condensed once and then evaluated at
-    every angle.
+    angle list yields an empty table. Every angle, and every design's
+    insert disk (``ValueError`` if it holds no fine-mesh element), is
+    checked before the first solve; each design is condensed once and
+    then evaluated at every angle.
     """
     obstacles = [ObstacleSpec(psi_deg=float(psi), k=k_obstacle_insert) for psi in psi_values]
     rows: list[dict] = []
     if not obstacles:
         return rows
+    # held through the sweep, so each layout is meshed once
+    meshes = {name: fine_mesh(spec) for name, spec in designs.items()}
     for name, spec in designs.items():
-        mesh = fine_mesh(spec)
+        insert_disk(spec, meshes[name], obstacles[0])
+    for name, spec in designs.items():
+        mesh = meshes[name]
         condensation = sweep_condensation(spec, mesh, obstacles[0])
         for obstacle in obstacles:
             j1, _, _ = evaluate_tiled(spec, mesh, obstacle, condensation=condensation)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cloakopt import cli, levelset
+from cloakopt import cli, levelset, macro_solver, validation, vtkio
 from cloakopt.config import _SCHEMA, ConfigError, build_config, parse_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -365,6 +365,37 @@ def test_validate_command(tmp_path, capsys):
     assert (out / "validation" / "tiled.vtk").exists()
 
 
+def test_validate_tiles_each_design_once(short_run, tmp_path, monkeypatch):
+    """cloakopt validate tiles the initial and the final design once each,
+    and its tiled.vtk and report.csv are byte for byte those written from
+    the final design's own evaluate_tiled, tiling and reference ramp."""
+    tilings = []
+    tile = validation.tile_conductivity
+    monkeypatch.setattr(validation, "tile_conductivity",
+                        lambda *a, **kw: tilings.append(a) or tile(*a, **kw))
+    out = tmp_path / "validation"
+    assert cli.main(["validate", "--run", str(short_run), "--epsilon0", "0.25",
+                     "--out", str(out)]) == 0
+    assert len(tilings) == 2
+    monkeypatch.undo()
+
+    cfg, state = cli._load_run(short_run)
+    spec = cli._tiling_from(cfg, state.phis, 0.25)
+    mesh = validation.fine_mesh(spec)
+    j1_init, j2_init, _ = validation.evaluate_tiled(
+        cli._tiling_from(cfg, cfg.scenario.initial_phis(), 0.25), mesh)
+    j1, j2, temp = validation.evaluate_tiled(spec, mesh)
+    reference = macro_solver.reference_field(mesh, spec.bc)
+    vtkio.write_vtk(tmp_path / "want.vtk", mesh,
+                    point_data={"T": temp, "T_sub": temp - reference},
+                    cell_data={"conductivity": validation.tile_conductivity(spec, mesh)})
+    assert (out / "tiled.vtk").read_bytes() == (tmp_path / "want.vtk").read_bytes()
+    assert (out / "report.csv").read_text().splitlines() == [
+        "quantity,initial,final,ratio",
+        f"J1,{j1_init:.10g},{j1:.10g},{j1 / j1_init:.10g}",
+        f"J2,{j2_init:.10g},{j2:.10g},{j2 / j2_init:.10g}"]
+
+
 def test_sweep_command(tmp_path, capsys):
     path = small_config(tmp_path)
     out = tmp_path / "run"
@@ -527,6 +558,20 @@ def test_zero_obstacle_radius_of_a_run_exit_code(short_run, tmp_path, capsys, co
              else ["--run", f"short={run}", "--out", str(tmp_path / "sweep.csv")])
     assert cli.main([command, *flags, "--epsilon0", "0.25"]) == 2
     assert "geometry.r_obstacle must be positive" in capsys.readouterr().err
+
+
+def test_sweep_of_an_insert_disk_without_elements_exit_code(short_run, tmp_path, capsys):
+    """A run whose sweep insert holds no fine-mesh element is a
+    configuration error, reported before anything is solved."""
+    run = tmp_path / "run"
+    shutil.copytree(short_run, run)
+    (run / "config.json").write_text(json.dumps(small_raw(geometry={"r_obstacle": 0.04})))
+    out = tmp_path / "sweep.csv"
+    rc = cli.main(["sweep", "--run", f"short={run}", "--epsilon0", "0.25", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "(r_obstacle = 0.04 m) holds no element of the fine mesh (0.03125 m elements)" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("corrupt, named", [

@@ -9,6 +9,7 @@ from cloakopt import fem, homogenization, macro_solver
 from cloakopt.geometry import (GAMMA_A, GAMMA_B, MacroGeometry, TriMesh,
                                UnitCellGeometry, build_cell_mesh,
                                build_macro_mesh)
+from conftest import SlotTable
 
 
 def unit_square_mesh(n=8):
@@ -17,10 +18,16 @@ def unit_square_mesh(n=8):
 
 
 def unit_system(mesh, constraints, k=None):
-    """Diffusion system with conductivity k (default 1) under the given constraints."""
+    """Diffusion system with conductivity k (default 1) under the given
+    constraints, which only eliminate nodes."""
     k = np.ones(mesh.n_elements) if k is None else k
-    return fem.assemble_diffusion(mesh, fem.isotropic_tensors(k),
-                                  on=fem.Structure(mesh, constraints))
+    return fem.assemble_diffusion(mesh, fem.isotropic_tensors(k), constraints)
+
+
+def folded_unit_system(mesh):
+    """The unit-conductivity system under the periodic fold, on a reference slot table."""
+    ke = fem.element_stiffness(mesh, fem.isotropic_tensors(np.ones(mesh.n_elements)))
+    return SlotTable(mesh, fem.apply_periodic(free(mesh), mesh.periodic_pairs)).system(ke)
 
 
 def free(mesh):
@@ -121,7 +128,7 @@ def test_constrain_all_nodes_returns_data():
 
 def test_periodic_fold_keeps_symmetry_and_constants():
     mesh = build_cell_mesh(UnitCellGeometry(16))
-    a = unit_system(mesh, fem.apply_periodic(free(mesh), mesh.periodic_pairs)).matrix
+    a = folded_unit_system(mesh).matrix
     assert abs(a - a.T).max() < 1e-12
     # constants lie in the kernel after folding too
     assert np.abs(a @ np.ones(a.shape[0])).max() < 1e-12
@@ -136,7 +143,7 @@ def test_periodic_duplicate_slave_rejected():
 
 def test_singular_solve_names_missing_gauge():
     mesh = build_cell_mesh(UnitCellGeometry(16))
-    folded = unit_system(mesh, fem.apply_periodic(free(mesh), mesh.periodic_pairs))
+    folded = folded_unit_system(mesh)
     rhs = np.zeros(mesh.n_nodes)
     rhs[0] = 1.0
     with pytest.raises(fem.SolverError, match="gauge"):
@@ -174,7 +181,7 @@ def test_series_resistance_flux():
     tensors = fem.isotropic_tensors(k)
     c = fem.apply_dirichlet(free(mesh), np.unique(mesh.boundary_edges[GAMMA_A]), 0.0)
     c = fem.apply_dirichlet(c, np.unique(mesh.boundary_edges[GAMMA_B]), 1.0)
-    system = fem.assemble_diffusion(mesh, tensors, on=fem.Structure(mesh, c))
+    system = fem.assemble_diffusion(mesh, tensors, c)
     values = fem.Factorization(system).solve()
     ke = fem.element_stiffness(mesh, tensors)
     flux_in = fem.boundary_reaction(mesh, ke, values, GAMMA_B)
@@ -221,7 +228,7 @@ def levelset_operator(mesh):
     ke = (fem.element_mass(mesh, lumped=True) + dt * k_phi * tau
           * fem.element_stiffness(mesh, fem.isotropic_tensors(np.ones(mesh.n_elements))))
     periodic = fem.apply_periodic(free(mesh), mesh.periodic_pairs)
-    return fem.assemble(fem.Structure(mesh, periodic), ke), ke
+    return SlotTable(mesh, periodic).system(ke), ke
 
 
 @pytest.mark.parametrize("build, mesh_of", [
@@ -315,7 +322,7 @@ def test_cell_factor_fill_at_resolution_64(cell_mesh_64):
 @pytest.mark.parametrize("resolution", [16, 32, 64])
 def test_cell_operator_is_the_slot_assembly_in_minimum_degree_order(resolution):
     """The conductivity-to-data map of the cell's ScaledAssembly against
-    element_stiffness assembled on a plain Structure in the assembly's
+    element_stiffness assembled on a reference slot table in the assembly's
     numbering. That numbering is SuperLU's own minimum-degree order: the
     assembly's factor, kept in it, has the fill of an MMD factor of the
     operator in mesh numbering. The assembly orders the pattern alone
@@ -324,19 +331,19 @@ def test_cell_operator_is_the_slot_assembly_in_minimum_degree_order(resolution):
     mesh = build_cell_mesh(UnitCellGeometry(resolution))
     system, ke = cell_operator(mesh)
     assert system.ordered
-    want = fem.Structure(mesh, system.constraints).matrix(ke)
+    want = SlotTable(mesh, system.constraints).matrix(ke)
     got = system.matrix
     assert abs(got - want).max() <= 1e-13 * abs(want).max()
     np.testing.assert_array_equal(got.indptr, want.indptr)
     np.testing.assert_array_equal(got.indices, want.indices)
 
     folded = fem.apply_periodic(free(mesh), mesh.periodic_pairs, gauge=mesh.periodic_pairs[0, 0])
-    plain = fem.Structure(mesh, folded).matrix(ke)
+    plain = SlotTable(mesh, folded).matrix(ke)
     mmd = fem._factor(plain, permc_spec=fem.ORDERING)
     np.testing.assert_array_equal(fem.minimum_degree_order(plain), np.argsort(mmd.perm_c))
     assert fem.Factorization(system)._lu.nnz == mmd.nnz
 
-    unit = fem.Structure(mesh, folded).matrix(
+    unit = SlotTable(mesh, folded).matrix(
         fem.element_stiffness(mesh, fem.isotropic_tensors(np.ones(mesh.n_elements))))
     by_values = fem.minimum_degree_order(unit)
     by_pattern = fem.minimum_degree_order(fem._pattern_matrix(unit.shape[0], *unit.nonzero()))
@@ -354,7 +361,7 @@ def test_scaled_assemblies_build_no_structure(structures_built):
     varying = np.flatnonzero(np.hypot(*mesh.centroids.T) < 0.3)
     ke = fem.element_stiffness(mesh, fem.isotropic_tensors(np.ones(mesh.n_elements)))
     ke[varying] = 0.0
-    fixed = fem.assemble(macro_solver._fixed_edges(mesh, bc), ke)
+    fixed = fem.assemble(mesh, ke, macro_solver._fixed_edges(mesh, bc))
     structures_built.clear()
     mat = homogenization.CellMaterialField(np.linspace(0, 1, cell.n_elements), 386.0, 0.15)
     homogenization.homogenize(cell, mat)

@@ -14,6 +14,7 @@ from cloakopt.geometry import (MacroGeometry, UnitCellGeometry, build_cell_mesh,
 from cloakopt.levelset import (LevelSetField, ReactionDiffusionUpdater,
                                characteristic, initialize, mirror_nodes, read_phi_csv,
                                read_phi_field, write_phi_csv)
+from conftest import SlotTable
 
 
 def test_characteristic_anchor_values():
@@ -106,8 +107,8 @@ def test_update_uniform_reaction_shifts_then_clamps(cell_mesh_32):
 
 def superlu_step(mesh, phi, jprime, k_phi, tau, dt):
     """Oracle: the step assembled on the periodic structure and factored by SuperLU."""
-    on = fem.Structure(mesh, fem.apply_periodic(fem.Constraints.none(mesh.n_nodes),
-                                                mesh.periodic_pairs))
+    on = SlotTable(mesh, fem.apply_periodic(fem.Constraints.none(mesh.n_nodes),
+                                            mesh.periodic_pairs))
     ke = (fem.element_mass(mesh, lumped=True) + dt * k_phi * tau
           * fem.element_stiffness(mesh, fem.isotropic_tensors(np.ones(mesh.n_elements))))
     b = on.constraints.restrict(mesh.lumped_mass * (phi - dt * k_phi * jprime))

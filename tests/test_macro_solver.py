@@ -4,13 +4,15 @@ import scipy.sparse as sp
 
 from cloakopt import fem
 from cloakopt import homogenization as hom
+from cloakopt import objectives
 from cloakopt import levelset as ls
 from cloakopt import macro_solver as ms
-from cloakopt.geometry import (REGION_OBSTACLE, MacroGeometry, UnitCellGeometry,
-                               build_cell_mesh, build_macro_mesh)
+from cloakopt.geometry import (REGION_EXTERIOR, REGION_OBSTACLE, SECTOR_FIRST, SECTOR_LAST,
+                               MacroGeometry, UnitCellGeometry, build_cell_mesh,
+                               build_macro_mesh)
 from cloakopt.macro_solver import BoundaryData, MacroMaterialMap
 
-from conftest import COPPER, PDMS, STEEL
+from conftest import COPPER, PDMS, STEEL, SlotTable
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +44,61 @@ def test_uniform_steel_is_linear_profile(mesh_name, t_low, t_high, k, request):
     assert np.abs(ramp - direct).max() <= 1e-10
     assert np.all(ramp[np.unique(mesh.boundary_edges["gamma_a"])] == t_low)
     assert np.all(ramp[np.unique(mesh.boundary_edges["gamma_b"])] == t_high)
+
+
+def assert_identical(got, want):
+    """Two CSC matrices with the same pattern and the same data, bit for bit."""
+    for attr in ("shape", "indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr), err_msg=attr)
+
+
+@pytest.mark.parametrize("mesh_of, bc, weight", [
+    (lambda g: build_macro_mesh(g, 0.25, half=True), BoundaryData(0.5, 1.0), 2.0),
+    (lambda g: build_macro_mesh(g, 1.0 / 16, allow_oversize=True), BoundaryData(0.2, 1.5), 1.0),
+], ids=["half-macro", "fine"])
+def test_mesh_table_operators_match_per_region_and_per_constraint_tables(
+        paper_geometry, mesh_of, bc, weight):
+    """Both objective regions' operators, the fixed-edge system and a
+    condensation's fixed part, read from the mesh's one slot table, equal
+    those of a reference slot table built per region or per constraint
+    set, bit for bit: on the half macro mesh (mirror weight 2, the mean
+    temperature on the mirror line) and on a small tiled fine mesh."""
+    mesh = mesh_of(paper_geometry)
+    assert mesh.mirror_half == (weight == 2.0)
+    none = fem.Constraints.none(mesh.n_nodes)
+    exterior = np.flatnonzero(mesh.region_mask(REGION_EXTERIOR))
+    obstacle = np.flatnonzero(mesh.region_mask(REGION_OBSTACLE))
+    m_e, a_c = objectives.region_operators(mesh)
+    assert_identical(m_e, SlotTable(mesh, none, exterior).matrix(
+        weight * fem.element_mass(mesh, elements=exterior)))
+    assert_identical(a_c, SlotTable(mesh, none, obstacle).matrix(
+        weight * fem.element_stiffness(mesh, fem.isotropic_tensors(np.ones(len(obstacle))),
+                                       obstacle)))
+
+    rng = np.random.default_rng(21)
+    tensors = rng.uniform(0.5, 5.0, (mesh.n_elements, 1, 1)) * np.eye(2)
+    tensors[:, 0, 1] = tensors[:, 1, 0] = 0.2
+    ke = fem.element_stiffness(mesh, tensors)
+    reference = SlotTable(mesh, ms._fixed_edges(mesh, bc))
+    system = ms.conduction_system(mesh, tensors, bc)
+    assert_identical(system.matrix, reference.matrix(ke))
+    np.testing.assert_array_equal(system.lift, reference.lift(ke))
+
+    ring = (mesh.element_region >= SECTOR_FIRST) & (mesh.element_region <= SECTOR_LAST)
+    condensed = ms.condensed_conduction(mesh, tensors, ring, bc)
+    ke[ring] = 0.0
+    assert_identical(condensed.fixed_matrix, reference.matrix(ke))
+    np.testing.assert_array_equal(condensed.fixed_lift, reference.lift(ke))
+
+
+def test_the_mesh_table_reduces_only_eliminations(coarse_macro_mesh):
+    """A periodic fold or a renumbering is no gather of the mesh's table."""
+    mesh = coarse_macro_mesh
+    tensors = fem.isotropic_tensors(np.ones(mesh.n_elements))
+    none = fem.Constraints.none(mesh.n_nodes)
+    reversed_order = fem.Constraints(none.dof_of_node[::-1].copy(), none.fixed_values)
+    with pytest.raises(ValueError, match="eliminate nodes"):
+        fem.assemble_diffusion(mesh, tensors, reversed_order)
 
 
 def test_sector_tensors_equal_steel_reproduces_reference(macro_mesh, bc, steel_field):
@@ -239,9 +296,9 @@ def test_interface_schur_complement_matches_explicit(coarse_macro_mesh, keep_res
 
 def test_ring_assembly_is_the_slot_assembly_plus_the_condensed_block(coarse_macro_mesh):
     """The ring's ScaledAssembly, whose constant is the condensed fixed
-    block C, against element matrices assembled on a Structure in its
-    numbering plus C formed from the fixed operator and S_I; its numbering
-    covers I and R once each."""
+    block C, against element matrices assembled on a reference slot table
+    in its numbering plus C formed from the fixed operator and S_I; its
+    numbering covers I and R once each."""
     mesh = coarse_macro_mesh
     region = mesh.element_region
     ring = (region >= 1) & (region <= 8)
@@ -249,7 +306,7 @@ def test_ring_assembly_is_the_slot_assembly_plus_the_condensed_block(coarse_macr
                                 BoundaryData())
     a = c.assembly
     np.testing.assert_array_equal(c.varying_elements, np.flatnonzero(ring))
-    on = fem.Structure(mesh, a.constraints, c.varying_elements)
+    on = SlotTable(mesh, a.constraints, c.varying_elements)
     r = c.constraints.dof_of_node[mesh.elements[ring]]
     np.testing.assert_array_equal(np.sort(c.reduced_dofs), np.union1d(c.i, r[r >= 0]))
 
@@ -258,8 +315,8 @@ def test_ring_assembly_is_the_slot_assembly_plus_the_condensed_block(coarse_macr
     position[p] = np.arange(len(p))
     constant = c.fixed_matrix[p][:, p].toarray()
     constant[np.ix_(position[c.i], position[c.i])] = c.schur.toarray()
-    scales = np.random.default_rng(5).uniform(0.5, 2.0, (on.n_elements, 3))
-    ke = np.einsum("ec,ecij->eij", scales, fem.tensor_components(mesh, on.element_ids))
+    scales = np.random.default_rng(5).uniform(0.5, 2.0, (len(c.varying_elements), 3))
+    ke = np.einsum("ec,ecij->eij", scales, fem.tensor_components(mesh, c.varying_elements))
     want = on.matrix(ke) + sp.csc_matrix(constant)
     system = a.system(scales)
     assert system.ordered and system.constraints is a.constraints

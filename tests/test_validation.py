@@ -10,7 +10,7 @@ from cloakopt import fem, objectives, optimizer
 from cloakopt import levelset as ls
 from cloakopt import macro_solver as ms
 from cloakopt import validation as val
-from cloakopt.geometry import (REGION_OBSTACLE, UnitCellGeometry,
+from cloakopt.geometry import (REGION_OBSTACLE, MacroGeometry, UnitCellGeometry,
                                build_cell_mesh, build_macro_mesh)
 from cloakopt.macro_solver import BoundaryData
 
@@ -105,6 +105,25 @@ def test_obstacle_changes_objective(paper_geometry, cell_mesh):
 def test_empty_sweep(paper_geometry, cell_mesh):
     spec = make_spec(paper_geometry, cell_mesh)
     assert val.robustness_sweep({"d": spec}, [], 1.0, PDMS) == []
+
+
+@pytest.mark.parametrize("r_obstacle", [0.0, 0.02, 0.04])
+def test_sweep_refuses_an_insert_disk_without_elements(paper_geometry, cell_mesh, monkeypatch,
+                                                       r_obstacle):
+    """An insert disk that holds no element of the fine mesh (radius
+    0.3 * r_obstacle under the 1/32 m elements of eps0 = 1/4) is refused
+    by name before anything is factored, also when another design of the
+    sweep has a disk."""
+    empty = make_spec(MacroGeometry(5.0, 8.0, 1.35, r_obstacle), cell_mesh, epsilon0=0.25)
+    designs = {"disk": make_spec(paper_geometry, cell_mesh, epsilon0=0.25), "empty": empty}
+    factored = []
+    monkeypatch.setattr(fem, "_factor", lambda *a, **kw: factored.append(a))
+    radius = f"0.3 * r_obstacle = {0.3 * r_obstacle:.4g} m (r_obstacle = {r_obstacle:.4g} m)"
+    with pytest.raises(ValueError) as raised:
+        val.robustness_sweep(designs, [0.0, 90.0], 1.0, PDMS)
+    assert radius in str(raised.value)
+    assert "holds no element of the fine mesh (0.03125 m elements)" in str(raised.value)
+    assert factored == []
 
 
 def test_sweep_rows_complete(paper_geometry, cell_mesh):
@@ -382,11 +401,12 @@ def test_every_factorization_uses_the_supernode_constants(paper_geometry, cell_m
             0.0, {"SymmetricMode": True}), n
 
 
-def test_sweep_computes_the_reference_ramp_once_per_design(paper_geometry, cell_mesh,
-                                                           monkeypatch):
-    """The sweep's condensation carries its fine mesh's reference ramp:
-    two designs at three angles compute it twice, and every angle's J1 is
-    the mismatch against a ramp computed afresh, bit for bit."""
+def test_the_reference_ramp_is_computed_once_per_mesh(paper_geometry, cell_mesh,
+                                                      monkeypatch):
+    """The fine mesh caches its reference ramp: a direct evaluation and two
+    designs at three angles compute it once, and every angle's J1 is the
+    mismatch against a ramp computed afresh, bit for bit."""
+    monkeypatch.setattr(val, "_FINE_MESHES", weakref.WeakValueDictionary())
     specs = {"a": make_spec(paper_geometry, cell_mesh),
              "b": make_spec(paper_geometry, cell_mesh, pattern=("disk", 0.35))}
     psi = [0.0, 120.0, 240.0]
@@ -394,8 +414,9 @@ def test_sweep_computes_the_reference_ramp_once_per_design(paper_geometry, cell_
     ramps = []
     ramp = ms.reference_field
     monkeypatch.setattr(ms, "reference_field", lambda *a: ramps.append(1) or ramp(*a))
+    val.evaluate_tiled(specs["a"], mesh)
     rows = val.robustness_sweep(specs, psi, 1.0, PDMS)
-    assert len(ramps) == len(specs)
+    assert len(ramps) == 1
     reference = ramp(mesh, specs["a"].bc)
     for name, spec in specs.items():
         c = val.sweep_condensation(spec, mesh, val.ObstacleSpec(0.0, PDMS))
@@ -404,15 +425,18 @@ def test_sweep_computes_the_reference_ramp_once_per_design(paper_geometry, cell_
             assert row["j1"] == objectives.mismatch(temp, reference, mesh)
 
 
-
 def test_a_fine_mesh_builds_its_fixed_edge_structure_once(paper_geometry, cell_mesh,
                                                           structures_built):
-    """A direct tiled evaluation and the sweep's condensation of one fine
-    mesh read one fixed-edge structure, cached on the mesh."""
+    """A direct tiled evaluation, the sweep's condensation, its condensed
+    angles and both objectives of one fine mesh read one slot table,
+    built once and cached on the mesh."""
     spec = make_spec(paper_geometry, cell_mesh)
     mesh = build_macro_mesh(spec.geometry, spec.epsilon0 / val.ELEMENTS_PER_CELL,
                             allow_oversize=True)
     val.evaluate_tiled(spec, mesh)
-    val.sweep_condensation(spec, mesh, val.ObstacleSpec(0.0, PDMS))
-    whole = [m for m, elements in structures_built if elements is None]
-    assert len(whole) == 1 and whole[0] is mesh
+    obstacle = val.ObstacleSpec(0.0, PDMS)
+    c = val.sweep_condensation(spec, mesh, obstacle)
+    val.evaluate_tiled(spec, mesh, obstacle, condensation=c)
+    assert len(structures_built) == 1 and structures_built[0] is mesh
+    assert [key for key, value in mesh.cache.items()
+            if isinstance(value, fem.Structure)] == ["structure"]

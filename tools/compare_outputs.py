@@ -12,11 +12,14 @@ a subprocess on one BLAS thread, with ``src/`` of the tree under test on
   ``macro_fields.vtk``, the per-cell ``cell_<l>.vtk``, and the last
   checkpoint in ``final/``: the per-cell phi files ``cell_<l>.csv`` and
   ``state.json`` with each history entry's ``wall_ms`` dropped;
+* ``cloakopt validate`` (eps0 = 1/9) on the 20-iteration run directory
+  of ``VALIDATED``: ``validation/report.csv`` and ``validation/tiled.vtk``;
 * the ``validate_sweep`` benchmark's inputs at seed 7, read from
   ``benchmarks/inputs.py``: the direct tiled J1, J2 and temperature field
   of the design, and the J1 of its 8 condensed sweep angles.
 
-Prints one SHA-256 per output and exits 1 if any differs.
+Prints one SHA-256 per output and exits 1 if any differs. If the sweep's
+J1 values differ, it also prints their largest relative change.
 """
 
 from __future__ import annotations
@@ -34,8 +37,9 @@ from pathlib import Path
 ITERATIONS = 20
 SWITCH = 11
 SEED = 7
+VALIDATED = "scenario_w1"       # the config whose run directory is validated
 
-# run in the tree under test; prints {output: sha256}
+# run in the tree under test; prints {output: sha256}, then the sweep's J1 values
 SWEEP_SCRIPT = r"""
 import hashlib, json, sys
 import numpy as np
@@ -65,9 +69,10 @@ rows = validation.robustness_sweep({"design": spec}, list(inputs.SWEEP_PSI), 1.0
 def sha(data):
     return hashlib.sha256(data).hexdigest()
 
+sweep = " ".join(r["j1"].hex() for r in rows)
 print(json.dumps({"tiled J1": sha(j1.hex().encode()), "tiled J2": sha(j2.hex().encode()),
-                  "tiled T": sha(temp.tobytes()),
-                  "sweep J1 x8": sha(" ".join(r["j1"].hex() for r in rows).encode())}))
+                  "tiled T": sha(temp.tobytes()), "sweep J1 x8": sha(sweep.encode())}))
+print(sweep)
 """
 
 
@@ -114,10 +119,17 @@ def optimize_outputs(root: Path, config: Path, work: Path) -> dict:
                    sha256(path.read_bytes()) for path in files})
     hashes[f"{config.stem} final/state.json"] = sha256(state_without_wall_time(
         out / "final" / "state.json"))
+    if config.stem == VALIDATED:
+        subprocess.run([sys.executable, "-m", "cloakopt.cli", "validate", "--run", str(out)],
+                       env=environment(root), check=True, stdout=subprocess.DEVNULL)
+        for name in ("report.csv", "tiled.vtk"):
+            hashes[f"{config.stem} validation/{name}"] = sha256(
+                (out / "validation" / name).read_bytes())
     return hashes
 
 
-def outputs(root: Path, inputs_root: Path) -> dict:
+def outputs(root: Path, inputs_root: Path) -> tuple[dict, list[float]]:
+    """The output hashes of the tree ``root``, and its sweep J1 values."""
     hashes = {}
     with tempfile.TemporaryDirectory() as work:
         for config in sorted((inputs_root / "configs").glob("*.json")):
@@ -125,8 +137,9 @@ def outputs(root: Path, inputs_root: Path) -> dict:
     sweep = subprocess.run([sys.executable, "-c", SWEEP_SCRIPT,
                             str(inputs_root / "benchmarks"), str(SEED)],
                            env=environment(root), check=True, capture_output=True, text=True)
-    hashes.update(json.loads(sweep.stdout.strip().splitlines()[-1]))
-    return hashes
+    *_, line, values = sweep.stdout.strip().splitlines()
+    hashes.update(json.loads(line))
+    return hashes, [float.fromhex(v) for v in values.split()]
 
 
 def main(argv: list[str]) -> int:
@@ -135,7 +148,7 @@ def main(argv: list[str]) -> int:
         return 2
     parent = Path(argv[0]).resolve()
     change = Path(argv[1]).resolve() if len(argv) == 2 else Path(__file__).resolve().parents[1]
-    want, got = outputs(parent, change), outputs(change, change)
+    (want, want_j1), (got, got_j1) = outputs(parent, change), outputs(change, change)
     names = [*got, *(name for name in want if name not in got)]
     differ = 0
     for name in names:
@@ -144,6 +157,9 @@ def main(argv: list[str]) -> int:
         print(f"{name:36} {got.get(name)}"
               + ("" if same else f"  DIFFERS: parent {want.get(name)}"))
     print(f"{len(names) - differ} of {len(names)} outputs identical")
+    if want_j1 != got_j1:
+        largest = max(abs(g - w) / abs(w) for g, w in zip(got_j1, want_j1, strict=True))
+        print(f"sweep J1: largest relative change {largest:.3g}")
     return 1 if differ else 0
 
 
