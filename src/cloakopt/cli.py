@@ -138,6 +138,8 @@ def cmd_sweep(args) -> int:
         if "=" not in item:
             raise ConfigError(f"--run expects NAME=DIR, got {item!r}")
         name, run_dir = item.split("=", 1)
+        if name in designs:
+            raise ConfigError(f"--run name {name!r} is given twice")
         cfg, state = _load_run(Path(run_dir))
         cfg0 = cfg0 or cfg
         designs[name] = _tiling_from(cfg, state.phis, args.epsilon0)

@@ -55,6 +55,11 @@ class MacroMaterialMap:
     k_exterior: float
     k_obstacle: float
 
+    def __post_init__(self):
+        if len(self.sector_tensors) != SECTOR_LAST:
+            raise ValueError(f"need one tensor per sector ({SECTOR_LAST}), "
+                             f"got {len(self.sector_tensors)}")
+
     def sector_matrices(self) -> np.ndarray:
         """The sector tensors as an (8, 2, 2) array."""
         return np.array([t.matrix if hasattr(t, "matrix") else np.asarray(t)

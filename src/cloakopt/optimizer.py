@@ -12,15 +12,16 @@ mirror line (Kosaka & Swan, Computers & Structures 70, 1999).
 
 Each iteration evaluates the design (:func:`evaluate`: both correctors
 and the tensor of all 8 cells, the macro state, the objectives) and
-then, unless it is the last, advances it (:func:`step`): one adjoint
-solve on the factored state operator, whose load is the derivative of
-the recorded objective J (w*J1 + (1-w)*J2, or J1 over its denominator in
-normalized mode), the mirrored design's dJ/dK*, which the half mesh's
-sectors 1-4 give directly (:func:`sensitivity.sector_sensitivities`),
-contracted with each design cell's insertion derivatives and normalized
-once per cell, one reaction-diffusion step of each of the 4 design
-cells, and their reflections onto cells 5-8. Its time step is dt, capped
-so that no node moves by more than :data:`MOVE_LIMIT`, divided by
+then, unless it is the last, advances it (:func:`step`), which splits at
+dJ/dK*, where the two scales meet. The macro half is one adjoint solve
+on the factored state operator, whose load is the derivative of the
+recorded objective J (w*J1 + (1-w)*J2, or J1 over its denominator in
+normalized mode), and the mirrored design's dJ/dK*, which the half
+mesh's sectors 1-4 give directly (:func:`sensitivity.sector_sensitivities`).
+The cell half (:func:`cell_step`) contracts each design cell's dJ/dK*
+with the cell's insertion field into a reaction term normalized once per
+cell and steps the cell; cells 5-8 receive the reflections. The time step is
+dt, capped so that no node moves by more than :data:`MOVE_LIMIT`, divided by
 sqrt(k) at the k-th iteration of the current transition width: the
 reaction term has unit L1 mass however close the design is to a
 stationary point, so a constant step keeps the design swinging around
@@ -298,41 +299,42 @@ def evaluate(ws: Workspace, phis: list[LevelSetField], d: float,
 
 def step(ws: Workspace, ev: Evaluation, phis: list[LevelSetField],
          iteration: int, threads: int = 1) -> list[np.ndarray]:
-    """New nodal values of every cell's level set after one update.
-
-    Solves the adjoint of the recorded J on the evaluated state operator,
-    contracts the mirrored design's dJ/dK* (sectors 1-4 of the half mesh)
-    with each design cell's insertion derivatives into a normalized
-    reaction term, and takes one reaction-diffusion step of each design
-    cell, whose size the move limiter caps, divided by sqrt(k) at the k-th
-    iteration of the current transition width (a diminishing step that
-    restarts with each new width, which poses a new smoothed problem).
-    Cells 5-8 receive the reflections of the stepped cells 1-4.
-    """
+    """New nodal values of every cell's level set after one update: the
+    adjoint of the recorded J, the mirrored design's dJ/dK* on sectors 1-4
+    of the half mesh, :func:`cell_step` of cells 1-4 and their reflections."""
     sc = ws.scenario
     adjoint = macro_solver.solve_adjoint(ev.state_fact, ws.macro_mesh,
                                          sc.derivative_weights(), ev.temp, ws.t_steel)
     dj_dks = sensitivity.sector_sensitivities(ws.macro_mesh, ev.temp, adjoint)
+    return mirrored(ws.cell_mesh, cell_step(
+        ws.updater, sc, dj_dks, ev.cells[:DESIGN_CELLS],
+        [f.phi for f in phis[:DESIGN_CELLS]], ev.d, iteration, threads))
 
+
+def cell_step(updater: levelset.ReactionDiffusionUpdater, sc: Scenario, dj_dks, cells,
+              phis: list[np.ndarray], d: float, iteration: int, threads: int = 1):
+    """New nodal level sets of any number of cells after one step driven
+    by their dJ/dK*, whatever objective gives it: cell c brings
+    ``dj_dks[c]``, ``cells[c]`` = (material, tensor, w1, w2) homogenized at
+    width ``d``, and its nodal ``phis[c]``. The step is ``sc.dt``, capped by
+    the move limiter, over sqrt(k) at the k-th iteration of the current
+    width (a diminishing step that restarts with each new width, which
+    poses a new smoothed problem)."""
     def reaction_task(args):
-        dj_dk, f, (mat, _tensor, w1, w2) = args
-        ins_a, ins_b = sensitivity.topological_tensor_fields(ws.cell_mesh, mat, w1, w2)
-        return sensitivity.combined_sensitivity(
-            ws.cell_mesh, dj_dk, ins_a, ins_b, f.chi_nodes(ev.d))
+        dj_dk, (mat, _tensor, w1, w2), phi = args
+        insertion = sensitivity.topological_tensor_fields(updater.mesh, w1, w2)
+        return sensitivity.combined_sensitivity(updater.mesh, dj_dk, insertion, mat,
+                                                levelset.characteristic(phi, d))
 
-    design = phis[:DESIGN_CELLS]
-    jprimes = _map_cells(reaction_task, list(zip(dj_dks, design, ev.cells)), threads)
+    jprimes = _map_cells(reaction_task, list(zip(dj_dks, cells, phis, strict=True)), threads)
     # stability limiter: cap the largest nodal reaction move so the
     # normalized sensitivity cannot flip nodes across the clamp range
     peak = max(float(np.abs(jp).max()) for jp in jprimes)
     dt_eff = sc.dt
     if peak > 0:
-        dt_eff = min(sc.dt, MOVE_LIMIT / (sc.k_phi * peak))
+        dt_eff = min(sc.dt, MOVE_LIMIT / (updater.k_phi * peak))
     dt_eff *= sc.width_age(iteration) ** -0.5
-    updater = ws.updater
-    return mirrored(ws.cell_mesh, _map_cells(
-        lambda pair: updater.step(pair[0].phi, pair[1], dt_eff),
-        list(zip(design, jprimes)), threads))
+    return _map_cells(lambda pair: updater.step(*pair, dt_eff), zip(phis, jprimes), threads)
 
 
 def run(scenario: Scenario, out_dir=None, resume_from: DesignState | None = None,
@@ -481,8 +483,9 @@ def resume(path) -> DesignState:
     missing key, a tensors or history entry with missing or unknown
     fields, or a value of the wrong kind raises ``ValueError`` naming it:
     ``iteration`` must be an integer of at least 1, the objective values
-    finite numbers, ``d`` one width in (0, 1) per sector, and every
-    tensor and history field a number."""
+    finite numbers, ``d`` one width in (0, 1) per sector, every tensor
+    and history field a number, ``tensors`` one entry per sector and
+    ``history`` one row per iteration up to ``iteration``."""
     path = Path(path)
     state_file = path / "state.json"
     if not state_file.exists():
@@ -519,6 +522,11 @@ def resume(path) -> DesignState:
             for name, value in entry.items():
                 if not _is_number(value):
                     refuse(f"{key}[{i}].{name}", "a number", value)
+    if len(state.tensors) != SECTOR_LAST:
+        refuse("tensors", f"{SECTOR_LAST} entries, one per sector", len(state.tensors))
+    rows = [r.iteration for r in state.history]
+    if rows != list(range(1, state.iteration + 1)):
+        refuse("history", f"one row per iteration 1..{state.iteration}", rows)
     for l, d in zip(range(SECTOR_FIRST, SECTOR_LAST + 1), widths):
         mesh = state.phis[0].mesh if state.phis else None     # all cells share the first's mesh
         state.phis.append(levelset.read_phi_field(path / f"cell_{l}.csv", mesh,

@@ -1,24 +1,25 @@
-"""Design sensitivities: macro tensor derivatives contracted with the
-cell-level insertion derivatives, normalized into the level-set reaction.
+"""Design sensitivities: the two scales meet in dJ/dK*.
 
-The macro half carries dJ/dK* per sector (a symmetric 2x2 from the state
-and adjoint gradients), for every sector of the mesh in one call that
-takes the gradients on the design ring's elements only
-(:func:`sector_sensitivities`). The optimizer's design is mirrored,
-cells 1-4 carrying it and cell 9 - l reflecting cell l, and it solves on
-the x >= 0 half of the macro mesh (a ``mirror_half`` mesh), which holds
-sectors 1-4 and weighs its objective integrals by 2. There the adjoint of the
-full-domain objective is twice the whole mesh's, and sector l's
+The macro half gives dJ/dK* of every design sector (a symmetric 2x2 from
+the state and adjoint gradients on the ring's elements,
+:func:`sector_sensitivities`). The optimizer's design is mirrored, cells
+1-4 carrying it and cell 9 - l reflecting cell l, and it solves on the
+x >= 0 half of the macro mesh (a ``mirror_half`` mesh), which holds
+sectors 1-4 and weighs its objective integrals by 2. There the adjoint of
+the full-domain objective is twice the whole mesh's, and sector l's
 contraction is dJ/dK*_l + S dJ/dK*_{9-l} S (S = diag(-1, 1)), the
-derivative of the mirrored design itself. The cell half carries the
-pointwise derivative of K* when a small inclusion of the other phase
-appears, built from the corrector gradients. Their contraction, split by
-insertion direction and blended by the smoothed indicator, is
-L1-normalized per cell. The optimizer contracts the derivative of the
-objective it records, w*dJ1/dK* + (1-w)*dJ2/dK*, which is linear in the
-adjoint load and so comes from one adjoint of the weighted load; each
-design cell's reaction term is normalized once and follows the
-derivative of that weighted sum.
+derivative of the mirrored design itself. The optimizer contracts the
+derivative of the objective it records, w*dJ1/dK* + (1-w)*dJ2/dK*, which
+is linear in the adjoint load and so comes from one adjoint of the
+weighted load.
+
+The cell half turns a cell's dJ/dK*, from the macro adjoint or any
+objective with an explicit derivative, into its reaction term. One nodal
+field from the corrector gradients (:func:`topological_tensor_fields`),
+scaled by each phase swap's :func:`insertion_prefactor`, is the
+derivative of K* when a small inclusion of the other phase appears; the
+contraction, blended by the smoothed indicator, is L1-normalized once
+per cell (:func:`combined_sensitivity`).
 """
 
 from __future__ import annotations
@@ -77,27 +78,19 @@ def insertion_prefactor(k_host: float, k_insert: float) -> float:
     return 2.0 * k_host * (k_insert - k_host) / (k_insert + k_host)
 
 
-def topological_tensor_fields(mesh: TriMesh, mat: CellMaterialField,
-                              w1: np.ndarray, w2: np.ndarray):
-    """Nodal insertion derivatives of K* for both phase swaps.
-
-    ``w1`` and ``w2`` are the correctors' nodal values on ``mesh``.
-    Returns (insert_a, insert_b): (n_nodes, 2, 2) arrays for inserting
-    phase a into b-host and phase b into a-host. Element values
-    prefactor * (e_i + grad w_i).(e_j + grad w_j) are transferred to
-    nodes by area-weighted averaging, accumulated on periodic masters so
-    paired boundary nodes agree exactly.
-    """
+def topological_tensor_fields(mesh: TriMesh, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """Nodal (e_i + grad w_i).(e_j + grad w_j), shape (n_nodes, 2, 2), from
+    the correctors' nodal values: the field that each insertion derivative
+    of K* scales by its :func:`insertion_prefactor`. Element values are
+    averaged to nodes by area, accumulated on periodic masters so paired
+    boundary nodes agree exactly."""
     e1 = mesh.element_gradient(w1) + (1.0, 0.0)
     e2 = mesh.element_gradient(w2) + (0.0, 1.0)
     outer = np.column_stack([np.einsum("ei,ei->e", e1, e1),
                              np.einsum("ei,ei->e", e1, e2),
                              np.einsum("ei,ei->e", e2, e2)])
     # the 3 distinct components are averaged, then laid out as 2x2 tensors
-    nodal = _average_to_nodes(mesh, outer)[:, [0, 1, 1, 2]].reshape(mesh.n_nodes, 2, 2)
-    pref_insert_a = insertion_prefactor(mat.k_b, mat.k_a)
-    pref_insert_b = insertion_prefactor(mat.k_a, mat.k_b)
-    return pref_insert_a * nodal, pref_insert_b * nodal
+    return _average_to_nodes(mesh, outer)[:, [0, 1, 1, 2]].reshape(mesh.n_nodes, 2, 2)
 
 
 def _average_to_nodes(mesh: TriMesh, element_values: np.ndarray) -> np.ndarray:
@@ -128,25 +121,22 @@ def nodal_abs_integral(mesh: TriMesh, field: np.ndarray) -> float:
     return float((mesh.lumped_mass * np.abs(field)).sum())
 
 
-def phase_blend(contraction_insert_a: np.ndarray, contraction_insert_b: np.ndarray,
-                chi_nodes: np.ndarray) -> np.ndarray:
-    """Directional sensitivity: insert-a where phase b sits, minus insert-b where a sits."""
-    return (contraction_insert_a * (1.0 - chi_nodes)
-            - contraction_insert_b * chi_nodes)
-
-
-def combined_sensitivity(mesh: TriMesh, dj_dk: np.ndarray,
-                         insert_a: np.ndarray, insert_b: np.ndarray,
-                         chi_nodes: np.ndarray) -> np.ndarray:
+def combined_sensitivity(mesh: TriMesh, dj_dk: np.ndarray, insertion: np.ndarray,
+                         mat: CellMaterialField, chi_nodes: np.ndarray) -> np.ndarray:
     """Normalized reaction term for one cell.
 
-    The blended contraction of ``dj_dk`` (the derivative of the recorded
-    objective with respect to this cell's K*) is scaled to unit L1 mass
-    over the cell. A degenerate L1 norm gives a zero reaction with a
-    logged warning.
+    ``dj_dk`` (the derivative of the objective with respect to this cell's
+    K*) is contracted with both insertion derivatives, ``insertion``
+    (:func:`topological_tensor_fields`) scaled by each swap's prefactor:
+    inserting phase a where phase b sits minus inserting b where a sits,
+    blended by ``chi_nodes``. The blend is scaled to unit L1 mass over the
+    cell. A degenerate L1 norm gives a zero reaction with a logged warning.
     """
-    g = phase_blend(np.einsum("ij,nij->n", dj_dk, insert_a),
-                    np.einsum("ij,nij->n", dj_dk, insert_b), chi_nodes)
+    def contraction(k_host, k_insert):
+        return np.einsum("ij,nij->n", dj_dk, insertion_prefactor(k_host, k_insert) * insertion)
+
+    g = (contraction(mat.k_b, mat.k_a) * (1.0 - chi_nodes)
+         - contraction(mat.k_a, mat.k_b) * chi_nodes)
     norm = nodal_abs_integral(mesh, g)
     if norm < DEGENERATE_NORM:
         log.warning("degenerate sensitivity norm; dropping the reaction term")

@@ -574,6 +574,17 @@ def test_sweep_of_an_insert_disk_without_elements_exit_code(short_run, tmp_path,
     assert not out.exists()
 
 
+def test_sweep_of_a_repeated_run_name_exit_code(short_run, tmp_path, capsys):
+    """Two designs under one --run name are refused by that name, before
+    anything is solved, rather than the second replacing the first."""
+    out = tmp_path / "sweep.csv"
+    rc = cli.main(["sweep", "--run", f"a={short_run}", "--run", f"a={short_run}",
+                   "--epsilon0", "0.25", "--out", str(out)])
+    assert rc == 2
+    assert "--run name 'a' is given twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("corrupt, named", [
     (lambda payload: payload.pop("tensors"), "missing key 'tensors'"),
     (lambda payload: payload.pop("history"), "missing key 'history'"),
@@ -584,15 +595,19 @@ def test_sweep_of_an_insert_disk_without_elements_exit_code(short_run, tmp_path,
     (lambda payload: payload.update(j1_init=None), "'j1_init'"),
     (lambda payload: payload.update(d=payload["d"][:1]), "'d'"),
     (lambda payload: payload["history"][0].update(j1="x"), "'history[0].j1'"),
+    (lambda payload: payload["tensors"].append(payload["tensors"][0]), "'tensors'"),
+    (lambda payload: payload["tensors"].pop(), "'tensors'"),
+    (lambda payload: payload.update(history=[]), "'history'"),
 ], ids=["no-tensors", "no-history", "tensor-without-k12", "history-with-unknown-field",
         "iteration-string", "iteration-fraction", "j1_init-null", "one-width",
-        "history-j1-string"])
+        "history-j1-string", "nine-tensors", "seven-tensors", "empty-history"])
 @pytest.mark.parametrize("command", ["validate", "sweep", "optimize"])
 def test_malformed_checkpoint_exit_code(short_run, tmp_path, capsys, command, corrupt, named):
     """A checkpoint without its tensors or history, with an entry of
     missing or unknown fields, or with a value of the wrong kind (an
     iteration that is no integer, a missing initial J1, fewer widths than
-    sectors, a history field that is no number) is refused with the file
+    sectors, a history field that is no number, a tensor count other than
+    the sector count, a history without its rows) is refused with the file
     and the key named."""
     run = tmp_path / "run"
     shutil.copytree(short_run, run)

@@ -101,6 +101,12 @@ def test_the_mesh_table_reduces_only_eliminations(coarse_macro_mesh):
         fem.assemble_diffusion(mesh, tensors, reversed_order)
 
 
+@pytest.mark.parametrize("count", [7, 9])
+def test_material_map_refuses_a_sector_tensor_count_other_than_8(count):
+    with pytest.raises(ValueError, match=f"one tensor per sector \\(8\\), got {count}"):
+        MacroMaterialMap([STEEL * np.eye(2)] * count, k_exterior=STEEL, k_obstacle=STEEL)
+
+
 def test_sector_tensors_equal_steel_reproduces_reference(macro_mesh, bc, steel_field):
     matmap = MacroMaterialMap([STEEL * np.eye(2)] * 8,
                               k_exterior=STEEL, k_obstacle=STEEL)

@@ -300,14 +300,39 @@ def test_mirrored_reaction_terms_equal_the_eight_cell_ones_on_a_symmetric_design
     eight = []
     for dj_dk, f, (mat, _, w1, w2) in zip(sensitivity.sector_sensitivities(whole, temp, adjoint),
                                           phis, ev.cells, strict=True):
-        ins_a, ins_b = sensitivity.topological_tensor_fields(mesh, mat, w1, w2)
-        eight.append(combined_sensitivity(mesh, dj_dk, ins_a, ins_b, f.chi_nodes(0.2)))
+        insertion = sensitivity.topological_tensor_fields(mesh, w1, w2)
+        eight.append(combined_sensitivity(mesh, dj_dk, insertion, mat, f.chi_nodes(0.2)))
     mirror = levelset.mirror_nodes(mesh)
     scale = max(np.abs(g).max() for g in eight)
     for l in range(1, 5):
         np.testing.assert_allclose(restricted[l - 1], eight[l - 1], rtol=0.0, atol=1e-9 * scale)
         np.testing.assert_allclose(eight[8 - l], eight[l - 1][mirror], rtol=0.0,
                                    atol=1e-9 * scale)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_step_is_the_reflected_cell_step_of_the_sector_sensitivities(threads):
+    """The macro half of a step hands each design cell its sector's dJ/dK*
+    and nothing else: the step is cell_step of sector_sensitivities'
+    output, reflected onto cells 5-8."""
+    ws = Workspace(tiny_scenario(w=0.5))
+    sc, mesh = ws.scenario, ws.cell_mesh
+    x, y = mesh.nodes.T
+    design = [0.6 * np.sin(2 * np.pi * (x + 0.1 * l)) * np.cos(2 * np.pi * (y - x)) + 0.2
+              for l in range(1, 5)]
+    phis = [levelset.LevelSetField(phi=p, mesh=mesh, cell_index=l)
+            for l, p in enumerate(optimizer.mirrored(mesh, design), start=1)]
+    ev = evaluate(ws, phis, 0.2, threads)
+    got = step(ws, ev, phis, 2, threads)
+
+    adjoint = macro_solver.solve_adjoint(ev.state_fact, ws.macro_mesh, sc.derivative_weights(),
+                                         ev.temp, ws.t_steel)
+    dj_dks = sensitivity.sector_sensitivities(ws.macro_mesh, ev.temp, adjoint)
+    want = optimizer.mirrored(mesh, optimizer.cell_step(
+        ws.updater, sc, dj_dks, ev.cells[:4], design, 0.2, 2, threads))
+    assert len(got) == 8
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g, w)
 
 
 def test_resume_finished_run_is_noop(tmp_path):
