@@ -115,7 +115,6 @@ class ReactionDiffusionUpdater:
     def __init__(self, mesh: TriMesh, k_phi: float, tau: float):
         if k_phi <= 0 or tau < 0:
             raise ValueError("need k_phi > 0, tau >= 0")
-        self.mesh = mesh
         self.k_phi = k_phi
         self.tau = tau
         self.mass = mesh.lumped_mass

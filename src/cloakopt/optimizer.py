@@ -39,7 +39,6 @@ import shutil
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
-from functools import cached_property
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -239,13 +238,6 @@ class Workspace:
                 self.bc)
             self.norm_denominator = objectives.mismatch(worst, self.t_steel, self.macro_mesh)
 
-    @cached_property
-    def updater(self) -> levelset.ReactionDiffusionUpdater:
-        """The level-set stepper, built at the first step (by :func:`step`,
-        before the cells' steps fan out to threads)."""
-        return levelset.ReactionDiffusionUpdater(
-            self.cell_mesh, self.scenario.k_phi, self.scenario.tau)
-
 
 def _map_cells(fn, items, threads: int):
     """Apply fn per cell; results land in fixed slots so order never matters."""
@@ -307,23 +299,24 @@ def step(ws: Workspace, ev: Evaluation, phis: list[LevelSetField],
                                          sc.derivative_weights(), ev.temp, ws.t_steel)
     dj_dks = sensitivity.sector_sensitivities(ws.macro_mesh, ev.temp, adjoint)
     return mirrored(ws.cell_mesh, cell_step(
-        ws.updater, sc, dj_dks, ev.cells[:DESIGN_CELLS],
+        ws.cell_mesh, sc, dj_dks, ev.cells[:DESIGN_CELLS],
         [f.phi for f in phis[:DESIGN_CELLS]], ev.d, iteration, threads))
 
 
-def cell_step(updater: levelset.ReactionDiffusionUpdater, sc: Scenario, dj_dks, cells,
-              phis: list[np.ndarray], d: float, iteration: int, threads: int = 1):
+def cell_step(mesh: TriMesh, sc: Scenario, dj_dks, cells, phis: list[np.ndarray],
+              d: float, iteration: int, threads: int = 1) -> list[np.ndarray]:
     """New nodal level sets of any number of cells after one step driven
     by their dJ/dK*, whatever objective gives it: cell c brings
     ``dj_dks[c]``, ``cells[c]`` = (material, tensor, w1, w2) homogenized at
-    width ``d``, and its nodal ``phis[c]``. The step is ``sc.dt``, capped by
-    the move limiter, over sqrt(k) at the k-th iteration of the current
-    width (a diminishing step that restarts with each new width, which
-    poses a new smoothed problem)."""
+    width ``d``, and its nodal ``phis[c]`` on the cell ``mesh``. The step is
+    ``sc.dt``, capped by the move limiter, over sqrt(k) at the k-th iteration
+    of the current width (a diminishing step that restarts with each new
+    width, which poses a new smoothed problem). The stepper is built once per
+    mesh, at its first step, before the steps fan out to threads."""
     def reaction_task(args):
         dj_dk, (mat, _tensor, w1, w2), phi = args
-        insertion = sensitivity.topological_tensor_fields(updater.mesh, w1, w2)
-        return sensitivity.combined_sensitivity(updater.mesh, dj_dk, insertion, mat,
+        insertion = sensitivity.topological_tensor_fields(mesh, w1, w2)
+        return sensitivity.combined_sensitivity(mesh, dj_dk, insertion, mat,
                                                 levelset.characteristic(phi, d))
 
     jprimes = _map_cells(reaction_task, list(zip(dj_dks, cells, phis, strict=True)), threads)
@@ -332,8 +325,10 @@ def cell_step(updater: levelset.ReactionDiffusionUpdater, sc: Scenario, dj_dks, 
     peak = max(float(np.abs(jp).max()) for jp in jprimes)
     dt_eff = sc.dt
     if peak > 0:
-        dt_eff = min(sc.dt, MOVE_LIMIT / (updater.k_phi * peak))
+        dt_eff = min(sc.dt, MOVE_LIMIT / (sc.k_phi * peak))
     dt_eff *= sc.width_age(iteration) ** -0.5
+    updater = fem.cached(mesh, ("level-set stepper", sc.k_phi, sc.tau),
+                         lambda: levelset.ReactionDiffusionUpdater(mesh, sc.k_phi, sc.tau))
     return _map_cells(lambda pair: updater.step(*pair, dt_eff), zip(phis, jprimes), threads)
 
 

@@ -51,7 +51,6 @@ def test_cell_fit_to_the_45_degree_laminate_record():
     sc = dataclasses.replace(config.parse_config(CONFIG).scenario,
                              d_schedule=((1, WIDTH),), cell_resolution=RESOLUTION)
     mesh = build_cell_mesh(UnitCellGeometry(RESOLUTION))
-    updater = levelset.ReactionDiffusionUpdater(mesh, sc.k_phi, sc.tau)
     phi = sc.initial_phis(mesh)[0].phi
     target = laminate(0.35, (1, 1), sc.k_cell_a, sc.k_cell_b)
     for it in range(1, ITERATIONS + 1):
@@ -62,7 +61,7 @@ def test_cell_fit_to_the_45_degree_laminate_record():
         j, dj_dk = misfit(cell[1].matrix, target)
         assert np.isfinite(j)
         if it < ITERATIONS:
-            [phi] = optimizer.cell_step(updater, sc, [dj_dk], [cell], [phi], WIDTH, it)
+            [phi] = optimizer.cell_step(mesh, sc, [dj_dk], [cell], [phi], WIDTH, it)
             assert -1.0 <= phi.min() and phi.max() <= 1.0
     t = cell[1]
     print(f"\ncell fit to the f=0.35 (1,1) laminate after {ITERATIONS} iterations: "

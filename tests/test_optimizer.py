@@ -329,7 +329,7 @@ def test_step_is_the_reflected_cell_step_of_the_sector_sensitivities(threads):
                                          ev.temp, ws.t_steel)
     dj_dks = sensitivity.sector_sensitivities(ws.macro_mesh, ev.temp, adjoint)
     want = optimizer.mirrored(mesh, optimizer.cell_step(
-        ws.updater, sc, dj_dks, ev.cells[:4], design, 0.2, 2, threads))
+        mesh, sc, dj_dks, ev.cells[:4], design, 0.2, 2, threads))
     assert len(got) == 8
     for g, w in zip(got, want, strict=True):
         assert np.array_equal(g, w)
