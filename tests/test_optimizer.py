@@ -270,6 +270,15 @@ def test_file_init_reflects_the_file_onto_cells_5_to_8(tmp_path):
     assert not np.array_equal(phis[7].phi, f.phi)
 
 
+def mirrored_design(mesh):
+    """Four distinct design cells and the 8 level sets of their mirrored design."""
+    x, y = mesh.nodes.T
+    design = [0.6 * np.sin(2 * np.pi * (x + 0.1 * l)) * np.cos(2 * np.pi * (y - x)) + 0.2
+              for l in range(1, 5)]
+    return design, [levelset.LevelSetField(phi=p, mesh=mesh, cell_index=l)
+                    for l, p in enumerate(optimizer.mirrored(mesh, design), start=1)]
+
+
 def test_mirrored_reaction_terms_equal_the_eight_cell_ones_on_a_symmetric_design(monkeypatch):
     """On a mirrored design, cell l's reaction term from sector l of the half
     mesh is, after normalization, the one an 8-cell step on the whole mesh
@@ -277,11 +286,7 @@ def test_mirrored_reaction_terms_equal_the_eight_cell_ones_on_a_symmetric_design
     cell 9 - l is its reflection."""
     ws = Workspace(tiny_scenario(w=0.5))
     mesh = ws.cell_mesh
-    x, y = mesh.nodes.T
-    design = [0.6 * np.sin(2 * np.pi * (x + 0.1 * l)) * np.cos(2 * np.pi * (y - x)) + 0.2
-              for l in range(1, 5)]
-    phis = [levelset.LevelSetField(phi=p, mesh=mesh, cell_index=l)
-            for l, p in enumerate(optimizer.mirrored(mesh, design), start=1)]
+    _, phis = mirrored_design(mesh)
     ev = evaluate(ws, phis, 0.2)
     combined_sensitivity = sensitivity.combined_sensitivity
     restricted = []
@@ -317,11 +322,7 @@ def test_step_is_the_reflected_cell_step_of_the_sector_sensitivities(threads):
     output, reflected onto cells 5-8."""
     ws = Workspace(tiny_scenario(w=0.5))
     sc, mesh = ws.scenario, ws.cell_mesh
-    x, y = mesh.nodes.T
-    design = [0.6 * np.sin(2 * np.pi * (x + 0.1 * l)) * np.cos(2 * np.pi * (y - x)) + 0.2
-              for l in range(1, 5)]
-    phis = [levelset.LevelSetField(phi=p, mesh=mesh, cell_index=l)
-            for l, p in enumerate(optimizer.mirrored(mesh, design), start=1)]
+    design, phis = mirrored_design(mesh)
     ev = evaluate(ws, phis, 0.2, threads)
     got = step(ws, ev, phis, 2, threads)
 
