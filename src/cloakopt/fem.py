@@ -83,12 +83,24 @@ interface responses X = K_GG^-1 K_GI, the static constraint modes of
 substructuring (Guyan 1965; Craig & Bampton 1968), from which S_I is
 formed; the factor is then freed, and x_G = K_GG^-1 b_G - X x_I needs
 no K_GG solve (:class:`Condensation`).
+
+A condensed solve is memory-bound: on the tiled sweep's insert it passes
+over X (22 MB), the fixed operator and full-length vectors, and little
+else. So it passes over each once, and the build precomputes what no
+varying part changes: the zero load's right-hand sides, full and reduced
+(the latter with its I-correction K_IG K_GG^-1 b_G), and, with the
+responses kept, X and K_GG^-1 b_G on full rows (zero on I and R), so
+that a sweep angle's x is y - X x_I with the reduced solution written
+over I and R. The fixed operator is kept in CSR for the residual's
+mat-vec, as the objectives keep theirs: each row sums in the column
+order of the CSC, so every product is bit-identical, and faster.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -126,21 +138,27 @@ class Constraints:
     def none(cls, n_nodes: int) -> "Constraints":
         return cls(np.arange(n_nodes), np.zeros(n_nodes))
 
-    @property
+    @cached_property
     def n_free(self) -> int:
         return int(self.dof_of_node.max(initial=-1)) + 1
+
+    @cached_property
+    def _free(self) -> tuple[np.ndarray, np.ndarray]:
+        """The mask of the free nodes and the DOF of each, found once."""
+        free = self.dof_of_node >= 0
+        return free, self.dof_of_node[free]
 
     def expand(self, x_free: np.ndarray, homogeneous: bool = False) -> np.ndarray:
         """R x + g, or R x alone with ``homogeneous``."""
         u = np.zeros(len(self.fixed_values)) if homogeneous else self.fixed_values.copy()
-        free = self.dof_of_node >= 0
-        u[free] = x_free[self.dof_of_node[free]]
+        free, dofs = self._free
+        u[free] = x_free[dofs]
         return u
 
     def restrict(self, nodal: np.ndarray) -> np.ndarray:
         """R^T f for a nodal vector f: each free DOF sums its nodes' values."""
-        free = self.dof_of_node >= 0
-        return np.bincount(self.dof_of_node[free], weights=nodal[free], minlength=self.n_free)
+        free, dofs = self._free
+        return np.bincount(dofs, weights=nodal[free], minlength=self.n_free)
 
 
 def apply_dirichlet(constraints: Constraints, nodes, values) -> Constraints:
@@ -607,18 +625,23 @@ class Condensation:
     maps them back), so a refactorization neither assembles element
     matrices nor orders.
 
-    Every inhomogeneous solve of the zero load has the same b_G (the
-    varying elements' lift touches only R), so K_GG^-1 b_G of that load is
-    solved once, at the build (:attr:`zero_load_g`). Holds the fixed
-    system's :attr:`constraints`, operator and lift, that solve, the
+    Every inhomogeneous solve of the zero load has the same load off R
+    (the varying elements' lift touches only R), so the build forms its
+    right-hand sides once: :attr:`zero_load` on the free DOFs, and
+    :attr:`zero_load_reduced` on the reduced ones, with G eliminated by
+    the one K_GG solve y_G = K_GG^-1 b_G of that load (b_I - K_IG y_G).
+    :attr:`i_reduced` places I among the reduced DOFs. Holds the fixed
+    system's :attr:`constraints`, operator (:attr:`fixed_matrix`, in CSR,
+    for the residual's mat-vec) and lift, those loads, the
     :attr:`varying_elements` and their assembly, but not the mesh. By
     default it also holds the K_GG factor, for loads of any kind, and
     reads S_I off a throwaway factor of K_FF (:func:`_interface_schur`).
     With ``keep_responses`` it forms S_I from the interface responses
     X = K_GG^-1 K_GI (:meth:`_solved_schur`), holds X instead
-    (:attr:`responses`) and frees the factor once X and that solve are
-    formed: it then takes only loads that vanish on G, for which
-    K_GG^-1 b_G is that solve (or zero, for a homogeneous solve), and x_G
+    (:attr:`responses`, on full rows: zero on I and R) and frees the
+    factor once X and y_G are formed. It keeps y_G on full rows as well
+    (:attr:`zero_load_x`). It then takes only loads that vanish on G, for
+    which K_GG^-1 b_G is y_G (or zero, for a homogeneous solve), and x_G
     needs no K_GG solve (the robustness sweep's insert).
     """
 
@@ -626,7 +649,7 @@ class Condensation:
                  keep_responses: bool = False):
         self.constraints = fixed.constraints
         self.varying_elements = varying_elements
-        self.fixed_matrix = k = fixed.matrix
+        k = fixed.matrix
         self.fixed_lift = fixed.lift
         dof = self.constraints.dof_of_node
         n = fixed.n_free
@@ -652,16 +675,16 @@ class Condensation:
         self._lu = (_factor(k[g][:, g], permc_spec=ORDERING if keep_responses else "NATURAL")
                     if len(g) else None)
         if keep_responses:
-            self.schur, blocks = self._solved_schur(k[i][:, i])
-        # formed as CondensedFactorization.solve forms b, so even signed zeros match
-        self.zero_load_g = self.solve_g((np.zeros(n) - self.fixed_lift)[g])
+            self.schur, self.responses = self._solved_schur(k[i][:, i], n)
+        # the zero load with the fixed values, formed as CondensedFactorization.solve
+        # forms any other load, so even signed zeros match
+        self.zero_load = np.zeros(n) - self.fixed_lift
+        y_g = self.solve_g(self.zero_load[g])
+        self.zero_load_x = None
         if keep_responses:
-            # X is joined into one array, for one mat-vec per solve, only
-            # once the factor is freed: the two never coexist
             self._lu = None
-            self.responses = (np.concatenate(blocks, axis=1) if blocks
-                              else np.zeros((len(g), 0)))
-            del blocks
+            self.zero_load_x = np.zeros(n)
+            self.zero_load_x[g] = y_g
 
         ir = np.concatenate([i, r])
         n_ir = len(ir)
@@ -681,28 +704,40 @@ class Condensation:
             tensor_components(mesh, varying_elements), varying_elements,
             constant=reduced_fixed)
         self.reduced_dofs = ir[self.assembly.order]      # the free DOF of each reduced one
+        # the position of each I DOF among the reduced ones
+        self.i_reduced = np.argsort(self.assembly.order)[:len(i)]
+        self.zero_load_reduced = self.zero_load[self.reduced_dofs]
+        self.zero_load_reduced[self.i_reduced] -= self.k_ig @ y_g
+        # CSR for the residual's mat-vec: each row sums in the CSC's column
+        # order, so every product is bit-identical
+        self.fixed_matrix = k.tocsr()
 
-    def _solved_schur(self, k_ii: sp.csc_matrix) -> tuple[sp.csc_matrix, list[np.ndarray]]:
+    def _solved_schur(self, k_ii: sp.csc_matrix,
+                      n: int) -> tuple[sp.csc_matrix, np.ndarray]:
         """S_I = K_II - K_IG X, symmetrized, and the interface responses
-        X = K_GG^-1 K_GI as blocks of :data:`RESPONSE_BLOCK` columns.
+        X = K_GG^-1 K_GI on full rows: (n, |I|), row g of X on free DOF
+        g, and zero on I and R.
 
-        Each block is one multi-RHS solve. Beside the K_GG factor and the
-        blocks solved so far, it holds two more |G| x block arrays
-        (scipy's copy of the load and SuperLU's zeroed work array), and
-        that sum sets the tiled sweep's peak RSS. On the eps0 = 1/9 insert
-        (|I| = 27, |G| = 103,587) blocks of 1, 2, 4 and 8 columns took
-        ~0.33, ~0.25, ~0.2 and ~0.2 s for the 27 solves, and read about
-        +2%, +3%, +4.5% and +10% in the sweep's peak RSS against a
-        condensation that keeps only its factor.
+        Each block of :data:`RESPONSE_BLOCK` columns is one multi-RHS
+        solve, written straight into X. Beside the K_GG factor and X, it
+        holds two more |G| x block arrays (scipy's copy of the load and
+        SuperLU's zeroed work array), and that sum sets the tiled sweep's
+        peak RSS. On the eps0 = 1/9 insert (|I| = 27, |G| = 103,587)
+        blocks of 1, 2, 4 and 8 columns took ~0.33, ~0.25, ~0.2 and
+        ~0.2 s for the 27 solves, and read about +2%, +3%, +4.5% and +10%
+        in the sweep's peak RSS against a condensation that keeps only
+        its factor.
         """
         k_ig = self.k_ig.tocsr()
         s = k_ii.toarray()
-        blocks = []
+        # column-major: each block fills whole columns, and X x_I sums each
+        # row in the same order whichever rows X has
+        x = np.zeros((n, len(self.i)), order="F")
         for j in range(0, len(self.i), RESPONSE_BLOCK):
             block = self.solve_g(k_ig[j:j + RESPONSE_BLOCK].T.toarray())
             s[:, j:j + block.shape[1]] -= k_ig @ block
-            blocks.append(block)
-        return sp.csc_matrix(0.5 * (s + s.T)), blocks
+            x[self.g, j:j + block.shape[1]] = block
+        return sp.csc_matrix(0.5 * (s + s.T)), x
 
     def factor(self, tensors: np.ndarray) -> "CondensedFactorization":
         """Factor the condensed system for the varying elements' SPD
@@ -762,14 +797,15 @@ class CondensedFactorization:
 
     Same contract as :class:`Factorization`: ``solve(rhs_full,
     homogeneous)`` makes one reduced solve and checks the relative
-    residual on the full system (K_fixed + K_varying) x = b. With the
-    K_GG factor kept it also makes two K_GG solves, one for
-    y_G = K_GG^-1 b_G (none for the zero load with the fixed values, whose
-    y_G the condensation solved at its build) and one for
-    x_G = K_GG^-1 (b_G - K_GI x_I). With the responses kept instead it
+    residual on the full system (K_fixed + K_varying) x = b, on the x it
+    returns. With the K_GG factor kept it also makes two K_GG solves, one
+    for y_G = K_GG^-1 b_G (none for the zero load with the fixed values,
+    whose right-hand sides the condensation formed at its build) and one
+    for x_G = K_GG^-1 (b_G - K_GI x_I). With the responses kept instead it
     makes none: the load must vanish on G (else ``ValueError``, before any
-    solve), y_G is the build's solve or zero, and x_G = y_G - X x_I. ``varying`` is
-    the varying elements' operator alone, on the reduced DOFs; the reduced
+    solve), y_G is the build's or zero, and x = y - X x_I on full rows,
+    with the reduced solution written over I and R. ``varying`` is the
+    varying elements' operator alone, on the reduced DOFs; the reduced
     system factored adds the condensed fixed block to its data, in the
     given order.
     """
@@ -786,34 +822,45 @@ class CondensedFactorization:
         """Solve for the given full-size nodal load (``None``: zero);
         ``homogeneous`` as in :meth:`Factorization.solve`."""
         c = self.condensation
-        reduced = c.reduced_dofs
-        b = np.zeros(len(c.fixed_lift)) if rhs_full is None else c.constraints.restrict(rhs_full)
-        if c.responses is not None and rhs_full is not None and b[c.g].any():
-            raise ValueError("this condensation keeps no K_GG factor, only its interface "
-                             "responses: it takes loads that vanish on the fixed block G")
-        if not homogeneous:
-            b -= c.fixed_lift
-            b[reduced] -= self.varying.lift
-        # eliminate G from the load, solve the reduced system for x_I and
-        # x_R, then recover x_G
-        if c.responses is None:
-            b_g = b[c.g]
-            y_g = c.zero_load_g if rhs_full is None and not homogeneous else c.solve_g(b_g)
-        else:           # the load vanishes on G: b_G is the zero load's, or zero
-            y_g = np.zeros(len(c.g)) if homogeneous else c.zero_load_g
-        b_ir = b.copy()
-        b_ir[c.i] -= c.k_ig @ y_g
-        z = self.reduced.solve_free(b_ir[reduced])
-        x = np.empty_like(b)
-        x[reduced] = z
-        if c.responses is None:
-            x[c.g] = c.solve_g(b_g - c.k_ig.T @ x[c.i])
+        reduced, i = c.reduced_dofs, c.i_reduced
+        vlift = self.varying.lift
+        if rhs_full is None and not homogeneous:        # the zero load, formed at the build
+            b = c.zero_load.copy()
+            b[reduced] -= vlift
+            # vlift is zero on I, so it commutes with the build's I-correction
+            b_reduced = c.zero_load_reduced - vlift
+            y = c.zero_load_x
         else:
-            x[c.g] = y_g - c.responses @ x[c.i]
+            b = np.zeros(len(c.fixed_lift)) if rhs_full is None else c.constraints.restrict(
+                rhs_full)
+            if c.responses is not None and rhs_full is not None and b[c.g].any():
+                raise ValueError("this condensation keeps no K_GG factor, only its interface "
+                                 "responses: it takes loads that vanish on the fixed block G")
+            if not homogeneous:
+                b -= c.fixed_lift
+                b[reduced] -= vlift
+            if c.responses is None:
+                y_g = c.solve_g(b[c.g])
+            else:       # the load vanishes on G: b_G is zero, or the zero load's
+                y = np.zeros(len(b)) if homogeneous else c.zero_load_x
+                y_g = y[c.g]
+            # eliminate G from the load
+            b_reduced = b[reduced]
+            b_reduced[i] -= c.k_ig @ y_g
+        # solve the reduced system for x_I and x_R, then recover x_G
+        z = self.reduced.solve_free(b_reduced)
+        if c.responses is None:
+            x = np.empty_like(b)
+            x[c.g] = c.solve_g(b[c.g] - c.k_ig.T @ z[i])
+        else:
+            x = c.responses @ z[i]
+            np.subtract(y, x, out=x)
+        x[reduced] = z
 
-        ax = c.fixed_matrix @ x
-        ax[reduced] += self.varying.matrix @ z
-        _check_solution(x, ax - b, b)
+        residual = c.fixed_matrix @ x
+        residual[reduced] += self.varying.matrix @ z
+        residual -= b
+        _check_solution(x, residual, b)
         return c.constraints.expand(x, homogeneous)
 
 

@@ -47,8 +47,9 @@ def test_uniform_steel_is_linear_profile(mesh_name, t_low, t_high, k, request):
 
 
 def assert_identical(got, want):
-    """Two CSC matrices with the same pattern and the same data, bit for bit."""
-    for attr in ("shape", "indptr", "indices", "data"):
+    """Two sparse matrices of one format with the same pattern and the
+    same data, bit for bit."""
+    for attr in ("format", "shape", "indptr", "indices", "data"):
         np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr), err_msg=attr)
 
 
@@ -62,7 +63,9 @@ def test_mesh_table_operators_match_per_region_and_per_constraint_tables(
     condensation's fixed part, read from the mesh's one slot table, equal
     those of a reference slot table built per region or per constraint
     set, bit for bit: on the half macro mesh (mirror weight 2, the mean
-    temperature on the mirror line) and on a small tiled fine mesh."""
+    temperature on the mirror line) and on a small tiled fine mesh. The
+    region operators and the fixed part are kept in CSR, for their
+    mat-vecs, and equal the reference converted exactly."""
     mesh = mesh_of(paper_geometry)
     assert mesh.mirror_half == (weight == 2.0)
     none = fem.Constraints.none(mesh.n_nodes)
@@ -70,10 +73,10 @@ def test_mesh_table_operators_match_per_region_and_per_constraint_tables(
     obstacle = np.flatnonzero(mesh.region_mask(REGION_OBSTACLE))
     m_e, a_c = objectives.region_operators(mesh)
     assert_identical(m_e, SlotTable(mesh, none, exterior).matrix(
-        weight * fem.element_mass(mesh, elements=exterior)))
+        weight * fem.element_mass(mesh, elements=exterior)).tocsr())
     assert_identical(a_c, SlotTable(mesh, none, obstacle).matrix(
         weight * fem.element_stiffness(mesh, fem.isotropic_tensors(np.ones(len(obstacle))),
-                                       obstacle)))
+                                       obstacle)).tocsr())
 
     rng = np.random.default_rng(21)
     tensors = rng.uniform(0.5, 5.0, (mesh.n_elements, 1, 1)) * np.eye(2)
@@ -87,7 +90,7 @@ def test_mesh_table_operators_match_per_region_and_per_constraint_tables(
     ring = (mesh.element_region >= SECTOR_FIRST) & (mesh.element_region <= SECTOR_LAST)
     condensed = ms.condensed_conduction(mesh, tensors, ring, bc)
     ke[ring] = 0.0
-    assert_identical(condensed.fixed_matrix, reference.matrix(ke))
+    assert_identical(condensed.fixed_matrix, reference.matrix(ke).tocsr())
     np.testing.assert_array_equal(condensed.fixed_lift, reference.lift(ke))
 
 
@@ -409,6 +412,49 @@ def test_corrupted_reduced_system_fails_the_full_residual(paper_geometry):
     c.assembly.constant = c.assembly.constant * 1.01
     fact = ms.state_factorization(mesh, matmap, bc)
     fact.reduced.solve_free(np.ones(len(c.reduced_dofs)))   # the reduced solve itself holds
+    with pytest.raises(fem.SolverError, match="residual"):
+        fact.solve()
+
+
+def ring_condensation(mesh, keep_responses):
+    """The ring of ``mesh`` condensed in either mode, and the ring's
+    sector tensors in the order of its varying elements."""
+    ring = (mesh.element_region >= SECTOR_FIRST) & (mesh.element_region <= SECTOR_LAST)
+    matmap = anisotropic_map()
+    c = ms.condensed_conduction(mesh, matmap.element_tensors(mesh), ring,
+                                BoundaryData(0.5, 2.0), keep_responses)
+    return c, matmap.sector_matrices()[mesh.element_region[c.varying_elements] - SECTOR_FIRST]
+
+
+@pytest.mark.parametrize("keep_responses", [False, True])
+@pytest.mark.parametrize("mesh_name", ["coarse_macro_mesh", "oversize_mesh"])
+def test_the_zero_load_formed_at_the_build_is_an_explicit_zero_load(mesh_name, keep_responses,
+                                                                  request):
+    """The zero load's full and reduced right-hand sides, formed once at
+    the build, solve as an explicit zero load does, bit for bit, in both
+    modes and for two varying parts: on the macro ring, and on a ring
+    that covers the domain, whose fixed edges lift its varying block."""
+    mesh = request.getfixturevalue(mesh_name)
+    c, tensors = ring_condensation(mesh, keep_responses)
+    assert (c.responses is not None) == keep_responses and len(c.g) and len(c.i)
+    for scale in (1.0, 1.5):
+        fact = c.factor(scale * tensors)
+        assert fact.varying.lift.any() == (mesh_name == "oversize_mesh")
+        assert np.array_equal(fact.solve(), fact.solve(np.zeros(mesh.n_nodes)))
+
+
+@pytest.mark.parametrize("keep_responses", [False, True])
+def test_a_corrupted_build_fails_the_full_residual(coarse_macro_mesh, keep_responses):
+    """The residual is measured on the formed x at every solve: a response
+    column, or the zero load's reduced right-hand side, corrupted after the
+    build fails the next solve."""
+    c, tensors = ring_condensation(coarse_macro_mesh, keep_responses)
+    fact = c.factor(tensors)
+    fact.solve()
+    if keep_responses:
+        c.responses[:, len(c.i) // 2] *= 1.01
+    else:
+        c.zero_load_reduced *= 1.01
     with pytest.raises(fem.SolverError, match="residual"):
         fact.solve()
 

@@ -209,7 +209,8 @@ def test_condensed_sweep_matches_direct_evaluations(paper_geometry, cell_mesh):
 def test_sweep_angles_make_no_fixed_block_solve(paper_geometry, cell_mesh, monkeypatch):
     """The insert's build solves K_GG once per block of interface
     responses and once for the zero load, then frees the factor; no
-    angle solves K_GG again."""
+    angle solves K_GG again. The responses are kept on full rows, zero
+    off G."""
     spec = make_spec(paper_geometry, cell_mesh)
     mesh = val.fine_mesh(spec)
     calls = []
@@ -221,7 +222,11 @@ def test_sweep_angles_make_no_fixed_block_solve(paper_geometry, cell_mesh, monke
     assert n_i > fem.RESPONSE_BLOCK
     assert len(calls) == -(-n_i // fem.RESPONSE_BLOCK) + 1
     assert sum(shape[1] for shape in calls[:-1]) == n_i and calls[-1] == (n_g,)
-    assert c.condensation.responses.shape == (n_g, n_i)
+    n_free = c.condensation.constraints.n_free
+    assert c.condensation.responses.shape == (n_free, n_i)
+    off_g = np.ones(n_free, dtype=bool)
+    off_g[c.condensation.g] = False
+    assert not c.condensation.responses[off_g].any()
     calls.clear()
     for psi in (0.0, 90.0, 225.0):
         val.evaluate_tiled(spec, mesh, val.ObstacleSpec(psi, PDMS), condensation=c)
@@ -306,7 +311,7 @@ def test_insert_schur_complement_matches_explicit(paper_geometry, cell_mesh, mon
     got = c.schur.toarray()
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     responses = np.linalg.solve(k[np.ix_(g, g)], k[np.ix_(g, i)])
-    assert np.abs(c.responses - responses).max() <= 1e-12 * np.abs(responses).max()
+    assert np.abs(c.responses[g] - responses).max() <= 1e-12 * np.abs(responses).max()
 
 
 def test_evaluate_tiled_rejects_a_condensation_of_another_mesh(paper_geometry, cell_mesh):

@@ -16,7 +16,8 @@ a subprocess on one BLAS thread, with ``src/`` of the tree under test on
   of ``VALIDATED``: ``validation/report.csv`` and ``validation/tiled.vtk``;
 * the ``validate_sweep`` benchmark's inputs at seed 7, read from
   ``benchmarks/inputs.py``: the direct tiled J1, J2 and temperature field
-  of the design, and the J1 of its 8 condensed sweep angles.
+  of the design, the J1 of its 8 condensed sweep angles as the sweep
+  reports them, and the J2 and temperature field of each condensed angle.
 
 Prints one SHA-256 per output and exits 1 if any differs. If the sweep's
 J1 values differ, it also prints their largest relative change.
@@ -70,8 +71,19 @@ def sha(data):
     return hashlib.sha256(data).hexdigest()
 
 sweep = " ".join(r["j1"].hex() for r in rows)
-print(json.dumps({"tiled J1": sha(j1.hex().encode()), "tiled J2": sha(j2.hex().encode()),
-                  "tiled T": sha(temp.tobytes()), "sweep J1 x8": sha(sweep.encode())}))
+hashes = {"tiled J1": sha(j1.hex().encode()), "tiled J2": sha(j2.hex().encode()),
+          "tiled T": sha(temp.tobytes()), "sweep J1 x8": sha(sweep.encode())}
+del temp
+mesh = validation.fine_mesh(spec)
+obstacles = [validation.ObstacleSpec(psi_deg=psi, k=inputs.SWEEP_OBSTACLE_K)
+             for psi in inputs.SWEEP_PSI]
+condensation = validation.sweep_condensation(spec, mesh, obstacles[0])
+for obstacle in obstacles:
+    _, j2, temp = validation.evaluate_tiled(spec, mesh, obstacle, condensation=condensation)
+    temp = np.ascontiguousarray(getattr(temp, "values", temp), dtype="<f8")
+    hashes[f"sweep psi={obstacle.psi_deg:g} J2"] = sha(j2.hex().encode())
+    hashes[f"sweep psi={obstacle.psi_deg:g} T"] = sha(temp.tobytes())
+print(json.dumps(hashes))
 print(sweep)
 """
 
