@@ -638,9 +638,9 @@ class Condensation:
     reads S_I off a throwaway factor of K_FF (:func:`_interface_schur`).
     With ``keep_responses`` it forms S_I from the interface responses
     X = K_GG^-1 K_GI (:meth:`_solved_schur`), holds X instead
-    (:attr:`responses`, on full rows: zero on I and R) and frees the
-    factor once X and y_G are formed. It keeps y_G on full rows as well
-    (:attr:`zero_load_x`). It then takes only loads that vanish on G, for
+    (:attr:`responses`, on full rows: zero on I and R, filled once the
+    factor that solved X and y_G is freed). It keeps y_G on full rows as
+    well (:attr:`zero_load_x`). It then takes only loads that vanish on G, for
     which K_GG^-1 b_G is y_G (or zero, for a homogeneous solve), and x_G
     needs no K_GG solve (the robustness sweep's insert).
     """
@@ -675,14 +675,23 @@ class Condensation:
         self._lu = (_factor(k[g][:, g], permc_spec=ORDERING if keep_responses else "NATURAL")
                     if len(g) else None)
         if keep_responses:
-            self.schur, self.responses = self._solved_schur(k[i][:, i], n)
+            self.schur, blocks = self._solved_schur(k[i][:, i])
         # the zero load with the fixed values, formed as CondensedFactorization.solve
         # forms any other load, so even signed zeros match
         self.zero_load = np.zeros(n) - self.fixed_lift
         y_g = self.solve_g(self.zero_load[g])
         self.zero_load_x = None
         if keep_responses:
+            # X on full rows, column-major: X x_I then sums each row in the
+            # same order whichever rows X has. Filled only once the factor
+            # is freed, so the two never coexist: the blocks, solved while
+            # it is held, fit the heap's free chunks, where one 22 MB array
+            # allocated beside it raised the eps0 = 1/9 sweep's peak RSS by 19 MB
             self._lu = None
+            self.responses = np.zeros((n, len(i)), order="F")
+            for j, block in zip(range(0, len(i), RESPONSE_BLOCK), blocks):
+                self.responses[g, j:j + block.shape[1]] = block
+            del blocks
             self.zero_load_x = np.zeros(n)
             self.zero_load_x[g] = y_g
 
@@ -712,32 +721,27 @@ class Condensation:
         # order, so every product is bit-identical
         self.fixed_matrix = k.tocsr()
 
-    def _solved_schur(self, k_ii: sp.csc_matrix,
-                      n: int) -> tuple[sp.csc_matrix, np.ndarray]:
+    def _solved_schur(self, k_ii: sp.csc_matrix) -> tuple[sp.csc_matrix, list[np.ndarray]]:
         """S_I = K_II - K_IG X, symmetrized, and the interface responses
-        X = K_GG^-1 K_GI on full rows: (n, |I|), row g of X on free DOF
-        g, and zero on I and R.
+        X = K_GG^-1 K_GI as blocks of :data:`RESPONSE_BLOCK` columns.
 
-        Each block of :data:`RESPONSE_BLOCK` columns is one multi-RHS
-        solve, written straight into X. Beside the K_GG factor and X, it
-        holds two more |G| x block arrays (scipy's copy of the load and
-        SuperLU's zeroed work array), and that sum sets the tiled sweep's
-        peak RSS. On the eps0 = 1/9 insert (|I| = 27, |G| = 103,587)
-        blocks of 1, 2, 4 and 8 columns took ~0.33, ~0.25, ~0.2 and
-        ~0.2 s for the 27 solves, and read about +2%, +3%, +4.5% and +10%
-        in the sweep's peak RSS against a condensation that keeps only
-        its factor.
+        Each block is one multi-RHS solve. Beside the K_GG factor and the
+        blocks solved so far, it holds two more |G| x block arrays
+        (scipy's copy of the load and SuperLU's zeroed work array), and
+        that sum sets the tiled sweep's peak RSS. On the eps0 = 1/9 insert
+        (|I| = 27, |G| = 103,587) blocks of 1, 2, 4 and 8 columns took
+        ~0.33, ~0.25, ~0.2 and ~0.2 s for the 27 solves, and read about
+        +2%, +3%, +4.5% and +10% in the sweep's peak RSS against a
+        condensation that keeps only its factor.
         """
         k_ig = self.k_ig.tocsr()
         s = k_ii.toarray()
-        # column-major: each block fills whole columns, and X x_I sums each
-        # row in the same order whichever rows X has
-        x = np.zeros((n, len(self.i)), order="F")
+        blocks = []
         for j in range(0, len(self.i), RESPONSE_BLOCK):
             block = self.solve_g(k_ig[j:j + RESPONSE_BLOCK].T.toarray())
             s[:, j:j + block.shape[1]] -= k_ig @ block
-            x[self.g, j:j + block.shape[1]] = block
-        return sp.csc_matrix(0.5 * (s + s.T)), x
+            blocks.append(block)
+        return sp.csc_matrix(0.5 * (s + s.T)), blocks
 
     def factor(self, tensors: np.ndarray) -> "CondensedFactorization":
         """Factor the condensed system for the varying elements' SPD

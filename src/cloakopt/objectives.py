@@ -23,10 +23,17 @@ def region_operators(mesh: TriMesh):
     slots of the mesh's slot table (:func:`fem.structure`), which the
     mesh's fixed-edge systems read too. The elements of a
     ``mirror_half`` mesh weigh 2, so its integrals are those of both
-    halves. Both are kept in CSR, converted exactly from the table's CSC,
-    as they are only multiplied: each row sums in the CSC's column order,
-    so every product is bit-identical, and the mat-vec writes each row
-    once instead of scattering into it."""
+    halves.
+
+    Both are only multiplied, so they are kept in CSR, whose mat-vec sums
+    each row in the CSC's column order (every product is bit-identical)
+    and writes each row once instead of scattering into it. Each is
+    symmetric entry for entry, as slots (i, j) and (j, i) sum the same
+    elements' equal entries in the same order, so the CSR is the CSC's
+    transpose: a view of the same arrays, with no copy to convert. On the
+    eps0 = 1/9 tiled sweep a converted copy, freeing its CSC during the
+    first evaluation, moved glibc's later heap placement enough to raise
+    the peak RSS by 13 MB."""
     weight = 2.0 if mesh.mirror_half else 1.0
 
     def build():
@@ -34,10 +41,8 @@ def region_operators(mesh: TriMesh):
         exterior = np.flatnonzero(mesh.region_mask(REGION_EXTERIOR))
         obstacle = np.flatnonzero(mesh.region_mask(REGION_OBSTACLE))
         unit = fem.isotropic_tensors(np.ones(len(obstacle)))
-        return (table.matrix(weight * fem.element_mass(mesh, elements=exterior),
-                             exterior).tocsr(),
-                table.matrix(weight * fem.element_stiffness(mesh, unit, obstacle),
-                             obstacle).tocsr())
+        return (table.matrix(weight * fem.element_mass(mesh, elements=exterior), exterior).T,
+                table.matrix(weight * fem.element_stiffness(mesh, unit, obstacle), obstacle).T)
     return fem.cached(mesh, "region_operators", build)
 
 
