@@ -143,22 +143,27 @@ class Constraints:
         return int(self.dof_of_node.max(initial=-1)) + 1
 
     @cached_property
-    def _free(self) -> tuple[np.ndarray, np.ndarray]:
-        """The mask of the free nodes and the DOF of each, found once."""
-        free = self.dof_of_node >= 0
-        return free, self.dof_of_node[free]
+    def _free(self) -> np.ndarray:
+        """The mask of the free nodes, found once."""
+        return self.dof_of_node >= 0
+
+    @cached_property
+    def _in_mesh_order(self) -> bool:
+        """Whether the free nodes are the free DOFs in mesh order."""
+        dofs = self.dof_of_node[self._free]
+        return bool(np.array_equal(dofs, np.arange(len(dofs))))
 
     def expand(self, x_free: np.ndarray, homogeneous: bool = False) -> np.ndarray:
         """R x + g, or R x alone with ``homogeneous``."""
         u = np.zeros(len(self.fixed_values)) if homogeneous else self.fixed_values.copy()
-        free, dofs = self._free
-        u[free] = x_free[dofs]
+        free = self._free
+        u[free] = x_free if self._in_mesh_order else x_free[self.dof_of_node[free]]
         return u
 
     def restrict(self, nodal: np.ndarray) -> np.ndarray:
         """R^T f for a nodal vector f: each free DOF sums its nodes' values."""
-        free, dofs = self._free
-        return np.bincount(dofs, weights=nodal[free], minlength=self.n_free)
+        free = self._free
+        return np.bincount(self.dof_of_node[free], weights=nodal[free], minlength=self.n_free)
 
 
 def apply_dirichlet(constraints: Constraints, nodes, values) -> Constraints:
