@@ -84,16 +84,15 @@ substructuring (Guyan 1965; Craig & Bampton 1968), from which S_I is
 formed; the factor is then freed, and x_G = K_GG^-1 b_G - X x_I needs
 no K_GG solve (:class:`Condensation`).
 
-A condensed solve is memory-bound: on the tiled sweep's insert it passes
-over X (22 MB), the fixed operator and full-length vectors, and little
-else. So it passes over each once, and the build precomputes what no
-varying part changes: the zero load's right-hand sides, full and reduced
-(the latter with its I-correction K_IG K_GG^-1 b_G), and, with the
-responses kept, X and K_GG^-1 b_G on full rows (zero on I and R), so
-that a sweep angle's x is y - X x_I with the reduced solution written
-over I and R. The fixed operator is kept in CSR for the residual's
-mat-vec, as the objectives keep theirs: each row sums in the column
-order of the CSC, so every product is bit-identical, and faster.
+A condensed solve is memory-bound (on the sweep's insert: X, 22 MB, the
+fixed operator and full-length vectors), so it reads each once. The
+build forms what no varying part changes: the zero load's right-hand
+sides, full and reduced (the I-correction K_IG K_GG^-1 b_G included),
+and, with the responses kept, X and K_GG^-1 b_G on full rows (zero on I
+and R), so an angle's x is y - X x_I with the reduced solution written
+over I and R. The fixed operator is kept in CSR, as the objectives'
+operators are: each row sums in the CSC's column order, so every product
+is bit-identical.
 """
 
 from __future__ import annotations

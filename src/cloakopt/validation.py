@@ -21,17 +21,15 @@ the obstacle region, where no level set is read) and factors only the
 disk and its interface. The condensation keeps the fixed block's
 responses to the interface temperatures, not the fixed block's factor
 (:class:`fem.Condensation`), so an angle solves nothing off the disk. The
-build also forms the zero load's right-hand sides, and keeps the
-responses and the zero load's temperature off the disk on full rows
-(zero on the disk and its interface). An angle then solves the disk's
-reduced system from that right-hand side, and its temperature is the
-zero load's minus the responses times the interface temperatures (one
-mat-vec), with the disk's own written over the disk and interface: no
-scatter onto the 100k fixed DOFs. The residual on the whole operator is
-still checked at every angle, and J1 and J2 read CSR operators
-(:func:`objectives.region_operators`), so each angle passes over every
-large array about once. A condensation is bound to the spec it was built
-for; the first design's is freed before the next one is built.
+build also forms the zero load's right-hand sides and keeps the responses
+and the zero load's temperature on full rows (zero on the disk and its
+interface): an angle's temperature is that field minus the responses
+times the interface temperatures, one mat-vec, with the disk's own
+solution written over the disk, and no scatter onto the ~100k fixed
+DOFs. The residual on the whole operator is still checked at every angle,
+and J1 and J2 read CSR operators (:func:`objectives.region_operators`).
+A condensation is bound to the spec it was built for; the first design's
+is freed before the next one is built.
 """
 
 from __future__ import annotations
