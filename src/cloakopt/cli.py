@@ -113,7 +113,7 @@ def cmd_validate(args) -> int:
     # the final design is tiled once, for its solve and for tiled.vtk
     k = validation.tile_conductivity(spec, mesh)
     temp = validation.tiled_state(spec, mesh, k)
-    reference = validation.reference(mesh, spec.bc)
+    reference = macro_solver.reference_field(mesh, spec.bc)
     j1, j2 = macro_solver.evaluate_objectives(temp, reference, mesh)
     vtkio.write_vtk(out / "tiled.vtk", mesh,
                     point_data={"T": temp, "T_sub": temp - reference},

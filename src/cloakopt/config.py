@@ -8,8 +8,9 @@ are non-finite numbers, which Python's json reads from ``NaN``,
 ``Infinity`` and ``1e400``, and keys the chosen objective mode would
 ignore: ``objective.w`` other than 1 under ``normalized`` (which
 optimizes J1 alone) and ``materials.normalization_fill`` under
-``standard``. Mesh settings and the initial disk are checked by key
-before anything is built (:meth:`Scenario.validate`): a cell resolution
+``standard``. The objective mode, mesh settings and the initial disk
+are checked by key before anything is built (:meth:`Scenario.validate`):
+a mode other than ``standard`` or ``normalized``, a cell resolution
 below 16, a macro element size that is not positive or leaves fewer than
 2 elements across the design ring, and a disk radius outside
 (0, sqrt(2)/2).
@@ -190,17 +191,13 @@ def build_config(raw: dict) -> RunConfig:
         schedule.append((_coerce(f"{path}[0]", entry[0], int),
                          _coerce(f"{path}[1]", entry[1], float)))
 
-    mode = {"standard": "standard", "normalized": "normalized"}.get(o["mode"])
-    if mode is None:
-        raise ConfigError(f"objective.mode must be standard|normalized, got {o['mode']!r}")
-
     nf = m["normalization_fill"]
     scenario = Scenario(
         geometry=geometry,
         k_cell_a=m["cell_a"], k_cell_b=m["cell_b"],
         k_exterior=m["exterior"], k_obstacle=m["obstacle"],
         bc=BoundaryData(t_low=b["t_low"], t_high=b["t_high"]),
-        w=o["w"], objective_mode=mode,
+        w=o["w"], objective_mode=o["mode"],
         normalization_fill=float(nf) if nf is not None else None,
         k_phi=ls["k_phi"], tau=ls["tau"], dt=ls["dt"],
         d_schedule=tuple(schedule), init=init,

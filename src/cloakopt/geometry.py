@@ -9,6 +9,8 @@ needs only the x >= 0 half of that domain, sectors 1-4
 halves (:attr:`TriMesh.mirror_half`).
 The microscale domain is the unit square, meshed structurally so that
 opposite edges carry matching node layouts for periodic constraints.
+A macro mesh tags only its two fixed edges, where every macro solve
+holds its Dirichlet data; a cell mesh tags none.
 
 Sector numbering convention: sector 1 starts at the positive x1 axis and
 the index increases counter-clockwise; each of the 8 sectors spans pi/8
@@ -30,14 +32,10 @@ CELL_INTERIOR = 0            # single-region unit-cell meshes
 SECTOR_FIRST, SECTOR_LAST = 1, 8
 MIN_CELL_RESOLUTION = 16     # elements per side of the coarsest unit-cell mesh
 
-# boundary edge tags (macro)
+# fixed boundary edge tags (macro); the top edge and the bottom edge, the
+# mirror plane, are adiabatic and carry no tag
 GAMMA_A = "gamma_a"          # left edge, low-temperature Dirichlet (a half mesh: x = 0)
 GAMMA_B = "gamma_b"          # right edge, high-temperature Dirichlet
-GAMMA_N = "gamma_n"          # top edge, adiabatic
-GAMMA_SYM = "gamma_sym"      # bottom edge, mirror plane (adiabatic)
-
-# boundary edge tags (cell)
-CELL_LEFT, CELL_RIGHT, CELL_BOTTOM, CELL_TOP = "left", "right", "bottom", "top"
 
 
 class MeshError(ValueError):
@@ -95,15 +93,16 @@ class UnitCellGeometry:
 class TriMesh:
     """Linear triangular mesh shared by both scales.
 
-    ``boundary_edges`` maps a tag to an (K, 2) array of node pairs.
+    ``boundary_edges`` maps a fixed-edge tag (``GAMMA_A``, ``GAMMA_B``) to
+    an (K, 2) array of node pairs; a cell mesh has none.
     ``periodic_pairs`` is an (P, 2) array of (master, slave) node indices
     (cell meshes only). ``structured_shape`` records (nx, ny) grid
     divisions when the mesh came from a structured generator; tiling
     interpolation relies on it. ``mirror_half`` marks the x >= 0 half of a
     macro mesh that is mirror-symmetric about x = 0: its integrals (the
     objectives) stand for both halves. Meshes are immutable after
-    construction; ``cache`` holds the solver structures and operators
-    that ``fem`` builds for the mesh at their first use.
+    construction; ``cache`` holds the solver structures, operators and
+    reference ramps built for the mesh at their first use.
     """
 
     nodes: np.ndarray
@@ -161,9 +160,6 @@ class TriMesh:
     def region_mask(self, region: int) -> np.ndarray:
         return self.element_region == region
 
-    def region_area(self, region: int) -> float:
-        return float(self.areas[self.region_mask(region)].sum())
-
     def element_gradient(self, values: np.ndarray, elements=slice(None)) -> np.ndarray:
         """Per-element gradient of a nodal field on the selected elements
         (default all), shape (n_selected, 2)."""
@@ -202,26 +198,6 @@ def _grid_triangulation(xs: np.ndarray, ys: np.ndarray, parity: int = 0):
     elements[0::2][odd] = np.column_stack([n00, n10, n01])[odd]
     elements[1::2][odd] = np.column_stack([n10, n11, n01])[odd]
     return nodes, elements, (nx, ny)
-
-
-def _grid_boundary_edges(nx: int, ny: int, tags: tuple[str, str, str, str]):
-    """Boundary edges of the grid, keyed left/right/bottom/top tag order."""
-    def nid(i, j):
-        return i * (ny + 1) + j
-
-    j = np.arange(ny)
-    i = np.arange(nx)
-    left = np.column_stack([nid(0, j), nid(0, j + 1)])
-    right = np.column_stack([nid(nx, j), nid(nx, j + 1)])
-    bottom = np.column_stack([nid(i, 0), nid(i + 1, 0)])
-    top = np.column_stack([nid(i, ny), nid(i + 1, ny)])
-    lt, rt, bt, tt = tags
-    return {
-        lt: left.astype(np.int32),
-        rt: right.astype(np.int32),
-        bt: bottom.astype(np.int32),
-        tt: top.astype(np.int32),
-    }
 
 
 def build_macro_mesh(geom: MacroGeometry, resolution: float,
@@ -269,12 +245,13 @@ def build_macro_mesh(geom: MacroGeometry, resolution: float,
     region[inside_ring] = geom.sector_of(c[inside_ring, 0], c[inside_ring, 1])
     region[r < geom.r_obstacle] = REGION_OBSTACLE
 
-    edges = _grid_boundary_edges(*shape, (GAMMA_A, GAMMA_B, GAMMA_SYM, GAMMA_N))
+    cols, rows = shape
+    left = np.column_stack([np.arange(rows), np.arange(1, rows + 1)]).astype(np.int32)
     return TriMesh(
         nodes=nodes,
         elements=elements,
         element_region=region,
-        boundary_edges=edges,
+        boundary_edges={GAMMA_A: left, GAMMA_B: left + cols * (rows + 1)},
         structured_shape=shape,
         extent=(xs[first], xs[-1], ys[0], ys[-1]),
         mirror_half=half,
@@ -310,12 +287,11 @@ def build_cell_mesh(cell: UnitCellGeometry) -> TriMesh:
     ]
     periodic = np.vstack(pairs).astype(np.int32)
 
-    edges = _grid_boundary_edges(n, n, (CELL_LEFT, CELL_RIGHT, CELL_BOTTOM, CELL_TOP))
     return TriMesh(
         nodes=nodes,
         elements=elements,
         element_region=np.full(len(elements), CELL_INTERIOR, dtype=np.int16),
-        boundary_edges=edges,
+        boundary_edges={},
         periodic_pairs=periodic,
         structured_shape=shape,
         extent=(0.0, 1.0, 0.0, 1.0),

@@ -19,7 +19,7 @@ SPD sector tensors. Each iteration then only assembles the ring from the
 ordered or assembled element by element again. It shares the builder
 :func:`condensed_conduction` with the tiled robustness sweep. One-off
 solves (:func:`solve_state`) factor the whole operator; the reference
-field is a closed form (:func:`reference_field`).
+field is a closed form (:func:`reference_field`), cached on the mesh.
 """
 
 from __future__ import annotations
@@ -164,11 +164,18 @@ def reference_field(mesh: TriMesh, bc: BoundaryData) -> np.ndarray:
     It is the discrete P1 solution for any uniform conductivity k: for
     grad u = (c, 0), the row of free node i is k c times the boundary
     integral of N_i n_x, zero at interior nodes and on the adiabatic edges.
+    Cached on the mesh per edge values and shared, so it is read-only: a
+    write into it fails instead of corrupting later solves.
     """
     bc.validate()
-    x0, x1 = mesh.extent[:2]
-    s = (mesh.nodes[:, 0] - x0) / (x1 - x0)
-    return bc.t_low * (1.0 - s) + bc.t_high * s
+
+    def build():
+        x0, x1 = mesh.extent[:2]
+        s = (mesh.nodes[:, 0] - x0) / (x1 - x0)
+        ramp = bc.t_low * (1.0 - s) + bc.t_high * s
+        ramp.flags.writeable = False
+        return ramp
+    return fem.cached(mesh, ("reference", bc.t_low, bc.t_high), build)
 
 
 def adjoint_load(mesh: TriMesh, weights: dict[str, float], state: np.ndarray,

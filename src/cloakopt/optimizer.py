@@ -135,7 +135,8 @@ class Scenario:
             if not 0 < d < 1:
                 raise ValueError("transition widths must lie in (0, 1)")
         if self.objective_mode not in ("standard", "normalized"):
-            raise ValueError(f"unknown objective_mode {self.objective_mode!r}")
+            raise ValueError("objective.mode must be standard|normalized, "
+                             f"got {self.objective_mode!r}")
         if self.objective_mode == "standard" and self.normalization_fill is not None:
             raise ValueError("materials.normalization_fill is read only under "
                              "objective.mode normalized")

@@ -10,8 +10,9 @@ robustness sweep re-solves with an asymmetric insulating obstacle at a
 set of rotation angles.
 
 Tilings of one layout share one fine mesh while it is held, and with it
-the mesh's one slot table (:func:`fem.structure`), reference ramp and
-objective operators. A single tiled evaluation tiles and factors the
+the mesh's one slot table (:func:`fem.structure`), reference ramp
+(:func:`macro_solver.reference_field`) and objective operators, each
+cached on the mesh. A single tiled evaluation tiles and factors the
 whole fine operator. A sweep changes only the insert's disk from one
 angle to the next, so it condenses each design's tiled operator onto
 that disk once (:func:`sweep_condensation`, through
@@ -157,14 +158,6 @@ def tile_conductivity(spec: TilingSpec, mesh: TriMesh,
     return k
 
 
-def reference(mesh: TriMesh, bc: BoundaryData) -> np.ndarray:
-    """The reference ramp of J1 on a fine mesh
-    (:func:`macro_solver.reference_field`), computed once per mesh and
-    edge values and cached on the mesh."""
-    return fem.cached(mesh, ("reference", bc.t_low, bc.t_high),
-                      lambda: macro_solver.reference_field(mesh, bc))
-
-
 def tiled_state(spec: TilingSpec, mesh: TriMesh, conductivity: np.ndarray) -> np.ndarray:
     """Nodal temperatures of the tiled structure, for its element
     conductivities (:func:`tile_conductivity`): the whole operator,
@@ -191,7 +184,8 @@ def evaluate_tiled(spec: TilingSpec, mesh: TriMesh | None = None,
     T the nodal temperatures.
 
     ``mesh`` defaults to :func:`fine_mesh`; J1 compares against the
-    mesh's :func:`reference` ramp. Without ``condensation`` the whole
+    mesh's cached reference ramp (:func:`macro_solver.reference_field`),
+    built at its first tiled J1. Without ``condensation`` the whole
     structure is tiled and its operator factored (:func:`tiled_state`);
     with one (built by :func:`sweep_condensation` for this very spec and
     mesh, else ``ValueError``) only the disk's elements get
@@ -212,7 +206,7 @@ def evaluate_tiled(spec: TilingSpec, mesh: TriMesh | None = None,
         if obstacle is not None:
             k[obstacle.on_insert_side(mesh.centroids[insert])] = obstacle.k
         temp = condensation.condensation.factor(fem.isotropic_tensors(k)).solve()
-    j1 = objectives.mismatch(temp, reference(mesh, spec.bc), mesh)
+    j1 = objectives.mismatch(temp, macro_solver.reference_field(mesh, spec.bc), mesh)
     j2 = objectives.gradient_energy(temp, mesh)
     return j1, j2, temp
 

@@ -193,9 +193,11 @@ def test_odd_cell_resolution_exit_code(tmp_path, capsys):
     ("levelset", "init", {"pattern": "disk", "radius": 5.0}, "levelset.init.radius must lie"),
     ("levelset", "init", {"pattern": "disk", "radius": 0.7072}, "levelset.init.radius must lie"),
     ("geometry", "r_obstacle", 0.0, "geometry.r_obstacle must be positive"),
+    ("objective", "mode", "weighted",
+     "objective.mode must be standard|normalized, got 'weighted'"),
 ], ids=["cell_resolution-8", "cell_resolution-0", "macro_h-2", "macro_h-0.5", "macro_h-0",
         "macro_h-negative", "macro_h-odd-divisions", "radius-negative", "radius-0", "radius-5",
-        "radius-past-corner", "r_obstacle-0"])
+        "radius-past-corner", "r_obstacle-0", "mode-unknown"])
 def test_bad_mesh_or_disk_exit_code(tmp_path, capsys, section, key, value, message):
     """Rejected by key when the config is parsed, before the run directory
     is made."""

@@ -1,17 +1,25 @@
 import numpy as np
 import pytest
 
-from cloakopt.geometry import (CELL_LEFT, CELL_RIGHT, GAMMA_A, GAMMA_B,
-                               GAMMA_N, GAMMA_SYM, MacroGeometry, MeshError,
+from cloakopt.geometry import (GAMMA_A, GAMMA_B, MacroGeometry, MeshError,
                                REGION_EXTERIOR, REGION_OBSTACLE, SECTOR_LAST, TriMesh,
                                UnitCellGeometry, build_cell_mesh,
                                build_macro_mesh, interpolate_structured)
 
 
+def region_area(mesh: TriMesh, region: int) -> float:
+    return float(mesh.areas[mesh.region_mask(region)].sum())
+
+
 def test_macro_mesh_regions_and_tags(paper_geometry, macro_mesh):
+    """A macro mesh tags its two fixed edges, the left and the right one;
+    the adiabatic top and bottom edges carry no tag."""
     mesh = macro_mesh
-    for tag in (GAMMA_A, GAMMA_B, GAMMA_N, GAMMA_SYM):
-        assert len(mesh.boundary_edges[tag]) > 0
+    assert set(mesh.boundary_edges) == {GAMMA_A, GAMMA_B}
+    for tag, x in ((GAMMA_A, -paper_geometry.lx / 2), (GAMMA_B, paper_geometry.lx / 2)):
+        edges = mesh.boundary_edges[tag]
+        assert len(edges) == mesh.structured_shape[1]
+        assert np.all(mesh.nodes[edges, 0] == x)
     for l in range(1, 9):
         assert mesh.region_mask(l).any(), f"sector {l} empty"
     assert mesh.region_mask(REGION_OBSTACLE).any()
@@ -22,7 +30,7 @@ def test_total_area_partitions_domain(paper_geometry, macro_mesh):
     total = macro_mesh.areas.sum()
     assert total == pytest.approx(5.0 * 8.0 / 2.0, rel=1e-6)
     regions = set(np.unique(macro_mesh.element_region))
-    per_region = sum(macro_mesh.region_area(r) for r in regions)
+    per_region = sum(region_area(macro_mesh, r) for r in regions)
     assert per_region == pytest.approx(total, rel=1e-12)
 
 
@@ -33,12 +41,12 @@ def test_region_areas_converge_to_exact(paper_geometry):
     errs = []
     for h in (0.1, 0.05):
         mesh = build_macro_mesh(g, h)
-        area_c = mesh.region_area(REGION_OBSTACLE)
-        area_d = sum(mesh.region_area(l) for l in range(1, 9))
+        area_c = region_area(mesh, REGION_OBSTACLE)
+        area_d = sum(region_area(mesh, l) for l in range(1, 9))
         err = max(abs(area_c - exact_c) / exact_c, abs(area_d - exact_d) / exact_d)
         errs.append(err)
         for l in range(1, 9):
-            assert mesh.region_area(l) == pytest.approx(exact_d / 8.0, rel=5 * h)
+            assert region_area(mesh, l) == pytest.approx(exact_d / 8.0, rel=5 * h)
     assert errs[1] < errs[0]
 
 
@@ -57,8 +65,8 @@ def test_positive_element_areas(macro_mesh, cell_mesh_32):
     assert np.all(cell_mesh_32.areas > 0)
 
 
-def test_boundary_edges_belong_to_one_element(cell_mesh_32):
-    mesh = cell_mesh_32
+def test_boundary_edges_belong_to_one_element(coarse_macro_mesh):
+    mesh = coarse_macro_mesh
     counts = {}
     for tri in mesh.elements:
         for a, b in ((0, 1), (1, 2), (2, 0)):
@@ -95,6 +103,7 @@ def test_cell_mesh_counts():
     assert mesh.n_nodes == 65 * 65
     # edge-interior pairs on two sides plus three corner slaves
     assert len(mesh.periodic_pairs) == 2 * 63 + 3
+    assert mesh.boundary_edges == {}
 
 
 def test_cell_mesh_periodic_partner_coordinates(cell_mesh_32):
@@ -160,10 +169,8 @@ def test_half_mesh_is_the_right_half_of_the_whole(geometry, h, half_divisions):
     np.testing.assert_array_equal(half.elements, whole.elements[first_element:] - first_node)
     np.testing.assert_array_equal(half.element_region, whole.element_region[first_element:])
     assert set(np.unique(half.element_region)) == {REGION_EXTERIOR, REGION_OBSTACLE, 1, 2, 3, 4}
-    for tag in (GAMMA_B, GAMMA_SYM, GAMMA_N):
-        edges = whole.boundary_edges[tag]
-        right = edges[(edges >= first_node).all(axis=1)] - first_node
-        np.testing.assert_array_equal(half.boundary_edges[tag], right)
+    np.testing.assert_array_equal(half.boundary_edges[GAMMA_B],
+                                  whole.boundary_edges[GAMMA_B] - first_node)
     assert half.mirror_half and not whole.mirror_half
     assert half.areas.sum() == pytest.approx(0.5 * whole.areas.sum(), rel=1e-12)
 

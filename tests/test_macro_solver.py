@@ -46,6 +46,19 @@ def test_uniform_steel_is_linear_profile(mesh_name, t_low, t_high, k, request):
     assert np.all(ramp[np.unique(mesh.boundary_edges["gamma_b"])] == t_high)
 
 
+def test_reference_field_is_one_read_only_ramp_per_edge_values(coarse_macro_mesh):
+    """Equal edge values share one cached ramp, which refuses writes;
+    other edge values get their own."""
+    ramp = ms.reference_field(coarse_macro_mesh, BoundaryData(0.0, 1.0))
+    assert ms.reference_field(coarse_macro_mesh, BoundaryData(0.0, 1.0)) is ramp
+    assert not ramp.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        ramp[0] = 0.5
+    other = ms.reference_field(coarse_macro_mesh, BoundaryData(0.5, 2.0))
+    assert other is not ramp and not np.shares_memory(other, ramp)
+    assert (other[0], other[-1]) == (0.5, 2.0)
+
+
 def assert_identical(got, want):
     """Two sparse matrices of one format with the same pattern and the
     same data, bit for bit."""

@@ -409,20 +409,26 @@ def test_every_factorization_uses_the_supernode_constants(paper_geometry, cell_m
 def test_the_reference_ramp_is_computed_once_per_mesh(paper_geometry, cell_mesh,
                                                       monkeypatch):
     """The fine mesh caches its reference ramp: a direct evaluation and two
-    designs at three angles compute it once, and every angle's J1 is the
+    designs at three angles build it once, and every angle's J1 is the
     mismatch against a ramp computed afresh, bit for bit."""
     monkeypatch.setattr(val, "_FINE_MESHES", weakref.WeakValueDictionary())
     specs = {"a": make_spec(paper_geometry, cell_mesh),
              "b": make_spec(paper_geometry, cell_mesh, pattern=("disk", 0.35))}
     psi = [0.0, 120.0, 240.0]
     mesh = val.fine_mesh(specs["a"])
-    ramps = []
-    ramp = ms.reference_field
-    monkeypatch.setattr(ms, "reference_field", lambda *a: ramps.append(1) or ramp(*a))
+    built = []
+    cached = fem.cached
+    monkeypatch.setattr(fem, "cached", lambda m, key, build: cached(
+        m, key, lambda: built.append(key) or build()))
     val.evaluate_tiled(specs["a"], mesh)
     rows = val.robustness_sweep(specs, psi, 1.0, PDMS)
-    assert len(ramps) == 1
-    reference = ramp(mesh, specs["a"].bc)
+    monkeypatch.undo()
+    bc = specs["a"].bc
+    assert [key for key in built if key[0] == "reference"] == [
+        ("reference", bc.t_low, bc.t_high)]
+    # a copy of the mesh has an empty cache, so its ramp is computed afresh
+    reference = ms.reference_field(dataclasses.replace(mesh), bc)
+    assert reference is not ms.reference_field(mesh, bc)
     for name, spec in specs.items():
         c = val.sweep_condensation(spec, mesh, val.ObstacleSpec(0.0, PDMS))
         for p, row in zip(psi, [r for r in rows if r["design"] == name], strict=True):
