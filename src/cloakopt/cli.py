@@ -101,6 +101,19 @@ def _tiling_from(cfg: RunConfig, phis, epsilon0: float) -> TilingSpec:
                       k_obstacle=sc.k_obstacle, bc=sc.bc)
 
 
+def _initial_tiling(cfg: RunConfig) -> dict:
+    """The values a run's initial tiling is built from, by config key:
+    geometry, materials, edge temperatures, initial design, cell
+    resolution and the final transition width."""
+    sc = cfg.scenario
+    layout = {key: value for key, value in cfg.settings.items()
+              if key.startswith(("geometry.", "boundary.")) or key in (
+                  "materials.cell_a", "materials.cell_b", "materials.exterior",
+                  "materials.obstacle", "levelset.init", "mesh.cell_resolution")}
+    layout["levelset.d_schedule at optimizer.max_iter"] = sc.d_at(sc.max_iter)
+    return layout
+
+
 def cmd_validate(args) -> int:
     run_dir = Path(args.run)
     cfg, state = _load_run(run_dir)
@@ -130,7 +143,8 @@ def cmd_validate(args) -> int:
 
 def cmd_sweep(args) -> int:
     psi = [float(p) for p in args.psi.split(",")] if args.psi else []
-    # every angle, and every design's insert disk, checked before anything is solved
+    # every angle, every run's initial tiling and the insert disk checked
+    # before anything is solved
     obstacles = [validation.ObstacleSpec(p, args.obstacle_k) for p in psi]
     designs = {}
     cfg0 = None
@@ -142,16 +156,22 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"--run name {name!r} is given twice")
         cfg, state = _load_run(Path(run_dir))
         cfg0 = cfg0 or cfg
+        # every J1_ratio divides by the first run's initial tiling
+        layout, first = _initial_tiling(cfg), _initial_tiling(cfg0)
+        key = next((k for k in first if layout[k] != first[k]), None)
+        if key is not None:
+            raise ConfigError(
+                f"--run {name!r} does not share the first run's initial tiling: {key} is "
+                f"{layout[key]!r}, the first run's {first[key]!r}")
         designs[name] = _tiling_from(cfg, state.phis, args.epsilon0)
     if cfg0 is None:
         raise ConfigError("at least one --run NAME=DIR is required")
 
     init_spec = _tiling_from(cfg0, cfg0.scenario.initial_phis(), args.epsilon0)
-    # held through the sweep, so designs on the same layout reuse it
+    # held through the sweep, whose designs all share its layout
     mesh = validation.fine_mesh(init_spec)
     if obstacles:
-        for spec in designs.values():
-            validation.insert_disk(spec, validation.fine_mesh(spec), obstacles[0])
+        validation.insert_disk(init_spec, mesh, obstacles[0])
     j1_init, _, _ = validation.evaluate_tiled(init_spec, mesh)
     table = validation.robustness_sweep(designs, psi, j1_init,
                                         k_obstacle_insert=args.obstacle_k)

@@ -587,6 +587,42 @@ def test_sweep_of_a_repeated_run_name_exit_code(short_run, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tweaks, named", [
+    ({"materials": {"exterior": 30.0}}, "materials.exterior is 30.0, the first run's 67.0"),
+    ({"levelset": {"d_schedule": [[1, 0.2], [3, 0.1]]}},
+     "levelset.d_schedule at optimizer.max_iter is 0.1, the first run's 0.2"),
+], ids=["exterior", "final-width"])
+def test_sweep_of_runs_on_other_initial_tilings_exit_code(short_run, tmp_path, capsys,
+                                                           tweaks, named):
+    """Every J1_ratio of a sweep divides by the first run's initial tiling,
+    so a run whose config tiles another initial plate is refused by its
+    --run name and the first key that differs, before anything is solved."""
+    run = tmp_path / "run"
+    shutil.copytree(short_run, run)
+    (run / "config.json").write_text(json.dumps(small_raw(**tweaks)))
+    out = tmp_path / "sweep.csv"
+    rc = cli.main(["sweep", "--run", f"a={short_run}", "--run", f"b={run}",
+                   "--epsilon0", "0.25", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--run 'b' does not share the first run's initial tiling" in err and named in err
+    assert not out.exists()
+
+
+def test_sweep_of_runs_on_one_initial_tiling(short_run, tmp_path, capsys):
+    """Runs whose configs differ only outside the initial tiling (here the
+    objective weight and the iteration count) share one J1_init."""
+    run = tmp_path / "run"
+    shutil.copytree(short_run, run)
+    (run / "config.json").write_text(json.dumps(
+        small_raw(objective={"w": 0.5}, optimizer={"max_iter": 4})))
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--run", f"a={short_run}", "--run", f"b={run}", "--psi", "0",
+                     "--epsilon0", "0.25", "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()
+    assert [row.split(",")[0] for row in rows] == ["design", "a", "b"]
+
+
 @pytest.mark.parametrize("corrupt, named", [
     (lambda payload: payload.pop("tensors"), "missing key 'tensors'"),
     (lambda payload: payload.pop("history"), "missing key 'history'"),
