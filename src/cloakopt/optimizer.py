@@ -480,8 +480,9 @@ def resume(path) -> DesignState:
     fields, or a value of the wrong kind raises ``ValueError`` naming it:
     ``iteration`` must be an integer of at least 1, the objective values
     finite numbers, ``d`` one width in (0, 1) per sector, every tensor
-    and history field a number, ``tensors`` one entry per sector and
-    ``history`` one row per iteration up to ``iteration``."""
+    and history field a number, each history row's ``iteration`` an
+    integer, ``tensors`` one entry per sector and ``history`` one row per
+    iteration up to ``iteration``."""
     path = Path(path)
     state_file = path / "state.json"
     if not state_file.exists():
@@ -516,8 +517,10 @@ def resume(path) -> DesignState:
     for key in ("tensors", "history"):
         for i, entry in enumerate(payload[key]):
             for name, value in entry.items():
-                if not _is_number(value):
-                    refuse(f"{key}[{i}].{name}", "a number", value)
+                integer = (key, name) == ("history", "iteration")
+                if not _is_number(value, Integral if integer else Real):
+                    refuse(f"{key}[{i}].{name}", "an integer" if integer else "a number",
+                           value)
     if len(state.tensors) != SECTOR_LAST:
         refuse("tensors", f"{SECTOR_LAST} entries, one per sector", len(state.tensors))
     rows = [r.iteration for r in state.history]

@@ -633,20 +633,23 @@ def test_sweep_of_runs_on_one_initial_tiling(short_run, tmp_path, capsys):
     (lambda payload: payload.update(j1_init=None), "'j1_init'"),
     (lambda payload: payload.update(d=payload["d"][:1]), "'d'"),
     (lambda payload: payload["history"][0].update(j1="x"), "'history[0].j1'"),
+    (lambda payload: payload["history"][1].update(iteration=2.0), "'history[1].iteration'"),
     (lambda payload: payload["tensors"].append(payload["tensors"][0]), "'tensors'"),
     (lambda payload: payload["tensors"].pop(), "'tensors'"),
     (lambda payload: payload.update(history=[]), "'history'"),
 ], ids=["no-tensors", "no-history", "tensor-without-k12", "history-with-unknown-field",
         "iteration-string", "iteration-fraction", "j1_init-null", "one-width",
-        "history-j1-string", "nine-tensors", "seven-tensors", "empty-history"])
+        "history-j1-string", "history-iteration-float", "nine-tensors", "seven-tensors",
+        "empty-history"])
 @pytest.mark.parametrize("command", ["validate", "sweep", "optimize"])
 def test_malformed_checkpoint_exit_code(short_run, tmp_path, capsys, command, corrupt, named):
     """A checkpoint without its tensors or history, with an entry of
     missing or unknown fields, or with a value of the wrong kind (an
-    iteration that is no integer, a missing initial J1, fewer widths than
-    sectors, a history field that is no number, a tensor count other than
-    the sector count, a history without its rows) is refused with the file
-    and the key named."""
+    iteration or a history row's iteration that is no integer, such as
+    2.0, which equals 2 but would be written back as 2.0; a missing
+    initial J1, fewer widths than sectors, a history field that is no
+    number, a tensor count other than the sector count, a history without
+    its rows) is refused with the file and the key named."""
     run = tmp_path / "run"
     shutil.copytree(short_run, run)
     for state in run.rglob("state.json"):
