@@ -10,13 +10,15 @@ parameters: an inverse homogenization problem", IJSS 31, 1994) driven by
 the paper's step. The fit is a record, not a gate: it asserts that J stays
 finite, that every homogenization passes its tensor guard and that phi
 stays in [-1, 1], and prints the final J, K* and volume fraction
-(``pytest -s``).
+(``pytest -s``). It runs the f = 0.35 (1,1) laminate and a fixed table of
+laminates along (1,0), (1,1) and (2,1) at f = 0.3 and 0.45.
 """
 
 import dataclasses
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from cloakopt import config, homogenization, levelset, optimizer
 from cloakopt.geometry import UnitCellGeometry, build_cell_mesh
@@ -47,12 +49,15 @@ def misfit(k: np.ndarray, target: np.ndarray):
     return float(np.sum((inv_sqrt @ diff @ inv_sqrt) ** 2)), 2.0 * inv @ diff @ inv
 
 
-def test_cell_fit_to_the_45_degree_laminate_record():
+def fit_record(fraction: float, direction) -> None:
+    """Fit one resolution-32 cell to the copper/PDMS laminate at
+    ``fraction`` along ``direction`` for ``ITERATIONS`` steps at width
+    ``WIDTH``, and print the final J, K* and volume fraction."""
     sc = dataclasses.replace(config.parse_config(CONFIG).scenario,
                              d_schedule=((1, WIDTH),), cell_resolution=RESOLUTION)
     mesh = build_cell_mesh(UnitCellGeometry(RESOLUTION))
     phi = sc.initial_phis(mesh)[0].phi
-    target = laminate(0.35, (1, 1), sc.k_cell_a, sc.k_cell_b)
+    target = laminate(fraction, direction, sc.k_cell_a, sc.k_cell_b)
     for it in range(1, ITERATIONS + 1):
         mat = homogenization.material_from_levelset(levelset.LevelSetField(phi=phi, mesh=mesh),
                                                     sc.k_cell_a, sc.k_cell_b, WIDTH)
@@ -64,6 +69,17 @@ def test_cell_fit_to_the_45_degree_laminate_record():
             [phi] = optimizer.cell_step(mesh, sc, [dj_dk], [cell], [phi], WIDTH, it)
             assert -1.0 <= phi.min() and phi.max() <= 1.0
     t = cell[1]
-    print(f"\ncell fit to the f=0.35 (1,1) laminate after {ITERATIONS} iterations: "
-          f"J={j:.4g}, K*=({t.k11:.4g}, {t.k12:.4g}, {t.k22:.4g}), "
+    print(f"\ncell fit to the f={fraction} ({direction[0]},{direction[1]}) laminate after "
+          f"{ITERATIONS} iterations: J={j:.4g}, K*=({t.k11:.4g}, {t.k12:.4g}, {t.k22:.4g}), "
           f"volume fraction {mat.volume_fraction(mesh):.4g}")
+
+
+def test_cell_fit_to_the_45_degree_laminate_record():
+    fit_record(0.35, (1, 1))
+
+
+# the table is fixed before it is run; a row that fits badly stays in it
+@pytest.mark.parametrize("fraction", [0.3, 0.45])
+@pytest.mark.parametrize("direction", [(1, 0), (1, 1), (2, 1)], ids=["1-0", "1-1", "2-1"])
+def test_cell_fit_to_a_laminate_table_record(fraction, direction):
+    fit_record(fraction, direction)
