@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import shutil
 import warnings
 from pathlib import Path
@@ -202,7 +203,7 @@ def test_bad_mesh_or_disk_exit_code(tmp_path, capsys, section, key, value, messa
     """Rejected by key when the config is parsed, before the run directory
     is made."""
     path = small_config(tmp_path, **{section: {key: value}})
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
         parse_config(path)
     assert optimize_exit_code(tmp_path, path) == 2
     assert message in capsys.readouterr().err
