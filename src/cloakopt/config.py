@@ -4,12 +4,13 @@ Physical constants must be spelled out; only algorithmic knobs carry
 defaults, and the fully resolved configuration (defaults marked) is
 printed at startup so nothing is silently assumed. Every accepted key is
 read. Unknown keys anywhere are rejected with the offending path, and so
-are non-finite numbers, which Python's json reads from ``NaN``,
-``Infinity`` and ``1e400``, and keys the chosen objective mode would
-ignore: ``objective.w`` other than 1 under ``normalized`` (which
-optimizes J1 alone) and ``materials.normalization_fill`` under
-``standard``. The objective mode, mesh settings and the initial disk
-are checked by key before anything is built (:meth:`Scenario.validate`):
+are a section that is not an object, non-finite numbers, which Python's
+json reads from ``NaN``, ``Infinity`` and ``1e400``, and keys the chosen
+objective mode would ignore: ``objective.w`` other than 1 under
+``normalized`` (which optimizes J1 alone) and
+``materials.normalization_fill`` under ``standard``. The objective mode,
+mesh settings and the initial disk are checked by key before anything
+is built (:meth:`Scenario.validate`):
 a mode other than ``standard`` or ``normalized``, a cell resolution
 below 16, a macro element size that is not positive or leaves fewer than
 2 elements across the design ring, and a disk radius outside
@@ -107,6 +108,8 @@ def _coerce(path: str, value, expected):
 
 
 def _parse_section(name: str, raw: dict, spec: dict, defaulted: list[str]) -> dict:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"section {name!r} must be an object, got {raw!r}")
     out = {}
     known = set(spec["required"]) | set(spec["optional"])
     for key in raw:

@@ -16,11 +16,13 @@ each hold one thing, and nothing that no reader reads:
   CSC pattern of all of its elements, and the data slot of every
   element-local 3x3 entry, built at first use and cached on the mesh
   (:func:`structure`). Every one-off operator is read from it: a
-  region's (the objectives' mass and stiffness) is one ``np.bincount``
-  of its elements' matrices into their slots, and a system whose
-  constraints only eliminate nodes (the fixed-edge conduction systems of
-  :mod:`cloakopt.macro_solver`) is a gather of its free rows and columns
-  (:func:`assemble`). So each mesh sorts and searches one pattern.
+  region's (the objectives' mass and stiffness) is one in-place sum
+  (``np.add.at``) of its elements' matrices into their slots, and a
+  system whose constraints only eliminate nodes (the fixed-edge
+  conduction systems of :mod:`cloakopt.macro_solver`, and the x >= 0
+  half of a mirrored tiled structure, from its elements alone) is a
+  gather of its free rows and columns (:func:`assemble`). So each mesh
+  sorts and searches one pattern.
 - :class:`ScaledAssembly` is the ordered assembly of an operator that is
   refactored again and again on one pattern, from a few values per
   element: the periodic cell operator (its conductivities) and a
@@ -241,10 +243,10 @@ class Structure:
 
     Every one-off operator of the mesh is read from it (:func:`structure`
     builds it at first use and caches it on the mesh): a region's
-    operator is one ``np.bincount`` of its elements' matrices into their
+    operator is one in-place sum of its elements' matrices into their
     slots (:meth:`matrix`), and a system whose constraints only eliminate
-    nodes is that of all elements, gathered onto its free rows and
-    columns (:func:`assemble`). It holds no mesh.
+    nodes is that of its elements (all, or a subset), gathered onto its
+    free rows and columns (:func:`assemble`). It holds no mesh.
     """
 
     def __init__(self, mesh: TriMesh):
@@ -287,8 +289,11 @@ class Structure:
         """
         if free is None:
             free = np.ones(self.n_nodes, dtype=bool)
-        data = np.bincount(self._slots[elements].ravel(), weights=element_matrices.ravel(),
-                           minlength=self.nnz)
+        # summed in place and in element order, as np.bincount would sum
+        # them, but without the intp copy of the int32 slots that bincount
+        # makes (14 MB on the eps0 = 1/9 fine mesh, 0.24 GB at 1/36)
+        data = np.zeros(self.nnz)
+        np.add.at(data, self._slots[elements].ravel(), element_matrices.ravel())
         keep = (data != 0.0) & free[self._indices] & np.repeat(free, np.diff(self._indptr))
         kept = np.r_[0, np.cumsum(keep)][self._indptr]      # kept entries before each column
         indptr = np.r_[0, np.cumsum(np.diff(kept)[free])].astype(np.int32)
@@ -435,24 +440,28 @@ class SparseSystem:
         return b if homogeneous else b - self.lift
 
 
-def assemble(mesh: TriMesh, element_matrices: np.ndarray,
-             constraints: Constraints) -> SparseSystem:
-    """Reduce all of a mesh's element matrices (n_elements, 3, 3) onto
-    constraints that only eliminate nodes: the free nodes, numbered in
-    mesh order, are the free DOFs, so R^T K R is the free rows and columns
-    of the mesh's slot table (:meth:`Structure.matrix`). The element
-    matrices are not kept."""
+def assemble(mesh: TriMesh, element_matrices: np.ndarray, constraints: Constraints,
+             elements=slice(None)) -> SparseSystem:
+    """Reduce the selected elements' matrices (n_selected, 3, 3), all of
+    a mesh's by default, onto constraints that only eliminate nodes: the
+    free nodes, numbered in mesh order, are the free DOFs, so R^T K R is
+    the free rows and columns of the mesh's slot table
+    (:meth:`Structure.matrix`). Every free node must lie on a selected
+    element, else the operator is singular. The element matrices are not
+    kept."""
     dof, g = constraints.dof_of_node, constraints.fixed_values
     free = dof >= 0
     if not np.array_equal(dof[free], np.arange(constraints.n_free)):
         raise ValueError("a mesh's slot table reduces only constraints that eliminate "
                          "nodes, with the free nodes numbered in mesh order")
+    selected = mesh.elements[elements]
     # the elements that carry the lift of nonzero fixed values onto free rows
-    lifting = np.flatnonzero((g[mesh.elements] != 0.0).any(axis=1))
-    nodes = mesh.elements[lifting]
+    lifting = np.flatnonzero((g[selected] != 0.0).any(axis=1))
+    nodes = selected[lifting]
     kg = np.einsum("eij,ej->ei", element_matrices[lifting], g[nodes])
     lift = constraints.restrict(np.bincount(nodes.ravel(), weights=kg.ravel(), minlength=len(g)))
-    return SparseSystem(constraints, structure(mesh).matrix(element_matrices, free=free), lift)
+    return SparseSystem(constraints, structure(mesh).matrix(element_matrices, elements, free),
+                        lift)
 
 
 def isotropic_tensors(values) -> np.ndarray:
@@ -514,16 +523,18 @@ def element_mass(mesh: TriMesh, lumped: bool = False,
 
 
 def assemble_diffusion(mesh: TriMesh, tensors: np.ndarray,
-                       constraints: Constraints | None = None) -> SparseSystem:
-    """Diffusion operator of a mesh, one tensor per element, reduced onto
-    constraints that only eliminate nodes (default none); see :func:`assemble`."""
+                       constraints: Constraints | None = None,
+                       elements=slice(None)) -> SparseSystem:
+    """Diffusion operator of the selected elements of a mesh (default
+    all), one tensor each, reduced onto constraints that only eliminate
+    nodes (default none); see :func:`assemble`."""
     tensors = np.asarray(tensors, dtype=float)
-    if tensors.shape != (mesh.n_elements, 2, 2):
-        raise ValueError("tensors must have shape (n_elements, 2, 2)")
+    if tensors.shape != (len(mesh.elements[elements]), 2, 2):
+        raise ValueError("tensors must have shape (n_selected_elements, 2, 2)")
     _check_spd(tensors)
     if constraints is None:
         constraints = Constraints.none(mesh.n_nodes)
-    return assemble(mesh, element_stiffness(mesh, tensors), constraints)
+    return assemble(mesh, element_stiffness(mesh, tensors, elements), constraints, elements)
 
 
 def _superlu(routine, matrix: sp.csc_matrix, **options):

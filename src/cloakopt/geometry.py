@@ -258,6 +258,23 @@ def build_macro_mesh(geom: MacroGeometry, resolution: float,
     )
 
 
+def mirror_line(mesh: TriMesh) -> tuple[int, int, np.ndarray] | None:
+    """Split a whole macro mesh (:func:`build_macro_mesh`) at x = 0 by its
+    grid indices alone: the first node on the line, the first element
+    right of it, and the mirror image of each node left of the line.
+    Node (i, j) of the nx x ny grid is i * (ny + 1) + j, its image
+    (nx - i, j), and quad (i, j) holds elements 2 * (i * ny + j) and the
+    next, so the x >= 0 half is every node and every element from these
+    on. ``None`` for a half mesh or an odd column count: neither is
+    mirror-symmetric about x = 0."""
+    if mesh.mirror_half or mesh.structured_shape is None or mesh.structured_shape[0] % 2:
+        return None
+    nx, ny = mesh.structured_shape
+    mid = nx // 2
+    i, j = np.divmod(np.arange(mid * (ny + 1)), ny + 1)
+    return mid * (ny + 1), 2 * mid * ny, (nx - i) * (ny + 1) + j
+
+
 def build_cell_mesh(cell: UnitCellGeometry) -> TriMesh:
     """Structured triangulation of the unit square with periodic pairing.
 

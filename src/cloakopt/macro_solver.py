@@ -18,7 +18,9 @@ SPD sector tensors. Each iteration then only assembles the ring from the
 8 tensors (one sparse mat-vec) and factors it in that order; nothing is
 ordered or assembled element by element again. It shares the builder
 :func:`condensed_conduction` with the tiled robustness sweep. One-off
-solves (:func:`solve_state`) factor the whole operator; the reference
+solves (:func:`solve_state`) factor the whole operator, but for a tiled
+structure mirrored about x = 0, whose x >= 0 half is gathered from the
+same slot table (:func:`mirrored_conduction_system`); the reference
 field is a closed form (:func:`reference_field`), cached on the mesh.
 """
 
@@ -97,10 +99,36 @@ def _fixed_edges(mesh: TriMesh, bc: BoundaryData) -> fem.Constraints:
     return fem.cached(mesh, ("fixed edges", bc.t_low, bc.t_high), build)
 
 
+def _mirror_edges(mesh: TriMesh, bc: BoundaryData, line: int) -> fem.Constraints:
+    """The x >= 0 half of a whole mesh whose nodes from ``line`` on are
+    that half, the first column on x = 0 (:func:`geometry.mirror_line`):
+    the mirror line fixed to the mean edge temperature, ``GAMMA_B`` to
+    t_high, every node left of the line eliminated (its value is the
+    mirror's, filled after the solve). Built per call: it serves one-off
+    solves, and nothing of it stays on the mesh."""
+    bc.validate()
+    column = mesh.structured_shape[1] + 1        # nodes per grid column
+    c = fem.apply_dirichlet(fem.Constraints.none(mesh.n_nodes), np.arange(line), 0.0)
+    c = fem.apply_dirichlet(c, np.arange(line, line + column), 0.5 * (bc.t_low + bc.t_high))
+    return fem.apply_dirichlet(c, np.unique(mesh.boundary_edges[GAMMA_B]), bc.t_high)
+
+
 def conduction_system(mesh: TriMesh, tensors: np.ndarray,
                       bc: BoundaryData) -> fem.SparseSystem:
     """Conduction with the given element tensors and fixed edge temperatures."""
     return fem.assemble_diffusion(mesh, tensors, _fixed_edges(mesh, bc))
+
+
+def mirrored_conduction_system(mesh: TriMesh, tensors: np.ndarray, bc: BoundaryData,
+                               line: int, first_element: int) -> fem.SparseSystem:
+    """Conduction on the x >= 0 half of a whole mesh that is mirror-symmetric
+    about x = 0, whose conductivity is too, so its state is antisymmetric
+    about the mean edge temperature: ``tensors`` are those of the elements
+    from ``first_element`` on, right of the line, assembled from the whole
+    mesh's one slot table; nodes from ``line`` on are that half, the mirror
+    line first (see :func:`geometry.mirror_line` and :func:`_mirror_edges`)."""
+    return fem.assemble_diffusion(mesh, tensors, _mirror_edges(mesh, bc, line),
+                                  slice(first_element, None))
 
 
 def state_system(mesh: TriMesh, matmap: MacroMaterialMap,

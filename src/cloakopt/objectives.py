@@ -19,7 +19,7 @@ from .geometry import REGION_EXTERIOR, REGION_OBSTACLE, TriMesh
 def region_operators(mesh: TriMesh):
     """(M_E, A_C): the evaluation region's consistent mass matrix and the
     obstacle region's unit-conductivity stiffness, built once per mesh,
-    each one ``np.bincount`` of its region's element matrices into their
+    each one in-place sum of its region's element matrices into their
     slots of the mesh's slot table (:func:`fem.structure`), which the
     mesh's fixed-edge systems read too. The elements of a
     ``mirror_half`` mesh weigh 2, so its integrals are those of both

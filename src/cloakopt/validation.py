@@ -12,8 +12,11 @@ set of rotation angles.
 Tilings of one layout share one fine mesh while it is held, and with it
 the mesh's one slot table (:func:`fem.structure`), reference ramp
 (:func:`macro_solver.reference_field`) and objective operators, each
-cached on the mesh. A single tiled evaluation tiles and factors the
-whole fine operator. A sweep changes only the insert's disk from one
+cached on the mesh. A single tiled evaluation tiles the whole structure
+and factors its operator directly (:func:`tiled_state`). A mirrored
+design without an obstacle is solved on the x >= 0 half, gathered from
+that same slot table, and written whole; no second mesh or table is
+built for it. A sweep changes only the insert's disk from one
 angle to the next, so it condenses each design's tiled operator onto
 that disk once (:func:`sweep_condensation`, through
 :func:`macro_solver.condensed_conduction`), and each angle
@@ -43,8 +46,8 @@ import numpy as np
 from . import fem, macro_solver, objectives
 from .geometry import (MacroGeometry, REGION_OBSTACLE,
                        SECTOR_FIRST, SECTOR_LAST, TriMesh, build_macro_mesh,
-                       interpolate_structured)
-from .levelset import LevelSetField, characteristic
+                       interpolate_structured, mirror_line)
+from .levelset import LevelSetField, characteristic, mirror_nodes
 from .homogenization import element_conductivity
 from .macro_solver import BoundaryData
 
@@ -158,12 +161,45 @@ def tile_conductivity(spec: TilingSpec, mesh: TriMesh,
     return k
 
 
-def tiled_state(spec: TilingSpec, mesh: TriMesh, conductivity: np.ndarray) -> np.ndarray:
+def _mirrored(phis: list[LevelSetField]) -> bool:
+    """Whether the level sets share one cell mesh and cell 9 - l is cell l
+    reflected, exactly (:func:`levelset.mirror_nodes`)."""
+    cell = phis[0].mesh
+    if any(f.mesh is not cell for f in phis):
+        return False
+    try:
+        mirror = mirror_nodes(cell)
+    except ValueError:          # no even periodic grid: no reflection map
+        return False
+    return all(np.array_equal(phis[-1 - l].phi, phis[l].phi[mirror])
+               for l in range(len(phis) // 2))
+
+
+def tiled_state(spec: TilingSpec, mesh: TriMesh, conductivity: np.ndarray,
+                obstacle: ObstacleSpec | None = None) -> np.ndarray:
     """Nodal temperatures of the tiled structure, for its element
-    conductivities (:func:`tile_conductivity`): the whole operator,
-    factored directly."""
-    return fem.Factorization(macro_solver.conduction_system(
-        mesh, fem.isotropic_tensors(conductivity), spec.bc)).solve()
+    conductivities (:func:`tile_conductivity`, with ``obstacle`` if it
+    was tiled with one), factored directly.
+
+    A mirrored design (:func:`_mirrored`) without an obstacle, on a mesh
+    with an even column count, tiles a conductivity mirror-symmetric
+    about x = 0 (to roundoff: the tiling reads (x / eps0) mod 1), so its
+    state is antisymmetric about the mean edge temperature. It is solved
+    on the x >= 0 half alone (:func:`macro_solver.mirrored_conduction_system`,
+    from the whole mesh's slot table) and written whole, the left half
+    filled with T(-x) = t_low + t_high - T(x) through the grid's node
+    mirror map (:func:`geometry.mirror_line`). Every other structure
+    factors the whole operator.
+    """
+    split = None if obstacle is not None or not _mirrored(spec.phis) else mirror_line(mesh)
+    if split is None:
+        return fem.Factorization(macro_solver.conduction_system(
+            mesh, fem.isotropic_tensors(conductivity), spec.bc)).solve()
+    line, first, images = split
+    temp = fem.Factorization(macro_solver.mirrored_conduction_system(
+        mesh, fem.isotropic_tensors(conductivity[first:]), spec.bc, line, first)).solve()
+    temp[:line] = (spec.bc.t_low + spec.bc.t_high) - temp[images]
+    return temp
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,7 +230,7 @@ def evaluate_tiled(spec: TilingSpec, mesh: TriMesh | None = None,
     if mesh is None:
         mesh = fine_mesh(spec)
     if condensation is None:
-        temp = tiled_state(spec, mesh, tile_conductivity(spec, mesh, obstacle))
+        temp = tiled_state(spec, mesh, tile_conductivity(spec, mesh, obstacle), obstacle)
     else:
         if condensation.mesh is not mesh:
             raise ValueError("the condensation belongs to another mesh")

@@ -210,6 +210,25 @@ def test_bad_mesh_or_disk_exit_code(tmp_path, capsys, section, key, value, messa
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("section, value", [
+    ("geometry", 5), ("geometry", None), ("geometry", 3.5), ("geometry", True),
+    ("geometry", "lx"), ("optimizer", []),
+], ids=["int", "null", "float", "bool", "string", "empty-list"])
+def test_section_that_is_not_an_object_exit_code(tmp_path, capsys, section, value):
+    """A section must be a JSON object; anything else is refused by the
+    section's name, not read key by key or accepted as empty."""
+    raw = small_raw()
+    raw[section] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    message = f"section {section!r} must be an object, got {value!r}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(path)
+    assert optimize_exit_code(tmp_path, path) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_largest_disk_inside_the_cell_is_accepted(tmp_path):
     path = small_config(tmp_path, levelset={"init": {"pattern": "disk", "radius": 0.707}})
     assert parse_config(path).scenario.init == ("disk", 0.707)

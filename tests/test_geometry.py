@@ -4,7 +4,7 @@ import pytest
 from cloakopt.geometry import (GAMMA_A, GAMMA_B, MacroGeometry, MeshError,
                                REGION_EXTERIOR, REGION_OBSTACLE, SECTOR_LAST, TriMesh,
                                UnitCellGeometry, build_cell_mesh,
-                               build_macro_mesh, interpolate_structured)
+                               build_macro_mesh, interpolate_structured, mirror_line)
 
 
 def region_area(mesh: TriMesh, region: int) -> float:
@@ -246,3 +246,30 @@ def test_structured_interpolation_locates_the_elements_of_a_half_mesh():
         v = values[mesh.elements[inside]]
         want[k] = (1 - l1[inside] - l2[inside]) * v[0] + l1[inside] * v[1] + l2[inside] * v[2]
     np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("geometry, h", [
+    (MacroGeometry(lx=5.0, ly=8.0, r_ring=1.35, r_obstacle=0.4), 0.25),
+    (APPENDIX_B, 0.5),
+], ids=["paper-h0.25", "appendixB-h0.5"])
+def test_mirror_line_splits_the_whole_mesh_at_x0(geometry, h):
+    """By grid index alone: the nodes from the line on are the half
+    mesh's nodes and its elements those from the first element on, bit
+    for bit; each node left of the line maps to its mirror image."""
+    mesh = build_macro_mesh(geometry, h)
+    half = build_macro_mesh(geometry, h, half=True)
+    line, first, images = mirror_line(mesh)
+    np.testing.assert_array_equal(mesh.nodes[line:], half.nodes)
+    np.testing.assert_array_equal(mesh.elements[first:] - line, half.elements)
+    np.testing.assert_array_equal(mesh.element_region[first:], half.element_region)
+    assert np.all(mesh.nodes[line:line + mesh.structured_shape[1] + 1, 0] == 0.0)
+    assert len(images) == line and images.min() > line
+    np.testing.assert_allclose(mesh.nodes[images], mesh.nodes[:line] * [-1.0, 1.0],
+                               rtol=0.0, atol=1e-12 * geometry.lx)
+    assert np.all(mesh.centroids[:first, 0] < 0.0) and np.all(mesh.centroids[first:, 0] > 0.0)
+
+
+def test_no_mirror_line_on_a_half_mesh_or_an_odd_column_count():
+    paper = MacroGeometry(lx=5.0, ly=8.0, r_ring=1.35, r_obstacle=0.4)
+    assert mirror_line(build_macro_mesh(paper, 5.0 / 21)) is None
+    assert mirror_line(build_macro_mesh(paper, 0.25, half=True)) is None

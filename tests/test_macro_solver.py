@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cloakopt import fem
+from cloakopt import fem, geometry
 from cloakopt import homogenization as hom
 from cloakopt import objectives
 from cloakopt import levelset as ls
@@ -105,6 +105,28 @@ def test_mesh_table_operators_match_per_region_and_per_constraint_tables(
     ke[ring] = 0.0
     assert_identical(condensed.fixed_matrix, reference.matrix(ke).tocsr())
     np.testing.assert_array_equal(condensed.fixed_lift, reference.lift(ke))
+
+
+@pytest.mark.parametrize("bc", [BoundaryData(0.0, 1.0), BoundaryData(0.2, 1.5)])
+def test_the_mirrored_half_of_a_whole_mesh_is_the_half_meshs_system(paper_geometry, bc):
+    """Reduced onto the x >= 0 half of the whole mesh's slot table, with
+    the mirror line at the mean edge temperature and the nodes left of it
+    eliminated, conduction is the half mesh's fixed-edge system under
+    (mean, t_high), bit for bit."""
+    mesh = build_macro_mesh(paper_geometry, 0.125, allow_oversize=True)
+    half = build_macro_mesh(paper_geometry, 0.125, half=True)
+    line, first, _ = geometry.mirror_line(mesh)
+    rng = np.random.default_rng(5)
+    tensors = rng.uniform(0.5, 5.0, (half.n_elements, 1, 1)) * np.eye(2)
+    tensors[:, 0, 1] = tensors[:, 1, 0] = 0.2
+    got = ms.mirrored_conduction_system(mesh, tensors, bc, line, first)
+    want = ms.conduction_system(half, tensors,
+                                BoundaryData(0.5 * (bc.t_low + bc.t_high), bc.t_high))
+    assert_identical(got.matrix, want.matrix)
+    np.testing.assert_array_equal(got.lift, want.lift)
+    assert not (got.constraints.dof_of_node[:line + half.structured_shape[1] + 1] >= 0).any()
+    np.testing.assert_array_equal(got.constraints.fixed_values[line:],
+                                  want.constraints.fixed_values)
 
 
 def test_the_mesh_table_reduces_only_eliminations(coarse_macro_mesh):

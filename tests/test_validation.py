@@ -451,3 +451,112 @@ def test_a_fine_mesh_builds_its_fixed_edge_structure_once(paper_geometry, cell_m
     assert len(structures_built) == 1 and structures_built[0] is mesh
     assert [key for key, value in mesh.cache.items()
             if isinstance(value, fem.Structure)] == ["structure"]
+
+
+def mirrored_random_phis(cell_mesh, seed=3):
+    """Cells 1-4 smooth random periodic fields, cells 5-8 their reflections."""
+    rng = np.random.default_rng(seed)
+    x, y = cell_mesh.nodes.T
+    design = []
+    for _ in range(4):
+        g = np.full(cell_mesh.n_nodes, rng.uniform(-0.3, 0.3))
+        for _ in range(3):
+            kx, ky = rng.integers(1, 5, size=2)
+            ph = rng.uniform(0.0, 2.0 * np.pi, size=2)
+            g += rng.uniform(0.3, 1.0) * (np.sin(2 * np.pi * kx * x + ph[0])
+                                          * np.sin(2 * np.pi * ky * y + ph[1]))
+        g[cell_mesh.periodic_pairs[:, 1]] = g[cell_mesh.periodic_pairs[:, 0]]
+        design.append(g / np.abs(g).max())
+    return [ls.LevelSetField(phi=phi, mesh=cell_mesh, cell_index=l, d=0.01)
+            for l, phi in enumerate(optimizer.mirrored(cell_mesh, design), start=1)]
+
+
+@pytest.fixture
+def half_solves(monkeypatch):
+    """A list that grows by one entry per tiled solve on the x >= 0 half."""
+    calls = []
+    system = ms.mirrored_conduction_system
+    monkeypatch.setattr(ms, "mirrored_conduction_system",
+                        lambda *a, **kw: calls.append(a) or system(*a, **kw))
+    return calls
+
+
+def whole_state(spec, mesh, obstacle=None):
+    """The direct solve of the whole tiled operator."""
+    k = val.tile_conductivity(spec, mesh, obstacle)
+    return fem.Factorization(ms.conduction_system(mesh, fem.isotropic_tensors(k),
+                                                  spec.bc)).solve()
+
+
+@pytest.mark.parametrize("epsilon0", [1.0 / 9.0, 1.0 / 18.0], ids=["eps-1/9", "eps-1/18"])
+def test_a_mirrored_design_is_solved_on_the_half(paper_geometry, cell_mesh, half_solves,
+                                                 epsilon0):
+    """The disk seed at both transition widths and a mirrored random
+    design at d = 0.01 (between edge temperatures 0.2 and 1.5) are solved
+    on the x >= 0 half, and their J1, J2 and temperatures match the whole
+    operator's direct solve to rel 1e-9."""
+    specs = {f"disk d={d}": dataclasses.replace(make_spec(paper_geometry, cell_mesh,
+                                                          epsilon0=epsilon0), d=d)
+             for d in (0.2, 0.01)}
+    specs["random d=0.01"] = dataclasses.replace(
+        make_spec(paper_geometry, cell_mesh, epsilon0=epsilon0),
+        phis=mirrored_random_phis(cell_mesh), d=0.01, bc=BoundaryData(0.2, 1.5))
+    mesh = val.fine_mesh(specs["disk d=0.2"])
+    for name, spec in specs.items():
+        reference = ms.reference_field(mesh, spec.bc)
+        j1, j2, temp = val.evaluate_tiled(spec, mesh)
+        assert len(half_solves) == 1, name
+        half_solves.clear()
+        want = whole_state(spec, mesh)
+        want_j1 = objectives.mismatch(want, reference, mesh)
+        want_j2 = objectives.gradient_energy(want, mesh)
+        assert j1 == pytest.approx(want_j1, rel=1e-9), name
+        assert j2 == pytest.approx(want_j2, rel=1e-9), name
+        assert np.abs(temp - want).max() <= 1e-9 * np.abs(want).max(), name
+
+
+def unmirrored(spec):
+    phis = list(spec.phis)
+    phis[-1] = ls.initialize(phis[0].mesh, ("disk", 0.35), cell_index=8)
+    return dataclasses.replace(spec, phis=phis)
+
+
+def on_two_cell_meshes(spec):
+    """Cells 5-8 on a second, equal cell mesh."""
+    other = dataclasses.replace(spec.phis[0].mesh)
+    return dataclasses.replace(spec, phis=[*spec.phis[:4], *(
+        dataclasses.replace(f, mesh=other) for f in spec.phis[4:])])
+
+
+@pytest.mark.parametrize("case", ["unmirrored", "two-cell-meshes", "obstacle", "odd-columns"])
+def test_other_structures_take_the_whole_operator(paper_geometry, cell_mesh, half_solves,
+                                                  case):
+    """A spec that is not mirrored (a changed cell, or cells on two mesh
+    objects), any obstacle, and a fine mesh with an odd column count
+    (eps0 = 0.3: 133 columns) are solved on the whole operator: bit for
+    bit its direct solve."""
+    spec = make_spec(paper_geometry, cell_mesh, epsilon0=0.3 if case == "odd-columns" else 0.25)
+    spec = {"unmirrored": unmirrored, "two-cell-meshes": on_two_cell_meshes}.get(
+        case, lambda s: s)(spec)
+    obstacle = val.ObstacleSpec(90.0, PDMS) if case == "obstacle" else None
+    mesh = val.fine_mesh(spec)
+    assert (mesh.structured_shape[0] == 133) == (case == "odd-columns")
+    _, _, temp = val.evaluate_tiled(spec, mesh, obstacle)
+    assert half_solves == []
+    np.testing.assert_array_equal(temp, whole_state(spec, mesh, obstacle))
+
+
+def test_the_half_solve_caches_nothing_new_on_the_mesh(paper_geometry, cell_mesh,
+                                                      half_solves, structures_built):
+    """A half solve reads the fine mesh's one slot table and caches nothing
+    that a whole solve does not: no second structure, constraints or mesh."""
+    spec = make_spec(paper_geometry, cell_mesh)
+    mesh = build_macro_mesh(spec.geometry, spec.epsilon0 / val.ELEMENTS_PER_CELL,
+                            allow_oversize=True)
+    val.evaluate_tiled(spec, mesh)
+    assert len(half_solves) == 1
+    assert structures_built == [mesh]
+    whole = dataclasses.replace(mesh)
+    val.evaluate_tiled(unmirrored(spec), whole)
+    assert len(half_solves) == 1 and len(structures_built) == 2
+    assert set(mesh.cache) < set(whole.cache)

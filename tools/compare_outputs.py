@@ -16,11 +16,15 @@ a subprocess on one BLAS thread, with ``src/`` of the tree under test on
   of ``VALIDATED``: ``validation/report.csv`` and ``validation/tiled.vtk``;
 * the ``validate_sweep`` benchmark's inputs at seed 7, read from
   ``benchmarks/inputs.py``: the direct tiled J1, J2 and temperature field
-  of the design, the J1 of its 8 condensed sweep angles as the sweep
-  reports them, and the J2 and temperature field of each condensed angle.
+  of the mirrored disk seed (the benchmark's first evaluation, solved on
+  the x >= 0 half), those of the random design (solved whole), the J1 of
+  its 8 condensed sweep angles as the sweep reports them, and the J2 and
+  temperature field of each condensed angle.
 
 Prints one SHA-256 per output and exits 1 if any differs. If the sweep's
-J1 values differ, it also prints their largest relative change.
+J1 values or the disk seed's J1, J2 or temperature differ, it also prints
+their largest relative change (the temperature's against its largest
+magnitude), so a re-draw at roundoff can be told from a defect.
 """
 
 from __future__ import annotations
@@ -35,18 +39,21 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ITERATIONS = 20
 SWITCH = 11
 SEED = 7
 VALIDATED = "scenario_w1"       # the config whose run directory is validated
 
-# run in the tree under test; prints {output: sha256}, then the sweep's J1 values
+# run in the tree under test; prints {output: sha256}, then the sweep's J1
+# values, then the disk seed's J1 and J2, and saves its temperatures to argv[3]
 SWEEP_SCRIPT = r"""
 import hashlib, json, sys
 import numpy as np
 sys.path.insert(0, sys.argv[1])
 import inputs
-from cloakopt import validation
+from cloakopt import levelset, validation
 from cloakopt.geometry import (MacroGeometry, SECTOR_FIRST, SECTOR_LAST,
                                UnitCellGeometry, build_cell_mesh)
 from cloakopt.levelset import LevelSetField
@@ -57,22 +64,37 @@ mesh = build_cell_mesh(UnitCellGeometry(inputs.SWEEP_CELL_RESOLUTION))
 cells = range(SECTOR_FIRST, SECTOR_LAST + 1)
 design = [LevelSetField(phi=phi, mesh=mesh, cell_index=l, d=inputs.SWEEP_D) for l, phi in
           zip(cells, inputs.sweep_phis(mesh.nodes, mesh.periodic_pairs, seed))]
+disk = [levelset.initialize(mesh, ("disk", inputs.INITIAL_RADIUS), cell_index=l)
+        for l in cells]
 m = inputs.MATERIALS
-spec = validation.TilingSpec(
-    epsilon0=inputs.EPSILON0, phis=design, d=inputs.SWEEP_D,
-    geometry=MacroGeometry(**inputs.GEOMETRY), k_cell_a=m["cell_a"], k_cell_b=m["cell_b"],
-    k_exterior=m["exterior"], k_obstacle=m["obstacle"], bc=BoundaryData(**inputs.BOUNDARY))
-j1, j2, temp = validation.evaluate_tiled(spec)
-temp = np.ascontiguousarray(getattr(temp, "values", temp), dtype="<f8")  # earlier versions wrap T
-rows = validation.robustness_sweep({"design": spec}, list(inputs.SWEEP_PSI), 1.0,
-                                   k_obstacle_insert=inputs.SWEEP_OBSTACLE_K)
+
+def tiling(phis):
+    return validation.TilingSpec(
+        epsilon0=inputs.EPSILON0, phis=phis, d=inputs.SWEEP_D,
+        geometry=MacroGeometry(**inputs.GEOMETRY), k_cell_a=m["cell_a"],
+        k_cell_b=m["cell_b"], k_exterior=m["exterior"], k_obstacle=m["obstacle"],
+        bc=BoundaryData(**inputs.BOUNDARY))
 
 def sha(data):
     return hashlib.sha256(data).hexdigest()
 
+def nodal(temp):        # earlier versions wrap T
+    return np.ascontiguousarray(getattr(temp, "values", temp), dtype="<f8")
+
+disk_j1, disk_j2, temp = validation.evaluate_tiled(tiling(disk))
+temp = nodal(temp)
+np.save(sys.argv[3], temp)
+hashes = {"disk seed tiled J1": sha(disk_j1.hex().encode()),
+          "disk seed tiled J2": sha(disk_j2.hex().encode()),
+          "disk seed tiled T": sha(temp.tobytes())}
+spec = tiling(design)
+j1, j2, temp = validation.evaluate_tiled(spec)
+temp = nodal(temp)
+rows = validation.robustness_sweep({"design": spec}, list(inputs.SWEEP_PSI), 1.0,
+                                   k_obstacle_insert=inputs.SWEEP_OBSTACLE_K)
 sweep = " ".join(r["j1"].hex() for r in rows)
-hashes = {"tiled J1": sha(j1.hex().encode()), "tiled J2": sha(j2.hex().encode()),
-          "tiled T": sha(temp.tobytes()), "sweep J1 x8": sha(sweep.encode())}
+hashes.update({"tiled J1": sha(j1.hex().encode()), "tiled J2": sha(j2.hex().encode()),
+               "tiled T": sha(temp.tobytes()), "sweep J1 x8": sha(sweep.encode())})
 del temp
 mesh = validation.fine_mesh(spec)
 obstacles = [validation.ObstacleSpec(psi_deg=psi, k=inputs.SWEEP_OBSTACLE_K)
@@ -80,11 +102,12 @@ obstacles = [validation.ObstacleSpec(psi_deg=psi, k=inputs.SWEEP_OBSTACLE_K)
 condensation = validation.sweep_condensation(spec, mesh, obstacles[0])
 for obstacle in obstacles:
     _, j2, temp = validation.evaluate_tiled(spec, mesh, obstacle, condensation=condensation)
-    temp = np.ascontiguousarray(getattr(temp, "values", temp), dtype="<f8")
+    temp = nodal(temp)
     hashes[f"sweep psi={obstacle.psi_deg:g} J2"] = sha(j2.hex().encode())
     hashes[f"sweep psi={obstacle.psi_deg:g} T"] = sha(temp.tobytes())
 print(json.dumps(hashes))
 print(sweep)
+print(disk_j1.hex(), disk_j2.hex())
 """
 
 
@@ -140,18 +163,25 @@ def optimize_outputs(root: Path, config: Path, work: Path) -> dict:
     return hashes
 
 
-def outputs(root: Path, inputs_root: Path) -> tuple[dict, list[float]]:
-    """The output hashes of the tree ``root``, and its sweep J1 values."""
+def outputs(root: Path, inputs_root: Path) -> tuple[dict, dict]:
+    """The output hashes of the tree ``root``, and the values whose change
+    is reported: the sweep's J1 values and the disk seed's J1, J2 and T."""
     hashes = {}
     with tempfile.TemporaryDirectory() as work:
         for config in sorted((inputs_root / "configs").glob("*.json")):
             hashes.update(optimize_outputs(root, config, Path(work)))
-    sweep = subprocess.run([sys.executable, "-c", SWEEP_SCRIPT,
-                            str(inputs_root / "benchmarks"), str(SEED)],
-                           env=environment(root), check=True, capture_output=True, text=True)
-    *_, line, values = sweep.stdout.strip().splitlines()
+        disk_t = Path(work) / "disk_t.npy"
+        sweep = subprocess.run([sys.executable, "-c", SWEEP_SCRIPT,
+                                str(inputs_root / "benchmarks"), str(SEED), str(disk_t)],
+                               env=environment(root), check=True, capture_output=True,
+                               text=True)
+        values = {"disk seed T": np.load(disk_t)}
+    *_, line, sweep_j1, disk = sweep.stdout.strip().splitlines()
     hashes.update(json.loads(line))
-    return hashes, [float.fromhex(v) for v in values.split()]
+    values["sweep J1"] = np.array([float.fromhex(v) for v in sweep_j1.split()])
+    values["disk seed J1"], values["disk seed J2"] = (np.array([float.fromhex(v)])
+                                                      for v in disk.split())
+    return hashes, values
 
 
 def main(argv: list[str]) -> int:
@@ -160,7 +190,7 @@ def main(argv: list[str]) -> int:
         return 2
     parent = Path(argv[0]).resolve()
     change = Path(argv[1]).resolve() if len(argv) == 2 else Path(__file__).resolve().parents[1]
-    (want, want_j1), (got, got_j1) = outputs(parent, change), outputs(change, change)
+    (want, want_values), (got, got_values) = outputs(parent, change), outputs(change, change)
     names = [*got, *(name for name in want if name not in got)]
     differ = 0
     for name in names:
@@ -169,9 +199,11 @@ def main(argv: list[str]) -> int:
         print(f"{name:36} {got.get(name)}"
               + ("" if same else f"  DIFFERS: parent {want.get(name)}"))
     print(f"{len(names) - differ} of {len(names)} outputs identical")
-    if want_j1 != got_j1:
-        largest = max(abs(g - w) / abs(w) for g, w in zip(got_j1, want_j1, strict=True))
-        print(f"sweep J1: largest relative change {largest:.3g}")
+    for name, w in want_values.items():
+        g = got_values[name]
+        if not np.array_equal(g, w):
+            scale = np.abs(w).max() if name.endswith(" T") else np.abs(w)
+            print(f"{name}: largest relative change {np.max(np.abs(g - w) / scale):.3g}")
     return 1 if differ else 0
 
 
