@@ -75,16 +75,17 @@ no client: its operator is solved exactly by FFT on the periodic cell
 grid (:mod:`cloakopt.levelset`), so nothing here is factored for it;
 only the residual contract (:func:`_check_solution`) is shared.
 
-A condensation works in one of two modes, and its mode alone decides how
-the interface Schur complement S_I is formed. By default it keeps the
-K_GG factor and takes loads of any kind (the optimizer's adjoint loads
-the exterior and obstacle, which are G); S_I is read off a throwaway
-factor of the whole fixed part with the interface last. A caller whose
-loads all vanish on G (the robustness sweep) asks instead to keep the
-interface responses X = K_GG^-1 K_GI, the static constraint modes of
-substructuring (Guyan 1965; Craig & Bampton 1968), from which S_I is
-formed; the factor is then freed, and x_G = K_GG^-1 b_G - X x_I needs
-no K_GG solve (:class:`Condensation`).
+A condensed factorization solves two loads: the zero load with the fixed
+values (a state) and a load with zero fixed values (an adjoint). Its
+condensation's mode decides how the interface Schur complement S_I is
+formed and which of the two it takes. By default it keeps the K_GG
+factor and takes both (the optimizer's adjoint loads the exterior and
+obstacle, which are G); S_I is read off a throwaway factor of the whole
+fixed part with the interface last. A caller that solves states alone
+(the robustness sweep) asks instead to keep the interface responses
+X = K_GG^-1 K_GI, the static constraint modes of substructuring (Guyan
+1965; Craig & Bampton 1968), from which S_I is formed; the factor is
+then freed, and x_G = K_GG^-1 b_G - X x_I needs no K_GG solve.
 
 A condensed solve is memory-bound (on the sweep's insert: X, 22 MB, the
 fixed operator and full-length vectors), so it reads each once. The
@@ -522,18 +523,15 @@ def element_mass(mesh: TriMesh, lumped: bool = False,
     return mesh.areas[elements][:, None, None] * local
 
 
-def assemble_diffusion(mesh: TriMesh, tensors: np.ndarray,
-                       constraints: Constraints | None = None,
+def assemble_diffusion(mesh: TriMesh, tensors: np.ndarray, constraints: Constraints,
                        elements=slice(None)) -> SparseSystem:
     """Diffusion operator of the selected elements of a mesh (default
     all), one tensor each, reduced onto constraints that only eliminate
-    nodes (default none); see :func:`assemble`."""
+    nodes; see :func:`assemble`."""
     tensors = np.asarray(tensors, dtype=float)
     if tensors.shape != (len(mesh.elements[elements]), 2, 2):
         raise ValueError("tensors must have shape (n_selected_elements, 2, 2)")
     _check_spd(tensors)
-    if constraints is None:
-        constraints = Constraints.none(mesh.n_nodes)
     return assemble(mesh, element_stiffness(mesh, tensors, elements), constraints, elements)
 
 
@@ -640,24 +638,23 @@ class Condensation:
     maps them back), so a refactorization neither assembles element
     matrices nor orders.
 
-    Every inhomogeneous solve of the zero load has the same load off R
-    (the varying elements' lift touches only R), so the build forms its
-    right-hand sides once: :attr:`zero_load` on the free DOFs, and
+    Every state has the same load off R (the varying elements' lift
+    touches only R), so the build forms its right-hand sides once:
+    :attr:`zero_load` (-R^T K g) on the free DOFs, and
     :attr:`zero_load_reduced` on the reduced ones, with G eliminated by
     the one K_GG solve y_G = K_GG^-1 b_G of that load (b_I - K_IG y_G).
     :attr:`i_reduced` places I among the reduced DOFs. Holds the fixed
-    system's :attr:`constraints`, operator (:attr:`fixed_matrix`, in CSR,
-    for the residual's mat-vec) and lift, those loads, the
+    system's :attr:`constraints` and operator (:attr:`fixed_matrix`, in
+    CSR, for the residual's mat-vec), those loads, the
     :attr:`varying_elements` and their assembly, but not the mesh. By
-    default it also holds the K_GG factor, for loads of any kind, and
-    reads S_I off a throwaway factor of K_FF (:func:`_interface_schur`).
+    default it also holds the K_GG factor, for an adjoint's load on G,
+    and reads S_I off a throwaway factor of K_FF (:func:`_interface_schur`).
     With ``keep_responses`` it forms S_I from the interface responses
     X = K_GG^-1 K_GI (:meth:`_solved_schur`), holds X instead
     (:attr:`responses`, on full rows: zero on I and R, filled once the
-    factor that solved X and y_G is freed). It keeps y_G on full rows as
-    well (:attr:`zero_load_x`). It then takes only loads that vanish on G, for
-    which K_GG^-1 b_G is y_G (or zero, for a homogeneous solve), and x_G
-    needs no K_GG solve (the robustness sweep's insert).
+    factor that solved X and y_G is freed) and y_G on full rows
+    (:attr:`zero_load_x`), and solves states alone, whose x_G needs no
+    K_GG solve (the robustness sweep's insert).
     """
 
     def __init__(self, mesh: TriMesh, fixed: SparseSystem, varying_elements: np.ndarray,
@@ -665,7 +662,6 @@ class Condensation:
         self.constraints = fixed.constraints
         self.varying_elements = varying_elements
         k = fixed.matrix
-        self.fixed_lift = fixed.lift
         dof = self.constraints.dof_of_node
         n = fixed.n_free
 
@@ -691,9 +687,8 @@ class Condensation:
                     if len(g) else None)
         if keep_responses:
             self.schur, blocks = self._solved_schur(k[i][:, i])
-        # the zero load with the fixed values, formed as CondensedFactorization.solve
-        # forms any other load, so even signed zeros match
-        self.zero_load = np.zeros(n) - self.fixed_lift
+        # the zero load with the fixed values, R^T (0 - K g)
+        self.zero_load = np.zeros(n) - fixed.lift
         y_g = self.solve_g(self.zero_load[g])
         self.zero_load_x = None
         if keep_responses:
@@ -814,17 +809,17 @@ def _interface_schur(k: sp.csc_matrix, g: np.ndarray, i: np.ndarray) -> sp.csc_m
 class CondensedFactorization:
     """A condensed system factored for one varying part.
 
-    Same contract as :class:`Factorization`: ``solve(rhs_full,
-    homogeneous)`` makes one reduced solve and checks the relative
-    residual on the full system (K_fixed + K_varying) x = b, on the x it
-    returns. With the K_GG factor kept it also makes two K_GG solves, one
-    for y_G = K_GG^-1 b_G (none for the zero load with the fixed values,
-    whose right-hand sides the condensation formed at its build) and one
-    for x_G = K_GG^-1 (b_G - K_GI x_I). With the responses kept instead it
-    makes none: the load must vanish on G (else ``ValueError``, before any
-    solve), y_G is the build's or zero, and x = y - X x_I on full rows,
-    with the reduced solution written over I and R. ``varying`` is the
-    varying elements' operator alone, on the reduced DOFs; the reduced
+    It solves two loads, one path each, by one reduced solve, and checks
+    the relative residual on the full system (K_fixed + K_varying) x = b,
+    on the x it returns. ``solve()`` is the zero load with the fixed
+    values (a state), from the right-hand sides its condensation formed
+    at the build; x_G takes one K_GG solve, x_G = K_GG^-1 (b_G - K_GI x_I),
+    or none with the responses kept, x = y - X x_I on full rows with the
+    reduced solution written over I and R. ``solve(load, homogeneous=True)``
+    is a load with zero fixed values (an adjoint), on a condensation that
+    keeps its K_GG factor; it takes one more K_GG solve, y_G = K_GG^-1 b_G.
+    Any other call raises ``ValueError`` before any solve. ``varying`` is
+    the varying elements' operator alone, on the reduced DOFs; the reduced
     system factored adds the condensed fixed block to its data, in the
     given order.
     """
@@ -838,32 +833,26 @@ class CondensedFactorization:
 
     def solve(self, rhs_full: np.ndarray | None = None,
               homogeneous: bool = False) -> np.ndarray:
-        """Solve for the given full-size nodal load (``None``: zero);
-        ``homogeneous`` as in :meth:`Factorization.solve`."""
+        """The state (no arguments) or an adjoint (its nodal load, with
+        ``homogeneous``); see the class."""
         c = self.condensation
         reduced, i = c.reduced_dofs, c.i_reduced
-        vlift = self.varying.lift
         if rhs_full is None and not homogeneous:        # the zero load, formed at the build
+            vlift = self.varying.lift
             b = c.zero_load.copy()
             b[reduced] -= vlift
             # vlift is zero on I, so it commutes with the build's I-correction
             b_reduced = c.zero_load_reduced - vlift
-            y = c.zero_load_x
-        else:
-            b = np.zeros(len(c.fixed_lift)) if rhs_full is None else c.constraints.restrict(
-                rhs_full)
-            if c.responses is not None and rhs_full is not None and b[c.g].any():
-                raise ValueError("this condensation keeps no K_GG factor, only its interface "
-                                 "responses: it takes loads that vanish on the fixed block G")
-            if not homogeneous:
-                b -= c.fixed_lift
-                b[reduced] -= vlift
-            if c.responses is None:
-                y_g = c.solve_g(b[c.g])
-            else:       # the load vanishes on G: b_G is zero, or the zero load's
-                y = np.zeros(len(b)) if homogeneous else c.zero_load_x
-                y_g = y[c.g]
-            # eliminate G from the load
+        elif rhs_full is None or not homogeneous:
+            raise ValueError("a condensed factorization solves the zero load with the fixed "
+                             "values, solve(), or a load with zero fixed values, "
+                             "solve(load, homogeneous=True)")
+        elif c.responses is not None:
+            raise ValueError("this condensation keeps no K_GG factor, only its interface "
+                             "responses: it solves the zero load alone")
+        else:       # eliminate G from the load
+            b = c.constraints.restrict(rhs_full)
+            y_g = c.solve_g(b[c.g])
             b_reduced = b[reduced]
             b_reduced[i] -= c.k_ig @ y_g
         # solve the reduced system for x_I and x_R, then recover x_G
@@ -873,7 +862,7 @@ class CondensedFactorization:
             x[c.g] = c.solve_g(b[c.g] - c.k_ig.T @ z[i])
         else:
             x = c.responses @ z[i]
-            np.subtract(y, x, out=x)
+            np.subtract(c.zero_load_x, x, out=x)
         x[reduced] = z
 
         residual = c.fixed_matrix @ x

@@ -69,13 +69,17 @@ def initialize(mesh: TriMesh, pattern, cell_index: int = 0, d: float = 0.2) -> L
     ``pattern`` is one of ``("disk", radius)`` for a centred minority-phase
     disk (negative inside), ``("uniform", sign)``, or ``("file", path)``
     to reload a checkpoint written by :func:`write_phi_csv` (see
-    :func:`read_phi_field`).
+    :func:`read_phi_field`). The disk is mirrored exactly
+    (:func:`mirror_nodes`), as rounding alone leaves it only at some
+    resolutions: each node takes the larger of its value and its mirror
+    node's.
     """
     kind = pattern[0]
     if kind == "disk":
         radius = float(pattern[1])
         dist = np.hypot(mesh.nodes[:, 0] - 0.5, mesh.nodes[:, 1] - 0.5)
         phi = np.clip((dist - radius) / _DISK_PROFILE_WIDTH, -1.0, 1.0)
+        phi = np.maximum(phi, phi[mirror_nodes(mesh)])
     elif kind == "uniform":
         phi = np.full(mesh.n_nodes, float(np.sign(pattern[1]) or 1.0))
     elif kind == "file":

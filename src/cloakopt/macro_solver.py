@@ -143,12 +143,11 @@ def condensed_conduction(mesh: TriMesh, tensors: np.ndarray, varying: np.ndarray
     whose own tensors are left out (see :class:`fem.Condensation`). Every
     tensor must be SPD, as :func:`fem.assemble_diffusion` requires.
     ``keep_responses`` picks the condensation's mode. Without it the
-    condensation keeps the fixed block's factor, for loads of any kind,
-    and reads S_I off a throwaway factor; the optimizer's adjoint loads
-    the fixed block, so its state operator takes this mode. With it the
-    condensation forms S_I from its interface responses and keeps them
-    in place of the factor, for callers whose loads all vanish off the
-    varying elements (the robustness sweep)."""
+    condensation keeps the fixed block's factor, for the state and the
+    adjoint, which loads the fixed block, and reads S_I off a throwaway
+    factor (the optimizer's state operator). With it the condensation
+    forms S_I from its interface responses, keeps them in place of the
+    factor and solves the state alone (the robustness sweep)."""
     fem._check_spd(tensors)
     ke = fem.element_stiffness(mesh, tensors)
     ke[varying] = 0.0

@@ -36,15 +36,18 @@ def free(mesh):
 
 def test_stiffness_row_sums_vanish():
     mesh = unit_square_mesh()
-    k = fem.assemble_diffusion(mesh, fem.isotropic_tensors(np.full(mesh.n_elements, 3.0))).matrix
+    k = fem.assemble_diffusion(mesh, fem.isotropic_tensors(np.full(mesh.n_elements, 3.0)),
+                                free(mesh)).matrix
     rows = np.asarray(abs(k @ np.ones(mesh.n_nodes))).ravel()
     assert rows.max() < 1e-12
 
 
 def test_uniform_scaling_linearity():
     mesh = unit_square_mesh()
-    k1 = fem.assemble_diffusion(mesh, fem.isotropic_tensors(np.ones(mesh.n_elements))).matrix
-    k5 = fem.assemble_diffusion(mesh, fem.isotropic_tensors(np.full(mesh.n_elements, 5.0))).matrix
+    k1 = fem.assemble_diffusion(mesh, fem.isotropic_tensors(np.ones(mesh.n_elements)),
+                                 free(mesh)).matrix
+    k5 = fem.assemble_diffusion(mesh, fem.isotropic_tensors(np.full(mesh.n_elements, 5.0)),
+                                 free(mesh)).matrix
     assert abs(k5 - 5.0 * k1).max() < 1e-12
 
 
@@ -52,7 +55,7 @@ def test_single_right_triangle_identity_tensor():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     mesh = TriMesh(nodes=nodes, elements=np.array([[0, 1, 2]], dtype=np.int32),
                    element_region=np.zeros(1, dtype=np.int16), boundary_edges={})
-    k = fem.assemble_diffusion(mesh, fem.isotropic_tensors([1.0])).matrix.toarray()
+    k = fem.assemble_diffusion(mesh, fem.isotropic_tensors([1.0]), free(mesh)).matrix.toarray()
     assert np.abs(k.sum(axis=0)).max() < 1e-14
     assert np.abs(k.sum(axis=1)).max() < 1e-14
     expected = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
@@ -64,7 +67,7 @@ def test_non_spd_tensor_rejected():
     tensors = fem.isotropic_tensors(np.ones(mesh.n_elements))
     tensors[3] = np.array([[1.0, 2.0], [2.0, 1.0]])   # indefinite
     with pytest.raises(ValueError, match="SPD"):
-        fem.assemble_diffusion(mesh, tensors)
+        fem.assemble_diffusion(mesh, tensors, free(mesh))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -73,7 +76,7 @@ def test_non_finite_tensor_rejected(value):
     tensors = fem.isotropic_tensors(np.ones(mesh.n_elements))
     tensors[5, 0, 0] = value
     with pytest.raises(ValueError, match="element 5: conductivity tensor is not finite"):
-        fem.assemble_diffusion(mesh, tensors)
+        fem.assemble_diffusion(mesh, tensors, free(mesh))
 
 
 def patch_solution(mesh):

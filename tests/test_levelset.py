@@ -14,6 +14,7 @@ from cloakopt.geometry import (MacroGeometry, UnitCellGeometry, build_cell_mesh,
 from cloakopt.levelset import (LevelSetField, ReactionDiffusionUpdater,
                                characteristic, initialize, mirror_nodes, read_phi_csv,
                                read_phi_field, write_phi_csv)
+from cloakopt.validation import _mirrored
 from conftest import SlotTable
 
 
@@ -60,6 +61,24 @@ def test_initialize_disk(cell_mesh_32):
     np.testing.assert_array_equal(f.phi[m], f.phi[s])
 
 
+@pytest.mark.parametrize("n", [16, 18, 20, 32, 48, 64, 100])
+def test_disk_seed_is_mirrored_at_every_resolution(n):
+    """Eight disk seeds tile as a mirrored design at every resolution, and
+    where rounding alone mirrors the clipped distance profile (16, 32 and
+    64) the seed is that profile, bit for bit."""
+    mesh = build_cell_mesh(UnitCellGeometry(n))
+    seeds = [initialize(mesh, ("disk", 0.25), cell_index=l) for l in range(1, 9)]
+    assert _mirrored(seeds)
+    m, s = mesh.periodic_pairs.T
+    np.testing.assert_array_equal(seeds[0].phi[m], seeds[0].phi[s])
+    profile = np.clip((np.hypot(mesh.nodes[:, 0] - 0.5, mesh.nodes[:, 1] - 0.5) - 0.25) / 0.1,
+                      -1.0, 1.0)
+    if n in (16, 32, 64):
+        assert seeds[0].phi.tobytes() == profile.tobytes()
+    else:
+        assert np.abs(seeds[0].phi - profile).max() <= 1e-14
+
+
 def test_initialize_uniform(cell_mesh_32):
     f = initialize(cell_mesh_32, ("uniform", 1.0))
     assert np.all(f.chi_nodes() == 1.0)
@@ -84,7 +103,8 @@ def test_update_pure_diffusion_contracts(cell_mesh_32):
     stepper = ReactionDiffusionUpdater(cell_mesh_32, k_phi=1.5, tau=0.05)
     phi = f.phi.copy()
     a = fem.assemble_diffusion(
-        cell_mesh_32, fem.isotropic_tensors(np.ones(cell_mesh_32.n_elements))).matrix
+        cell_mesh_32, fem.isotropic_tensors(np.ones(cell_mesh_32.n_elements)),
+        fem.Constraints.none(cell_mesh_32.n_nodes)).matrix
     prev_max = np.abs(phi).max()
     prev_energy = phi @ (a @ phi)
     for _ in range(5):

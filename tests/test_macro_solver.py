@@ -104,7 +104,7 @@ def test_mesh_table_operators_match_per_region_and_per_constraint_tables(
     condensed = ms.condensed_conduction(mesh, tensors, ring, bc)
     ke[ring] = 0.0
     assert_identical(condensed.fixed_matrix, reference.matrix(ke).tocsr())
-    np.testing.assert_array_equal(condensed.fixed_lift, reference.lift(ke))
+    np.testing.assert_array_equal(condensed.zero_load, -reference.lift(ke))
 
 
 @pytest.mark.parametrize("bc", [BoundaryData(0.0, 1.0), BoundaryData(0.2, 1.5)])
@@ -390,7 +390,7 @@ def test_ring_of_a_wide_plate_keeps_its_factor_for_loads_on_the_fixed_block(monk
     reads S_I off a throwaway factor and keeps the K_GG factor (the
     condensation's mode decides, not the interface's size): the adjoint's
     load on the exterior and obstacle (G) solves as the direct
-    factorization does."""
+    factorization's homogeneous solve does."""
     geometry = MacroGeometry(lx=20.0, ly=32.0, r_ring=1.35, r_obstacle=0.4)
     mesh = build_macro_mesh(geometry, 0.25, half=True)
     read = []
@@ -407,17 +407,14 @@ def test_ring_of_a_wide_plate_keeps_its_factor_for_loads_on_the_fixed_block(monk
     load = ms.adjoint_load(mesh, {"j1": 0.3, "j2": 0.7}, state,
                            ms.reference_field(mesh, bc))
     assert c.constraints.restrict(load)[c.g].any()
-    for homogeneous in (True, False):
-        want = direct.solve(load, homogeneous=homogeneous)
-        got = condensed.solve(load, homogeneous=homogeneous)
-        assert relative_difference(got, want) <= 1e-12
+    want = direct.solve(load, homogeneous=True)
+    assert relative_difference(condensed.solve(load, homogeneous=True), want) <= 1e-12
 
 
 def test_system_load_reuses_its_fixed_block_solve(paper_geometry, monkeypatch):
     """The condensation solves K_GG for the zero load once, at its build.
-    Each state solve then makes 1 K_GG solve and each adjoint solve 2,
-    and the state solve of every varying part is bit-identical to one
-    that solves that b_G afresh (an explicit zero load)."""
+    Each state solve of every varying part then makes 1 K_GG solve and
+    each adjoint solve 2."""
     mesh = build_macro_mesh(paper_geometry, 0.25)     # its own cache: the build is seen
     calls = []
     solve_g = fem.Condensation.solve_g
@@ -426,18 +423,16 @@ def test_system_load_reuses_its_fixed_block_solve(paper_geometry, monkeypatch):
     matmap, bc = anisotropic_map(), BoundaryData(0.5, 2.0)
     condensation = ms.state_factorization(mesh, matmap, bc).condensation
     assert len(calls) == 1          # the ring reads S_I off a throwaway factor
-    zero, load = np.zeros(mesh.n_nodes), np.ones(mesh.n_nodes)
+    load = np.ones(mesh.n_nodes)
     for scale in (1.0, 1.5):
         matmap.sector_tensors = [scale * t for t in anisotropic_map().sector_tensors]
         fact = ms.state_factorization(mesh, matmap, bc)
         assert fact.condensation is condensation
         calls.clear()
-        state = fact.solve()
+        fact.solve()
         assert len(calls) == 1
-        assert np.array_equal(state, fact.solve(zero))
-        assert len(calls) == 3
         fact.solve(load, homogeneous=True)
-        assert len(calls) == 5
+        assert len(calls) == 3
 
 
 def test_corrupted_reduced_system_fails_the_full_residual(paper_geometry):
@@ -466,16 +461,45 @@ def ring_condensation(mesh, keep_responses):
 def test_the_zero_load_formed_at_the_build_is_an_explicit_zero_load(mesh_name, keep_responses,
                                                                   request):
     """The zero load's full and reduced right-hand sides, formed once at
-    the build, solve as an explicit zero load does, bit for bit, in both
-    modes and for two varying parts: on the macro ring, and on a ring
-    that covers the domain, whose fixed edges lift its varying block."""
+    the build, solve as an explicit zero load on a direct factorization of
+    the same operator does, in both modes and for two varying parts: on
+    the macro ring, and on a ring that covers the domain, whose fixed
+    edges lift its varying block."""
     mesh = request.getfixturevalue(mesh_name)
     c, tensors = ring_condensation(mesh, keep_responses)
     assert (c.responses is not None) == keep_responses and len(c.g) and len(c.i)
+    whole = anisotropic_map().element_tensors(mesh)
     for scale in (1.0, 1.5):
         fact = c.factor(scale * tensors)
         assert fact.varying.lift.any() == (mesh_name == "oversize_mesh")
-        assert np.array_equal(fact.solve(), fact.solve(np.zeros(mesh.n_nodes)))
+        whole[c.varying_elements] = scale * tensors
+        direct = fem.Factorization(ms.conduction_system(mesh, whole, BoundaryData(0.5, 2.0)))
+        assert relative_difference(fact.solve(), direct.solve(np.zeros(mesh.n_nodes))) <= 1e-12
+
+
+@pytest.mark.parametrize("keep_responses", [False, True])
+def test_a_condensed_factorization_refuses_other_loads_before_solving(coarse_macro_mesh,
+                                                                      keep_responses,
+                                                                      monkeypatch):
+    """A condensed factorization solves the zero load with the fixed values
+    and, keeping its K_GG factor, a load with zero fixed values; every
+    other call raises before any reduced or fixed-block solve."""
+    c, tensors = ring_condensation(coarse_macro_mesh, keep_responses)
+    fact = c.factor(tensors)
+    calls = []
+    solve_free, solve_g = fem.Factorization.solve_free, fem.Condensation.solve_g
+    monkeypatch.setattr(fem.Factorization, "solve_free",
+                        lambda self, b: calls.append("free") or solve_free(self, b))
+    monkeypatch.setattr(fem.Condensation, "solve_g",
+                        lambda self, b: calls.append("g") or solve_g(self, b))
+    load = np.linspace(-1.0, 1.0, coarse_macro_mesh.n_nodes)
+    refused = [(load, False), (None, True)] + [(load, True)] * keep_responses
+    for rhs_full, homogeneous in refused:
+        with pytest.raises(ValueError, match="solves the zero load"):
+            fact.solve(rhs_full, homogeneous)
+    assert calls == []
+    fact.solve()
+    assert calls
 
 
 @pytest.mark.parametrize("keep_responses", [False, True])

@@ -234,9 +234,10 @@ def test_sweep_angles_make_no_fixed_block_solve(paper_geometry, cell_mesh, monke
 
 
 def test_insert_condensation_refuses_a_load_on_its_fixed_block(paper_geometry, cell_mesh):
-    """With its K_GG factor freed, an insert condensation solves loads
-    that vanish on G, as the direct solve does, and refuses any other
-    before solving; ``solve_g`` raises instead of returning its input."""
+    """With its K_GG factor freed, an insert condensation solves the
+    zero load, as the direct solve does, and refuses every load before
+    solving, homogeneous or not, even one that vanishes on G; ``solve_g``
+    raises instead of returning its input."""
     spec = make_spec(paper_geometry, cell_mesh, epsilon0=0.5)
     mesh = val.fine_mesh(spec)
     obstacle = val.ObstacleSpec(45.0, PDMS)
@@ -249,15 +250,14 @@ def test_insert_condensation_refuses_a_load_on_its_fixed_block(paper_geometry, c
     node_of[c.constraints.dof_of_node[free]] = free
     on_insert = np.zeros(mesh.n_nodes)
     on_insert[node_of[c.reduced_dofs]] = np.linspace(1.0, 2.0, len(c.reduced_dofs))
-    for homogeneous in (False, True):
-        want = direct.solve(on_insert, homogeneous=homogeneous)
-        got = fact.solve(on_insert, homogeneous=homogeneous)
-        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+    want = direct.solve()
+    assert np.abs(fact.solve() - want).max() <= 1e-10 * np.abs(want).max()
     on_g = on_insert.copy()
     on_g[node_of[c.g[len(c.g) // 2]]] = 1.0
-    for homogeneous in (False, True):
-        with pytest.raises(ValueError, match="vanish on the fixed block"):
-            fact.solve(on_g, homogeneous=homogeneous)
+    for load in (on_insert, on_g):
+        for homogeneous in (False, True):
+            with pytest.raises(ValueError, match="solves the zero load"):
+                fact.solve(load, homogeneous=homogeneous)
     with pytest.raises(ValueError, match="factor is freed"):
         c.solve_g(np.ones(len(c.g)))
 
