@@ -55,9 +55,15 @@ K_GG in that numbering too. Every factorization also uses one supernode
 setting, :data:`SUPERNODE_RELAX` and :data:`PANEL_SIZE`: scipy's defaults (relax
 10, panel 20) pad the short supernodes of these 2D P1 operators with
 explicit zeros that cost more than their dense kernels save. Relax 1 and
-panel 4 factor the resolution-64 cell and the macro ring ~20% faster,
-the eps0 = 1/9 fine operator 12-20% and the fixed blocks of a
-condensation 15-35%.
+single-column panels factor every kind at least as fast as panel 4, with
+the same fill and solve time (``BENCH_iterkernels.json``; interleaved
+``splu`` medians on a 2-core Xeon VM, one BLAS thread): the cell at
+resolution 32 (1,023 DOFs) 0.98 -> 0.84 ms and at 64 (4,095) 5.63 ->
+5.30 ms, the macro ring's reduced [S_I, ring] (5,601) 7.03 -> 6.51 ms,
+the macro K_GG (35,262) 65.4 -> 56.0 ms and its throwaway K_FF 73.0 ->
+70.0 ms, the half fine mesh at eps0 = 1/9 (51,731) 114 -> 110 ms; the
+sweep's K_GG (103,587) is within this VM's noise (293 -> 287 ms in
+a 25-round pass).
 
 Most solves factor the whole reduced operator (:class:`Factorization`).
 The exception is an operator refactored many times with only a fixed
@@ -114,7 +120,7 @@ from .geometry import TriMesh
 SOLVE_RTOL = 1e-10
 ORDERING = "MMD_AT_PLUS_A"       # symmetric fill-reducing ordering for SPD operators
 SUPERNODE_RELAX = 1              # columns of a relaxed supernode at the tree's leaves
-PANEL_SIZE = 4                   # columns factored together as one panel
+PANEL_SIZE = 1                   # columns factored together as one panel
 RESPONSE_BLOCK = 2               # interface responses per multi-RHS solve of a fixed block
 
 _LUMPED_MASS = np.eye(3) / 3.0

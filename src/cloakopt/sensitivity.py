@@ -25,6 +25,7 @@ per cell (:func:`combined_sensitivity`).
 from __future__ import annotations
 
 import logging
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,18 +45,18 @@ def sector_sensitivities(mesh: TriMesh, state: np.ndarray,
     (x) grad v over its elements; shape (8, 2, 2), or (4, 2, 2) for sectors
     1-4 of a ``mirror_half`` mesh, sector l at index l - 1.
 
-    The gradients are taken on the design ring's elements alone, whose
-    per-sector indices are cached on the mesh. Only the symmetric part is
-    identifiable since K* is symmetric; the off-diagonal entry is the
-    derivative along half of a symmetric (1,2)+(2,1) perturbation.
+    The gradients are taken on the design ring's elements alone, through
+    their gradient operator, areas and sector slices cached on the mesh
+    (:class:`RingGradients`). Only the symmetric part is identifiable since
+    K* is symmetric; the off-diagonal entry is the derivative along half of
+    a symmetric (1,2)+(2,1) perturbation.
     """
-    ring, sectors = fem.cached(mesh, "sector elements", lambda: _sector_elements(mesh))
-    gt = mesh.element_gradient(state, ring)
-    gv = mesh.element_gradient(adjoint, ring)
-    a = mesh.areas[ring]
-    out = np.empty((len(sectors), 2, 2))
-    for k, e in enumerate(sectors):
-        s = -np.einsum("e,ei,ej->ij", a[e], gt[e], gv[e])
+    ring = fem.cached(mesh, "ring gradients", lambda: RingGradients.build(mesh))
+    gt = (ring.gradient @ state).reshape(-1, 2)
+    gv = (ring.gradient @ adjoint).reshape(-1, 2)
+    out = np.empty((len(ring.sectors), 2, 2))
+    for k, e in enumerate(ring.sectors):
+        s = -np.einsum("e,ei,ej->ij", ring.areas[e], gt[e], gv[e])
         out[k] = 0.5 * (s + s.T)
     return out
 
@@ -64,13 +65,38 @@ def sector_sensitivities(mesh: TriMesh, state: np.ndarray,
 tensor_sensitivity = sector_sensitivities
 
 
-def _sector_elements(mesh: TriMesh) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The design ring's elements, ascending, and each sector's positions
-    among them."""
-    region = mesh.element_region
-    last = SECTOR_LAST // 2 if mesh.mirror_half else SECTOR_LAST
-    ring = np.flatnonzero((region >= SECTOR_FIRST) & (region <= last))
-    return ring, [np.flatnonzero(region[ring] == l) for l in range(SECTOR_FIRST, last + 1)]
+@dataclass(frozen=True)
+class RingGradients:
+    """The design ring's elements in sector order, each sector's ascending,
+    so that sector l is the one contiguous slice ``sectors[l - 1]`` of the
+    rows of :func:`gradient_operator` and of ``areas``."""
+
+    gradient: sp.csr_matrix
+    areas: np.ndarray
+    sectors: list[slice]
+
+    @classmethod
+    def build(cls, mesh: TriMesh) -> RingGradients:
+        region = mesh.element_region
+        last = SECTOR_LAST // 2 if mesh.mirror_half else SECTOR_LAST
+        per_sector = [np.flatnonzero(region == l) for l in range(SECTOR_FIRST, last + 1)]
+        ring = np.concatenate(per_sector)
+        ends = np.cumsum([len(e) for e in per_sector])
+        return cls(gradient_operator(mesh, ring), mesh.areas[ring],
+                   [slice(end - len(e), end) for e, end in zip(per_sector, ends)])
+
+
+def gradient_operator(mesh: TriMesh, elements=slice(None)) -> sp.csr_matrix:
+    """Sparse (2 n, n_nodes) operator of a nodal field's gradient on the n
+    selected elements (default all): row 2e + k is component k on the e-th.
+    Each row holds its element's three nodes in their local order, the
+    order in which :meth:`TriMesh.element_gradient` sums them, so the
+    product is that method's bit for bit."""
+    grads, nodes = mesh.grads[elements], mesh.elements[elements]
+    rows = 2 * len(nodes)
+    return sp.csr_matrix((grads.transpose(0, 2, 1).ravel(),
+                          np.repeat(nodes, 2, axis=0).ravel(),
+                          np.arange(0, 3 * rows + 1, 3)), shape=(rows, mesh.n_nodes))
 
 
 def insertion_prefactor(k_host: float, k_insert: float) -> float:
@@ -81,14 +107,15 @@ def insertion_prefactor(k_host: float, k_insert: float) -> float:
 def topological_tensor_fields(mesh: TriMesh, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
     """Nodal (e_i + grad w_i).(e_j + grad w_j), shape (n_nodes, 2, 2), from
     the correctors' nodal values: the field that each insertion derivative
-    of K* scales by its :func:`insertion_prefactor`. Element values are
-    averaged to nodes by area, accumulated on periodic masters so paired
-    boundary nodes agree exactly."""
-    e1 = mesh.element_gradient(w1) + (1.0, 0.0)
-    e2 = mesh.element_gradient(w2) + (0.0, 1.0)
-    outer = np.column_stack([np.einsum("ei,ei->e", e1, e1),
-                             np.einsum("ei,ei->e", e1, e2),
-                             np.einsum("ei,ei->e", e2, e2)])
+    of K* scales by its :func:`insertion_prefactor`. Both correctors'
+    element gradients come from one operator cached on the mesh
+    (:func:`gradient_operator`). Element values are averaged to nodes by
+    area, accumulated on periodic masters so paired boundary nodes agree
+    exactly."""
+    gradient = fem.cached(mesh, "gradient operator", lambda: gradient_operator(mesh))
+    x1, y1 = ((gradient @ w1).reshape(-1, 2) + (1.0, 0.0)).T     # e_1 + grad w_1
+    x2, y2 = ((gradient @ w2).reshape(-1, 2) + (0.0, 1.0)).T     # e_2 + grad w_2
+    outer = np.column_stack([x1 * x1 + y1 * y1, x1 * x2 + y1 * y2, x2 * x2 + y2 * y2])
     # the 3 distinct components are averaged, then laid out as 2x2 tensors
     return _average_to_nodes(mesh, outer)[:, [0, 1, 1, 2]].reshape(mesh.n_nodes, 2, 2)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from cloakopt import fem, levelset, optimizer
+from cloakopt import fem, levelset, optimizer, sensitivity
 from cloakopt.geometry import TriMesh, UnitCellGeometry, build_cell_mesh
 from cloakopt.homogenization import (CellMaterialField, EffectiveTensor, cell_loads,
                                      cell_system, diagonalize, element_conductivity,
@@ -290,7 +290,8 @@ def test_homogenize_factors_once_solves_twice_and_takes_no_gradient(cell_mesh_32
 def test_a_step_takes_corrector_gradients_of_the_design_cells_only(paper_geometry,
                                                                    monkeypatch):
     """An evaluation takes no corrector gradient; each step takes one of
-    each corrector of cells 1-4, and none of cells 5-8."""
+    each corrector of cells 1-4, and none of cells 5-8, through the cell
+    mesh's cached gradient operator or any per-element gradient."""
     ws = optimizer.Workspace(optimizer.Scenario(
         geometry=paper_geometry, k_cell_a=COPPER, k_cell_b=PDMS, k_exterior=STEEL, k_obstacle=COPPER,
         macro_h=0.25, cell_resolution=16))
@@ -302,7 +303,17 @@ def test_a_step_takes_corrector_gradients_of_the_design_cells_only(paper_geometr
             taken.append(values)
         return gradient(self, values, *args, **kwargs)
 
+    class RecordedOperator:
+        def __init__(self, operator):
+            self.operator = operator
+
+        def __matmul__(self, values):
+            taken.append(values)
+            return self.operator @ values
+
     monkeypatch.setattr(TriMesh, "element_gradient", recorded)
+    ws.cell_mesh.cache["gradient operator"] = RecordedOperator(
+        sensitivity.gradient_operator(ws.cell_mesh))
     for iteration in (1, 2):
         ev = optimizer.evaluate(ws, phis, 0.2)
         assert len(ev.cells) == 8 and taken == []

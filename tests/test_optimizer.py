@@ -459,10 +459,12 @@ def test_iterations_neither_order_nor_assemble_the_ring_again(monkeypatch):
     """Over a 4-iteration run: orderings come only from the first
     homogenization (the cell template) and the condensation's build,
     nothing assembles the ring through assemble_diffusion, and no
-    gradient is taken over all of the macro mesh's elements."""
+    gradient is taken over all of the macro mesh's elements: no
+    per-element gradient at all, and one gradient operator, on the ring."""
     building, iteration, orders, assembled, gradients = [], [0], [], [], []
     order, evaluate_ = fem.minimum_degree_order, optimizer.evaluate
     gradient, assemble = TriMesh.element_gradient, fem.assemble_diffusion
+    operator = sensitivity.gradient_operator
 
     class BuildingCondensation(fem.Condensation):
         def __init__(self, *args):
@@ -480,6 +482,12 @@ def test_iterations_neither_order_nor_assemble_the_ring_again(monkeypatch):
             gradients.append((len(out), self.n_elements))
         return out
 
+    def recorded_operator(mesh, elements=slice(None)):
+        out = operator(mesh, elements)
+        if mesh.element_region.max() > 0:
+            gradients.append((out.shape[0] // 2, mesh.n_elements))
+        return out
+
     monkeypatch.setattr(fem, "Condensation", BuildingCondensation)
     monkeypatch.setattr(fem, "minimum_degree_order",
                         lambda m: orders.append((iteration[0], bool(building))) or order(m))
@@ -487,11 +495,43 @@ def test_iterations_neither_order_nor_assemble_the_ring_again(monkeypatch):
                         lambda *a, **kw: assembled.append(1) or assemble(*a, **kw))
     monkeypatch.setattr(optimizer, "evaluate", counted_evaluate)
     monkeypatch.setattr(TriMesh, "element_gradient", recorded_gradient)
+    monkeypatch.setattr(sensitivity, "gradient_operator", recorded_operator)
     run(tiny_scenario(max_iter=4))
     assert iteration[0] == 4
     assert sorted(orders) == [(1, False), (1, True), (1, True)]   # cell; K_GG and ring
     assert assembled == []
-    assert len(gradients) == 2 * 3 and all(n < total for n, total in gradients)
+    assert len(gradients) == 1 and all(n < total for n, total in gradients)
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_a_run_builds_each_gradient_structure_once_per_mesh(monkeypatch, threads):
+    """Over a 4-iteration run, 3 of them stepped: the ring's gradient
+    structure is built once, on the macro mesh, and each mesh's gradient
+    operator once, the cell's shared by every cell step, also when the
+    cells step in threads."""
+    built, operators = [], []
+    build, operator = sensitivity.RingGradients.build.__func__, sensitivity.gradient_operator
+
+    def recorded_build(cls, mesh):
+        built.append(mesh)
+        return build(cls, mesh)
+
+    monkeypatch.setattr(sensitivity.RingGradients, "build", classmethod(recorded_build))
+    monkeypatch.setattr(sensitivity, "gradient_operator",
+                        lambda mesh, *a: operators.append(mesh) or operator(mesh, *a))
+    contractions, fields = [], []
+    sector_sensitivities = sensitivity.sector_sensitivities
+    topological = sensitivity.topological_tensor_fields
+    monkeypatch.setattr(sensitivity, "sector_sensitivities",
+                        lambda *a: contractions.append(a[0]) or sector_sensitivities(*a))
+    monkeypatch.setattr(sensitivity, "topological_tensor_fields",
+                        lambda *a: fields.append(a[0]) or topological(*a))
+    run(tiny_scenario(max_iter=4), threads=threads)
+    macro, cell = contractions[0], fields[0]
+    assert len(contractions) == 3 and len(fields) == 3 * 4
+    assert built == [macro]
+    assert sorted(map(id, operators)) == sorted([id(macro), id(cell)])
+    assert {id(m) for m in contractions} == {id(macro)} and {id(m) for m in fields} == {id(cell)}
 
 
 def test_evaluated_meshes_freed_without_the_cycle_collector():

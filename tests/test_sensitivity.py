@@ -183,7 +183,9 @@ def test_sensitivity_linear_in_adjoint(fd_setup):
 
 def test_sector_sensitivities_equal_the_masked_contraction(macro_mesh, monkeypatch):
     """Bit for bit the per-sector contraction of full-mesh gradients,
-    while no gradient is taken over the whole mesh."""
+    while no gradient is taken over the whole mesh: the contraction calls
+    no per-element gradient, and the operator it reads has one row pair
+    per ring element, sector by sector."""
     rng = np.random.default_rng(5)
     temp, adjoint = (rng.normal(size=macro_mesh.n_nodes) for _ in range(2))
     want = []
@@ -202,8 +204,13 @@ def test_sector_sensitivities_equal_the_masked_contraction(macro_mesh, monkeypat
     got = sens.sector_sensitivities(macro_mesh, temp, adjoint)
     assert got.shape == (8, 2, 2)
     np.testing.assert_array_equal(got, np.array(want))
-    ring = (macro_mesh.element_region >= 1) & (macro_mesh.element_region <= 8)
-    assert sizes == [ring.sum()] * 2
+    assert sizes == []
+    ring = macro_mesh.cache["ring gradients"]
+    counts = [macro_mesh.region_mask(l).sum() for l in range(1, 9)]
+    assert ring.gradient.shape == (2 * sum(counts), macro_mesh.n_nodes)
+    assert sum(counts) < macro_mesh.n_elements
+    assert [(e.start, e.stop) for e in ring.sectors] == list(zip(
+        np.cumsum([0, *counts[:-1]]), np.cumsum(counts)))
 
 
 def test_insertion_prefactors_published_values():
@@ -218,6 +225,23 @@ def test_topological_fields_homogeneous_cell(cell_mesh_32):
     insertion = sens.topological_tensor_fields(cell_mesh_32, w1, w2)
     np.testing.assert_allclose(insertion, np.broadcast_to(np.eye(2), insertion.shape),
                                atol=1e-9)
+
+
+@pytest.mark.parametrize("resolution", [16, 32, 64])
+def test_topological_fields_equal_the_per_element_einsum_form(resolution):
+    """The cached gradient operator's field equals the one formed from
+    element_gradient and einsum, to 1e-14 of its largest entry."""
+    mesh = build_cell_mesh(UnitCellGeometry(resolution))
+    c = mesh.centroids
+    chi = np.clip(0.5 + 0.5 * np.sin(2 * np.pi * c[:, 0]) * np.cos(2 * np.pi * c[:, 1]), 0, 1)
+    _, w1, w2 = homogenize(mesh, CellMaterialField(chi=chi, k_a=COPPER, k_b=PDMS))
+    e1 = mesh.element_gradient(w1) + (1.0, 0.0)
+    e2 = mesh.element_gradient(w2) + (0.0, 1.0)
+    outer = np.stack([np.einsum("ei,ei->e", a, b) for a, b in ((e1, e1), (e1, e2), (e2, e2))])
+    want = np.stack([sens._average_to_nodes(mesh, v) for v in outer], axis=-1)
+    want = want[:, [0, 1, 1, 2]].reshape(mesh.n_nodes, 2, 2)
+    got = sens.topological_tensor_fields(mesh, w1, w2)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_topological_fields_periodic_consistency(cell_mesh_32):

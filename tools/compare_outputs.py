@@ -24,7 +24,9 @@ a subprocess on one BLAS thread, with ``src/`` of the tree under test on
 Prints one SHA-256 per output and exits 1 if any differs. If the sweep's
 J1 values or the disk seed's J1, J2 or temperature differ, it also prints
 their largest relative change (the temperature's against its largest
-magnitude), so a re-draw at roundoff can be told from a defect.
+magnitude), and if a config's ``history.csv`` differs, the relative change
+of its J1 and J2 at iteration 1 and at the last iteration, so a re-draw at
+roundoff can be told from a defect.
 """
 
 from __future__ import annotations
@@ -128,6 +130,13 @@ def history_without_wall_time(path: Path) -> bytes:
     return "\n".join(",".join(row[i] for i in keep) for row in rows).encode()
 
 
+def first_and_last_objectives(path: Path) -> np.ndarray:
+    """J1 and J2 of a ``history.csv`` at iteration 1 and at the last one,
+    rows in that order."""
+    rows = list(csv.DictReader(io.StringIO(path.read_text())))
+    return np.array([[float(row["J1"]), float(row["J2"])] for row in (rows[0], rows[-1])])
+
+
 def state_without_wall_time(path: Path) -> bytes:
     payload = json.loads(path.read_text())
     for entry in payload["history"]:
@@ -135,7 +144,7 @@ def state_without_wall_time(path: Path) -> bytes:
     return json.dumps(payload).encode()
 
 
-def optimize_outputs(root: Path, config: Path, work: Path) -> dict:
+def optimize_outputs(root: Path, config: Path, work: Path) -> tuple[dict, np.ndarray]:
     raw = json.loads(config.read_text())
     widths = [d for _, d in raw["levelset"]["d_schedule"]]
     raw["levelset"]["d_schedule"] = [[1, widths[0]], [SWITCH, widths[-1]]]
@@ -160,22 +169,25 @@ def optimize_outputs(root: Path, config: Path, work: Path) -> dict:
         for name in ("report.csv", "tiled.vtk"):
             hashes[f"{config.stem} validation/{name}"] = sha256(
                 (out / "validation" / name).read_bytes())
-    return hashes
+    return hashes, first_and_last_objectives(out / "history.csv")
 
 
 def outputs(root: Path, inputs_root: Path) -> tuple[dict, dict]:
     """The output hashes of the tree ``root``, and the values whose change
-    is reported: the sweep's J1 values and the disk seed's J1, J2 and T."""
-    hashes = {}
+    is reported: each config's J1 and J2 at iteration 1 and the last, the
+    sweep's J1 values and the disk seed's J1, J2 and T."""
+    hashes, values = {}, {}
     with tempfile.TemporaryDirectory() as work:
         for config in sorted((inputs_root / "configs").glob("*.json")):
-            hashes.update(optimize_outputs(root, config, Path(work)))
+            config_hashes, values[f"{config.stem} history.csv"] = optimize_outputs(
+                root, config, Path(work))
+            hashes.update(config_hashes)
         disk_t = Path(work) / "disk_t.npy"
         sweep = subprocess.run([sys.executable, "-c", SWEEP_SCRIPT,
                                 str(inputs_root / "benchmarks"), str(SEED), str(disk_t)],
                                env=environment(root), check=True, capture_output=True,
                                text=True)
-        values = {"disk seed T": np.load(disk_t)}
+        values["disk seed T"] = np.load(disk_t)
     *_, line, sweep_j1, disk = sweep.stdout.strip().splitlines()
     hashes.update(json.loads(line))
     values["sweep J1"] = np.array([float.fromhex(v) for v in sweep_j1.split()])
@@ -201,7 +213,12 @@ def main(argv: list[str]) -> int:
     print(f"{len(names) - differ} of {len(names)} outputs identical")
     for name, w in want_values.items():
         g = got_values[name]
-        if not np.array_equal(g, w):
+        if name.endswith("history.csv"):
+            if want[name] != got[name]:
+                (j1, j2), (j1_last, j2_last) = np.abs(g - w) / np.abs(w)
+                print(f"{name}: relative change of J1 {j1:.3g} and J2 {j2:.3g} at "
+                      f"iteration 1, J1 {j1_last:.3g} and J2 {j2_last:.3g} at the last")
+        elif not np.array_equal(g, w):
             scale = np.abs(w).max() if name.endswith(" T") else np.abs(w)
             print(f"{name}: largest relative change {np.max(np.abs(g - w) / scale):.3g}")
     return 1 if differ else 0
