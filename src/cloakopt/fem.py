@@ -81,6 +81,11 @@ no client: its operator is solved exactly by FFT on the periodic cell
 grid (:mod:`cloakopt.levelset`), so nothing here is factored for it;
 only the residual contract (:func:`_check_solution`) is shared.
 
+That contract is the one check of every solve, on the whole reduced
+operator, condensed or not. It also covers a conduction state's flux
+balance: an element matrix's rows sum to zero, so the reactions on the
+fixed nodes sum to minus those of the free rows, which are the residual.
+
 A condensed factorization solves two loads: the zero load with the fixed
 values (a state) and a load with zero fixed values (an adjoint). Its
 condensation's mode decides how the interface Schur complement S_I is
@@ -123,7 +128,6 @@ SUPERNODE_RELAX = 1              # columns of a relaxed supernode at the tree's 
 PANEL_SIZE = 1                   # columns factored together as one panel
 RESPONSE_BLOCK = 2               # interface responses per multi-RHS solve of a fixed block
 
-_LUMPED_MASS = np.eye(3) / 3.0
 _CONSISTENT_MASS = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
 
 
@@ -521,12 +525,10 @@ def tensor_components(mesh: TriMesh, elements=slice(None)) -> np.ndarray:
                      a * (gy[:, :, None] * gy[:, None, :])], axis=1)
 
 
-def element_mass(mesh: TriMesh, lumped: bool = False,
-                 elements=slice(None)) -> np.ndarray:
-    """Consistent (or row-sum lumped) P1 element mass matrices of the
-    selected elements (default all)."""
-    local = _LUMPED_MASS if lumped else _CONSISTENT_MASS
-    return mesh.areas[elements][:, None, None] * local
+def element_mass(mesh: TriMesh, elements=slice(None)) -> np.ndarray:
+    """Consistent P1 element mass matrices of the selected elements
+    (default all)."""
+    return mesh.areas[elements][:, None, None] * _CONSISTENT_MASS
 
 
 def assemble_diffusion(mesh: TriMesh, tensors: np.ndarray, constraints: Constraints,
@@ -877,16 +879,3 @@ class CondensedFactorization:
         _check_solution(x, residual, b)
         return c.constraints.expand(x, homogeneous)
 
-
-def boundary_reaction(mesh: TriMesh, element_matrices: np.ndarray, values: np.ndarray,
-                      tag: str) -> float:
-    """Discrete reaction (net flux) through a tagged boundary.
-
-    Sum of the entries of K u over the boundary's nodes, with K the full
-    nodal operator of the element matrices; for a zero-source conduction
-    solve this is the heat inflow through the tag.
-    """
-    elems = mesh.elements
-    ku = np.bincount(elems.ravel(), minlength=mesh.n_nodes,
-                     weights=(element_matrices @ values[elems][:, :, None]).ravel())
-    return float(ku[np.unique(mesh.boundary_edges[tag])].sum())

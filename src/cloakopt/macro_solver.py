@@ -2,8 +2,13 @@
 
 The state problem is steady conduction on the half domain with fixed
 temperatures on the left/right edges and adiabatic top/bottom, the
-conductivity being the per-region tensor map (homogenized tensors in the
-design sectors, isotropic elsewhere). The adjoint problem reuses the
+conductivity being the per-region tensor map: homogenized tensors in the
+design sectors, isotropic elsewhere, held in one table from which each
+element's tensor is gathered by its region code, on the whole mesh and
+on the design ring alike (:meth:`MacroMaterialMap.element_tensors`). A
+state's one check is the residual contract of its solve, which also
+bounds the flux imbalance between the two fixed edges (see
+:mod:`cloakopt.fem`). The adjoint problem reuses the
 factored state operator but carries homogeneous Dirichlet data and, as
 its load, the exact derivative of a weighted sum of the discrete
 objectives, so one adjoint solve differentiates the recorded objective
@@ -67,15 +72,16 @@ class MacroMaterialMap:
         return np.array([t.matrix if hasattr(t, "matrix") else np.asarray(t)
                          for t in self.sector_tensors])
 
-    def element_tensors(self, mesh: TriMesh) -> np.ndarray:
-        t = np.zeros((mesh.n_elements, 2, 2))
-        ext = mesh.region_mask(REGION_EXTERIOR)
-        t[ext] = self.k_exterior * np.eye(2)
-        obs = mesh.region_mask(REGION_OBSTACLE)
-        t[obs] = self.k_obstacle * np.eye(2)
-        for l, mat in enumerate(self.sector_matrices(), start=SECTOR_FIRST):
-            t[mesh.region_mask(l)] = mat
-        return t
+    def element_tensors(self, mesh: TriMesh, elements=slice(None)) -> np.ndarray:
+        """The tensors of the selected elements (default all), shape
+        (n_selected, 2, 2): the only map from region to tensor, a gather
+        from one table indexed by region code (exterior 0, sectors 1-8,
+        obstacle 9)."""
+        table = np.empty((REGION_OBSTACLE + 1, 2, 2))
+        table[REGION_EXTERIOR] = self.k_exterior * np.eye(2)
+        table[SECTOR_FIRST:SECTOR_LAST + 1] = self.sector_matrices()
+        table[REGION_OBSTACLE] = self.k_obstacle * np.eye(2)
+        return np.take(table, mesh.element_region[elements], axis=0)
 
 
 def ring_filled_map(k_ring: float, k_exterior: float, k_obstacle: float) -> MacroMaterialMap:
@@ -173,8 +179,7 @@ def state_factorization(mesh: TriMesh, matmap: MacroMaterialMap,
 
     condensed = fem.cached(mesh, ("condensed state", matmap.k_exterior, matmap.k_obstacle,
                                   bc.t_low, bc.t_high), condense)
-    sectors = mesh.element_region[condensed.varying_elements] - SECTOR_FIRST
-    return condensed.factor(matmap.sector_matrices()[sectors])
+    return condensed.factor(matmap.element_tensors(mesh, condensed.varying_elements))
 
 
 def solve_state(mesh: TriMesh, matmap: MacroMaterialMap,
@@ -243,17 +248,6 @@ def evaluate_objectives(state: np.ndarray, reference: np.ndarray,
     j1 = objectives.mismatch(state, reference, mesh)
     j2 = objectives.gradient_energy(state, mesh)
     return j1, j2
-
-
-def flux_balance_error(mesh: TriMesh, matmap: MacroMaterialMap, bc: BoundaryData,
-                       state: np.ndarray) -> float:
-    """Relative mismatch between inflow and outflow through the fixed edges."""
-    bc.validate()
-    ke = fem.element_stiffness(mesh, matmap.element_tensors(mesh))
-    fa = fem.boundary_reaction(mesh, ke, state, GAMMA_A)
-    fb = fem.boundary_reaction(mesh, ke, state, GAMMA_B)
-    scale = max(abs(fa), abs(fb), 1e-300)
-    return abs(fa + fb) / scale
 
 
 def temperature_bounds_violation(state: np.ndarray, bc: BoundaryData) -> float:

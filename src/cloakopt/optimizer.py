@@ -15,8 +15,7 @@ and the tensor of all 8 cells, the macro state, the objectives) and
 then, unless it is the last, advances it (:func:`step`), which splits at
 dJ/dK*, where the two scales meet. The macro half is one adjoint solve
 on the factored state operator, whose load is the derivative of the
-recorded objective J (w*J1 + (1-w)*J2, or J1 over its denominator in
-normalized mode), and the mirrored design's dJ/dK*, which the half
+recorded objective J, and the mirrored design's dJ/dK*, which the half
 mesh's sectors 1-4 give directly (:func:`sensitivity.sector_sensitivities`).
 The cell half (:func:`cell_step`) contracts each design cell's dJ/dK*
 with the cell's insertion field into a reaction term normalized once per
@@ -27,6 +26,11 @@ reaction term has unit L1 mass however close the design is to a
 stationary point, so a constant step keeps the design swinging around
 it instead of settling. The transition width follows a fixed iteration
 schedule, and the run ends at the iteration cap.
+
+J has one form in both objective modes: (w*J1 + (1-w)*J2) over the
+workspace's denominator (:attr:`Workspace.norm_denominator`), which is 1
+in standard mode and, in normalized mode (w = 1 there), the J1 of the
+ring filled with one material, so J is J1 over it.
 """
 
 from __future__ import annotations
@@ -141,7 +145,7 @@ class Scenario:
             raise ValueError("materials.normalization_fill is read only under "
                              "objective.mode normalized")
         if self.objective_mode == "normalized":
-            # J1 over the fill's J1 alone: see derivative_weights and evaluate
+            # J1 over the fill's J1 alone: see Workspace
             if self.w != 1.0:
                 raise ValueError("objective.w must be 1 under objective.mode "
                                  f"normalized, which optimizes J1 alone; got {self.w}")
@@ -165,13 +169,10 @@ class Scenario:
     def derivative_weights(self) -> dict[str, float]:
         """Nonzero weights of dJ1/dT and dJ2/dT in the adjoint load of the
         recorded J, which :func:`macro_solver.solve_adjoint` sums into one
-        load; objectives of weight 0 are left out of it.
-
-        Normalized mode takes dJ1/dT alone: the per-cell normalization of
-        the reaction term absorbs J1's constant denominator.
+        load; objectives of weight 0 are left out of it. J's constant
+        denominator is left out too: the per-cell normalization of the
+        reaction term absorbs it.
         """
-        if self.objective_mode == "normalized":
-            return {"j1": 1.0}
         return {k: v for k, v in (("j1", self.w), ("j2", 1.0 - self.w)) if v > 0.0}
 
     def initial_phis(self, mesh: TriMesh | None = None) -> list[LevelSetField]:
@@ -220,6 +221,9 @@ class Workspace:
     (``macro_mesh``, a ``mirror_half``), whose edge data ``bc`` holds the mean
     edge temperature on the mirror line and t_high on the right edge, and
     whose reference ramp ``t_steel`` runs between the two.
+    ``norm_denominator`` divides J: 1 in standard mode, and in normalized
+    mode the J1 of the ring filled with ``normalization_fill``. It is the
+    only reader of the objective mode besides :meth:`Scenario.validate`.
     """
 
     def __init__(self, scenario: Scenario):
@@ -230,7 +234,7 @@ class Workspace:
         bc = scenario.bc
         self.bc = BoundaryData(0.5 * (bc.t_low + bc.t_high), bc.t_high)
         self.t_steel = macro_solver.reference_field(self.macro_mesh, self.bc)
-        self.norm_denominator = None
+        self.norm_denominator = 1.0
         if scenario.objective_mode == "normalized":
             worst = macro_solver.solve_state(
                 self.macro_mesh,
@@ -283,10 +287,7 @@ def evaluate(ws: Workspace, phis: list[LevelSetField], d: float,
     state_fact = macro_solver.state_factorization(ws.macro_mesh, matmap, ws.bc)
     temp = state_fact.solve()
     j1, j2 = macro_solver.evaluate_objectives(temp, ws.t_steel, ws.macro_mesh)
-    if sc.objective_mode == "normalized":
-        j = j1 / ws.norm_denominator
-    else:
-        j = objectives.compose(j1, j2, sc.w)
+    j = objectives.compose(j1, j2, sc.w) / ws.norm_denominator
     return Evaluation(cells, temp, state_fact, j1, j2, j, d)
 
 

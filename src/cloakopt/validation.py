@@ -137,7 +137,9 @@ def tile_conductivity(spec: TilingSpec, mesh: TriMesh,
     """
     spec.validate()
     h = np.sqrt(2.0 * np.median(mesh.areas))
-    if spec.epsilon0 / h < ELEMENTS_PER_CELL - 1e-9:
+    # half an element of slack: :func:`fine_mesh` rounds its division
+    # counts, so its elements miss epsilon0 / 8 by up to ~1% either way
+    if spec.epsilon0 / h < ELEMENTS_PER_CELL - 0.5:
         raise ValueError(
             f"fine mesh ({h:.4g} m elements) under-resolves cells of {spec.epsilon0:.4g} m"
         )

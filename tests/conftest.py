@@ -97,3 +97,17 @@ def rotation(deg):
     th = np.radians(deg)
     c, s = np.cos(th), np.sin(th)
     return np.array([[c, -s], [s, c]])
+
+
+def lumped_element_mass(mesh):
+    """Row-sum lumped P1 element mass matrices, area/3 on each diagonal:
+    the mass of the level-set step's SuperLU oracles."""
+    return mesh.areas[:, None, None] * (np.eye(3) / 3.0)
+
+
+def edge_reaction(mesh, element_matrices, values, tag):
+    """Reaction (net flux) through a fixed edge: the entries of K u, with K
+    the nodal operator of the element matrices, summed over the edge's
+    nodes; for a zero-source conduction solve, the heat inflow there."""
+    ku = fem.structure(mesh).matrix(element_matrices) @ values
+    return float(ku[np.unique(mesh.boundary_edges[tag])].sum())

@@ -503,6 +503,16 @@ def test_bad_obstacle_exit_code(short_run, tmp_path, capsys, command, flags):
     assert not out.exists()
 
 
+def test_validate_at_a_cell_size_whose_fine_mesh_rounds(short_run, tmp_path, capsys):
+    """At eps0 = 0.15 the fine mesh rounds its division counts, and its
+    elements miss eps0 / 8 on either side; validate tiles it."""
+    out = tmp_path / "validation"
+    assert cli.main(["validate", "--run", str(short_run), "--epsilon0", "0.15",
+                     "--out", str(out)]) == 0
+    assert "under-resolves" not in capsys.readouterr().err
+    assert (out / "report.csv").exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "0"])
 def test_bad_epsilon0_exit_code(short_run, tmp_path, capsys, value):
     out = tmp_path / "validation"

@@ -9,7 +9,7 @@ from cloakopt import fem, homogenization, macro_solver
 from cloakopt.geometry import (GAMMA_A, GAMMA_B, MacroGeometry, TriMesh,
                                UnitCellGeometry, build_cell_mesh,
                                build_macro_mesh)
-from conftest import SlotTable
+from conftest import SlotTable, edge_reaction, lumped_element_mass
 
 
 def unit_square_mesh(n=8):
@@ -187,11 +187,11 @@ def test_series_resistance_flux():
     system = fem.assemble_diffusion(mesh, tensors, c)
     values = fem.Factorization(system).solve()
     ke = fem.element_stiffness(mesh, tensors)
-    flux_in = fem.boundary_reaction(mesh, ke, values, GAMMA_B)
+    flux_in = edge_reaction(mesh, ke, values, GAMMA_B)
     # series resistance per unit height: 1/2 + 1/1, height 1, dT = 1
     expected = 1.0 / (1.0 / 2.0 + 1.0 / 1.0) * 1.0
     assert flux_in == pytest.approx(expected, rel=1e-10)
-    flux_out = fem.boundary_reaction(mesh, ke, values, GAMMA_A)
+    flux_out = edge_reaction(mesh, ke, values, GAMMA_A)
     assert flux_in + flux_out == pytest.approx(0.0, abs=1e-10 * abs(flux_in))
 
 
@@ -228,7 +228,7 @@ def macro_operator(mesh):
 
 def levelset_operator(mesh):
     k_phi, tau, dt = 1.5, 0.05, 0.1
-    ke = (fem.element_mass(mesh, lumped=True) + dt * k_phi * tau
+    ke = (lumped_element_mass(mesh) + dt * k_phi * tau
           * fem.element_stiffness(mesh, fem.isotropic_tensors(np.ones(mesh.n_elements))))
     periodic = fem.apply_periodic(free(mesh), mesh.periodic_pairs)
     return SlotTable(mesh, periodic).system(ke), ke

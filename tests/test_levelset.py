@@ -15,7 +15,7 @@ from cloakopt.levelset import (LevelSetField, ReactionDiffusionUpdater,
                                characteristic, initialize, mirror_nodes, read_phi_csv,
                                read_phi_field, write_phi_csv)
 from cloakopt.validation import _mirrored
-from conftest import SlotTable
+from conftest import SlotTable, lumped_element_mass
 
 
 def test_characteristic_anchor_values():
@@ -129,7 +129,7 @@ def superlu_step(mesh, phi, jprime, k_phi, tau, dt):
     """Oracle: the step assembled on the periodic structure and factored by SuperLU."""
     on = SlotTable(mesh, fem.apply_periodic(fem.Constraints.none(mesh.n_nodes),
                                             mesh.periodic_pairs))
-    ke = (fem.element_mass(mesh, lumped=True) + dt * k_phi * tau
+    ke = (lumped_element_mass(mesh) + dt * k_phi * tau
           * fem.element_stiffness(mesh, fem.isotropic_tensors(np.ones(mesh.n_elements))))
     b = on.constraints.restrict(mesh.lumped_mass * (phi - dt * k_phi * jprime))
     x = spla.splu(on.matrix(ke).tocsc()).solve(b)

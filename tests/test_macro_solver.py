@@ -7,12 +7,12 @@ from cloakopt import homogenization as hom
 from cloakopt import objectives
 from cloakopt import levelset as ls
 from cloakopt import macro_solver as ms
-from cloakopt.geometry import (REGION_EXTERIOR, REGION_OBSTACLE, SECTOR_FIRST, SECTOR_LAST,
-                               MacroGeometry, UnitCellGeometry, build_cell_mesh,
-                               build_macro_mesh)
+from cloakopt.geometry import (GAMMA_A, GAMMA_B, REGION_EXTERIOR, REGION_OBSTACLE,
+                               SECTOR_FIRST, SECTOR_LAST, MacroGeometry, UnitCellGeometry,
+                               build_cell_mesh, build_macro_mesh)
 from cloakopt.macro_solver import BoundaryData, MacroMaterialMap
 
-from conftest import COPPER, PDMS, STEEL, SlotTable
+from conftest import COPPER, PDMS, STEEL, SlotTable, edge_reaction
 
 
 @pytest.fixture(scope="module")
@@ -174,7 +174,9 @@ def test_copper_ring_objective_scale(macro_mesh, bc, steel_field):
 def test_state_flux_balance_and_bounds(macro_mesh, bc):
     matmap = ms.ring_filled_map(COPPER, STEEL, COPPER)
     temp = ms.solve_state(macro_mesh, matmap, bc)
-    assert ms.flux_balance_error(macro_mesh, matmap, bc, temp) < 1e-8
+    ke = fem.element_stiffness(macro_mesh, matmap.element_tensors(macro_mesh))
+    fa, fb = (edge_reaction(macro_mesh, ke, temp, tag) for tag in (GAMMA_A, GAMMA_B))
+    assert abs(fa + fb) / max(abs(fa), abs(fb)) < 1e-8
     assert ms.temperature_bounds_violation(temp, bc) <= 1e-6
 
 
@@ -250,6 +252,24 @@ def anisotropic_map():
         r = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
         tensors.append(r @ np.diag([300.0 / l, 0.2 * l]) @ r.T)
     return MacroMaterialMap(tensors, k_exterior=STEEL, k_obstacle=COPPER)
+
+
+@pytest.mark.parametrize("half", [False, True], ids=["whole", "half"])
+def test_element_tensors_are_the_per_region_assignment(paper_geometry, half):
+    """The one table of region tensors gives, bit for bit, one masked
+    assignment per region, on the whole mesh and on its x >= 0 half, and
+    read through ``elements`` the state's ring is its sectors' matrices."""
+    mesh = build_macro_mesh(paper_geometry, 0.25, half=half)
+    matmap = anisotropic_map()
+    want = np.zeros((mesh.n_elements, 2, 2))
+    want[mesh.region_mask(REGION_EXTERIOR)] = STEEL * np.eye(2)
+    want[mesh.region_mask(REGION_OBSTACLE)] = COPPER * np.eye(2)
+    for l, mat in enumerate(matmap.sector_matrices(), start=SECTOR_FIRST):
+        want[mesh.region_mask(l)] = mat
+    assert np.array_equal(matmap.element_tensors(mesh), want)
+    ring = ms.state_factorization(mesh, matmap, BoundaryData()).condensation.varying_elements
+    assert np.array_equal(matmap.element_tensors(mesh, ring),
+                          matmap.sector_matrices()[mesh.element_region[ring] - SECTOR_FIRST])
 
 
 def relative_difference(got, want):

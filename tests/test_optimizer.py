@@ -115,6 +115,34 @@ def test_normalization_fill_equal_to_reference_rejected():
                                    normalization_fill=PDMS)).norm_denominator > 0
 
 
+def test_normalized_mode_is_the_w1_run_with_j_divided(monkeypatch):
+    """Normalized mode runs standard mode at w = 1 and divides J by the
+    workspace's denominator: over 3 iterations both give bit-identical
+    level sets of all 8 cells, J1 and J2, and each normalized J is J1
+    over the denominator exactly."""
+    evaluations = []
+    evaluate_ = optimizer.evaluate
+
+    def record(ws, phis, *args):
+        ev = evaluate_(ws, phis, *args)
+        evaluations.append((ws.norm_denominator, [f.phi.copy() for f in phis],
+                            ev.j1, ev.j2, ev.j))
+        return ev
+
+    monkeypatch.setattr(optimizer, "evaluate", record)
+    run(tiny_scenario(max_iter=3, objective_mode="normalized", normalization_fill=PDMS))
+    normalized, evaluations[:] = evaluations[:], []
+    run(tiny_scenario(max_iter=3))
+    assert len(normalized) == len(evaluations) == 3
+    for (denominator, phis, j1, j2, j), (one, want_phis, want_j1, want_j2, want_j) in zip(
+            normalized, evaluations):
+        assert len(phis) == 8
+        assert all(np.array_equal(a, b) for a, b in zip(phis, want_phis, strict=True))
+        assert (j1, j2) == (want_j1, want_j2)
+        assert denominator != 1.0 and j == j1 / denominator
+        assert one == 1.0 and want_j == want_j1
+
+
 def test_d_schedule_recorded_in_history():
     state = run(tiny_scenario())
     assert [r.d for r in state.history] == [0.2, 0.2, 0.1, 0.1]

@@ -76,6 +76,22 @@ def test_under_resolved_mesh_rejected(paper_geometry, cell_mesh):
         val.tile_conductivity(spec, coarse)
 
 
+@pytest.mark.parametrize("epsilon0", [round(0.10 + 0.01 * i, 2) for i in range(50)]
+                         + [1.0 / 9.0, 1.0 / 18.0, 1.0 / 36.0])
+def test_every_cell_size_tiles_on_its_own_fine_mesh(paper_geometry, cell_mesh, epsilon0):
+    """fine_mesh rounds its division counts (at 0.15 m, 267 x 213 divisions
+    of 0.018727 and 0.018779 m for 0.01875 m), and the mesh it builds is
+    accepted; one of twice the element size is still refused."""
+    spec = make_spec(paper_geometry, cell_mesh, epsilon0=epsilon0)
+    mesh = val.fine_mesh(spec)
+    assert len(val.tile_conductivity(spec, mesh)) == mesh.n_elements
+    del mesh
+    coarse = build_macro_mesh(paper_geometry, epsilon0 / 4.0, allow_oversize=True)
+    with pytest.raises(ValueError, match=f"fine mesh \\(.* m elements\\) under-resolves "
+                                         f"cells of {epsilon0:.4g} m"):
+        val.tile_conductivity(spec, coarse)
+
+
 def test_all_steel_tiling_reproduces_reference(paper_geometry, cell_mesh):
     phis = [ls.initialize(cell_mesh, ("uniform", 1.0), cell_index=l)
             for l in range(1, 9)]
