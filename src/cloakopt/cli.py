@@ -2,7 +2,9 @@
 
 ``optimize`` copies its config into the run directory and writes
 ``tensors.csv`` and the VTK files there; ``validate`` (tiled J1 and J2)
-and ``sweep`` (the obstacle-angle table) read that copy.
+and ``sweep`` (the obstacle-angle table) read that copy, and
+``optimize --resume`` refuses a config that differs from it in any key
+but ``optimizer.max_iter``.
 
 Exit codes: 0 success, 2 configuration error or missing input file,
 3 solver failure.
@@ -48,17 +50,26 @@ def cmd_optimize(args) -> int:
     cfg = parse_config(args.config)
     print(cfg.describe())
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with contextlib.suppress(shutil.SameFileError):     # resuming with the run's own config
-        shutil.copyfile(args.config, out / "config.json")
-
     resume_state = None
     if args.resume:
         saved = {int(p.name[len("iter_"):]): p for p in (out / "checkpoints").glob("iter_*")
                  if p.name[len("iter_"):].isdigit()}
         source = saved[max(saved)] if saved else out / "final"
         resume_state = optimizer.resume(source)
+        # a run is extended by raising optimizer.max_iter; any other key
+        # would make the rows before and after the resume disagree
+        run = _run_config(out).settings
+        key = next((k for k in run if k != "optimizer.max_iter"
+                    and cfg.settings[k] != run[k]), None)
+        if key is not None:
+            raise ConfigError(
+                f"--config does not match the run's config.json: {key} is "
+                f"{cfg.settings[key]!r}, the run's {run[key]!r}; --resume may change "
+                "only optimizer.max_iter")
         print(f"resuming from {source} (iteration {resume_state.iteration})")
+    out.mkdir(parents=True, exist_ok=True)
+    with contextlib.suppress(shutil.SameFileError):     # resuming with the run's own config
+        shutil.copyfile(args.config, out / "config.json")
 
     state = optimizer.run(cfg.scenario, out_dir=out, resume_from=resume_state,
                           threads=args.threads, checkpoint_every=args.checkpoint_every)
@@ -83,14 +94,16 @@ def cmd_homogenize(args) -> int:
     return 0
 
 
-def _load_run(run_dir: Path):
+def _run_config(run_dir: Path) -> RunConfig:
     cfg_path = run_dir / "config.json"
     if not cfg_path.exists():
         raise ConfigError(f"no config found at {cfg_path}; "
                           "cloakopt optimize writes it into the run directory")
-    cfg = parse_config(cfg_path)
-    state = optimizer.resume(run_dir / "final")
-    return cfg, state
+    return parse_config(cfg_path)
+
+
+def _load_run(run_dir: Path):
+    return _run_config(run_dir), optimizer.resume(run_dir / "final")
 
 
 def _tiling_from(cfg: RunConfig, phis, epsilon0: float) -> TilingSpec:

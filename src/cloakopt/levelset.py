@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fem
-from .geometry import TriMesh, UnitCellGeometry, build_cell_mesh
+from .geometry import MeshError, TriMesh, UnitCellGeometry, build_cell_mesh
 
 
 def characteristic(phi, d: float):
@@ -211,10 +211,13 @@ def write_phi_csv(field: LevelSetField, path) -> None:
 
 def read_phi_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """(coordinates, phi) of a :func:`write_phi_csv` file in node order;
-    ``ValueError`` naming the file if it holds no rows of four columns."""
-    with warnings.catch_warnings():     # an empty file is refused below
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    ``ValueError`` naming the file if it holds no rows of four numbers."""
+    try:
+        with warnings.catch_warnings():     # an empty file is refused below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:               # a field that is no number, a ragged row
+        raise ValueError(f"{path}: {exc}") from exc
     if not len(data) or data.shape[1] != 4:
         raise ValueError(f"{path}: expected rows of node_index, y1, y2, phi")
     data = data[np.argsort(data[:, 0])]
@@ -226,14 +229,17 @@ def read_phi_field(path, mesh: TriMesh | None = None, cell_index: int = 0,
     """Reload one cell written by :func:`write_phi_csv` onto ``mesh``, or,
     without one, onto the structured cell mesh its node count implies;
     ``ValueError`` naming the file when its nodes are not those of the
-    mesh or a phi is not finite. Values beyond +-1 are kept: the smoothed
-    step saturates them."""
+    mesh, its node count implies no cell mesh, or a phi is not finite.
+    Values beyond +-1 are kept: the smoothed step saturates them."""
     coords, phi = read_phi_csv(path)
     if not np.isfinite(phi).all():
         raise ValueError(f"{path}: phi of node {int(np.flatnonzero(~np.isfinite(phi))[0])} "
                          "is not finite")
     if mesh is None:
-        mesh = build_cell_mesh(UnitCellGeometry(int(round(np.sqrt(len(phi)))) - 1))
+        try:
+            mesh = build_cell_mesh(UnitCellGeometry(int(round(np.sqrt(len(phi)))) - 1))
+        except MeshError as exc:
+            raise ValueError(f"{path}: {len(phi)} nodes give no cell mesh: {exc}") from exc
     if len(phi) != mesh.n_nodes or not np.allclose(coords, mesh.nodes, atol=1e-9):
         raise ValueError(f"{path}: node coordinates do not match the "
                          f"{mesh.n_nodes}-node cell mesh")

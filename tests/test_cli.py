@@ -480,6 +480,63 @@ def test_resume_between_checkpoints_writes_each_row_once(tmp_path, capsys):
     assert table(cut) == table(whole)
 
 
+@pytest.mark.parametrize("tweaks, key", [
+    ({"mesh": {"macro_h": 0.25, "cell_resolution": 32}}, "mesh.cell_resolution"),
+    ({"objective": {"w": 0.5}}, "objective.w"),
+], ids=["cell-resolution", "objective-w"])
+def test_resume_with_another_config_exit_code(tmp_path, capsys, tweaks, key):
+    """A resume whose config differs from the run's in any key but
+    optimizer.max_iter is refused by key, before it writes anything."""
+    out = tmp_path / "run"
+    assert cli.main(["optimize", "--config", str(small_config(tmp_path)), "--out", str(out),
+                     "--checkpoint-every", "2"]) == 0
+    before = {name: (out / name).read_bytes() for name in ("config.json", "history.csv")}
+    other = small_config(tmp_path, optimizer={"max_iter": 5}, **tweaks)
+    assert cli.main(["optimize", "--config", str(other), "--out", str(out), "--resume"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()[-1]
+    assert err.startswith("configuration error") and key in err
+    assert {name: (out / name).read_bytes() for name in before} == before
+
+
+def test_resume_of_a_run_without_its_config_exit_code(short_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(short_run, run)
+    (run / "config.json").unlink()
+    history = (run / "history.csv").read_bytes()
+    rc = cli.main(["optimize", "--config", str(small_config(tmp_path)), "--out", str(run),
+                   "--resume"])
+    assert rc == 2
+    assert f"no config found at {run / 'config.json'}" in capsys.readouterr().err
+    assert not (run / "config.json").exists()
+    assert (run / "history.csv").read_bytes() == history
+
+
+def test_resume_that_raises_max_iter_equals_the_whole_run(tmp_path, capsys):
+    """A run stopped at iteration 3 and resumed to 5 writes the files of
+    the uninterrupted 5-iteration run bit for bit, wall times aside."""
+    whole, cut = tmp_path / "whole", tmp_path / "cut"
+    five = tmp_path / "five.json"
+    five.write_text(json.dumps(small_raw(optimizer={"max_iter": 5})))
+    assert cli.main(["optimize", "--config", str(five), "--out", str(whole)]) == 0
+    assert cli.main(["optimize", "--config", str(small_config(tmp_path)), "--out", str(cut)]) == 0
+    assert cli.main(["optimize", "--config", str(five), "--out", str(cut), "--resume"]) == 0
+
+    def without_wall_time(path):
+        if path.name == "history.csv":
+            return [row[:-1] for row in csv.reader(path.read_text().splitlines())]
+        if path.name == "state.json":
+            payload = json.loads(path.read_text())
+            for row in payload["history"]:
+                del row["wall_ms"]
+            return payload
+        return path.read_bytes()
+
+    names = sorted(p.relative_to(whole) for p in whole.rglob("*") if p.is_file())
+    assert len(names) == 30
+    for name in names:
+        assert without_wall_time(cut / name) == without_wall_time(whole / name), name
+
+
 @pytest.fixture(scope="module")
 def short_run(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("short")
@@ -539,6 +596,24 @@ def test_homogenize_missing_phi_exit_code(tmp_path, capsys):
     rc = cli.main(["homogenize", "--phi", str(missing), "--k-a", "386", "--k-b", "0.15"])
     assert rc == 2
     assert missing_path_reported(capsys, missing)
+
+
+@pytest.mark.parametrize("side, message", [
+    (18, "cell resolution must be even, got 17"),
+    (10, "cell resolution must be at least 16 elements per side"),
+], ids=["odd-resolution", "below-16"])
+def test_homogenize_phi_of_no_cell_mesh_exit_code(tmp_path, capsys, side, message):
+    """A phi file whose node count implies a cell mesh the builder refuses
+    is refused with the file named."""
+    path = tmp_path / "phi.csv"
+    grid = np.linspace(0.0, 1.0, side)
+    rows = [f"{i},{y1:.17g},{y2:.17g},1.0" for i, (y1, y2) in
+            enumerate((y1, y2) for y1 in grid for y2 in grid)]
+    path.write_text("node_index,y1,y2,phi\n" + "\n".join(rows) + "\n")
+    rc = cli.main(["homogenize", "--phi", str(path), "--k-a", "386", "--k-b", "0.15"])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()[-1]
+    assert err.startswith("configuration error") and str(path) in err and message in err
 
 
 @pytest.mark.parametrize("command", ["validate", "sweep"])
@@ -712,11 +787,12 @@ def set_phi(value, row=40):
     ((3, 6), set_phi("nan")),
     ((3,), set_phi("inf")),
     ((3,), set_phi("-inf")),
-], ids=["empty", "nan", "nan-in-3-and-6", "inf", "minus-inf"])
+    ((3,), set_phi("one")),
+], ids=["empty", "nan", "nan-in-3-and-6", "inf", "minus-inf", "not-a-number"])
 @pytest.mark.parametrize("command", ["validate", "sweep", "optimize"])
 def test_malformed_phi_csv_exit_code(short_run, tmp_path, capsys, command, cells, corrupt):
-    """A cell file that is empty or holds a phi that is not finite is
-    refused, with the file named and no warning before it, by every
+    """A cell file that is empty or holds a phi that is not finite or no
+    number is refused, with the file named and no warning before it, by every
     command that reads a run."""
     run = tmp_path / "run"
     shutil.copytree(short_run, run)
